@@ -7,8 +7,8 @@ brute-force and envelope oracles, and measures how boundary curvature kinks
 reappear on the top line.
 """
 
-from .boundary import BoundarySpline, Kink, eval_boundary, kinks, lipschitz_constants, parse_spline, serialize_spline
-from .construction import ContactSolution, contact_inverse, phi, phi_prime, segment_value, solve_contact, u_at_contact, u_interior, u_prime_top
+from .boundary import BoundarySpline, Kink, eval_boundary, parse_spline
+from .construction import ContactSolution, contact_inverse, phi, phi_prime, segment_value, solve_contact, solve_contacts, u_at_contact, u_interior
 from .oracle import BruteResult, FieldGrid, GridSpec, brute_force_u, grid_eval, mw_envelopes
 from .analysis import KinkReport, curvature_transfer, fd_derivative_top, kink_transfer_report, monotone_map_check, residual_infinity_laplacian, second_derivatives_top
 from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
@@ -37,8 +37,6 @@ __all__ = [
     "fd_derivative_top",
     "grid_eval",
     "kink_transfer_report",
-    "kinks",
-    "lipschitz_constants",
     "monotone_map_check",
     "mw_envelopes",
     "parse_spline",
@@ -48,10 +46,9 @@ __all__ = [
     "run_acceptance",
     "second_derivatives_top",
     "segment_value",
-    "serialize_spline",
     "solve_contact",
+    "solve_contacts",
     "u_at_contact",
     "u_interior",
-    "u_prime_top",
     "window_radius",
 ]

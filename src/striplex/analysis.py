@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import construction, oracle
 from .errors import DomainError, ValidationError
 from .ioutil import fmt_real
@@ -114,7 +116,7 @@ def richardson_extrapolate(hs, qs) -> float:
 
 def _u_top(x: float, problem: AdmissibleProblem, source: str, oracle_h_y: float, tol: float) -> float:
     if source == "closed_form":
-        return construction.solve_contact(x, problem.delta, problem, tol=tol).value
+        return construction.u_interior(x, problem.delta, problem, tol=tol)
     return oracle.brute_force_u((x, problem.delta), problem, oracle_h_y).value
 
 
@@ -186,15 +188,13 @@ def _midsegment_jumps(
     length = math.hypot(delta, x0 - y0)
     nx, nd = delta / length, -(x0 - y0) / length
     mx, md = y0 + 0.5 * (x0 - y0), 0.5 * delta
+    # stencil offsets along the normal, in units of the step
+    steps = np.array([0.0, 1.0, 2.0, -1.0, -2.0])
     jumps = []
     for h in h_schedule:
         # keep the five-point transverse stencil inside the strip
         hh = min(h, 0.2 * delta / (abs(nd) + 1e-3))
-        u0 = construction.u_interior(mx, md, problem)
-        up1 = construction.u_interior(mx + hh * nx, md + hh * nd, problem)
-        up2 = construction.u_interior(mx + 2 * hh * nx, md + 2 * hh * nd, problem)
-        dn1 = construction.u_interior(mx - hh * nx, md - hh * nd, problem)
-        dn2 = construction.u_interior(mx - 2 * hh * nx, md - 2 * hh * nd, problem)
+        u0, up1, up2, dn1, dn2 = construction.u_interior(mx + steps * hh * nx, md + steps * hh * nd, problem)
         right = (up2 - 2.0 * up1 + u0) / (hh * hh)
         left = (dn2 - 2.0 * dn1 + u0) / (hh * hh)
         jumps.append(right - left)
@@ -263,15 +263,12 @@ def monotone_map_check(problem: AdmissibleProblem, samples: int = 201) -> Monoto
         if lip == 0.0:
             break
         C = construction.phi_prime(problem.spline.derivative(kink.y0), problem.L)
-        step = 2.0 * lip / (samples - 1)
-        prev_t = -lip
-        prev_v = curvature_transfer(prev_t, delta, C)
-        for k in range(1, samples):
-            t = -lip + k * step
-            v = curvature_transfer(t, delta, C)
-            if not v > prev_v:
-                return MonotoneWitness(ok=False, kink_y0=kink.y0, pair=(prev_t, t))
-            prev_t, prev_v = t, v
+        ts = -lip + np.arange(samples) * (2.0 * lip / (samples - 1))
+        vs = curvature_transfer(ts, delta, C)
+        bad = np.flatnonzero(~(vs[1:] > vs[:-1]))
+        if bad.size:
+            k = int(bad[0])
+            return MonotoneWitness(ok=False, kink_y0=kink.y0, pair=(float(ts[k]), float(ts[k + 1])))
     return MonotoneWitness(ok=True)
 
 
@@ -280,7 +277,8 @@ def residual_infinity_laplacian(
     problem: AdmissibleProblem,
     h: float,
 ) -> float:
-    """Central-difference u_x^2 u_xx + 2 u_x u_d u_xd + u_d^2 u_dd at point.
+    """Central-difference u_x^2 u_xx + 2 u_x u_d u_xd + u_d^2 u_dd at point
+    (coordinates may be arrays).
 
     Off the contact segments of curvature jumps the residual decays at
     O(h^2) once h is below the distance to the nearest such segment.
@@ -289,16 +287,16 @@ def residual_infinity_laplacian(
         raise DomainError(f"need h > 0, got {h!r}")
     x, d = point
     delta = problem.delta
-    if not (d - 2.0 * h > 0.0 and delta - d > 2.0 * h):
+    if not np.all((d - 2.0 * h > 0.0) & (delta - d > 2.0 * h)):
         raise DomainError(
             f"point (x={x!r}, d={d!r}) too close to the strip edges for step h={h!r}"
         )
-    u = lambda xx, dd: construction.u_interior(xx, dd, problem)
-    u0 = u(x, d)
-    uxp, uxm = u(x + h, d), u(x - h, d)
-    udp, udm = u(x, d + h), u(x, d - h)
-    upp, upm = u(x + h, d + h), u(x + h, d - h)
-    ump, umm = u(x - h, d + h), u(x - h, d - h)
+    # the nine-point stencil, offsets in units of h
+    ox = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
+    od = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    u0, uxp, uxm, udp, udm, upp, upm, ump, umm = construction.u_interior(
+        np.add.outer(ox * h, x), np.add.outer(od * h, d), problem
+    )
     ux = (uxp - uxm) / (2.0 * h)
     ud = (udp - udm) / (2.0 * h)
     uxx = (uxp - 2.0 * u0 + uxm) / (h * h)

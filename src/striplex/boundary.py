@@ -87,7 +87,8 @@ class BoundarySpline:
     # -- evaluation ----------------------------------------------------
 
     def value(self, y):
-        """f(y); accepts a float or an ndarray."""
+        """f(y); a float takes the scalar path, anything else the array path
+        (the same formula, bit-equal results)."""
         ts, ss, vals = self._ts, self._ss, self._vals
         if isinstance(y, (float, int)):
             y = float(y)
@@ -98,10 +99,22 @@ class BoundarySpline:
             i = bisect_right(ts, y) - 1
             dy = y - ts[i]
             return vals[i] + ss[i] * dy + 0.5 * self._seg[i] * dy * dy
-        return self._value_vec(np.asarray(y, dtype=float))
+        y = np.asarray(y, dtype=float)
+        ts, ss, vals = np.asarray(ts), np.asarray(ss), np.asarray(vals)
+        if len(ts) == 1:
+            return vals[0] + ss[0] * (y - ts[0])
+        seg = np.asarray(self._seg)
+        i = np.clip(np.searchsorted(ts, y, side="right") - 1, 0, len(ts) - 2)
+        dy = y - ts[i]
+        # far outside the knot range dy*dy may overflow; np.where drops it
+        with np.errstate(over="ignore"):
+            inner = vals[i] + ss[i] * dy + 0.5 * seg[i] * dy * dy
+        left = vals[0] + ss[0] * (y - ts[0])
+        right = vals[-1] + ss[-1] * (y - ts[-1])
+        return np.where(y <= ts[0], left, np.where(y >= ts[-1], right, inner))
 
     def derivative(self, y):
-        """f'(y); accepts a float or an ndarray."""
+        """f'(y); a float takes the scalar path, anything else the array path."""
         ts, ss = self._ts, self._ss
         if isinstance(y, (float, int)):
             y = float(y)
@@ -111,7 +124,14 @@ class BoundarySpline:
                 return ss[-1]
             i = bisect_right(ts, y) - 1
             return ss[i] + self._seg[i] * (y - ts[i])
-        return self._derivative_vec(np.asarray(y, dtype=float))
+        y = np.asarray(y, dtype=float)
+        ts, ss = np.asarray(ts), np.asarray(ss)
+        if len(ts) == 1:
+            return np.full_like(y, ss[0])
+        seg = np.asarray(self._seg)
+        i = np.clip(np.searchsorted(ts, y, side="right") - 1, 0, len(ts) - 2)
+        inner = ss[i] + seg[i] * (y - ts[i])
+        return np.where(y <= ts[0], ss[0], np.where(y >= ts[-1], ss[-1], inner))
 
     def second_left(self, y: float) -> float:
         """One-sided curvature of f from the left: slope of f' on the
@@ -131,30 +151,6 @@ class BoundarySpline:
         if y < ts[0] or y >= ts[-1] or len(ts) == 1:
             return 0.0
         return self._seg[bisect_right(ts, y) - 1]
-
-    def _value_vec(self, y: np.ndarray) -> np.ndarray:
-        ts = np.asarray(self._ts)
-        ss = np.asarray(self._ss)
-        vals = np.asarray(self._vals)
-        if len(ts) == 1:
-            return vals[0] + ss[0] * (y - ts[0])
-        seg = np.asarray(self._seg)
-        i = np.clip(np.searchsorted(ts, y, side="right") - 1, 0, len(ts) - 2)
-        dy = y - ts[i]
-        inner = vals[i] + ss[i] * dy + 0.5 * seg[i] * dy * dy
-        left = vals[0] + ss[0] * (y - ts[0])
-        right = vals[-1] + ss[-1] * (y - ts[-1])
-        return np.where(y <= ts[0], left, np.where(y >= ts[-1], right, inner))
-
-    def _derivative_vec(self, y: np.ndarray) -> np.ndarray:
-        ts = np.asarray(self._ts)
-        ss = np.asarray(self._ss)
-        if len(ts) == 1:
-            return np.full_like(y, ss[0])
-        seg = np.asarray(self._seg)
-        i = np.clip(np.searchsorted(ts, y, side="right") - 1, 0, len(ts) - 2)
-        inner = ss[i] + seg[i] * (y - ts[i])
-        return np.where(y <= ts[0], ss[0], np.where(y >= ts[-1], ss[-1], inner))
 
     # -- exact constants -----------------------------------------------
 
@@ -235,10 +231,6 @@ def _parse_real(token: str, lineno: int) -> float:
     return v
 
 
-def serialize_spline(spline: BoundarySpline) -> str:
-    return spline.serialize()
-
-
 def eval_boundary(spline: BoundarySpline, y: float, kind: str) -> float:
     """Evaluate f at y: kind is one of 'value', 'derivative', 'second_left',
     'second_right'."""
@@ -253,12 +245,3 @@ def eval_boundary(spline: BoundarySpline, y: float, kind: str) -> float:
     if kind == "second_right":
         return spline.second_right(float(y))
     raise ValueError(f"unknown evaluation kind {kind!r}; expected one of {EVAL_KINDS}")
-
-
-def lipschitz_constants(spline: BoundarySpline) -> tuple[float, float]:
-    """(sup |f'|, Lip(f')) — both exact."""
-    return spline.max_slope, spline.slope_lipschitz
-
-
-def kinks(spline: BoundarySpline) -> list[Kink]:
-    return spline.kinks()

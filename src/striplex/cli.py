@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, construction, oracle, verify
 from .boundary import BoundarySpline, parse_spline
-from .errors import AdmissibilityError, StriplexError, UsageError
+from .errors import AdmissibilityError, StriplexError, UsageError, ValidationError
 from .ioutil import fmt_real, write_text
 from .oracle import GridSpec
 from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
@@ -169,11 +169,12 @@ def cmd_params(config: RunConfig) -> int:
 def cmd_construct(config: RunConfig) -> int:
     problem = _admit(config)
     out = _require_out(config)
+    # the window rule GridSpec applies to the grid subcommand
+    if not (config.xmin < config.xmax and config.nx >= 2):
+        raise ValidationError(f"need xmin < xmax and nx >= 2, got {config.xmin!r}, {config.xmax!r}, nx={config.nx!r}")
     xs = np.linspace(config.xmin, config.xmax, config.nx)
-    rows = []
-    for x in xs:
-        sol = construction.solve_contact(float(x), problem.delta, problem, tol=config.tol, max_iter=config.max_iter)
-        rows.append((sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)))
+    sol = construction.solve_contacts(xs, problem.delta, problem, tol=config.tol, max_iter=config.max_iter)
+    rows = zip(sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y))
     if config.format == "csv":
         lines = ["x,y,Y,u,uprime"]
         lines.extend(",".join(fmt_real(v) for v in row) for row in rows)

@@ -17,7 +17,7 @@ tighten as the height grows, so admissibility at delta covers every d below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,13 +28,16 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
 
 
+def _libm(fn, *args) -> np.ndarray:
+    """fn from math applied elementwise over the broadcast args: np.hypot and
+    np.power round differently from the C library in rare cases."""
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    flat = [a.ravel().tolist() for a in args]
+    return np.fromiter(map(fn, *flat), float, args[0].size).reshape(args[0].shape)
+
+
 def phi(t, L: float):
-    """t / sqrt(L^2 - t^2) on |t| < L; accepts a float or an ndarray."""
-    if isinstance(t, (float, int)):
-        t = float(t)
-        if abs(t) >= L:
-            raise DomainError(f"phi requires |t| < L, got t={t!r}, L={L!r}")
-        return t / math.sqrt(L * L - t * t)
+    """t / sqrt(L^2 - t^2) on |t| < L, elementwise."""
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) >= L):
         raise DomainError(f"phi requires |t| < L everywhere, L={L!r}")
@@ -42,21 +45,17 @@ def phi(t, L: float):
 
 
 def phi_prime(t, L: float):
-    """L^2 / (L^2 - t^2)^(3/2) on |t| < L; accepts a float or an ndarray."""
-    if isinstance(t, (float, int)):
-        t = float(t)
-        if abs(t) >= L:
-            raise DomainError(f"phi_prime requires |t| < L, got t={t!r}, L={L!r}")
-        return L * L / (L * L - t * t) ** 1.5
+    """L^2 / (L^2 - t^2)^(3/2) on |t| < L, elementwise."""
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) >= L):
         raise DomainError(f"phi_prime requires |t| < L everywhere, L={L!r}")
-    return L * L / (L * L - t * t) ** 1.5
+    return L * L / _libm(math.pow, L * L - t * t, 1.5)
 
 
 @dataclass(frozen=True)
 class ContactSolution:
-    """Result of one contact solve at (x, height)."""
+    """Result of a contact solve: arrays of the broadcast (x, height) shape
+    from solve_contacts, plain floats and an int from solve_contact."""
 
     x: float
     height: float
@@ -67,6 +66,73 @@ class ContactSolution:
     residual: float
 
 
+def solve_contacts(
+    x,
+    height,
+    problem: AdmissibleProblem,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> ContactSolution:
+    """Solve Y = height * phi(f'(x + Y)) at every point of the broadcast
+    (x, height) arrays and evaluate u there.
+
+    A point leaves the iteration as soon as its own step meets the
+    a-posteriori threshold, so it takes exactly the iterations it would
+    take alone.  Every returned iterate satisfies |Y - Y*| <= tol and
+    |Y - height*phi(f'(x+Y))| <= tol.
+    """
+    x, height = (a.astype(float) for a in np.broadcast_arrays(x, height))
+    bad_x = ~np.isfinite(x)
+    if np.any(bad_x):
+        raise DomainError(f"contact solve needs finite x, got {float(x[bad_x][0])!r}")
+    bad_height = ~((0.0 < height) & (height <= problem.delta))
+    if np.any(bad_height):
+        raise DomainError(
+            f"height must lie in (0, delta], got {float(height[bad_height][0])!r} with delta={problem.delta!r}"
+        )
+    if tol <= 0.0:
+        raise DomainError(f"tol must be > 0, got {tol!r}")
+    spline = problem.spline
+    L = problem.L
+    q = problem.contraction_q
+    threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
+    shape = x.shape
+    x, height = x.ravel(), height.ravel()
+    Y = np.zeros(x.size)
+    iterations = np.zeros(x.size, dtype=int)
+    # the still-iterating points: flat index, x, height and current iterate
+    active, xa, ha, Ya = np.arange(x.size), x, height, np.zeros(x.size)
+    for k in range(1, max_iter + 1):
+        if not active.size:
+            break
+        slope = spline.derivative(xa + Ya)
+        bad = np.abs(slope) >= L
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise DomainError(f"|f'| = {abs(float(slope[i]))!r} >= L = {L!r} at y = {float(xa[i] + Ya[i])!r}")
+        Y_next = ha * slope / np.sqrt(L * L - slope * slope)
+        done = np.abs(Y_next - Ya) <= threshold
+        finished = active[done]
+        Y[finished], iterations[finished] = Y_next[done], k
+        keep = ~done
+        active, xa, ha, Ya = active[keep], xa[keep], ha[keep], Y_next[keep]
+    if active.size:
+        raise NonConvergenceError(
+            f"contact solve at (x={float(xa[0])!r}, height={float(ha[0])!r}) "
+            f"did not converge in {max_iter} iterations"
+        )
+    y = x + Y
+    slope = spline.derivative(y)
+    residual = np.abs(Y - height * slope / np.sqrt(L * L - slope * slope))
+    value = spline.value(y) - L * _libm(math.hypot, height, Y)
+    if not np.all(np.isfinite(value)):
+        raise DomainError("u overflows the float range at some x")
+    # [()] turns a 0-d result into a numpy scalar
+    return ContactSolution(
+        *(a.reshape(shape)[()] for a in (x, height, Y, y, value, iterations, residual))
+    )
+
+
 def solve_contact(
     x: float,
     height: float,
@@ -74,55 +140,15 @@ def solve_contact(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ContactSolution:
-    """Solve Y = height * phi(f'(x + Y)) and evaluate u there.
-
-    The returned iterate satisfies |Y - Y*| <= tol and
-    |Y - height*phi(f'(x+Y))| <= tol.
-    """
-    if not (0.0 < height <= problem.delta):
-        raise DomainError(f"height must lie in (0, delta], got {height!r} with delta={problem.delta!r}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
-    spline = problem.spline
-    L = problem.L
-    q = problem.contraction_q
-    threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
-    Y = 0.0
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
-        slope = spline.derivative(x + Y)
-        if abs(slope) >= L:
-            raise DomainError(f"|f'| = {abs(slope)!r} >= L = {L!r} at y = {x + Y!r}")
-        Y_next = height * slope / math.sqrt(L * L - slope * slope)
-        iterations += 1
-        if abs(Y_next - Y) <= threshold:
-            Y = Y_next
-            converged = True
-            break
-        Y = Y_next
-    if not converged:
-        raise NonConvergenceError(
-            f"contact solve at (x={x!r}, height={height!r}) did not converge in {max_iter} iterations"
-        )
-    slope = spline.derivative(x + Y)
-    residual = abs(Y - height * slope / math.sqrt(L * L - slope * slope))
-    y = x + Y
-    return ContactSolution(
-        x=float(x),
-        height=float(height),
-        Y=Y,
-        y=y,
-        value=spline.value(y) - L * math.hypot(height, Y),
-        iterations=iterations,
-        residual=residual,
-    )
+    """solve_contacts at one point, with plain float and int fields."""
+    sol = solve_contacts(x, height, problem, tol=tol, max_iter=max_iter)
+    return ContactSolution(*(getattr(sol, f.name).item() for f in fields(sol)))
 
 
 def contact_inverse(y, height: float, problem: AdmissibleProblem):
     """x(y) = y - height * phi(f'(y)): the top-line abscissa whose contact
     point at the given height is y.  Strictly increasing for admitted
-    problems; accepts a float or an ndarray."""
+    problems; elementwise."""
     if not (0.0 < height <= problem.delta):
         raise DomainError(f"height must lie in (0, delta], got {height!r} with delta={problem.delta!r}")
     return y - height * phi(problem.spline.derivative(y), problem.L)
@@ -130,50 +156,35 @@ def contact_inverse(y, height: float, problem: AdmissibleProblem):
 
 def u_at_contact(y, problem: AdmissibleProblem):
     """u at the top-line point (x(y), delta), in closed form:
-    f(y) - delta * L^2 / sqrt(L^2 - f'(y)^2).  Accepts a float or ndarray."""
+    f(y) - delta * L^2 / sqrt(L^2 - f'(y)^2), elementwise."""
     L = problem.L
     slope = problem.spline.derivative(y)
-    if isinstance(slope, float):
-        surd = math.sqrt(L * L - slope * slope)
-    else:
-        surd = np.sqrt(L * L - slope * slope)
-    return problem.spline.value(y) - problem.delta * L * L / surd
+    return problem.spline.value(y) - problem.delta * L * L / np.sqrt(L * L - slope * slope)
 
 
 def u_interior(
-    x: float,
-    d: float,
+    x,
+    d,
     problem: AdmissibleProblem,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """u(x, d) anywhere in the strip, via the height-d contact solve."""
-    if not (0.0 < d <= problem.delta):
-        raise DomainError(f"height must lie in (0, delta], got d={d!r} with delta={problem.delta!r}")
-    return solve_contact(x, d, problem, tol=tol, max_iter=max_iter).value
+):
+    """u at every point of the broadcast (x, d) arrays, anywhere in the
+    strip, via the height-d contact solve."""
+    return solve_contacts(x, d, problem, tol=tol, max_iter=max_iter).value
 
 
-def u_prime_top(y, problem: AdmissibleProblem):
-    """Tangential slope of u along the top line at x(y).
-
-    Equals f'(y): the touching cone slides in the growth direction of f, so
-    its apex traces u with the same slope.  Accepts a float or an ndarray.
-    """
-    return problem.spline.derivative(y)
-
-
-def segment_value(
-    y: float, t: float, problem: AdmissibleProblem
-) -> tuple[tuple[float, float], float]:
-    """Point and u-value at parameter t of the contact segment of y.
+def segment_value(y, t, problem: AdmissibleProblem):
+    """Points and u-values at parameters t of the contact segments of y,
+    elementwise over the broadcast (y, t).
 
     The segment joins (y, 0) to (x(y), delta); u is affine along it with
     slope -L per unit length, so value = f(y) - L * t * |segment|.
     """
-    if not 0.0 <= t <= 1.0:
+    if not np.all((0.0 <= np.asarray(t)) & (np.asarray(t) <= 1.0)):
         raise DomainError(f"segment parameter must lie in [0, 1], got {t!r}")
     delta = problem.delta
     x_top = contact_inverse(y, delta, problem)
-    length = math.hypot(delta, x_top - y)
+    length = _libm(math.hypot, delta, x_top - y)
     point = (y + t * (x_top - y), t * delta)
     return point, problem.spline.value(y) - problem.L * t * length

@@ -21,13 +21,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import construction
-from .errors import ConfigurationError, DomainError, ValidationError
+from .errors import ConfigurationError, DomainError, StriplexError, ValidationError
 from .ioutil import fmt_real
 from .params import AdmissibleProblem
 
 PROVENANCES = ("closed_form", "brute_force", "mw_min", "mw_max")
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# most boundary samples one oracle scan may take, checked before allocating;
+# the CLI defaults take at most ~4.2e6 (mw_envelopes at h_y = 1e-6 on [-2, 2])
+MAX_SCAN = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,8 @@ def brute_force_u(
     the objective is (L_f + L)-Lipschitz in y.
     """
     x, d = point
+    if not math.isfinite(x):
+        raise DomainError(f"need finite x, got {x!r}")
     if not (0.0 < d <= problem.delta):
         raise DomainError(f"height must lie in (0, delta], got {d!r}")
     if h_y <= 0:
@@ -149,6 +155,7 @@ def brute_force_u(
     spline = problem.spline
     L = problem.L
     radius = window_factor * problem.D * d + h_y
+    _check_scan(2.0 * radius / h_y + 1.0, "brute-force scan")
     n = int(math.ceil(radius / h_y))
     ys = x + h_y * np.arange(-n, n + 1)
     vals = spline.value(ys) - L * np.sqrt(d * d + (x - ys) ** 2)
@@ -162,6 +169,8 @@ def brute_force_u(
     y_star, v_star = golden_section_max(objective, lo, hi)
     if v_star < vals[k]:
         y_star, v_star = float(ys[k]), float(vals[k])
+    if not math.isfinite(v_star):
+        raise DomainError(f"u overflows the float range at x = {x!r}")
     bound = 0.5 * (problem.L_f + L) * h_y
     return BruteResult(value=float(v_star), argmax_y=float(y_star), bound=bound)
 
@@ -195,15 +204,16 @@ def mw_envelopes(
         )
     L = problem.L
     h = spec.h_y
+    # top line sampled through the contact parameterization; dx/dy is within
+    # [1-q, 1+q] of 1, so a y-step of h/(1+q) keeps the x-spacing below h
+    ystep = h / (1.0 + problem.contraction_q)
+    pad = problem.D * delta + h
+    _check_scan((spec.xmax - spec.xmin + 2.0 * pad) / ystep + 1.0, "envelope scan")
 
     ys0 = np.arange(spec.xmin, spec.xmax + 0.5 * h, h)
     g0 = problem.spline.value(ys0)
     dist0 = np.hypot(x - ys0, d)
 
-    # top line sampled through the contact parameterization; dx/dy is within
-    # [1-q, 1+q] of 1, so a y-step of h/(1+q) keeps the x-spacing below h
-    ystep = h / (1.0 + problem.contraction_q)
-    pad = problem.D * delta + h
     yt = np.arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
     xt = construction.contact_inverse(yt, delta, problem)
     keep = (xt >= spec.xmin) & (xt <= spec.xmax)
@@ -214,6 +224,39 @@ def mw_envelopes(
     low = max(float(np.max(g0 - L * dist0)), float(np.max(gt - L * distt)))
     high = min(float(np.min(g0 + L * dist0)), float(np.min(gt + L * distt)))
     return low, high
+
+
+def _check_scan(points: float, what: str) -> None:
+    if not points <= MAX_SCAN:
+        raise ConfigurationError(f"{what} needs {points:.3g} boundary samples, more than {MAX_SCAN}; raise h_y")
+
+
+def map_points(evaluate: Callable[[tuple[float, float]], tuple], xs, ds) -> np.ndarray:
+    """evaluate((x, d)) at every point of the broadcast (xs, ds) arrays, in
+    C order; out[..., k] holds field k of each result.  A package error is
+    re-raised with the point in its message, any other one gets it as a note."""
+    xs, ds = np.broadcast_arrays(xs, ds)
+    rows = []
+    for x, d in zip(xs.ravel().tolist(), ds.ravel().tolist()):
+        try:
+            rows.append(tuple(evaluate((x, d))))
+        except Exception as exc:
+            context = f"at grid point (x={x!r}, d={d!r})"
+            if isinstance(exc, StriplexError):
+                raise type(exc)(f"{context}: {exc}") from exc
+            if hasattr(exc, "add_note"):  # Python >= 3.11
+                exc.add_note(context)
+            raise
+    return np.array(rows, dtype=float).reshape(xs.shape + (-1,))
+
+
+def brute_force_grid(
+    xs: np.ndarray, ds: np.ndarray, problem: AdmissibleProblem, h_y: float, window_factor: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """brute_force_u at every (xs[i], ds[j]): (values, argmax_y), each of
+    shape (len(xs), len(ds))."""
+    out = map_points(lambda point: brute_force_u(point, problem, h_y, window_factor)[:2], xs[:, None], ds[None, :])
+    return out[..., 0], out[..., 1]
 
 
 def grid_eval(
@@ -235,19 +278,13 @@ def grid_eval(
     else:
         xs = spec.xs()
     ds = spec.heights(problem.delta, provenance)
-    values = np.empty((spec.nx, spec.nd))
-    for i, x in enumerate(xs):
-        for j, d in enumerate(ds):
-            try:
-                if provenance == "closed_form":
-                    values[i, j] = construction.u_interior(float(x), float(d), problem)
-                elif provenance == "brute_force":
-                    values[i, j] = brute_force_u((float(x), float(d)), problem, spec.h_y).value
-                else:
-                    low, high = mw_envelopes((float(x), float(d)), problem, spec)
-                    values[i, j] = low if provenance == "mw_min" else high
-            except Exception as exc:
-                raise type(exc)(f"at grid point (x={float(x)!r}, d={float(d)!r}): {exc}") from exc
+    if provenance == "closed_form":
+        values = construction.u_interior(xs[:, None], ds[None, :], problem)
+    elif provenance == "brute_force":
+        values, _ = brute_force_grid(xs, ds, problem, spec.h_y)
+    else:
+        envelopes = map_points(lambda point: mw_envelopes(point, problem, spec), xs[:, None], ds[None, :])
+        values = envelopes[..., 0 if provenance == "mw_min" else 1]
     return FieldGrid(spec=spec, provenance=provenance, xs=xs, ds=ds, values=values)
 
 

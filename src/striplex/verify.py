@@ -20,9 +20,9 @@ from .boundary import BoundarySpline
 from .oracle import GridSpec
 from .params import AdmissibleProblem, ProblemParams, admit
 
-# evaluator used for the closed-form side of the oracle-equivalence check;
-# replaceable by tests as a negative control
-UEvaluator = Callable[[float, float], float]
+# evaluator used for the closed-form side of the oracle-equivalence check, on
+# the (x, d) mesh arrays; replaceable by tests as a negative control
+UEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,8 @@ def check_oracle_equivalence(
     xs = spec.xs()
     ds = spec.heights(problem.delta)
     t0 = time.perf_counter()
-    closed = np.empty((len(xs), len(ds)))
-    brute = np.empty_like(closed)
-    argmax = np.empty_like(closed)
-    for i, x in enumerate(xs):
-        for j, d in enumerate(ds):
-            closed[i, j] = u_closed(float(x), float(d))
-            res = oracle.brute_force_u((float(x), float(d)), problem, spec.h_y)
-            brute[i, j] = res.value
-            argmax[i, j] = res.argmax_y
+    closed = u_closed(xs[:, None], ds[None, :])
+    brute, argmax = oracle.brute_force_grid(xs, ds, problem, spec.h_y)
     elapsed = time.perf_counter() - t0
     max_diff = float(np.max(np.abs(closed - brute)))
     ok = max_diff <= 1e-9 and elapsed < 60.0
@@ -109,15 +102,9 @@ def check_localization(problem: AdmissibleProblem, spec: GridSpec, cache: dict) 
     # with D = 0 the scan window is just [x - h_y, x + h_y], so grant the
     # refinement that much play; for D > 0 the containment is strict
     slack = spec.h_y if problem.D == 0.0 else 0.0
-    excess = -math.inf
-    for j, d in enumerate(ds):
-        offs = np.abs(argmax[:, j] - xs)
-        excess = max(excess, float(np.max(offs - problem.D * float(d) - slack)))
-    max_change = 0.0
-    for i, x in enumerate(xs):
-        for j, d in enumerate(ds):
-            wide = oracle.brute_force_u((float(x), float(d)), problem, spec.h_y, window_factor=2.0)
-            max_change = max(max_change, abs(wide.value - brute[i, j]))
+    excess = float(np.max(np.abs(argmax - xs[:, None]) - problem.D * ds[None, :] - slack))
+    wide, _ = oracle.brute_force_grid(xs, ds, problem, spec.h_y, window_factor=2.0)
+    max_change = float(np.max(np.abs(wide - brute)))
     ok = excess <= 0.0 and max_change <= 1e-12
     return CheckResult(
         "localization",
@@ -132,22 +119,20 @@ def check_fixed_point(problem: AdmissibleProblem, config: VerifyConfig, spec: Gr
     contraction budget."""
     rng = np.random.default_rng(config.seed)
     delta = problem.delta
-    worst_residual = 0.0
-    worst_iters = 0
-    for x in rng.uniform(spec.xmin, spec.xmax, config.n_random):
-        for d in (delta, float(rng.uniform(0.1 * delta, delta))):
-            sol = construction.solve_contact(float(x), d, problem, tol=config.tol, max_iter=config.max_iter)
-            worst_residual = max(worst_residual, sol.residual)
-            worst_iters = max(worst_iters, sol.iterations)
+    xs = rng.uniform(spec.xmin, spec.xmax, config.n_random)
+    # each x is solved at the top line and at one random lower height
+    heights = np.stack([np.full_like(xs, delta), rng.uniform(0.1 * delta, delta, config.n_random)], axis=1)
+    sol = construction.solve_contacts(xs[:, None], heights, problem, tol=config.tol, max_iter=config.max_iter)
+    worst_residual = float(np.max(sol.residual))
+    worst_iters = int(np.max(sol.iterations))
     q = problem.contraction_q
     iter_budget = math.ceil(math.log(config.tol) / math.log(q)) + 2 if 0.0 < q < 1.0 else 2
-    worst_roundtrip = 0.0
     half = 0.75 * 0.5 * (spec.xmax - spec.xmin)
     mid = 0.5 * (spec.xmin + spec.xmax)
-    for y in rng.uniform(mid - half, mid + half, config.n_random):
-        x = construction.contact_inverse(float(y), delta, problem)
-        sol = construction.solve_contact(x, delta, problem, tol=config.tol, max_iter=config.max_iter)
-        worst_roundtrip = max(worst_roundtrip, abs(sol.y - float(y)))
+    ys = rng.uniform(mid - half, mid + half, config.n_random)
+    x_back = construction.contact_inverse(ys, delta, problem)
+    sol = construction.solve_contacts(x_back, delta, problem, tol=config.tol, max_iter=config.max_iter)
+    worst_roundtrip = float(np.max(np.abs(sol.y - ys)))
     ok = worst_residual <= config.tol and worst_roundtrip <= 1e-10 and worst_iters <= iter_budget
     return CheckResult(
         "fixed_point_contract",
@@ -162,20 +147,19 @@ def check_gradient_identity(problem: AdmissibleProblem, config: VerifyConfig, sp
     """Central difference of u along the top line equals f' at the contact
     point, 1e-3 at step 1e-5."""
     rng = np.random.default_rng(config.seed + 1)
-    kinks = [k.y0 for k in problem.spline.kinks()]
+    kinks = np.array([k.y0 for k in problem.spline.kinks()])
     half = 0.75 * 0.5 * (spec.xmax - spec.xmin)
     mid = 0.5 * (spec.xmin + spec.xmax)
     h = 1e-5
-    worst = 0.0
-    drawn = 0
-    while drawn < config.n_random:
-        y = float(rng.uniform(mid - half, mid + half))
-        if any(abs(y - k) < 1e-4 for k in kinks):
-            continue
-        drawn += 1
-        x = construction.contact_inverse(y, problem.delta, problem)
-        fd = analysis.fd_derivative_top(x, problem, h, side="central", order="first")
-        worst = max(worst, abs(fd - problem.spline.derivative(y)))
+    # draws within 1e-4 of a kink are rejected; drawing only the shortfall
+    # keeps the stream of one-at-a-time draws
+    ys = np.empty(0)
+    while ys.size < config.n_random:
+        draw = rng.uniform(mid - half, mid + half, config.n_random - ys.size)
+        ys = np.concatenate([ys, draw[~np.any(np.abs(draw[:, None] - kinks) < 1e-4, axis=1)]])
+    x = construction.contact_inverse(ys, problem.delta, problem)
+    fd = analysis.fd_derivative_top(x, problem, h, side="central", order="first")
+    worst = max(0.0, float(np.max(np.abs(fd - problem.spline.derivative(ys)))))
     ok = worst <= 1e-3
     return CheckResult(
         "gradient_identity",
@@ -218,16 +202,17 @@ def check_envelope_coincidence(problem: AdmissibleProblem, config: VerifyConfig,
         xmin=spec.xmin, xmax=spec.xmax, nx=2, nd=2, h_y=config.envelope_h, margin=margin
     )
     gap_tol = 5.0 * (problem.L_f + problem.L) * config.envelope_h
-    max_gap = 0.0
-    bracket_ok = True
-    for _ in range(config.n_envelope_points):
-        x = float(rng.uniform(spec.xmin + margin, spec.xmax - margin))
-        d = float(rng.uniform(0.1 * problem.delta, 0.9 * problem.delta))
-        low, high = oracle.mw_envelopes((x, d), problem, env_spec)
-        u = construction.u_interior(x, d, problem)
-        max_gap = max(max_gap, high - low)
-        # 1e-12 float guard on inequalities that hold exactly in real arithmetic
-        bracket_ok = bracket_ok and (low <= u + 1e-12) and (u <= high + 1e-12) and (low <= high + 1e-12)
+    # one (x, d) pair per row, drawn x first as one-at-a-time draws would
+    xs, ds = rng.uniform(
+        [spec.xmin + margin, 0.1 * problem.delta], [spec.xmax - margin, 0.9 * problem.delta],
+        (config.n_envelope_points, 2),
+    ).T
+    envelopes = oracle.map_points(lambda point: oracle.mw_envelopes(point, problem, env_spec), xs, ds)
+    low, high = envelopes[:, 0], envelopes[:, 1]
+    u = construction.u_interior(xs, ds, problem)
+    max_gap = max(0.0, float(np.max(high - low)))
+    # 1e-12 float guard on inequalities that hold exactly in real arithmetic
+    bracket_ok = bool(np.all((low <= u + 1e-12) & (u <= high + 1e-12) & (low <= high + 1e-12)))
     ok = max_gap <= gap_tol and bracket_ok
     return CheckResult(
         "envelope_coincidence",
@@ -242,11 +227,9 @@ def check_segment_affinity(problem: AdmissibleProblem, config: VerifyConfig) -> 
     (slope -L per unit length)."""
     ts = [t for t, _ in problem.spline.knots]
     lo, hi = (ts[0] - 1.0, ts[-1] + 1.0) if len(ts) == 1 else (ts[0] - 0.25, ts[-1] + 0.25)
-    worst = 0.0
-    for y in np.linspace(lo, hi, config.n_segments):
-        for t in np.arange(0.1, 0.95, 0.1):
-            (px, pd), line_value = construction.segment_value(float(y), float(t), problem)
-            worst = max(worst, abs(construction.u_interior(px, pd, problem) - line_value))
+    ys = np.linspace(lo, hi, config.n_segments)[:, None]
+    (px, pd), line_value = construction.segment_value(ys, np.arange(0.1, 0.95, 0.1), problem)
+    worst = float(np.max(np.abs(construction.u_interior(px, pd, problem) - line_value)))
     ok = worst <= 1e-9
     return CheckResult(
         "segment_affinity",
@@ -261,11 +244,9 @@ def check_lipschitz_quotient(problem: AdmissibleProblem, config: VerifyConfig, s
     rng = np.random.default_rng(config.seed + 3)
     x1 = rng.uniform(spec.xmin, spec.xmax, config.n_pairs)
     dx = rng.uniform(1e-4, 0.2, config.n_pairs) * rng.choice([-1.0, 1.0], config.n_pairs)
-    sup_quot = 0.0
-    for a, step in zip(x1, dx):
-        ya = construction.solve_contact(float(a), problem.delta, problem, tol=1e-14).Y
-        yb = construction.solve_contact(float(a + step), problem.delta, problem, tol=1e-14).Y
-        sup_quot = max(sup_quot, abs(yb - ya) / abs(step))
+    ya = construction.solve_contacts(x1, problem.delta, problem, tol=1e-14).Y
+    yb = construction.solve_contacts(x1 + dx, problem.delta, problem, tol=1e-14).Y
+    sup_quot = float(np.max(np.abs(yb - ya) / np.abs(dx)))
     bound = problem.lip_Y_bound
     variant = problem.lip_Y_bound_variant
     ok = sup_quot <= bound
@@ -287,27 +268,23 @@ def default_residual_probes(
     curvature: where f'' = 0 the residual is identically zero and only
     rounding noise would be measured."""
     spline = problem.spline
-    ts = [t for t, _ in spline.knots]
+    ts = np.array([t for t, _ in spline.knots])
     d = 0.5 * problem.delta
     if len(ts) == 1 or ts[-1] - ts[0] <= 0.2:
         center = ts[0]
         xs = center + 0.3 * (np.arange(count) - 0.5 * (count - 1))
         return tuple((float(x), d) for x in xs)
     # x-positions of the knot segments at the probe height
-    lines = [
-        t + 0.5 * (construction.contact_inverse(float(t), problem.delta, problem) - t) for t in ts
-    ]
+    lines = ts + 0.5 * (construction.contact_inverse(ts, problem.delta, problem) - ts)
     clearance_min = max(5.0 * h_max, 0.02)
     cands = np.linspace(ts[0], ts[-1], 401)
-    clear = [x for x in cands if min(abs(x - l) for l in lines) >= clearance_min]
-
-    def curved(x: float) -> bool:
-        y = construction.solve_contact(x, d, problem).y
-        return spline.second_left(y) != 0.0 or spline.second_right(y) != 0.0
-
-    good = [x for x in clear if curved(float(x))]
+    clear = cands[np.min(np.abs(cands[:, None] - lines), axis=1) >= clearance_min]
+    ys = construction.solve_contacts(clear, d, problem).y
+    good = [
+        x for x, y in zip(clear.tolist(), ys.tolist()) if spline.second_left(y) != 0.0 or spline.second_right(y) != 0.0
+    ]
     if len(good) < count:
-        good = clear if len(clear) >= count else list(cands)
+        good = clear.tolist() if len(clear) >= count else cands.tolist()
     idx = np.linspace(0, len(good) - 1, count).round().astype(int)
     return tuple((float(good[i]), d) for i in idx)
 
@@ -320,17 +297,14 @@ def check_residual_refinement(problem: AdmissibleProblem, config: VerifyConfig) 
     # rounding floor of the second-difference stencil: ~eps/h^2 times the
     # squared gradient scale; below it there is no decay left to measure
     eps = np.finfo(float).eps
-    floors = [4096.0 * eps * (1.0 + problem.L**2) / (h * h) for h in hs]
-    min_ratio = math.inf
-    ok = True
-    for point in probes:
-        res = [abs(analysis.residual_infinity_laplacian(point, problem, h)) for h in hs]
-        for (a, b), floor_b in zip(zip(res, res[1:]), floors[1:]):
-            if b <= floor_b:
-                continue
-            ratio = a / b
-            min_ratio = min(min_ratio, ratio)
-            ok = ok and ratio >= 1.5
+    floors = np.array([4096.0 * eps * (1.0 + problem.L**2) / (h * h) for h in hs])
+    points = tuple(np.array(probes, dtype=float).T)
+    # res[k, p]: residual at probe p with step hs[k]
+    res = np.abs([analysis.residual_infinity_laplacian(points, problem, h) for h in hs])
+    measured = res[1:] > floors[1:, None]
+    ratios = res[:-1][measured] / res[1:][measured]
+    min_ratio = float(np.min(ratios)) if ratios.size else math.inf
+    ok = bool(np.all(ratios >= 1.5))
     return CheckResult(
         "residual_refinement",
         _status(ok),
@@ -349,23 +323,18 @@ def check_degenerate_closed_forms(problem: AdmissibleProblem, config: VerifyConf
     const_problem = admit(ProblemParams(L=L, delta=delta, spline=BoundarySpline(f0=c, knots=((0.0, 0.0),))))
     linear_problem = admit(ProblemParams(L=L, delta=delta, spline=BoundarySpline(f0=0.0, knots=((0.0, a),))))
     rng = np.random.default_rng(config.seed + 4)
-    worst = 0.0
-    for _ in range(50):
-        x = float(rng.uniform(-3.0, 3.0))
-        d = float(rng.uniform(0.05 * delta, delta))
-        worst = max(worst, abs(construction.u_interior(x, d, const_problem) - (c - L * d)))
-        worst = max(
-            worst,
-            abs(construction.u_interior(x, d, linear_problem) - (a * x - d * math.sqrt(L * L - a * a))),
-        )
-    for _ in range(10):
-        x = float(rng.uniform(-3.0, 3.0))
-        d = float(rng.uniform(0.05 * delta, delta))
-        worst = max(worst, abs(oracle.brute_force_u((x, d), const_problem, 1e-6).value - (c - L * d)))
-        worst = max(
-            worst,
-            abs(oracle.brute_force_u((x, d), linear_problem, 1e-6).value - (a * x - d * math.sqrt(L * L - a * a))),
-        )
+
+    def deviation(evaluate, n: int) -> float:
+        # n (x, d) pairs, drawn x first as one-at-a-time draws would
+        xs, ds = rng.uniform([-3.0, 0.05 * delta], [3.0, delta], (n, 2)).T
+        const_dev = np.abs(evaluate(xs, ds, const_problem) - (c - L * ds))
+        linear_dev = np.abs(evaluate(xs, ds, linear_problem) - (a * xs - ds * math.sqrt(L * L - a * a)))
+        return float(np.max(np.maximum(const_dev, linear_dev)))
+
+    def brute(xs, ds, p):
+        return oracle.map_points(lambda point: oracle.brute_force_u(point, p, 1e-6)[:1], xs, ds)[:, 0]
+
+    worst = max(0.0, deviation(construction.u_interior, 50), deviation(brute, 10))
     ok = worst <= 1e-12
     return CheckResult(
         "degenerate_closed_forms",

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplex.boundary import (
-    BoundarySpline,
-    eval_boundary,
-    kinks,
-    lipschitz_constants,
-    parse_spline,
-    serialize_spline,
-)
+from striplex.boundary import BoundarySpline, eval_boundary, parse_spline
 from striplex.errors import DomainError, ParseError, ValidationError
 
 VEE_TEXT = """\
@@ -82,7 +75,7 @@ class TestParse:
 
     @given(splines())
     def test_roundtrip_identity(self, spline):
-        again = parse_spline(serialize_spline(spline))
+        again = parse_spline(spline.serialize())
         assert again.f0 == spline.f0
         assert again.knots == spline.knots
 
@@ -129,19 +122,20 @@ class TestEval:
 class TestConstants:
     def test_vee(self):
         spline = parse_spline(VEE_TEXT)
-        assert lipschitz_constants(spline) == (0.5, 0.5)
+        assert (spline.max_slope, spline.slope_lipschitz) == (0.5, 0.5)
 
     def test_single_knot(self):
-        assert lipschitz_constants(parse_spline("f0 0\nknot 0 0.25\n")) == (0.25, 0.0)
+        spline = parse_spline("f0 0\nknot 0 0.25\n")
+        assert (spline.max_slope, spline.slope_lipschitz) == (0.25, 0.0)
 
     def test_one_segment(self):
         spline = BoundarySpline(f0=0.0, knots=((0.0, 0.0), (2.0, 1.0)))
-        assert lipschitz_constants(spline) == (1.0, 0.5)
+        assert (spline.max_slope, spline.slope_lipschitz) == (1.0, 0.5)
 
     @given(splines(), st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=200)
     def test_lipschitz_bounds_hold(self, spline, y1, y2):
-        L_f, lip = lipschitz_constants(spline)
+        L_f, lip = spline.max_slope, spline.slope_lipschitz
         gap = abs(y1 - y2)
         assert abs(spline.derivative(y1) - spline.derivative(y2)) <= lip * gap + 1e-9
         assert abs(spline.value(y1) - spline.value(y2)) <= L_f * gap + 1e-9
@@ -149,18 +143,18 @@ class TestConstants:
 
 class TestKinks:
     def test_vee_single_kink(self):
-        assert kinks(parse_spline(VEE_TEXT)) == [(0.0, -0.5, 0.5)]
+        assert parse_spline(VEE_TEXT).kinks() == [(0.0, -0.5, 0.5)]
 
     def test_single_knot_none(self):
-        assert kinks(parse_spline("f0 0\nknot 0 0.25\n")) == []
+        assert parse_spline("f0 0\nknot 0 0.25\n").kinks() == []
 
     def test_collinear_slopes_none(self):
         spline = BoundarySpline(f0=0.0, knots=((0.0, 0.0), (1.0, 0.5), (2.0, 1.0)))
-        assert kinks(spline) == []
+        assert spline.kinks() == []
 
     def test_two_kinks_sorted(self):
         spline = BoundarySpline(f0=0.0, knots=((-1.0, 0.5), (0.0, 0.0), (0.5, 0.25), (1.0, 0.25)))
-        got = kinks(spline)
+        got = spline.kinks()
         assert [k.y0 for k in got] == [0.0, 0.5]
         assert got[0].second_left == -0.5 and got[0].second_right == 0.5
         assert got[1].second_left == 0.5 and got[1].second_right == 0.0

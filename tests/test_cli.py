@@ -10,6 +10,10 @@ from striplex.construction import u_interior
 REPO = Path(__file__).resolve().parent.parent
 VEE = str(REPO / "data" / "splines" / "vee.spline")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "construct_standard.csv"
+# N = 40 zigzag of scripts/kink_density_demo.py at q ~ 0.80: 1 to 114
+# fixed-point iterations per point, so it pins the batched solve's masking
+ZIGZAG = str(REPO / "data" / "splines" / "zigzag40.spline")
+GOLDEN_ZIGZAG = Path(__file__).resolve().parent / "golden" / "construct_zigzag.csv"
 
 STANDARD = ["--spline", VEE, "--L", "2", "--delta", "0.1"]
 
@@ -102,8 +106,26 @@ class TestConstruct:
         assert cli.main(["construct", *STANDARD, "--nx", "257", "--out", str(out)]) == 0
         assert out.read_bytes() == GOLDEN.read_bytes()
 
+    def test_zigzag_golden_file(self, tmp_path, capsys):
+        out = tmp_path / "zigzag.csv"
+        argv = ["construct", "--spline", ZIGZAG, "--L", "2", "--delta-frac", "0.8", "--nx", "513", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_bytes() == GOLDEN_ZIGZAG.read_bytes()
+
     def test_out_required(self, capsys):
         assert cli.main(["construct", *STANDARD]) == 1
+
+    def test_too_few_points_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert cli.main(["construct", *STANDARD, "--nx", "0", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_window_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert cli.main(["construct", *STANDARD, "--xmin", "nan", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGrid:
@@ -145,6 +167,13 @@ class TestGrid:
         )
         assert code == 0
         assert out.read_text().strip().split("\n")[1].endswith("brute_force")
+
+    def test_oversized_scan_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        argv = ["grid", *STANDARD, "--provenance", "brute_force", "--hy", "1e-12", "--nx", "2", "--nd", "2"]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: at grid point") and "boundary samples" in err
 
 
 class TestReport:

@@ -12,12 +12,12 @@ from striplex.construction import (
     phi_prime,
     segment_value,
     solve_contact,
+    solve_contacts,
     u_at_contact,
     u_interior,
-    u_prime_top,
 )
-from striplex.errors import DomainError
-from striplex.params import ProblemParams, admit
+from striplex.errors import DomainError, StriplexError
+from striplex.params import ProblemParams, admit, delta_caps
 
 from test_boundary import splines
 
@@ -173,12 +173,13 @@ class TestUInterior:
 
 
 class TestUPrimeTop:
+    # the tangential slope of u along the top line at x(y) is f'(y)
     def test_trivial_profiles(self, constant_problem, linear_problem):
-        assert u_prime_top(3.0, constant_problem) == 0.0
-        assert u_prime_top(-2.0, linear_problem) == 1.0
+        assert constant_problem.spline.derivative(3.0) == 0.0
+        assert linear_problem.spline.derivative(-2.0) == 1.0
 
     def test_vee(self, vee_problem):
-        assert u_prime_top(0.5, vee_problem) == pytest.approx(0.25, abs=1e-15)
+        assert vee_problem.spline.derivative(0.5) == pytest.approx(0.25, abs=1e-15)
 
 
 class TestSegmentValue:
@@ -244,8 +245,6 @@ def test_empirical_lipschitz_of_offset(vee_problem):
 @settings(max_examples=150, deadline=None)
 def test_solver_contract_on_random_problems(spline, x, height_frac):
     L = 1.5 * spline.max_slope + 1.0
-    from striplex.params import delta_caps
-
     touch, banach = delta_caps(L, spline.max_slope, spline.slope_lipschitz)
     cap = min(touch, banach)
     delta = 0.4 * cap if math.isfinite(cap) else 0.5
@@ -257,3 +256,71 @@ def test_solver_contract_on_random_problems(spline, x, height_frac):
     # round trip through the closed-form inverse
     x_back = contact_inverse(sol.y, h, problem)
     assert x_back == pytest.approx(x, abs=1e-10)
+
+
+def reference_solve(x: float, height: float, problem, tol: float = 1e-12, max_iter: int = 200):
+    """The scalar fixed-point loop the batched solve replaced: one point,
+    Python floats, scalar spline lookups.  Returns (Y, y, value,
+    iterations, residual)."""
+    spline, L, q = problem.spline, problem.L, problem.contraction_q
+    threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
+    Y = 0.0
+    for iterations in range(1, max_iter + 1):
+        slope = spline.derivative(x + Y)
+        Y_next = height * slope / math.sqrt(L * L - slope * slope)
+        converged = abs(Y_next - Y) <= threshold
+        Y = Y_next
+        if converged:
+            break
+    else:
+        raise AssertionError("reference loop did not converge")
+    slope = spline.derivative(x + Y)
+    residual = abs(Y - height * slope / math.sqrt(L * L - slope * slope))
+    y = x + Y
+    return Y, y, spline.value(y) - L * math.hypot(height, Y), iterations, residual
+
+
+@given(
+    splines(),
+    st.lists(st.tuples(st.floats(-3, 3), st.floats(0.01, 1.0)), min_size=1, max_size=20),
+    st.floats(0.05, 0.95),
+)
+@settings(max_examples=100, deadline=None)
+def test_batched_solve_matches_pointwise(spline, points, delta_frac):
+    # masking: each point of a batch takes exactly the iterations it takes
+    # alone, so every field agrees bit for bit with the one-point solve and
+    # with the scalar reference loop
+    L = 1.5 * spline.max_slope + 1.0
+    cap = min(delta_caps(L, spline.max_slope, spline.slope_lipschitz))
+    delta = delta_frac * cap if math.isfinite(cap) else 0.5
+    problem = admit(ProblemParams(L=L, delta=delta, spline=spline))
+    xs = np.array([x for x, _ in points])
+    hs = np.array([frac * delta for _, frac in points])
+    batch = solve_contacts(xs, hs, problem)
+    names = ("Y", "y", "value", "iterations", "residual")
+    for k, (x, h) in enumerate(zip(xs.tolist(), hs.tolist())):
+        alone = solve_contact(x, h, problem)
+        for name, ref in zip(names, reference_solve(x, h, problem)):
+            got = float(getattr(batch, name)[k]).hex()
+            assert got == float(getattr(alone, name)).hex() == float(ref).hex(), name
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), NON_FINITE), st.floats(0.01, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_entry_points_finite_or_package_error(vee_problem, x, height_frac):
+    d = height_frac * vee_problem.delta
+    calls = {
+        "solve_contact": lambda: solve_contact(x, d, vee_problem).value,
+        "solve_contacts": lambda: solve_contacts(np.array([0.0, x]), d, vee_problem).value,
+        "u_interior": lambda: u_interior(x, d, vee_problem),
+        "brute_force_u": lambda: oracle.brute_force_u((x, d), vee_problem, 1e-4).value,
+    }
+    for name, call in calls.items():
+        if math.isfinite(x):
+            assert np.all(np.isfinite(call())), name
+        else:
+            with pytest.raises(StriplexError):
+                call()

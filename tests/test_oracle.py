@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from striplex import construction
 from striplex.boundary import BoundarySpline
 from striplex.errors import ConfigurationError, DomainError, ValidationError
 from striplex.oracle import (
+    MAX_SCAN,
     GridSpec,
     brute_force_u,
     grid_eval,
     grid_to_csv,
     grid_to_structured,
+    map_points,
     mw_envelopes,
 )
 from striplex.params import ProblemParams, admit
@@ -97,6 +100,11 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_u((0.0, 0.05), vee_problem, -1e-6)
 
+    def test_scan_size_checked_before_allocating(self, vee_problem):
+        # 2 * D * d / h_y samples: ~1e11 here
+        with pytest.raises(ConfigurationError, match=str(MAX_SCAN)):
+            brute_force_u((0.0, 0.1), vee_problem, 1e-12)
+
 
 class TestEnvelopes:
     def test_constant_pinch(self, constant_problem):
@@ -134,6 +142,10 @@ class TestEnvelopes:
         small = GridSpec(xmin=-2.0, xmax=2.0, nx=2, nd=2, h_y=1e-4, margin=0.1)
         with pytest.raises(ConfigurationError):
             mw_envelopes((0.0, 0.05), vee_problem, small)
+
+    def test_scan_size_checked_before_allocating(self, vee_problem):
+        with pytest.raises(ConfigurationError, match=str(MAX_SCAN)):
+            mw_envelopes((0.0, 0.05), vee_problem, envelope_spec(vee_problem, h=1e-8))
 
     def test_point_preconditions(self, vee_problem):
         spec = envelope_spec(vee_problem)
@@ -182,6 +194,21 @@ class TestGridEval:
         spec = GridSpec(xmin=-1.0, xmax=1.0, nx=2, nd=2, h_y=1e-4, margin=0.0)
         with pytest.raises(ConfigurationError, match="at grid point"):
             grid_eval(vee_problem, spec, "mw_min")
+
+    def test_foreign_error_keeps_its_type(self):
+        # a non-package error is re-raised as it is, with the point as a note
+        def evaluate(point):
+            raise MemoryError("no room")
+
+        with pytest.raises(MemoryError) as info:
+            map_points(evaluate, np.array([0.5]), np.array([0.1]))
+        if sys.version_info >= (3, 11):  # exception notes
+            assert info.value.__notes__ == ["at grid point (x=0.5, d=0.1)"]
+
+    def test_map_points_order_and_shape(self):
+        out = map_points(lambda p: (p[0], p[1], p[0] * p[1]), np.arange(3.0)[:, None], np.array([1.0, 2.0]))
+        assert out.shape == (3, 2, 3)
+        assert np.array_equal(out[..., 2], np.arange(3.0)[:, None] * np.array([1.0, 2.0]))
 
 
 class TestExports:
