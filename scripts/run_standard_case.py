@@ -6,7 +6,6 @@ exports the top-line samples, a field grid, and the kink transfer report.
 
 Usage:
     python scripts/run_standard_case.py --outdir out/
-    python scripts/run_standard_case.py --outdir out/ --quick   # coarse grid
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--spline", default=str(VEE), help="spline-spec file")
     parser.add_argument("--L", type=float, default=2.0)
     parser.add_argument("--delta", type=float, default=0.1)
-    parser.add_argument("--quick", action="store_true", help="coarse oracle grid (seconds instead of ~40 s)")
     args = parser.parse_args(argv)
 
     spline = parse_spline(Path(args.spline).read_text(encoding="utf-8"))
@@ -40,13 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"contraction q = {fmt_real(problem.contraction_q)}  lip_Y_bound = {fmt_real(problem.lip_Y_bound)}")
     print()
 
-    if args.quick:
-        grid = oracle.GridSpec(xmin=-2.0, xmax=2.0, nx=33, nd=5, h_y=1e-5,
-                               margin=10.0 * problem.D * problem.delta)
-        config = verify.VerifyConfig(grid=grid, n_pairs=1000, n_envelope_points=10)
-    else:
-        config = verify.VerifyConfig()
-    results = verify.run_acceptance(problem, config)
+    results = verify.run_acceptance(problem, verify.VerifyConfig())
     for res in results:
         print(f"{res.status} {res.name}: {res.detail}")
     failed = sum(r.failed for r in results)

@@ -114,9 +114,9 @@ def richardson_extrapolate(hs, qs) -> float:
     return t[-1]
 
 
-def _u_top(x: float, problem: AdmissibleProblem, source: str, oracle_h_y: float, tol: float) -> float:
+def _u_top(x: float, problem: AdmissibleProblem, source: str, oracle_h_y: float, tol: float, max_iter: int) -> float:
     if source == "closed_form":
-        return construction.u_interior(x, problem.delta, problem, tol=tol)
+        return construction.u_interior(x, problem.delta, problem, tol=tol, max_iter=max_iter)
     return oracle.brute_force_u((x, problem.delta), problem, oracle_h_y).value
 
 
@@ -127,9 +127,10 @@ def _u_prime_top(
     inner_h: float,
     oracle_h_y: float,
     tol: float,
+    max_iter: int,
 ) -> float:
     if source == "closed_form":
-        sol = construction.solve_contact(x, problem.delta, problem, tol=tol)
+        sol = construction.solve_contact(x, problem.delta, problem, tol=tol, max_iter=max_iter)
         return problem.spline.derivative(sol.y)
     up = oracle.brute_force_u((x + inner_h, problem.delta), problem, oracle_h_y).value
     dn = oracle.brute_force_u((x - inner_h, problem.delta), problem, oracle_h_y).value
@@ -146,6 +147,7 @@ def fd_derivative_top(
     inner_h: float = DEFAULT_INNER_H,
     oracle_h_y: float = DEFAULT_ORACLE_H_Y,
     tol: float = construction.DEFAULT_TOL,
+    max_iter: int = construction.DEFAULT_MAX_ITER,
 ) -> float:
     """Difference quotient of u (order='first') or of u' (order='second')
     along the top line.
@@ -165,9 +167,9 @@ def fd_derivative_top(
         raise ValueError(f"unknown source {source!r}; expected one of {FD_SOURCES}")
 
     if order == "first":
-        sample = lambda xx: _u_top(xx, problem, source, oracle_h_y, tol)
+        sample = lambda xx: _u_top(xx, problem, source, oracle_h_y, tol, max_iter)
     else:
-        sample = lambda xx: _u_prime_top(xx, problem, source, inner_h, oracle_h_y, tol)
+        sample = lambda xx: _u_prime_top(xx, problem, source, inner_h, oracle_h_y, tol, max_iter)
     if side == "central":
         return (sample(x + h) - sample(x - h)) / (2.0 * h)
     if side == "right":
@@ -226,7 +228,9 @@ def kink_transfer_report(
         denom_minus = 1.0 - delta * C * kink.second_left
         denom_plus = 1.0 - delta * C * kink.second_right
 
-        uprime = lambda xx: _u_prime_top(xx, problem, "oracle", inner_h, oracle_h_y, construction.DEFAULT_TOL)
+        uprime = lambda xx: _u_prime_top(
+            xx, problem, "oracle", inner_h, oracle_h_y, construction.DEFAULT_TOL, construction.DEFAULT_MAX_ITER
+        )
         up0 = uprime(x0)
         q_plus = [(uprime(x0 + h) - up0) / h for h in hs]
         q_minus = [(up0 - uprime(x0 - h)) / h for h in hs]
@@ -276,6 +280,8 @@ def residual_infinity_laplacian(
     point: tuple[float, float],
     problem: AdmissibleProblem,
     h: float,
+    tol: float = construction.DEFAULT_TOL,
+    max_iter: int = construction.DEFAULT_MAX_ITER,
 ) -> float:
     """Central-difference u_x^2 u_xx + 2 u_x u_d u_xd + u_d^2 u_dd at point
     (coordinates may be arrays).
@@ -295,7 +301,7 @@ def residual_infinity_laplacian(
     ox = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
     od = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     u0, uxp, uxm, udp, udm, upp, upm, ump, umm = construction.u_interior(
-        np.add.outer(ox * h, x), np.add.outer(od * h, d), problem
+        np.add.outer(ox * h, x), np.add.outer(od * h, d), problem, tol=tol, max_iter=max_iter
     )
     ux = (uxp - uxm) / (2.0 * h)
     ud = (udp - udm) / (2.0 * h)

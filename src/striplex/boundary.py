@@ -53,6 +53,8 @@ class BoundarySpline:
     _ss: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _seg: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _vals: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # the same four as read-only arrays, for the array branch of value/derivative
+    _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.knots) < 1:
@@ -83,6 +85,10 @@ class BoundarySpline:
         object.__setattr__(self, "_ss", tuple(ss))
         object.__setattr__(self, "_seg", tuple(seg))
         object.__setattr__(self, "_vals", tuple(vals))
+        arrays = tuple(np.array(a, dtype=float) for a in (ts, ss, seg, vals))
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "_arrays", arrays)
 
     # -- evaluation ----------------------------------------------------
 
@@ -100,10 +106,9 @@ class BoundarySpline:
             dy = y - ts[i]
             return vals[i] + ss[i] * dy + 0.5 * self._seg[i] * dy * dy
         y = np.asarray(y, dtype=float)
-        ts, ss, vals = np.asarray(ts), np.asarray(ss), np.asarray(vals)
+        ts, ss, seg, vals = self._arrays
         if len(ts) == 1:
             return vals[0] + ss[0] * (y - ts[0])
-        seg = np.asarray(self._seg)
         i = np.clip(np.searchsorted(ts, y, side="right") - 1, 0, len(ts) - 2)
         dy = y - ts[i]
         # far outside the knot range dy*dy may overflow; np.where drops it
@@ -125,10 +130,9 @@ class BoundarySpline:
             i = bisect_right(ts, y) - 1
             return ss[i] + self._seg[i] * (y - ts[i])
         y = np.asarray(y, dtype=float)
-        ts, ss = np.asarray(ts), np.asarray(ss)
+        ts, ss, seg, _ = self._arrays
         if len(ts) == 1:
             return np.full_like(y, ss[0])
-        seg = np.asarray(self._seg)
         i = np.clip(np.searchsorted(ts, y, side="right") - 1, 0, len(ts) - 2)
         inner = ss[i] + seg[i] * (y - ts[i])
         return np.where(y <= ts[0], ss[0], np.where(y >= ts[-1], ss[-1], inner))

@@ -191,7 +191,9 @@ def cmd_construct(config: RunConfig) -> int:
 def cmd_grid(config: RunConfig) -> int:
     problem = _admit(config)
     out = _require_out(config)
-    grid = oracle.grid_eval(problem, _grid_spec(config, problem), config.provenance)
+    grid = oracle.grid_eval(
+        problem, _grid_spec(config, problem), config.provenance, tol=config.tol, max_iter=config.max_iter
+    )
     text = oracle.grid_to_csv(grid) if config.format == "csv" else oracle.grid_to_structured(grid)
     write_text(out, text)
     return 0

@@ -5,7 +5,13 @@ construction:
 
 * direct maximization of the cone envelope over a fine boundary grid,
   refined by golden-section search (the objective is strictly concave on
-  the admissible search window, so the refinement is rigorous);
+  the admissible search window, so the refinement is rigorous).  The grid
+  scan is pruned coarse to fine: the objective is (L_f + L)-Lipschitz in y,
+  so the Piyavskii-Shubert bound drops every cell of the grid whose samples
+  all lie strictly below the best sample seen.  The scan therefore finds
+  the same best sample as a scan of every grid point, bit for bit, using
+  only that Lipschitz constant: no concavity, nothing from the
+  construction;
 * minimal/maximal Lipschitz envelopes of the strip boundary data, whose
   coincidence pins u from both sides.
 
@@ -32,6 +38,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # most boundary samples one oracle scan may take, checked before allocating;
 # the CLI defaults take at most ~4.2e6 (mw_envelopes at h_y = 1e-6 on [-2, 2])
 MAX_SCAN = 10_000_000
+
+# the pruned scan of brute_force_u: stride refinement per level, and the
+# fewest samples its first level takes.  Scans shorter than
+# _REFINE*_MIN_COARSE = 4096 samples start at stride 1, a full scan: below
+# about that length the extra levels cost more than they save (measured)
+_REFINE = 16
+_MIN_COARSE = 256
 
 
 @dataclass(frozen=True)
@@ -140,10 +153,14 @@ def brute_force_u(
 ) -> BruteResult:
     """Maximize f(y) - L*sqrt(d^2 + (x-y)^2) by grid scan plus refinement.
 
-    The scan covers the window |y - x| <= window_factor*D*d + h_y in steps
-    of h_y; golden-section refinement then runs on the bracket around the
-    best grid point.  bound is the worst-case scan error before refinement:
-    the objective is (L_f + L)-Lipschitz in y.
+    The scan grid is y_j = x + h_y*(j - n), j = 0..2n, covering the window
+    |y - x| <= window_factor*D*d + h_y.  The objective is (L_f + L)-Lipschitz
+    in y, so _scan_argmax skips every stretch of the grid whose Lipschitz
+    bound lies below the best sample seen: each skipped sample is strictly
+    below the maximum, and the index found is the one np.argmax over all
+    samples returns.  Golden-section refinement then runs on the bracket
+    around that sample.  bound is the worst-case scan error before
+    refinement, from the same Lipschitz constant.
     """
     x, d = point
     if not math.isfinite(x):
@@ -157,51 +174,110 @@ def brute_force_u(
     radius = window_factor * problem.D * d + h_y
     _check_scan(2.0 * radius / h_y + 1.0, "brute-force scan")
     n = int(math.ceil(radius / h_y))
-    ys = x + h_y * np.arange(-n, n + 1)
-    vals = spline.value(ys) - L * np.sqrt(d * d + (x - ys) ** 2)
-    k = int(np.argmax(vals))
+
+    def at(j: np.ndarray) -> np.ndarray:
+        return x + h_y * (j - n)
+
+    def sample(j: np.ndarray) -> np.ndarray:
+        ys = at(j)
+        return spline.value(ys) - L * np.sqrt(d * d + (x - ys) ** 2)
+
+    # |best| + scale bounds the magnitude of every quantity met in evaluating
+    # one sample (positions, the terms of f, the cone term); the pruning
+    # slack of _scan_argmax is sized on it
+    t_far = max(abs(spline.knots[0][0]), abs(spline.knots[-1][0]))
+    scale = L * d + (problem.L_f + L) * (abs(x) + radius + t_far)
+    k, v_k = _scan_argmax(sample, 2 * n + 1, (problem.L_f + L) * h_y, scale)
 
     def objective(y: float) -> float:
         return spline.value(y) - L * math.hypot(d, x - y)
 
-    lo = ys[max(k - 1, 0)]
-    hi = ys[min(k + 1, len(ys) - 1)]
+    lo, y_k, hi = at(np.array([max(k - 1, 0), k, min(k + 1, 2 * n)])).tolist()
     y_star, v_star = golden_section_max(objective, lo, hi)
-    if v_star < vals[k]:
-        y_star, v_star = float(ys[k]), float(vals[k])
+    if v_star < v_k:
+        y_star, v_star = y_k, v_k
     if not math.isfinite(v_star):
         raise DomainError(f"u overflows the float range at x = {x!r}")
     bound = 0.5 * (problem.L_f + L) * h_y
     return BruteResult(value=float(v_star), argmax_y=float(y_star), bound=bound)
 
 
+def _scan_argmax(
+    sample: Callable[[np.ndarray], np.ndarray], count: int, lip_step: float, scale: float
+) -> tuple[int, float]:
+    """(k, v_k): the first index of the largest of sample(j), j = 0..count-1,
+    which is what np.argmax over the full scan returns, without evaluating
+    most of the scan.
+
+    sample(j) must change by at most lip_step per unit step of j.  The scan
+    starts at a coarse stride and refines by _REFINE per level.  Between
+    two evaluated indices a < b every sample is at most
+    (v_a + v_b)/2 + lip_step*(b - a)/2 (Piyavskii-Shubert), so a cell whose
+    bound plus a rounding slack stays below the best value seen holds only
+    samples strictly below the maximum and is dropped.  The slack is
+    1e-12*(1 + |best| + scale), where |best| + scale bounds the magnitude of
+    every quantity in one sample's evaluation: rounding errs by a few ulps
+    of it, and 1e-12 is ~4500 ulps.  A non-finite best or bound prunes
+    nothing.  Only the Lipschitz constant enters: no concavity and nothing
+    from the construction.  Samples are computed exactly as a full scan
+    computes them, so the result is that scan's, bit for bit.  Short scans
+    start at stride 1, which is the full scan.
+    """
+    stride = 1
+    while stride * _REFINE * _MIN_COARSE <= count:
+        stride *= _REFINE
+    j = np.arange(0, count, stride)
+    if j[-1] != count - 1:
+        j = np.append(j, count - 1)
+    v = sample(j)
+    seen_j, seen_v = [j], [v]
+    best = float(np.max(v))
+    a, b, va, vb = j[:-1], j[1:], v[:-1], v[1:]
+    while stride > 1:
+        bound = 0.5 * (va + vb) + (0.5 * lip_step) * (b - a)
+        keep = ~((bound + 1e-12 * (1.0 + abs(best) + scale) < best) & np.isfinite(bound))
+        a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
+        stride //= _REFINE
+        # each kept cell splits at every stride-th index; the last cell of
+        # the scan may be shorter, so its split points clip to b
+        p = np.minimum(a[:, None] + stride * np.arange(_REFINE + 1), b[:, None])
+        new = p < b[:, None]
+        new[:, 0] = False
+        pv = np.where(new, 0.0, vb[:, None])
+        pv[:, 0] = va
+        j = p[new]
+        if j.size:
+            v = sample(j)
+            pv[new] = v
+            seen_j.append(j)
+            seen_v.append(v)
+            best = max(best, float(np.max(v)))
+        nonempty = (p[:, :-1] < p[:, 1:]).ravel()
+        a, b = p[:, :-1].ravel()[nonempty], p[:, 1:].ravel()[nonempty]
+        va, vb = pv[:, :-1].ravel()[nonempty], pv[:, 1:].ravel()[nonempty]
+    j, v = np.concatenate(seen_j), np.concatenate(seen_v)
+    order = np.argsort(j)
+    k = int(np.argmax(v[order]))
+    return int(j[order[k]]), float(v[order[k]])
+
+
 def mw_envelopes(
-    point: tuple[float, float],
+    point: tuple,
     problem: AdmissibleProblem,
     spec: GridSpec,
-) -> tuple[float, float]:
-    """(low, high) Lipschitz envelopes of the strip boundary data at point.
+) -> tuple:
+    """(low, high) Lipschitz envelopes of the strip boundary data at every
+    point of the broadcast (x, d) arrays; numpy scalars for a scalar point.
 
     low  = max over sampled boundary points q of g(q) - L*|point - q|,
     high = min over sampled boundary points q of g(q) + L*|point - q|,
     with g = f on the bottom line and the closed-form u on the top line.
     Sampling and truncation only widen the bracket, so low <= u <= high
-    holds pointwise; the bracket tightens at rate (L_f + L) * h_y.
+    holds pointwise; the bracket tightens at rate (L_f + L) * h_y.  The
+    boundary samples are built once per call; each point costs only its
+    distances to them.
     """
-    if spec.margin < 10.0 * problem.D * problem.delta:
-        raise ConfigurationError(
-            f"margin {spec.margin!r} too small: envelope tests need margin >= 10*D*delta = "
-            f"{10.0 * problem.D * problem.delta!r}"
-        )
-    x, d = point
     delta = problem.delta
-    if not (0.0 < d < delta):
-        raise DomainError(f"point must lie strictly inside the strip, got d={d!r}")
-    if not (spec.xmin + spec.margin <= x <= spec.xmax - spec.margin):
-        raise DomainError(
-            f"point x={x!r} outside the margin-trimmed window "
-            f"[{spec.xmin + spec.margin!r}, {spec.xmax - spec.margin!r}]"
-        )
     L = problem.L
     h = spec.h_y
     # top line sampled through the contact parameterization; dx/dy is within
@@ -212,18 +288,35 @@ def mw_envelopes(
 
     ys0 = np.arange(spec.xmin, spec.xmax + 0.5 * h, h)
     g0 = problem.spline.value(ys0)
-    dist0 = np.hypot(x - ys0, d)
-
     yt = np.arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
     xt = construction.contact_inverse(yt, delta, problem)
     keep = (xt >= spec.xmin) & (xt <= spec.xmax)
     xt = xt[keep]
     gt = construction.u_at_contact(yt[keep], problem)
-    distt = np.hypot(x - xt, delta - d)
 
-    low = max(float(np.max(g0 - L * dist0)), float(np.max(gt - L * distt)))
-    high = min(float(np.min(g0 + L * dist0)), float(np.min(gt + L * distt)))
-    return low, high
+    def envelopes(p: tuple[float, float]) -> tuple[float, float]:
+        x, d = p
+        # checked per point, with the other two, so a grid error names the point
+        if spec.margin < 10.0 * problem.D * delta:
+            raise ConfigurationError(
+                f"margin {spec.margin!r} too small: envelope tests need margin >= 10*D*delta = "
+                f"{10.0 * problem.D * delta!r}"
+            )
+        if not (0.0 < d < delta):
+            raise DomainError(f"point must lie strictly inside the strip, got d={d!r}")
+        if not (spec.xmin + spec.margin <= x <= spec.xmax - spec.margin):
+            raise DomainError(
+                f"point x={x!r} outside the margin-trimmed window "
+                f"[{spec.xmin + spec.margin!r}, {spec.xmax - spec.margin!r}]"
+            )
+        dist0 = np.hypot(x - ys0, d)
+        distt = np.hypot(x - xt, delta - d)
+        low = max(float(np.max(g0 - L * dist0)), float(np.max(gt - L * distt)))
+        high = min(float(np.min(g0 + L * dist0)), float(np.min(gt + L * distt)))
+        return low, high
+
+    out = map_points(envelopes, *point)
+    return out[..., 0][()], out[..., 1][()]
 
 
 def _check_scan(points: float, what: str) -> None:
@@ -263,8 +356,11 @@ def grid_eval(
     problem: AdmissibleProblem,
     spec: GridSpec,
     provenance: str = "closed_form",
+    tol: float = construction.DEFAULT_TOL,
+    max_iter: int = construction.DEFAULT_MAX_ITER,
 ) -> FieldGrid:
-    """Fill the grid with the selected evaluator; deterministic."""
+    """Fill the grid with the selected evaluator; deterministic.  tol and
+    max_iter drive the closed-form contact solve."""
     if provenance not in PROVENANCES:
         raise ConfigurationError(f"unknown provenance {provenance!r}; expected one of {PROVENANCES}")
     if provenance in ("mw_min", "mw_max"):
@@ -279,12 +375,11 @@ def grid_eval(
         xs = spec.xs()
     ds = spec.heights(problem.delta, provenance)
     if provenance == "closed_form":
-        values = construction.u_interior(xs[:, None], ds[None, :], problem)
+        values = construction.u_interior(xs[:, None], ds[None, :], problem, tol=tol, max_iter=max_iter)
     elif provenance == "brute_force":
         values, _ = brute_force_grid(xs, ds, problem, spec.h_y)
     else:
-        envelopes = map_points(lambda point: mw_envelopes(point, problem, spec), xs[:, None], ds[None, :])
-        values = envelopes[..., 0 if provenance == "mw_min" else 1]
+        values = mw_envelopes((xs[:, None], ds[None, :]), problem, spec)[0 if provenance == "mw_min" else 1]
     return FieldGrid(spec=spec, provenance=provenance, xs=xs, ds=ds, values=values)
 
 

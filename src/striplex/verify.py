@@ -158,7 +158,9 @@ def check_gradient_identity(problem: AdmissibleProblem, config: VerifyConfig, sp
         draw = rng.uniform(mid - half, mid + half, config.n_random - ys.size)
         ys = np.concatenate([ys, draw[~np.any(np.abs(draw[:, None] - kinks) < 1e-4, axis=1)]])
     x = construction.contact_inverse(ys, problem.delta, problem)
-    fd = analysis.fd_derivative_top(x, problem, h, side="central", order="first")
+    fd = analysis.fd_derivative_top(
+        x, problem, h, side="central", order="first", tol=config.tol, max_iter=config.max_iter
+    )
     worst = max(0.0, float(np.max(np.abs(fd - problem.spline.derivative(ys)))))
     ok = worst <= 1e-3
     return CheckResult(
@@ -207,9 +209,8 @@ def check_envelope_coincidence(problem: AdmissibleProblem, config: VerifyConfig,
         [spec.xmin + margin, 0.1 * problem.delta], [spec.xmax - margin, 0.9 * problem.delta],
         (config.n_envelope_points, 2),
     ).T
-    envelopes = oracle.map_points(lambda point: oracle.mw_envelopes(point, problem, env_spec), xs, ds)
-    low, high = envelopes[:, 0], envelopes[:, 1]
-    u = construction.u_interior(xs, ds, problem)
+    low, high = oracle.mw_envelopes((xs, ds), problem, env_spec)
+    u = construction.u_interior(xs, ds, problem, tol=config.tol, max_iter=config.max_iter)
     max_gap = max(0.0, float(np.max(high - low)))
     # 1e-12 float guard on inequalities that hold exactly in real arithmetic
     bracket_ok = bool(np.all((low <= u + 1e-12) & (u <= high + 1e-12) & (low <= high + 1e-12)))
@@ -229,7 +230,8 @@ def check_segment_affinity(problem: AdmissibleProblem, config: VerifyConfig) -> 
     lo, hi = (ts[0] - 1.0, ts[-1] + 1.0) if len(ts) == 1 else (ts[0] - 0.25, ts[-1] + 0.25)
     ys = np.linspace(lo, hi, config.n_segments)[:, None]
     (px, pd), line_value = construction.segment_value(ys, np.arange(0.1, 0.95, 0.1), problem)
-    worst = float(np.max(np.abs(construction.u_interior(px, pd, problem) - line_value)))
+    u = construction.u_interior(px, pd, problem, tol=config.tol, max_iter=config.max_iter)
+    worst = float(np.max(np.abs(u - line_value)))
     ok = worst <= 1e-9
     return CheckResult(
         "segment_affinity",
@@ -244,8 +246,9 @@ def check_lipschitz_quotient(problem: AdmissibleProblem, config: VerifyConfig, s
     rng = np.random.default_rng(config.seed + 3)
     x1 = rng.uniform(spec.xmin, spec.xmax, config.n_pairs)
     dx = rng.uniform(1e-4, 0.2, config.n_pairs) * rng.choice([-1.0, 1.0], config.n_pairs)
-    ya = construction.solve_contacts(x1, problem.delta, problem, tol=1e-14).Y
-    yb = construction.solve_contacts(x1 + dx, problem.delta, problem, tol=1e-14).Y
+    # tol fixed at 1e-14 so solver error stays far below the measured quotients
+    ya = construction.solve_contacts(x1, problem.delta, problem, tol=1e-14, max_iter=config.max_iter).Y
+    yb = construction.solve_contacts(x1 + dx, problem.delta, problem, tol=1e-14, max_iter=config.max_iter).Y
     sup_quot = float(np.max(np.abs(yb - ya) / np.abs(dx)))
     bound = problem.lip_Y_bound
     variant = problem.lip_Y_bound_variant
@@ -260,7 +263,11 @@ def check_lipschitz_quotient(problem: AdmissibleProblem, config: VerifyConfig, s
 
 
 def default_residual_probes(
-    problem: AdmissibleProblem, h_max: float, count: int = 10
+    problem: AdmissibleProblem,
+    h_max: float,
+    count: int = 10,
+    tol: float = construction.DEFAULT_TOL,
+    max_iter: int = construction.DEFAULT_MAX_ITER,
 ) -> tuple[tuple[float, float], ...]:
     """Probe points at mid-height, clear of every knot's contact segment.
 
@@ -279,7 +286,7 @@ def default_residual_probes(
     clearance_min = max(5.0 * h_max, 0.02)
     cands = np.linspace(ts[0], ts[-1], 401)
     clear = cands[np.min(np.abs(cands[:, None] - lines), axis=1) >= clearance_min]
-    ys = construction.solve_contacts(clear, d, problem).y
+    ys = construction.solve_contacts(clear, d, problem, tol=tol, max_iter=max_iter).y
     good = [
         x for x, y in zip(clear.tolist(), ys.tolist()) if spline.second_left(y) != 0.0 or spline.second_right(y) != 0.0
     ]
@@ -293,14 +300,18 @@ def check_residual_refinement(problem: AdmissibleProblem, config: VerifyConfig) 
     """The infinity-Laplacian residual decays by >= 1.5x per step halving at
     probes off the kink segments (or sits at the rounding floor)."""
     hs = config.residual_hs or (problem.delta / 10.0, problem.delta / 20.0, problem.delta / 40.0)
-    probes = config.residual_probes or default_residual_probes(problem, max(hs))
+    probes = config.residual_probes or default_residual_probes(
+        problem, max(hs), tol=config.tol, max_iter=config.max_iter
+    )
     # rounding floor of the second-difference stencil: ~eps/h^2 times the
     # squared gradient scale; below it there is no decay left to measure
     eps = np.finfo(float).eps
     floors = np.array([4096.0 * eps * (1.0 + problem.L**2) / (h * h) for h in hs])
     points = tuple(np.array(probes, dtype=float).T)
     # res[k, p]: residual at probe p with step hs[k]
-    res = np.abs([analysis.residual_infinity_laplacian(points, problem, h) for h in hs])
+    res = np.abs(
+        [analysis.residual_infinity_laplacian(points, problem, h, tol=config.tol, max_iter=config.max_iter) for h in hs]
+    )
     measured = res[1:] > floors[1:, None]
     ratios = res[:-1][measured] / res[1:][measured]
     min_ratio = float(np.min(ratios)) if ratios.size else math.inf
@@ -334,7 +345,10 @@ def check_degenerate_closed_forms(problem: AdmissibleProblem, config: VerifyConf
     def brute(xs, ds, p):
         return oracle.map_points(lambda point: oracle.brute_force_u(point, p, 1e-6)[:1], xs, ds)[:, 0]
 
-    worst = max(0.0, deviation(construction.u_interior, 50), deviation(brute, 10))
+    def closed(xs, ds, p):
+        return construction.u_interior(xs, ds, p, tol=config.tol, max_iter=config.max_iter)
+
+    worst = max(0.0, deviation(closed, 50), deviation(brute, 10))
     ok = worst <= 1e-12
     return CheckResult(
         "degenerate_closed_forms",
@@ -358,7 +372,9 @@ def run_acceptance(
     """
     config = config or VerifyConfig()
     spec = config.grid or default_grid_spec(problem)
-    u_closed = u_override or (lambda x, d: construction.u_interior(x, d, problem, tol=config.tol))
+    u_closed = u_override or (
+        lambda x, d: construction.u_interior(x, d, problem, tol=config.tol, max_iter=config.max_iter)
+    )
     results: list[CheckResult] = []
 
     def guarded(name: str, fn):

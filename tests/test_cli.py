@@ -175,6 +175,16 @@ class TestGrid:
         err = capsys.readouterr().err
         assert err.startswith("error: at grid point") and "boundary samples" in err
 
+    @pytest.mark.parametrize("flags", [["--max-iter", "1"], ["--tol", "0"]])
+    def test_solver_flags_reach_the_closed_form_fill(self, tmp_path, capsys, flags):
+        # the same flags make construct exit 1; grid must not ignore them
+        for command in ("grid", "construct"):
+            out = tmp_path / f"{command}.csv"
+            argv = [command, *STANDARD, "--nx", "3", "--nd", "2", *flags, "--out", str(out)]
+            assert cli.main(argv) == 1, command
+            assert capsys.readouterr().err.startswith("error:")
+            assert not out.exists()
+
 
 class TestReport:
     def test_vee_report_row(self, tmp_path, capsys):
@@ -210,6 +220,19 @@ class TestVerify:
         assert code == 0
         assert "SKIP kink_transfer" in out
         assert "FAIL" not in out
+
+    def test_max_iter_reaches_every_contact_solve(self, capsys):
+        assert cli.main(["verify", *STANDARD, "--nx", "5", "--nd", "2", "--max-iter", "1"]) == 3
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        status = {line.split()[1].rstrip(":"): line.split()[0] for line in lines}
+        # kink_transfer measures through the oracle only, and the degenerate
+        # profiles have q = 0, so one iteration solves them exactly
+        passing = {"kink_transfer", "degenerate_closed_forms"}
+        assert status.pop("localization") == "SKIP"
+        assert {name for name, s in status.items() if s == "PASS"} == passing
+        for line in lines:
+            if line.startswith("FAIL"):
+                assert "did not converge in 1 iterations" in line
 
     def test_failure_maps_to_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -1,27 +1,36 @@
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from striplex import construction
-from striplex.boundary import BoundarySpline
-from striplex.errors import ConfigurationError, DomainError, ValidationError
+from striplex.boundary import BoundarySpline, parse_spline
+from striplex.errors import ConfigurationError, DomainError, StriplexError, ValidationError
 from striplex.oracle import (
     MAX_SCAN,
+    BruteResult,
     GridSpec,
     brute_force_u,
+    golden_section_max,
     grid_eval,
     grid_to_csv,
     grid_to_structured,
     map_points,
     mw_envelopes,
 )
-from striplex.params import ProblemParams, admit
+from striplex.params import ProblemParams, admit, delta_caps
 
+from test_boundary import splines
 from test_construction import WORKED_INTERIOR_POINT, WORKED_INTERIOR_VALUE, WORKED_VALUE, WORKED_X
+
+SPLINES = Path(__file__).resolve().parent.parent / "data" / "splines"
+SAMPLE_SPLINES = {
+    path.stem: parse_spline(path.read_text(encoding="utf-8")) for path in sorted(SPLINES.glob("*.spline"))
+}
 
 
 def envelope_spec(problem, h=1e-4):
@@ -106,6 +115,74 @@ class TestBruteForce:
             brute_force_u((0.0, 0.1), vee_problem, 1e-12)
 
 
+def full_scan_brute_force_u(point, problem, h_y, window_factor=1.0):
+    """The full grid scan the pruned scan replaced: every sample of the
+    window, np.argmax, then the same refinement."""
+    x, d = point
+    spline = problem.spline
+    L = problem.L
+    radius = window_factor * problem.D * d + h_y
+    n = int(math.ceil(radius / h_y))
+    ys = x + h_y * np.arange(-n, n + 1)
+    vals = spline.value(ys) - L * np.sqrt(d * d + (x - ys) ** 2)
+    k = int(np.argmax(vals))
+
+    def objective(y: float) -> float:
+        return spline.value(y) - L * math.hypot(d, x - y)
+
+    lo = ys[max(k - 1, 0)]
+    hi = ys[min(k + 1, len(ys) - 1)]
+    y_star, v_star = golden_section_max(objective, lo, hi)
+    if v_star < vals[k]:
+        y_star, v_star = float(ys[k]), float(vals[k])
+    return BruteResult(value=float(v_star), argmax_y=float(y_star), bound=0.5 * (problem.L_f + L) * h_y)
+
+
+def scan_problem(spline, delta_frac):
+    """An admitted problem for spline with L = max(2, 1.5*L_f + 1) and
+    delta at most 0.1, which keeps the scans short enough for the reference."""
+    L = max(2.0, 1.5 * spline.max_slope + 1.0)
+    cap = min(delta_caps(L, spline.max_slope, spline.slope_lipschitz))
+    return admit(ProblemParams(L=L, delta=min(delta_frac * cap, 0.1), spline=spline))
+
+
+@given(
+    st.one_of(st.sampled_from(list(SAMPLE_SPLINES.values())), splines()),
+    st.floats(0.05, 0.95),
+    st.one_of(st.floats(-3.0, 3.0), st.floats(-1e6, 1e6)),
+    st.floats(1e-3, 1.0),
+    st.floats(-6.0, -3.0),
+    st.sampled_from([1.0, 2.0]),
+)
+@example(SAMPLE_SPLINES["constant"], 0.5, 0.4, 0.5, -6.0, 1.0)  # D = 0: a 3-sample scan
+@example(SAMPLE_SPLINES["vee"], 0.5, 0.03, 1.0, -6.0, 2.0)  # the longest acceptance scan
+@settings(max_examples=200, deadline=None)
+def test_pruned_scan_matches_full_scan(spline, delta_frac, x, d_frac, log_h_y, window_factor):
+    # every sample the pruned scan drops is strictly below the best one, so
+    # it finds the full scan's argmax and every field agrees bit for bit
+    problem = scan_problem(spline, delta_frac)
+    point = (x, d_frac * problem.delta)
+    h_y = 10.0**log_h_y
+    got = brute_force_u(point, problem, h_y, window_factor)
+    want = full_scan_brute_force_u(point, problem, h_y, window_factor)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
+    calls = []
+    value = BoundarySpline.value
+
+    def counting(spline, y):
+        if not isinstance(y, float):
+            calls.append(np.size(y))
+        return value(spline, y)
+
+    monkeypatch.setattr(BoundarySpline, "value", counting)
+    brute_force_u((0.3, 0.1), vee_problem, 1e-6, window_factor=2.0)
+    full = 2 * math.ceil((2.0 * vee_problem.D * 0.1 + 1e-6) / 1e-6) + 1
+    assert sum(calls) < 0.05 * full
+
+
 class TestEnvelopes:
     def test_constant_pinch(self, constant_problem):
         spec = envelope_spec(constant_problem)
@@ -153,6 +230,21 @@ class TestEnvelopes:
             mw_envelopes((0.0, 0.1), vee_problem, spec)  # on the top line
         with pytest.raises(DomainError):
             mw_envelopes((1.9, 0.05), vee_problem, spec)  # inside the margin band
+
+    def test_batch_matches_pointwise(self, two_kink_problem):
+        spec = envelope_spec(two_kink_problem, h=1e-3)
+        xs = np.array([-1.2, -0.3, 0.0, 0.45, 1.3])[:, None]
+        ds = np.array([0.01, 0.05, 0.09])[None, :]
+        low, high = mw_envelopes((xs, ds), two_kink_problem, spec)
+        assert low.shape == high.shape == (5, 3)
+        for i, x in enumerate(xs[:, 0].tolist()):
+            for j, d in enumerate(ds[0].tolist()):
+                assert (low[i, j], high[i, j]) == mw_envelopes((x, d), two_kink_problem, spec)
+
+    def test_batch_error_names_the_point(self, vee_problem):
+        spec = envelope_spec(vee_problem)
+        with pytest.raises(DomainError, match=r"at grid point \(x=1.9, d=0.05\)"):
+            mw_envelopes((np.array([0.0, 1.9]), 0.05), vee_problem, spec)
 
 
 class TestGridEval:
@@ -250,3 +342,22 @@ def test_raising_data_raises_value(x, d_frac, shift):
     v0 = brute_force_u((x, d), p0, 1e-5).value
     v1 = brute_force_u((x, d), p1, 1e-5).value
     assert v1 - v0 == pytest.approx(shift, abs=1e-12)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), NON_FINITE),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), NON_FINITE),
+)
+@settings(max_examples=50, deadline=None)
+def test_envelopes_finite_or_package_error(vee_problem, x, d):
+    spec = envelope_spec(vee_problem, h=1e-3)
+    try:
+        low, high = mw_envelopes((x, d), vee_problem, spec)
+    except StriplexError:
+        # only a point off the margin-trimmed window or off the open strip
+        assert not (spec.xmin + spec.margin <= x <= spec.xmax - spec.margin and 0.0 < d < vee_problem.delta)
+    else:
+        assert math.isfinite(low) and math.isfinite(high)
