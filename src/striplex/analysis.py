@@ -114,31 +114,33 @@ def richardson_extrapolate(hs, qs) -> float:
     return t[-1]
 
 
-def _u_top(x: float, problem: AdmissibleProblem, source: str, oracle_h_y: float, tol: float, max_iter: int) -> float:
+def _u_top(x, problem: AdmissibleProblem, source: str, oracle_h_y: float, tol: float, max_iter: int):
+    """u on the top line at the points x, in one call."""
     if source == "closed_form":
         return construction.u_interior(x, problem.delta, problem, tol=tol, max_iter=max_iter)
     return oracle.brute_force_u((x, problem.delta), problem, oracle_h_y).value
 
 
 def _u_prime_top(
-    x: float,
+    x,
     problem: AdmissibleProblem,
     source: str,
     inner_h: float,
     oracle_h_y: float,
     tol: float,
     max_iter: int,
-) -> float:
+):
+    """u' on the top line at the points x, in one call: f' at the contact
+    points, or a central quotient of step inner_h of the oracle."""
     if source == "closed_form":
-        sol = construction.solve_contact(x, problem.delta, problem, tol=tol, max_iter=max_iter)
+        sol = construction.solve_contacts(x, problem.delta, problem, tol=tol, max_iter=max_iter)
         return problem.spline.derivative(sol.y)
-    up = oracle.brute_force_u((x + inner_h, problem.delta), problem, oracle_h_y).value
-    dn = oracle.brute_force_u((x - inner_h, problem.delta), problem, oracle_h_y).value
+    up, dn = _u_top(np.add.outer((inner_h, -inner_h), x), problem, source, oracle_h_y, tol, max_iter)
     return (up - dn) / (2.0 * inner_h)
 
 
 def fd_derivative_top(
-    x: float,
+    x,
     problem: AdmissibleProblem,
     h: float,
     side: str = "central",
@@ -148,9 +150,9 @@ def fd_derivative_top(
     oracle_h_y: float = DEFAULT_ORACLE_H_Y,
     tol: float = construction.DEFAULT_TOL,
     max_iter: int = construction.DEFAULT_MAX_ITER,
-) -> float:
+):
     """Difference quotient of u (order='first') or of u' (order='second')
-    along the top line.
+    along the top line, elementwise over x.
 
     One-sided quotients are O(h) accurate, central ones O(h^2) away from
     kinks.  source='closed_form' samples the contact solve (u' through the
@@ -170,19 +172,13 @@ def fd_derivative_top(
         sample = lambda xx: _u_top(xx, problem, source, oracle_h_y, tol, max_iter)
     else:
         sample = lambda xx: _u_prime_top(xx, problem, source, inner_h, oracle_h_y, tol, max_iter)
-    if side == "central":
-        return (sample(x + h) - sample(x - h)) / (2.0 * h)
-    if side == "right":
-        return (sample(x + h) - sample(x)) / h
-    return (sample(x) - sample(x - h)) / h
+    # both stencil points, as offsets from x, sampled in one call
+    ahead, behind = {"central": (h, -h), "right": (h, 0.0), "left": (0.0, -h)}[side]
+    u_ahead, u_behind = sample(np.add.outer((ahead, behind), x))
+    return (u_ahead - u_behind) / (ahead - behind)
 
 
-def _midsegment_jumps(
-    y0: float,
-    x0: float,
-    problem: AdmissibleProblem,
-    h_schedule,
-) -> tuple[float, ...]:
+def _midsegment_jumps(y0: float, x0: float, problem: AdmissibleProblem) -> tuple[float, ...]:
     """Transverse one-sided second-difference gap of u at the segment
     midpoint, per step.  The two quotients straddle the segment; their
     difference tends to the curvature jump across it."""
@@ -193,7 +189,7 @@ def _midsegment_jumps(
     # stencil offsets along the normal, in units of the step
     steps = np.array([0.0, 1.0, 2.0, -1.0, -2.0])
     jumps = []
-    for h in h_schedule:
+    for h in DEFAULT_H_SCHEDULE:
         # keep the five-point transverse stencil inside the strip
         hh = min(h, 0.2 * delta / (abs(nd) + 1e-3))
         u0, up1, up2, dn1, dn2 = construction.u_interior(mx + steps * hh * nx, md + steps * hh * nd, problem)
@@ -203,22 +199,19 @@ def _midsegment_jumps(
     return tuple(jumps)
 
 
-def kink_transfer_report(
-    problem: AdmissibleProblem,
-    h_schedule=DEFAULT_H_SCHEDULE,
-    inner_h: float = DEFAULT_INNER_H,
-    oracle_h_y: float = DEFAULT_ORACLE_H_Y,
-) -> list[KinkReport]:
+def kink_transfer_report(problem: AdmissibleProblem) -> list[KinkReport]:
     """One report per boundary kink, sorted by y0; empty when f' has no
     slope jumps.
 
     Measured one-sided second derivatives come from the assumption-free slow
-    path: u' sampled as central quotients of the brute-force oracle, then
-    one-sided quotients Richardson-extrapolated over h_schedule.
+    path: u' sampled as central quotients (step DEFAULT_INNER_H) of the
+    brute-force oracle at x0 and x0 +- h, then one-sided quotients
+    Richardson-extrapolated over h in DEFAULT_H_SCHEDULE.  The 14 oracle
+    points of a kink take one call.
     """
-    hs = tuple(float(h) for h in h_schedule)
-    if any(h <= 0 for h in hs) or len(hs) < 2:
-        raise ValidationError(f"h_schedule needs at least two positive steps, got {h_schedule!r}")
+    hs = np.array(DEFAULT_H_SCHEDULE)
+    n = len(hs)
+    offsets = np.concatenate([[0.0], hs, -hs])
     delta = problem.delta
     reports = []
     for kink in problem.spline.kinks():
@@ -228,12 +221,18 @@ def kink_transfer_report(
         denom_minus = 1.0 - delta * C * kink.second_left
         denom_plus = 1.0 - delta * C * kink.second_right
 
-        uprime = lambda xx: _u_prime_top(
-            xx, problem, "oracle", inner_h, oracle_h_y, construction.DEFAULT_TOL, construction.DEFAULT_MAX_ITER
+        # u' at x0, x0 + hs and x0 - hs
+        up = _u_prime_top(
+            x0 + offsets,
+            problem,
+            "oracle",
+            DEFAULT_INNER_H,
+            DEFAULT_ORACLE_H_Y,
+            construction.DEFAULT_TOL,
+            construction.DEFAULT_MAX_ITER,
         )
-        up0 = uprime(x0)
-        q_plus = [(uprime(x0 + h) - up0) / h for h in hs]
-        q_minus = [(up0 - uprime(x0 - h)) / h for h in hs]
+        q_plus = (up[1 : n + 1] - up[0]) / hs
+        q_minus = (up[0] - up[n + 1 :]) / hs
 
         reports.append(
             KinkReport(
@@ -247,7 +246,7 @@ def kink_transfer_report(
                 upp_plus_fd=richardson_extrapolate(hs, q_plus),
                 denom_minus=denom_minus,
                 denom_plus=denom_plus,
-                midseg_jumps=_midsegment_jumps(y0, float(x0), problem, hs),
+                midseg_jumps=_midsegment_jumps(y0, float(x0), problem),
             )
         )
     return reports

@@ -52,8 +52,8 @@ class BoundarySpline:
     _ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _ss: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _seg: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _vals: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # the same four as read-only arrays, for the array branch of value/derivative
+    # knot abscissas, slopes, segment slopes and knot values of f as
+    # read-only arrays, for value/derivative
     _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,7 +84,6 @@ class BoundarySpline:
         object.__setattr__(self, "_ts", tuple(ts))
         object.__setattr__(self, "_ss", tuple(ss))
         object.__setattr__(self, "_seg", tuple(seg))
-        object.__setattr__(self, "_vals", tuple(vals))
         arrays = tuple(np.array(a, dtype=float) for a in (ts, ss, seg, vals))
         for a in arrays:
             a.flags.writeable = False
@@ -93,49 +92,31 @@ class BoundarySpline:
     # -- evaluation ----------------------------------------------------
 
     def value(self, y):
-        """f(y); a float takes the scalar path, anything else the array path
-        (the same formula, bit-equal results)."""
-        ts, ss, vals = self._ts, self._ss, self._vals
-        if isinstance(y, (float, int)):
-            y = float(y)
-            if y <= ts[0]:
-                return vals[0] + ss[0] * (y - ts[0])
-            if y >= ts[-1]:
-                return vals[-1] + ss[-1] * (y - ts[-1])
-            i = bisect_right(ts, y) - 1
-            dy = y - ts[i]
-            return vals[i] + ss[i] * dy + 0.5 * self._seg[i] * dy * dy
+        """f(y), elementwise; a scalar y gives a numpy scalar."""
         y = np.asarray(y, dtype=float)
         ts, ss, seg, vals = self._arrays
-        if len(ts) == 1:
-            return vals[0] + ss[0] * (y - ts[0])
-        i = np.clip(np.searchsorted(ts, y, side="right") - 1, 0, len(ts) - 2)
-        dy = y - ts[i]
-        # far outside the knot range dy*dy may overflow; np.where drops it
-        with np.errstate(over="ignore"):
-            inner = vals[i] + ss[i] * dy + 0.5 * seg[i] * dy * dy
         left = vals[0] + ss[0] * (y - ts[0])
+        if len(ts) == 1:
+            return left[()]
+        # the segment of y, the end segments extended over the tails
+        i = np.searchsorted(ts[1:-1], y, side="right")
+        dy = y - ts[i]
+        # far outside the knot range dy*dy may overflow, and at y = +-inf meet
+        # a zero slope; np.where drops those
+        with np.errstate(over="ignore", invalid="ignore"):
+            inner = vals[i] + ss[i] * dy + 0.5 * seg[i] * dy * dy
         right = vals[-1] + ss[-1] * (y - ts[-1])
-        return np.where(y <= ts[0], left, np.where(y >= ts[-1], right, inner))
+        return np.where(y <= ts[0], left, np.where(y >= ts[-1], right, inner))[()]
 
     def derivative(self, y):
-        """f'(y); a float takes the scalar path, anything else the array path."""
-        ts, ss = self._ts, self._ss
-        if isinstance(y, (float, int)):
-            y = float(y)
-            if y <= ts[0]:
-                return ss[0]
-            if y >= ts[-1]:
-                return ss[-1]
-            i = bisect_right(ts, y) - 1
-            return ss[i] + self._seg[i] * (y - ts[i])
+        """f'(y), elementwise; a scalar y gives a numpy scalar."""
         y = np.asarray(y, dtype=float)
         ts, ss, seg, _ = self._arrays
         if len(ts) == 1:
-            return np.full_like(y, ss[0])
-        i = np.clip(np.searchsorted(ts, y, side="right") - 1, 0, len(ts) - 2)
+            return np.full_like(y, ss[0])[()]
+        i = np.searchsorted(ts[1:-1], y, side="right")
         inner = ss[i] + seg[i] * (y - ts[i])
-        return np.where(y <= ts[0], ss[0], np.where(y >= ts[-1], ss[-1], inner))
+        return np.where(y <= ts[0], ss[0], np.where(y >= ts[-1], ss[-1], inner))[()]
 
     def second_left(self, y: float) -> float:
         """One-sided curvature of f from the left: slope of f' on the

@@ -170,8 +170,10 @@ def cmd_construct(config: RunConfig) -> int:
     problem = _admit(config)
     out = _require_out(config)
     # the window rule GridSpec applies to the grid subcommand
-    if not (config.xmin < config.xmax and config.nx >= 2):
-        raise ValidationError(f"need xmin < xmax and nx >= 2, got {config.xmin!r}, {config.xmax!r}, nx={config.nx!r}")
+    if not (math.isfinite(config.xmin) and math.isfinite(config.xmax) and config.xmin < config.xmax and config.nx >= 2):
+        raise ValidationError(
+            f"need finite xmin < xmax and nx >= 2, got {config.xmin!r}, {config.xmax!r}, nx={config.nx!r}"
+        )
     xs = np.linspace(config.xmin, config.xmax, config.nx)
     sol = construction.solve_contacts(xs, problem.delta, problem, tol=config.tol, max_iter=config.max_iter)
     rows = zip(sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y))

@@ -34,6 +34,10 @@ from .params import AdmissibleProblem
 PROVENANCES = ("closed_form", "brute_force", "mw_min", "mw_max")
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section refinement: bracket width at which a bracket stops, and
+# the most steps it takes
+_GOLDEN_TOL = 1e-13
+_GOLDEN_MAX_ITER = 90
 
 # most boundary samples one oracle scan may take, checked before allocating;
 # the CLI defaults take at most ~4.2e6 (mw_envelopes at h_y = 1e-6 on [-2, 2])
@@ -59,8 +63,8 @@ class GridSpec:
     margin: float = 0.0
 
     def __post_init__(self):
-        if not self.xmin < self.xmax:
-            raise ValidationError(f"need xmin < xmax, got {self.xmin!r}, {self.xmax!r}")
+        if not (math.isfinite(self.xmin) and math.isfinite(self.xmax) and self.xmin < self.xmax):
+            raise ValidationError(f"need finite xmin < xmax, got {self.xmin!r}, {self.xmax!r}")
         if self.nx < 2 or self.nd < 2:
             raise ValidationError(f"need nx, nd >= 2, got nx={self.nx!r}, nd={self.nd!r}")
         if not self.h_y > 0:
@@ -106,100 +110,112 @@ class BruteResult(NamedTuple):
     bound: float
 
 
-def golden_section_max(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-13,
-    max_iter: int = 90,
-) -> tuple[float, float]:
-    """Maximize a unimodal fn on [lo, hi]; returns (arg, value).
+def golden_section_max(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize a unimodal fn on every bracket [lo, hi] of the broadcast
+    arrays; returns (arg, value) arrays of that shape.
 
-    Tracks the best evaluation seen, so the result never falls below any
-    probed point even if unimodality is marginal at the bracket edges.
+    fn maps an array of that shape to its values elementwise.  Each bracket
+    stops on its own once b - a <= _GOLDEN_TOL (at most _GOLDEN_MAX_ITER
+    steps); later steps leave it unchanged.  Tracks the best evaluation
+    seen, so the result never falls below any probed point even if
+    unimodality is marginal at the bracket edges.
     """
-    a, b = float(lo), float(hi)
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
-    best_y, best_v = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    first = fc >= fd
+    best_y, best_v = np.where(first, c, d), np.where(first, fc, fd)
+    for _ in range(_GOLDEN_MAX_ITER):
+        active = ~(b - a <= _GOLDEN_TOL)
+        if not active.any():
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-            if fc > best_v:
-                best_y, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-            if fd > best_v:
-                best_y, best_v = d, fd
+        # left: the maximum lies in [a, d]; the new probe is c.  right: in [c, b]
+        left = active & (fc >= fd)
+        right = active & ~left
+        a = np.where(right, c, a)
+        b = np.where(left, d, b)
+        c, fc, d, fd = (
+            np.where(right, d, c),
+            np.where(right, fd, fc),
+            np.where(left, c, d),
+            np.where(left, fc, fd),
+        )
+        probe = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fp = fn(probe)
+        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
+        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
+        better = active & (fp > best_v)
+        best_y, best_v = np.where(better, probe, best_y), np.where(better, fp, best_v)
     mid = 0.5 * (a + b)
     fmid = fn(mid)
-    if fmid > best_v:
-        best_y, best_v = mid, fmid
-    return best_y, best_v
+    better = fmid > best_v
+    return np.where(better, mid, best_y), np.where(better, fmid, best_v)
 
 
-def brute_force_u(
-    point: tuple[float, float],
-    problem: AdmissibleProblem,
-    h_y: float,
-    window_factor: float = 1.0,
-) -> BruteResult:
-    """Maximize f(y) - L*sqrt(d^2 + (x-y)^2) by grid scan plus refinement.
+def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float, window_factor: float = 1.0) -> BruteResult:
+    """Maximize f(y) - L*sqrt(d^2 + (x-y)^2) by grid scan plus refinement
+    at every point of the broadcast (x, d) arrays; value and argmax_y are
+    arrays of that shape, numpy scalars for a scalar point.
 
-    The scan grid is y_j = x + h_y*(j - n), j = 0..2n, covering the window
-    |y - x| <= window_factor*D*d + h_y.  The objective is (L_f + L)-Lipschitz
-    in y, so _scan_argmax skips every stretch of the grid whose Lipschitz
-    bound lies below the best sample seen: each skipped sample is strictly
-    below the maximum, and the index found is the one np.argmax over all
-    samples returns.  Golden-section refinement then runs on the bracket
-    around that sample.  bound is the worst-case scan error before
-    refinement, from the same Lipschitz constant.
+    The scan grid of a point is y_j = x + h_y*(j - n), j = 0..2n, covering
+    the window |y - x| <= window_factor*D*d + h_y.  The objective is
+    (L_f + L)-Lipschitz in y, so _scan_argmax skips every stretch of the
+    grid whose Lipschitz bound lies below the best sample seen: each skipped
+    sample is strictly below the maximum, and the index found is the one
+    np.argmax over all samples returns.  Golden-section refinement then runs
+    on the brackets around those samples, all points at once.  bound is the
+    worst-case scan error before refinement, from the same Lipschitz
+    constant.
     """
-    x, d = point
-    if not math.isfinite(x):
-        raise DomainError(f"need finite x, got {x!r}")
-    if not (0.0 < d <= problem.delta):
-        raise DomainError(f"height must lie in (0, delta], got {d!r}")
-    if h_y <= 0:
-        raise DomainError(f"need h_y > 0, got {h_y!r}")
     spline = problem.spline
     L = problem.L
-    radius = window_factor * problem.D * d + h_y
-    _check_scan(2.0 * radius / h_y + 1.0, "brute-force scan")
-    n = int(math.ceil(radius / h_y))
-
-    def at(j: np.ndarray) -> np.ndarray:
-        return x + h_y * (j - n)
-
-    def sample(j: np.ndarray) -> np.ndarray:
-        ys = at(j)
-        return spline.value(ys) - L * np.sqrt(d * d + (x - ys) ** 2)
-
-    # |best| + scale bounds the magnitude of every quantity met in evaluating
-    # one sample (positions, the terms of f, the cone term); the pruning
-    # slack of _scan_argmax is sized on it
+    lip = problem.L_f + L
     t_far = max(abs(spline.knots[0][0]), abs(spline.knots[-1][0]))
-    scale = L * d + (problem.L_f + L) * (abs(x) + radius + t_far)
-    k, v_k = _scan_argmax(sample, 2 * n + 1, (problem.L_f + L) * h_y, scale)
 
-    def objective(y: float) -> float:
-        return spline.value(y) - L * math.hypot(d, x - y)
+    def scan(p: tuple[float, float]) -> tuple[float, float, float, float]:
+        x, d = p
+        if not math.isfinite(x):
+            raise DomainError(f"need finite x, got {x!r}")
+        if not (0.0 < d <= problem.delta):
+            raise DomainError(f"height must lie in (0, delta], got {d!r}")
+        if h_y <= 0:
+            raise DomainError(f"need h_y > 0, got {h_y!r}")
+        radius = window_factor * problem.D * d + h_y
+        _check_scan(2.0 * radius / h_y + 1.0, "brute-force scan")
+        n = int(math.ceil(radius / h_y))
 
-    lo, y_k, hi = at(np.array([max(k - 1, 0), k, min(k + 1, 2 * n)])).tolist()
-    y_star, v_star = golden_section_max(objective, lo, hi)
-    if v_star < v_k:
-        y_star, v_star = y_k, v_k
-    if not math.isfinite(v_star):
-        raise DomainError(f"u overflows the float range at x = {x!r}")
-    bound = 0.5 * (problem.L_f + L) * h_y
-    return BruteResult(value=float(v_star), argmax_y=float(y_star), bound=bound)
+        def at(j: np.ndarray) -> np.ndarray:
+            return x + h_y * (j - n)
+
+        def sample(j: np.ndarray) -> np.ndarray:
+            ys = at(j)
+            return spline.value(ys) - L * np.sqrt(d * d + (x - ys) ** 2)
+
+        # |best| + scale bounds the magnitude of every quantity met in
+        # evaluating one sample (positions, the terms of f, the cone term);
+        # the pruning slack of _scan_argmax is sized on it
+        scale = L * d + lip * (abs(x) + radius + t_far)
+        k, v_k = _scan_argmax(sample, 2 * n + 1, lip * h_y, scale)
+        lo, y_k, hi = at(np.array([max(k - 1, 0), k, min(k + 1, 2 * n)])).tolist()
+        return lo, y_k, hi, v_k
+
+    lo, y_k, hi, v_k = np.moveaxis(map_points(scan, *point), -1, 0)
+    x, d = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(*point))
+    # near the ends of the float range the brackets and the objective
+    # overflow; a non-finite result is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_star, v_star = golden_section_max(
+            lambda y: spline.value(y) - L * construction._libm(math.hypot, d, x - y), lo, hi
+        )
+    worse = v_star < v_k
+    y_star, v_star = np.where(worse, y_k, y_star), np.where(worse, v_k, v_star)
+    overflow = ~np.isfinite(v_star)
+    if np.any(overflow):
+        i = np.flatnonzero(overflow)[0]
+        xi, di = x.ravel()[i].item(), d.ravel()[i].item()
+        raise DomainError(f"{_at_point(xi, di)}: u overflows the float range at x = {xi!r}")
+    return BruteResult(value=v_star[()], argmax_y=y_star[()], bound=0.5 * lip * h_y)
 
 
 def _scan_argmax(
@@ -210,53 +226,47 @@ def _scan_argmax(
     most of the scan.
 
     sample(j) must change by at most lip_step per unit step of j.  The scan
-    starts at a coarse stride and refines by _REFINE per level.  Between
-    two evaluated indices a < b every sample is at most
-    (v_a + v_b)/2 + lip_step*(b - a)/2 (Piyavskii-Shubert), so a cell whose
-    bound plus a rounding slack stays below the best value seen holds only
-    samples strictly below the maximum and is dropped.  The slack is
-    1e-12*(1 + |best| + scale), where |best| + scale bounds the magnitude of
-    every quantity in one sample's evaluation: rounding errs by a few ulps
-    of it, and 1e-12 is ~4500 ulps.  A non-finite best or bound prunes
-    nothing.  Only the Lipschitz constant enters: no concavity and nothing
-    from the construction.  Samples are computed exactly as a full scan
-    computes them, so the result is that scan's, bit for bit.  Short scans
-    start at stride 1, which is the full scan.
+    runs as a tree: it starts at a coarse stride and refines by _REFINE per
+    level.  An index past the end evaluates sample(count-1), which keeps the
+    extended scan lip_step-Lipschitz with the same first argmax, so every
+    cell of a level is one stride wide.  Inside a cell [a, a + stride]
+    every sample is at most (v_a + v_b)/2 + lip_step*stride/2
+    (Piyavskii-Shubert), so a cell whose bound plus a rounding slack stays
+    below the best value seen holds only samples strictly below the maximum
+    and is dropped.  The slack is 1e-12*(1 + |best| + scale), where
+    |best| + scale bounds the magnitude of every quantity in one sample's
+    evaluation: rounding errs by a few ulps of it, and 1e-12 is ~4500 ulps.
+    A non-finite best or bound prunes nothing.  Only the Lipschitz constant
+    enters: no concavity and nothing from the construction.  Samples are
+    computed exactly as a full scan computes them, so the result is that
+    scan's, bit for bit.  Short scans start at stride 1, which is the full
+    scan.
     """
+    last = count - 1
     stride = 1
     while stride * _REFINE * _MIN_COARSE <= count:
         stride *= _REFINE
-    j = np.arange(0, count, stride)
-    if j[-1] != count - 1:
-        j = np.append(j, count - 1)
-    v = sample(j)
+    j = np.arange(0, last + stride, stride)
+    v = sample(np.minimum(j, last))
     seen_j, seen_v = [j], [v]
     best = float(np.max(v))
-    a, b, va, vb = j[:-1], j[1:], v[:-1], v[1:]
+    a, va, vb = j[:-1], v[:-1], v[1:]
     while stride > 1:
-        bound = 0.5 * (va + vb) + (0.5 * lip_step) * (b - a)
+        bound = 0.5 * (va + vb) + 0.5 * lip_step * stride
         keep = ~((bound + 1e-12 * (1.0 + abs(best) + scale) < best) & np.isfinite(bound))
-        a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
+        a, va, vb = a[keep], va[keep], vb[keep]
         stride //= _REFINE
-        # each kept cell splits at every stride-th index; the last cell of
-        # the scan may be shorter, so its split points clip to b
-        p = np.minimum(a[:, None] + stride * np.arange(_REFINE + 1), b[:, None])
-        new = p < b[:, None]
-        new[:, 0] = False
-        pv = np.where(new, 0.0, vb[:, None])
-        pv[:, 0] = va
-        j = p[new]
-        if j.size:
-            v = sample(j)
-            pv[new] = v
-            seen_j.append(j)
-            seen_v.append(v)
-            best = max(best, float(np.max(v)))
-        nonempty = (p[:, :-1] < p[:, 1:]).ravel()
-        a, b = p[:, :-1].ravel()[nonempty], p[:, 1:].ravel()[nonempty]
-        va, vb = pv[:, :-1].ravel()[nonempty], pv[:, 1:].ravel()[nonempty]
-    j, v = np.concatenate(seen_j), np.concatenate(seen_v)
-    order = np.argsort(j)
+        # the _REFINE - 1 new indices inside each kept cell
+        j = a[:, None] + stride * np.arange(1, _REFINE)
+        v = sample(np.minimum(j, last))
+        seen_j.append(j.ravel())
+        seen_v.append(v.ravel())
+        best = max(best, float(np.max(v, initial=-math.inf)))
+        pv = np.column_stack([va, v, vb])
+        a = (a[:, None] + stride * np.arange(_REFINE)).ravel()
+        va, vb = pv[:, :-1].ravel(), pv[:, 1:].ravel()
+    j, v = np.minimum(np.concatenate(seen_j), last), np.concatenate(seen_v)
+    order = np.argsort(j, kind="stable")
     k = int(np.argmax(v[order]))
     return int(j[order[k]]), float(v[order[k]])
 
@@ -334,7 +344,7 @@ def map_points(evaluate: Callable[[tuple[float, float]], tuple], xs, ds) -> np.n
         try:
             rows.append(tuple(evaluate((x, d))))
         except Exception as exc:
-            context = f"at grid point (x={x!r}, d={d!r})"
+            context = _at_point(x, d)
             if isinstance(exc, StriplexError):
                 raise type(exc)(f"{context}: {exc}") from exc
             if hasattr(exc, "add_note"):  # Python >= 3.11
@@ -343,13 +353,8 @@ def map_points(evaluate: Callable[[tuple[float, float]], tuple], xs, ds) -> np.n
     return np.array(rows, dtype=float).reshape(xs.shape + (-1,))
 
 
-def brute_force_grid(
-    xs: np.ndarray, ds: np.ndarray, problem: AdmissibleProblem, h_y: float, window_factor: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """brute_force_u at every (xs[i], ds[j]): (values, argmax_y), each of
-    shape (len(xs), len(ds))."""
-    out = map_points(lambda point: brute_force_u(point, problem, h_y, window_factor)[:2], xs[:, None], ds[None, :])
-    return out[..., 0], out[..., 1]
+def _at_point(x: float, d: float) -> str:
+    return f"at grid point (x={x!r}, d={d!r})"
 
 
 def grid_eval(
@@ -377,7 +382,7 @@ def grid_eval(
     if provenance == "closed_form":
         values = construction.u_interior(xs[:, None], ds[None, :], problem, tol=tol, max_iter=max_iter)
     elif provenance == "brute_force":
-        values, _ = brute_force_grid(xs, ds, problem, spec.h_y)
+        values = brute_force_u((xs[:, None], ds[None, :]), problem, spec.h_y).value
     else:
         values = mw_envelopes((xs[:, None], ds[None, :]), problem, spec)[0 if provenance == "mw_min" else 1]
     return FieldGrid(spec=spec, provenance=provenance, xs=xs, ds=ds, values=values)

@@ -24,6 +24,15 @@ from .params import AdmissibleProblem, ProblemParams, admit
 # the (x, d) mesh arrays; replaceable by tests as a negative control
 UEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+# sample sizes of the checks, the envelope oracle's step and the seed of
+# every random draw
+_N_RANDOM = 100
+_N_PAIRS = 10_000
+_N_ENVELOPE_POINTS = 50
+_ENVELOPE_H = 1e-4
+_N_SEGMENTS = 20
+_SEED = 20260810
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -38,19 +47,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Scale knobs for the acceptance run; defaults match the desk scale."""
+    """Knobs for the acceptance run; defaults match the desk scale."""
 
     grid: GridSpec | None = None
     tol: float = 1e-12
     max_iter: int = 200
-    n_random: int = 100
-    n_pairs: int = 10_000
-    n_envelope_points: int = 50
-    envelope_h: float = 1e-4
-    n_segments: int = 20
-    residual_hs: tuple[float, ...] | None = None  # default (delta/10, /20, /40)
     residual_probes: tuple[tuple[float, float], ...] | None = None
-    seed: int = 20260810
 
 
 def default_grid_spec(problem: AdmissibleProblem) -> GridSpec:
@@ -75,23 +77,25 @@ def check_oracle_equivalence(
     problem: AdmissibleProblem,
     spec: GridSpec,
     u_closed: UEvaluator,
-) -> tuple[CheckResult, dict]:
+    cache: dict,
+) -> CheckResult:
     """Closed form vs brute force over the full grid; 1e-9 agreement and a
-    60 s single-threaded budget.  Returns the brute results for reuse."""
+    60 s single-threaded budget.  The brute grid goes into cache for reuse
+    before the closed form runs, so it survives a failing closed form."""
     xs = spec.xs()
     ds = spec.heights(problem.delta)
     t0 = time.perf_counter()
+    brute = oracle.brute_force_u((xs[:, None], ds[None, :]), problem, spec.h_y)
+    cache.update(xs=xs, ds=ds, brute=brute.value, argmax=brute.argmax_y)
     closed = u_closed(xs[:, None], ds[None, :])
-    brute, argmax = oracle.brute_force_grid(xs, ds, problem, spec.h_y)
     elapsed = time.perf_counter() - t0
-    max_diff = float(np.max(np.abs(closed - brute)))
+    max_diff = float(np.max(np.abs(closed - brute.value)))
     ok = max_diff <= 1e-9 and elapsed < 60.0
     detail = (
         f"max|closed - brute| = {max_diff:.3e} (tol 1e-09) over {len(xs)}x{len(ds)} grid, "
         f"h_y = {spec.h_y:g}, elapsed {elapsed:.1f} s (budget 60 s)"
     )
-    cache = {"xs": xs, "ds": ds, "closed": closed, "brute": brute, "argmax": argmax}
-    return CheckResult("oracle_equivalence", _status(ok), detail), cache
+    return CheckResult("oracle_equivalence", _status(ok), detail)
 
 
 def check_localization(problem: AdmissibleProblem, spec: GridSpec, cache: dict) -> CheckResult:
@@ -103,7 +107,7 @@ def check_localization(problem: AdmissibleProblem, spec: GridSpec, cache: dict) 
     # refinement that much play; for D > 0 the containment is strict
     slack = spec.h_y if problem.D == 0.0 else 0.0
     excess = float(np.max(np.abs(argmax - xs[:, None]) - problem.D * ds[None, :] - slack))
-    wide, _ = oracle.brute_force_grid(xs, ds, problem, spec.h_y, window_factor=2.0)
+    wide = oracle.brute_force_u((xs[:, None], ds[None, :]), problem, spec.h_y, window_factor=2.0).value
     max_change = float(np.max(np.abs(wide - brute)))
     ok = excess <= 0.0 and max_change <= 1e-12
     return CheckResult(
@@ -117,11 +121,11 @@ def check_localization(problem: AdmissibleProblem, spec: GridSpec, cache: dict) 
 def check_fixed_point(problem: AdmissibleProblem, config: VerifyConfig, spec: GridSpec) -> CheckResult:
     """Residuals at tol, contact round trip, iteration counts versus the
     contraction budget."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(_SEED)
     delta = problem.delta
-    xs = rng.uniform(spec.xmin, spec.xmax, config.n_random)
+    xs = rng.uniform(spec.xmin, spec.xmax, _N_RANDOM)
     # each x is solved at the top line and at one random lower height
-    heights = np.stack([np.full_like(xs, delta), rng.uniform(0.1 * delta, delta, config.n_random)], axis=1)
+    heights = np.stack([np.full_like(xs, delta), rng.uniform(0.1 * delta, delta, _N_RANDOM)], axis=1)
     sol = construction.solve_contacts(xs[:, None], heights, problem, tol=config.tol, max_iter=config.max_iter)
     worst_residual = float(np.max(sol.residual))
     worst_iters = int(np.max(sol.iterations))
@@ -129,7 +133,7 @@ def check_fixed_point(problem: AdmissibleProblem, config: VerifyConfig, spec: Gr
     iter_budget = math.ceil(math.log(config.tol) / math.log(q)) + 2 if 0.0 < q < 1.0 else 2
     half = 0.75 * 0.5 * (spec.xmax - spec.xmin)
     mid = 0.5 * (spec.xmin + spec.xmax)
-    ys = rng.uniform(mid - half, mid + half, config.n_random)
+    ys = rng.uniform(mid - half, mid + half, _N_RANDOM)
     x_back = construction.contact_inverse(ys, delta, problem)
     sol = construction.solve_contacts(x_back, delta, problem, tol=config.tol, max_iter=config.max_iter)
     worst_roundtrip = float(np.max(np.abs(sol.y - ys)))
@@ -146,7 +150,7 @@ def check_fixed_point(problem: AdmissibleProblem, config: VerifyConfig, spec: Gr
 def check_gradient_identity(problem: AdmissibleProblem, config: VerifyConfig, spec: GridSpec) -> CheckResult:
     """Central difference of u along the top line equals f' at the contact
     point, 1e-3 at step 1e-5."""
-    rng = np.random.default_rng(config.seed + 1)
+    rng = np.random.default_rng(_SEED + 1)
     kinks = np.array([k.y0 for k in problem.spline.kinks()])
     half = 0.75 * 0.5 * (spec.xmax - spec.xmin)
     mid = 0.5 * (spec.xmin + spec.xmax)
@@ -154,8 +158,8 @@ def check_gradient_identity(problem: AdmissibleProblem, config: VerifyConfig, sp
     # draws within 1e-4 of a kink are rejected; drawing only the shortfall
     # keeps the stream of one-at-a-time draws
     ys = np.empty(0)
-    while ys.size < config.n_random:
-        draw = rng.uniform(mid - half, mid + half, config.n_random - ys.size)
+    while ys.size < _N_RANDOM:
+        draw = rng.uniform(mid - half, mid + half, _N_RANDOM - ys.size)
         ys = np.concatenate([ys, draw[~np.any(np.abs(draw[:, None] - kinks) < 1e-4, axis=1)]])
     x = construction.contact_inverse(ys, problem.delta, problem)
     fd = analysis.fd_derivative_top(
@@ -166,7 +170,7 @@ def check_gradient_identity(problem: AdmissibleProblem, config: VerifyConfig, sp
     return CheckResult(
         "gradient_identity",
         _status(ok),
-        f"max |FD(u)(x(y)) - f'(y)| = {worst:.3e} over {config.n_random} points (tol 1e-03, h = {h:g})",
+        f"max |FD(u)(x(y)) - f'(y)| = {worst:.3e} over {_N_RANDOM} points (tol 1e-03, h = {h:g})",
     )
 
 
@@ -198,16 +202,14 @@ def check_kink_transfer(problem: AdmissibleProblem) -> CheckResult:
 def check_envelope_coincidence(problem: AdmissibleProblem, config: VerifyConfig, spec: GridSpec) -> CheckResult:
     """Min/max Lipschitz envelopes of the boundary data bracket u and pinch
     to it at the sampling rate."""
-    rng = np.random.default_rng(config.seed + 2)
+    rng = np.random.default_rng(_SEED + 2)
     margin = max(spec.margin, 10.0 * problem.D * problem.delta)
-    env_spec = GridSpec(
-        xmin=spec.xmin, xmax=spec.xmax, nx=2, nd=2, h_y=config.envelope_h, margin=margin
-    )
-    gap_tol = 5.0 * (problem.L_f + problem.L) * config.envelope_h
+    env_spec = GridSpec(xmin=spec.xmin, xmax=spec.xmax, nx=2, nd=2, h_y=_ENVELOPE_H, margin=margin)
+    gap_tol = 5.0 * (problem.L_f + problem.L) * _ENVELOPE_H
     # one (x, d) pair per row, drawn x first as one-at-a-time draws would
     xs, ds = rng.uniform(
         [spec.xmin + margin, 0.1 * problem.delta], [spec.xmax - margin, 0.9 * problem.delta],
-        (config.n_envelope_points, 2),
+        (_N_ENVELOPE_POINTS, 2),
     ).T
     low, high = oracle.mw_envelopes((xs, ds), problem, env_spec)
     u = construction.u_interior(xs, ds, problem, tol=config.tol, max_iter=config.max_iter)
@@ -218,7 +220,7 @@ def check_envelope_coincidence(problem: AdmissibleProblem, config: VerifyConfig,
     return CheckResult(
         "envelope_coincidence",
         _status(ok),
-        f"max(high - low) = {max_gap:.3e} (tol {gap_tol:.3e}) over {config.n_envelope_points} points; "
+        f"max(high - low) = {max_gap:.3e} (tol {gap_tol:.3e}) over {_N_ENVELOPE_POINTS} points; "
         f"low <= u <= high: {bracket_ok}",
     )
 
@@ -228,7 +230,7 @@ def check_segment_affinity(problem: AdmissibleProblem, config: VerifyConfig) -> 
     (slope -L per unit length)."""
     ts = [t for t, _ in problem.spline.knots]
     lo, hi = (ts[0] - 1.0, ts[-1] + 1.0) if len(ts) == 1 else (ts[0] - 0.25, ts[-1] + 0.25)
-    ys = np.linspace(lo, hi, config.n_segments)[:, None]
+    ys = np.linspace(lo, hi, _N_SEGMENTS)[:, None]
     (px, pd), line_value = construction.segment_value(ys, np.arange(0.1, 0.95, 0.1), problem)
     u = construction.u_interior(px, pd, problem, tol=config.tol, max_iter=config.max_iter)
     worst = float(np.max(np.abs(u - line_value)))
@@ -236,16 +238,16 @@ def check_segment_affinity(problem: AdmissibleProblem, config: VerifyConfig) -> 
     return CheckResult(
         "segment_affinity",
         _status(ok),
-        f"max |u(segment(t)) - affine(t)| = {worst:.3e} over {config.n_segments} segments (tol 1e-09)",
+        f"max |u(segment(t)) - affine(t)| = {worst:.3e} over {_N_SEGMENTS} segments (tol 1e-09)",
     )
 
 
 def check_lipschitz_quotient(problem: AdmissibleProblem, config: VerifyConfig, spec: GridSpec) -> CheckResult:
     """Empirical sup of |dY/dx| against the contraction-derived bound
     q/(1-q); the variant bound (Lip(f') squared) is reported, not gated."""
-    rng = np.random.default_rng(config.seed + 3)
-    x1 = rng.uniform(spec.xmin, spec.xmax, config.n_pairs)
-    dx = rng.uniform(1e-4, 0.2, config.n_pairs) * rng.choice([-1.0, 1.0], config.n_pairs)
+    rng = np.random.default_rng(_SEED + 3)
+    x1 = rng.uniform(spec.xmin, spec.xmax, _N_PAIRS)
+    dx = rng.uniform(1e-4, 0.2, _N_PAIRS) * rng.choice([-1.0, 1.0], _N_PAIRS)
     # tol fixed at 1e-14 so solver error stays far below the measured quotients
     ya = construction.solve_contacts(x1, problem.delta, problem, tol=1e-14, max_iter=config.max_iter).Y
     yb = construction.solve_contacts(x1 + dx, problem.delta, problem, tol=1e-14, max_iter=config.max_iter).Y
@@ -257,7 +259,7 @@ def check_lipschitz_quotient(problem: AdmissibleProblem, config: VerifyConfig, s
     return CheckResult(
         "lipschitz_quotient",
         _status(ok),
-        f"sup |dY/dx| = {sup_quot:.6e} <= q/(1-q) = {bound:.6e} over {config.n_pairs} pairs; "
+        f"sup |dY/dx| = {sup_quot:.6e} <= q/(1-q) = {bound:.6e} over {_N_PAIRS} pairs; "
         f"variant bound {variant:.6e} holds: {variant_holds} (informative)",
     )
 
@@ -299,7 +301,7 @@ def default_residual_probes(
 def check_residual_refinement(problem: AdmissibleProblem, config: VerifyConfig) -> CheckResult:
     """The infinity-Laplacian residual decays by >= 1.5x per step halving at
     probes off the kink segments (or sits at the rounding floor)."""
-    hs = config.residual_hs or (problem.delta / 10.0, problem.delta / 20.0, problem.delta / 40.0)
+    hs = (problem.delta / 10.0, problem.delta / 20.0, problem.delta / 40.0)
     probes = config.residual_probes or default_residual_probes(
         problem, max(hs), tol=config.tol, max_iter=config.max_iter
     )
@@ -333,7 +335,7 @@ def check_degenerate_closed_forms(problem: AdmissibleProblem, config: VerifyConf
     c, a = 1.0, 1.0
     const_problem = admit(ProblemParams(L=L, delta=delta, spline=BoundarySpline(f0=c, knots=((0.0, 0.0),))))
     linear_problem = admit(ProblemParams(L=L, delta=delta, spline=BoundarySpline(f0=0.0, knots=((0.0, a),))))
-    rng = np.random.default_rng(config.seed + 4)
+    rng = np.random.default_rng(_SEED + 4)
 
     def deviation(evaluate, n: int) -> float:
         # n (x, d) pairs, drawn x first as one-at-a-time draws would
@@ -343,7 +345,7 @@ def check_degenerate_closed_forms(problem: AdmissibleProblem, config: VerifyConf
         return float(np.max(np.maximum(const_dev, linear_dev)))
 
     def brute(xs, ds, p):
-        return oracle.map_points(lambda point: oracle.brute_force_u(point, p, 1e-6)[:1], xs, ds)[:, 0]
+        return oracle.brute_force_u((xs, ds), p, 1e-6).value
 
     def closed(xs, ds, p):
         return construction.u_interior(xs, ds, p, tol=config.tol, max_iter=config.max_iter)
@@ -384,13 +386,7 @@ def run_acceptance(
             return CheckResult(name, "FAIL", f"error: {exc}")
 
     cache: dict = {}
-
-    def _oracle_eq():
-        res, c = check_oracle_equivalence(problem, spec, u_closed)
-        cache.update(c)
-        return res
-
-    results.append(guarded("oracle_equivalence", _oracle_eq))
+    results.append(guarded("oracle_equivalence", lambda: check_oracle_equivalence(problem, spec, u_closed, cache)))
     if cache:
         results.append(guarded("localization", lambda: check_localization(problem, spec, cache)))
     else:

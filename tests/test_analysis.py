@@ -138,6 +138,21 @@ class TestKinkTransferReport:
     def test_linear_empty(self, linear_problem):
         assert kink_transfer_report(linear_problem) == []
 
+    def test_one_oracle_call_per_kink(self, two_kink_problem, monkeypatch):
+        # u' at x0 and x0 +- h for three h, each from two oracle points
+        from striplex import oracle
+
+        sizes = []
+        brute = oracle.brute_force_u
+
+        def counting(point, *args):
+            sizes.append(np.broadcast(*point).size)
+            return brute(point, *args)
+
+        monkeypatch.setattr(oracle, "brute_force_u", counting)
+        kink_transfer_report(two_kink_problem)
+        assert sizes == [14, 14]
+
     def test_two_kinks_sorted_and_order_preserving(self, two_kink_problem):
         reports = kink_transfer_report(two_kink_problem)
         assert [r.y0 for r in reports] == [0.0, 0.5]

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -27,6 +28,41 @@ def splines(draw, max_knots=6):
     for g in gaps:
         ts.append(ts[-1] + g)
     return BoundarySpline(f0=f0, knots=tuple(zip(ts, slopes)))
+
+
+def knot_tables(spline):
+    """Knot abscissas, slopes, segment slopes of f' and knot values of f,
+    by the formulas of BoundarySpline.__post_init__."""
+    ts = [t for t, _ in spline.knots]
+    ss = [s for _, s in spline.knots]
+    seg = [(ss[i + 1] - ss[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)]
+    vals = [spline.f0]
+    for i in range(len(ts) - 1):
+        vals.append(vals[-1] + 0.5 * (ss[i] + ss[i + 1]) * (ts[i + 1] - ts[i]))
+    return ts, ss, seg, vals
+
+
+def scalar_value(spline, y):
+    """The one-point branch of value that the array path replaced."""
+    ts, ss, seg, vals = knot_tables(spline)
+    if y <= ts[0]:
+        return vals[0] + ss[0] * (y - ts[0])
+    if y >= ts[-1]:
+        return vals[-1] + ss[-1] * (y - ts[-1])
+    i = bisect_right(ts, y) - 1
+    dy = y - ts[i]
+    return vals[i] + ss[i] * dy + 0.5 * seg[i] * dy * dy
+
+
+def scalar_derivative(spline, y):
+    """The one-point branch of derivative that the array path replaced."""
+    ts, ss, seg, _ = knot_tables(spline)
+    if y <= ts[0]:
+        return ss[0]
+    if y >= ts[-1]:
+        return ss[-1]
+    i = bisect_right(ts, y) - 1
+    return ss[i] + seg[i] * (y - ts[i])
 
 
 class TestParse:
@@ -117,6 +153,23 @@ class TestEval:
         for y, v, d in zip(ys, vals, ders):
             assert v == spline.value(float(y))
             assert d == spline.derivative(float(y))
+
+
+@given(splines(), st.lists(st.floats(-1e6, 1e6), max_size=5), st.floats(0.0, 1.0))
+@settings(max_examples=200)
+def test_array_path_equals_scalar_formulas(spline, extra, frac):
+    # at every knot, a point inside each segment, on both tails near and far,
+    # and at drawn points, the array path gives the one-point formulas' bits
+    ts = [t for t, _ in spline.knots]
+    inside = [a + frac * (b - a) for a, b in zip(ts, ts[1:])]
+    ys = [*ts, *inside, ts[0] - 0.5, ts[-1] + 0.5, ts[0] - 1e6, ts[-1] + 1e6, *extra]
+    values, derivatives = spline.value(np.array(ys)), spline.derivative(np.array(ys))
+    assert [v.hex() for v in values.tolist()] == [scalar_value(spline, y).hex() for y in ys]
+    assert [v.hex() for v in derivatives.tolist()] == [scalar_derivative(spline, y).hex() for y in ys]
+    for y in ys:
+        one = (spline.value(y), spline.derivative(y))
+        assert [type(v) for v in one] == [np.float64, np.float64]
+        assert [v.hex() for v in one] == [scalar_value(spline, y).hex(), scalar_derivative(spline, y).hex()]
 
 
 class TestConstants:

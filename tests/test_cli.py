@@ -3,9 +3,13 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from striplex import cli, verify
 from striplex.construction import u_interior
+from striplex.errors import NonConvergenceError
+from striplex.oracle import GridSpec
 
 REPO = Path(__file__).resolve().parent.parent
 VEE = str(REPO / "data" / "splines" / "vee.spline")
@@ -228,7 +232,8 @@ class TestVerify:
         # kink_transfer measures through the oracle only, and the degenerate
         # profiles have q = 0, so one iteration solves them exactly
         passing = {"kink_transfer", "degenerate_closed_forms"}
-        assert status.pop("localization") == "SKIP"
+        # localization needs only the oracle grid, which is built first
+        assert status.pop("localization") == "PASS"
         assert {name for name, s in status.items() if s == "PASS"} == passing
         for line in lines:
             if line.startswith("FAIL"):
@@ -240,14 +245,58 @@ class TestVerify:
         )
         assert cli.main(["verify", *STANDARD, "--nx", "5", "--nd", "2"]) == 3
 
-    def test_corrupted_evaluator_fails_oracle_equivalence(self, vee_problem):
-        # small grid keeps the negative control cheap
-        from striplex.oracle import GridSpec
+    def test_raising_evaluator_keeps_localization(self, vee_problem):
+        def broken(x, d):
+            raise NonConvergenceError("injected")
 
         spec = GridSpec(xmin=-1.0, xmax=1.0, nx=5, nd=2, h_y=1e-5, margin=10 * vee_problem.D * 0.1)
+        run = verify.run_acceptance(vee_problem, verify.VerifyConfig(grid=spec), u_override=broken)
+        results = {r.name: r for r in run}
+        assert results["oracle_equivalence"].status == "FAIL"
+        assert results["oracle_equivalence"].detail == "error: injected"
+        assert results["localization"].status == "PASS"
+
+    def test_corrupted_evaluator_fails_oracle_equivalence(self, vee_problem):
+        # small grid keeps the negative control cheap
+        spec = GridSpec(xmin=-1.0, xmax=1.0, nx=5, nd=2, h_y=1e-5, margin=10 * vee_problem.D * 0.1)
         corrupted = lambda x, d: u_interior(x, d, vee_problem) + 1e-6
-        res, _ = verify.check_oracle_equivalence(vee_problem, spec, corrupted)
+        res = verify.check_oracle_equivalence(vee_problem, spec, corrupted, {})
         assert res.status == "FAIL"
         honest = lambda x, d: u_interior(x, d, vee_problem)
-        res, _ = verify.check_oracle_equivalence(vee_problem, spec, honest)
+        res = verify.check_oracle_equivalence(vee_problem, spec, honest, {})
         assert res.status == "PASS"
+
+
+# window and step values of every kind: finite (a delta above 2.75 is
+# inadmissible for vee at L = 2), tiny (subnormal or near it), nan and
+# +-inf.  A finite --hy stays >= 1e-5, where every scan the cap allows is
+# short; the tiny ones reach the scan-size cap.
+FINITE = st.floats(-4.0, 4.0)
+TINY = st.sampled_from([5e-324, -5e-324, 1e-300, 2.2250738585072014e-308])
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+ANY_VALUE = st.one_of(FINITE, TINY, NON_FINITE)
+ANY_STEP = st.one_of(st.floats(1e-5, 4.0), st.floats(-4.0, 0.0), TINY, NON_FINITE)
+
+
+@given(
+    st.sampled_from([["construct"], ["grid", "--provenance", "closed_form"], ["grid", "--provenance", "brute_force"]]),
+    ANY_VALUE,
+    ANY_VALUE,
+    ANY_STEP,
+    ANY_VALUE,
+    st.integers(0, 5),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_window_exits_with_a_contract_code(tmp_path, capsys, command, xmin, xmax, hy, delta, nx):
+    # every input ends in a documented exit code without a traceback, and
+    # the usage/input (1) and inadmissible (2) codes say why on stderr
+    capsys.readouterr()
+    argv = [*command, "--spline", VEE, "--L", "2", "--delta", repr(delta), "--xmin", repr(xmin),
+            "--xmax", repr(xmax), "--hy", repr(hy), "--nx", str(nx), "--nd", "2",
+            "--out", str(tmp_path / "out.csv")]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (1, 2):
+        assert err.startswith("error:")

@@ -15,7 +15,6 @@ from striplex.oracle import (
     BruteResult,
     GridSpec,
     brute_force_u,
-    golden_section_max,
     grid_eval,
     grid_to_csv,
     grid_to_structured,
@@ -114,10 +113,50 @@ class TestBruteForce:
         with pytest.raises(ConfigurationError, match=str(MAX_SCAN)):
             brute_force_u((0.0, 0.1), vee_problem, 1e-12)
 
+    def test_scalar_point_gives_numpy_scalars(self, vee_problem):
+        res = brute_force_u((0.3, 0.05), vee_problem, 1e-5)
+        assert type(res.value) is np.float64 and type(res.argmax_y) is np.float64
+
+    def test_batch_error_names_the_point(self, vee_problem):
+        with pytest.raises(DomainError, match=r"at grid point \(x=0.2, d=0.0\)"):
+            brute_force_u((np.array([0.1, 0.2]), np.array([0.05, 0.0])), vee_problem, 1e-5)
+
+
+def scalar_golden_section_max(fn, lo, hi, tol=1e-13, max_iter=90):
+    """The one-bracket golden-section search the batched refinement
+    replaced: maximize a unimodal fn on [lo, hi], returning (arg, value)
+    and never falling below any probed point."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    best_y, best_v = (c, fc) if fc >= fd else (d, fd)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fn(c)
+            if fc > best_v:
+                best_y, best_v = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fn(d)
+            if fd > best_v:
+                best_y, best_v = d, fd
+    mid = 0.5 * (a + b)
+    fmid = fn(mid)
+    if fmid > best_v:
+        best_y, best_v = mid, fmid
+    return best_y, best_v
+
 
 def full_scan_brute_force_u(point, problem, h_y, window_factor=1.0):
     """The full grid scan the pruned scan replaced: every sample of the
-    window, np.argmax, then the same refinement."""
+    window, np.argmax, then the one-point refinement."""
     x, d = point
     spline = problem.spline
     L = problem.L
@@ -132,7 +171,7 @@ def full_scan_brute_force_u(point, problem, h_y, window_factor=1.0):
 
     lo = ys[max(k - 1, 0)]
     hi = ys[min(k + 1, len(ys) - 1)]
-    y_star, v_star = golden_section_max(objective, lo, hi)
+    y_star, v_star = scalar_golden_section_max(objective, lo, hi)
     if v_star < vals[k]:
         y_star, v_star = float(ys[k]), float(vals[k])
     return BruteResult(value=float(v_star), argmax_y=float(y_star), bound=0.5 * (problem.L_f + L) * h_y)
@@ -149,23 +188,30 @@ def scan_problem(spline, delta_frac):
 @given(
     st.one_of(st.sampled_from(list(SAMPLE_SPLINES.values())), splines()),
     st.floats(0.05, 0.95),
-    st.one_of(st.floats(-3.0, 3.0), st.floats(-1e6, 1e6)),
-    st.floats(1e-3, 1.0),
+    st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e6, 1e6)), min_size=1, max_size=3),
+    st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=2),
     st.floats(-6.0, -3.0),
     st.sampled_from([1.0, 2.0]),
 )
-@example(SAMPLE_SPLINES["constant"], 0.5, 0.4, 0.5, -6.0, 1.0)  # D = 0: a 3-sample scan
-@example(SAMPLE_SPLINES["vee"], 0.5, 0.03, 1.0, -6.0, 2.0)  # the longest acceptance scan
+@example(SAMPLE_SPLINES["constant"], 0.5, [0.4], [0.5], -6.0, 1.0)  # D = 0: a 3-sample scan
+@example(SAMPLE_SPLINES["vee"], 0.5, [0.03], [1.0], -6.0, 2.0)  # the longest acceptance scan
 @settings(max_examples=200, deadline=None)
-def test_pruned_scan_matches_full_scan(spline, delta_frac, x, d_frac, log_h_y, window_factor):
+def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y, window_factor):
     # every sample the pruned scan drops is strictly below the best one, so
-    # it finds the full scan's argmax and every field agrees bit for bit
+    # it finds the full scan's argmax; the batched refinement runs each
+    # bracket as the one-point search does, so a mesh call, a one-point
+    # call and the full scan agree bit for bit at every point
     problem = scan_problem(spline, delta_frac)
-    point = (x, d_frac * problem.delta)
+    xs, ds = np.array(xs), np.array(d_fracs) * problem.delta
     h_y = 10.0**log_h_y
-    got = brute_force_u(point, problem, h_y, window_factor)
-    want = full_scan_brute_force_u(point, problem, h_y, window_factor)
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+    mesh = brute_force_u((xs[:, None], ds[None, :]), problem, h_y, window_factor)
+    assert mesh.value.shape == mesh.argmax_y.shape == (len(xs), len(ds))
+    for i, x in enumerate(xs.tolist()):
+        for j, d in enumerate(ds.tolist()):
+            want = full_scan_brute_force_u((x, d), problem, h_y, window_factor)
+            one = brute_force_u((x, d), problem, h_y, window_factor)
+            got = (mesh.value[i, j], mesh.argmax_y[i, j], mesh.bound)
+            assert [v.hex() for v in got] == [v.hex() for v in one] == [v.hex() for v in want]
 
 
 def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
