@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, construction, oracle, verify
 from .boundary import BoundarySpline, parse_spline
 from .errors import AdmissibilityError, StriplexError, UsageError, ValidationError
-from .ioutil import fmt_real, write_text
+from .ioutil import REAL, fmt_real, fmt_rows, write_text
 from .oracle import GridSpec
 from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
 
@@ -176,16 +176,12 @@ def cmd_construct(config: RunConfig) -> int:
         )
     xs = np.linspace(config.xmin, config.xmax, config.nx)
     sol = construction.solve_contacts(xs, problem.delta, problem, tol=config.tol, max_iter=config.max_iter)
-    rows = zip(sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y))
+    columns = [sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
     if config.format == "csv":
-        lines = ["x,y,Y,u,uprime"]
-        lines.extend(",".join(fmt_real(v) for v in row) for row in rows)
-        write_text(out, "\n".join(lines) + "\n")
+        body = fmt_rows(",".join([REAL] * 5), columns, "\n")
+        write_text(out, "x,y,Y,u,uprime\n" + body + "\n")
     else:
-        body = ",".join(
-            '{"x":%s,"y":%s,"Y":%s,"u":%s,"uprime":%s}' % tuple(fmt_real(v) for v in row)
-            for row in rows
-        )
+        body = fmt_rows('{"x":%s,"y":%s,"Y":%s,"u":%s,"uprime":%s}' % ((REAL,) * 5), columns, ",")
         write_text(out, '{"kind":"top_line","rows":[%s]}\n' % body)
     return 0
 

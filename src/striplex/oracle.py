@@ -6,12 +6,13 @@ construction:
 * direct maximization of the cone envelope over a fine boundary grid,
   refined by golden-section search (the objective is strictly concave on
   the admissible search window, so the refinement is rigorous).  The grid
-  scan is pruned coarse to fine: the objective is (L_f + L)-Lipschitz in y,
-  so the Piyavskii-Shubert bound drops every cell of the grid whose samples
-  all lie strictly below the best sample seen.  The scan therefore finds
-  the same best sample as a scan of every grid point, bit for bit, using
-  only that Lipschitz constant: no concavity, nothing from the
-  construction;
+  scan is pruned coarse to fine: the objective is (L_f + L)-Lipschitz in y
+  and its second derivative is at most Lip(f') (the cone term is concave),
+  so the Piyavskii-Shubert bound and a second-order bound drop every cell
+  of the grid whose samples all lie strictly below the best sample seen.
+  The scan therefore finds the same best sample as a scan of every grid
+  point, bit for bit, using only those two exact constants of the data: no
+  concavity of the objective, nothing from the construction;
 * minimal/maximal Lipschitz envelopes of the strip boundary data, whose
   coincidence pins u from both sides.
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import construction
 from .errors import ConfigurationError, DomainError, StriplexError, ValidationError
-from .ioutil import fmt_real
+from .ioutil import REAL, fmt_real, fmt_rows
 from .params import AdmissibleProblem
 
 PROVENANCES = ("closed_form", "brute_force", "mw_min", "mw_max")
@@ -45,10 +46,15 @@ MAX_SCAN = 10_000_000
 
 # the pruned scan of brute_force_u: stride refinement per level, and the
 # fewest samples its first level takes.  Scans shorter than
-# _REFINE*_MIN_COARSE = 4096 samples start at stride 1, a full scan: below
-# about that length the extra levels cost more than they save (measured)
-_REFINE = 16
-_MIN_COARSE = 256
+# _REFINE*_MIN_COARSE = 64 samples start at stride 1, a full scan.  Measured
+# on the 257x17 vee grid at h_y = 1e-6 (2-core host), samples including the
+# refinement's: 8/8 takes ~0.5 M samples and ~0.1 s per grid, 16/16 ~0.85 M
+# and ~0.12-0.16 s, 16/256 ~6.5 M and ~1.2-1.6 s; 4/4 and 8/4 time the same
+# as 8/8 within the noise
+_REFINE = 8
+_MIN_COARSE = 8
+# most points whose scans run together, which keeps peak memory flat
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -160,48 +166,72 @@ def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float, window_f
 
     The scan grid of a point is y_j = x + h_y*(j - n), j = 0..2n, covering
     the window |y - x| <= window_factor*D*d + h_y.  The objective is
-    (L_f + L)-Lipschitz in y, so _scan_argmax skips every stretch of the
-    grid whose Lipschitz bound lies below the best sample seen: each skipped
-    sample is strictly below the maximum, and the index found is the one
-    np.argmax over all samples returns.  Golden-section refinement then runs
-    on the brackets around those samples, all points at once.  bound is the
-    worst-case scan error before refinement, from the same Lipschitz
-    constant.
+    (L_f + L)-Lipschitz in y, and its second derivative is at most Lip(f')
+    (the cone term is concave), so _scan_argmax skips every stretch of the
+    grid whose bound from those two constants lies below the best sample
+    seen: each skipped sample is strictly below the maximum, and the index
+    found is the one np.argmax over all samples returns.  The points of a
+    call are scanned together, in blocks of at most _BLOCK.  Golden-section
+    refinement then runs on the brackets around those samples, all points
+    at once.  bound is the worst-case scan error before refinement, from
+    the Lipschitz constant.
+
+    Every point is checked before any scan starts; the first bad point in
+    C order is named in the error.
     """
     spline = problem.spline
     L = problem.L
     lip = problem.L_f + L
     t_far = max(abs(spline.knots[0][0]), abs(spline.knots[-1][0]))
-
-    def scan(p: tuple[float, float]) -> tuple[float, float, float, float]:
-        x, d = p
-        if not math.isfinite(x):
-            raise DomainError(f"need finite x, got {x!r}")
-        if not (0.0 < d <= problem.delta):
-            raise DomainError(f"height must lie in (0, delta], got {d!r}")
-        if h_y <= 0:
-            raise DomainError(f"need h_y > 0, got {h_y!r}")
-        radius = window_factor * problem.D * d + h_y
-        _check_scan(2.0 * radius / h_y + 1.0, "brute-force scan")
-        n = int(math.ceil(radius / h_y))
-
-        def at(j: np.ndarray) -> np.ndarray:
-            return x + h_y * (j - n)
-
-        def sample(j: np.ndarray) -> np.ndarray:
-            ys = at(j)
-            return spline.value(ys) - L * np.sqrt(d * d + (x - ys) ** 2)
-
-        # |best| + scale bounds the magnitude of every quantity met in
-        # evaluating one sample (positions, the terms of f, the cone term);
-        # the pruning slack of _scan_argmax is sized on it
-        scale = L * d + lip * (abs(x) + radius + t_far)
-        k, v_k = _scan_argmax(sample, 2 * n + 1, lip * h_y, scale)
-        lo, y_k, hi = at(np.array([max(k - 1, 0), k, min(k + 1, 2 * n)])).tolist()
-        return lo, y_k, hi, v_k
-
-    lo, y_k, hi, v_k = np.moveaxis(map_points(scan, *point), -1, 0)
     x, d = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(*point))
+    radius = window_factor * problem.D * d + h_y
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scan_size = 2.0 * radius / h_y + 1.0
+    _raise_first_bad_point(
+        x,
+        d,
+        (
+            (~np.isfinite(x), DomainError, lambda i: f"need finite x, got {x.flat[i].item()!r}"),
+            (
+                ~((0.0 < d) & (d <= problem.delta)),
+                DomainError,
+                lambda i: f"height must lie in (0, delta], got {d.flat[i].item()!r}",
+            ),
+            (np.full(x.shape, h_y <= 0), DomainError, lambda i: f"need h_y > 0, got {h_y!r}"),
+            (
+                ~(scan_size <= MAX_SCAN),
+                ConfigurationError,
+                lambda i: _scan_message(scan_size.flat[i].item(), "brute-force scan"),
+            ),
+        ),
+    )
+    xs, ds, radius = x.ravel(), d.ravel(), radius.ravel()
+    n = np.ceil(radius / h_y).astype(np.int64)
+    # |best| + scale bounds the magnitude of every quantity met in
+    # evaluating one sample (positions, the terms of f, the cone term);
+    # the pruning slack of _scan_argmax is sized on it.  Near the top of the
+    # float range it is inf, which prunes nothing
+    with np.errstate(over="ignore"):
+        scale = L * ds + lip * (np.abs(xs) + radius + t_far)
+    k, v_k = np.empty(xs.size, dtype=np.int64), np.empty(xs.size)
+    for start in range(0, xs.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        xb, db, nb = xs[block], ds[block], n[block]
+
+        def sample(p: np.ndarray, j: np.ndarray) -> np.ndarray:
+            ys = xb[p] + h_y * (j - nb[p])
+            dp = db[p]
+            return spline.value(ys) - L * np.sqrt(dp * dp + (xb[p] - ys) ** 2)
+
+        k[block], v_k[block] = _scan_argmax(
+            sample, 2 * nb + 1, lip * h_y, spline.slope_lipschitz * h_y * h_y, scale[block]
+        )
+
+    def at(j: np.ndarray) -> np.ndarray:
+        return (xs + h_y * (j - n)).reshape(x.shape)
+
+    lo, y_k, hi = at(np.maximum(k - 1, 0)), at(k), at(np.minimum(k + 1, 2 * n))
+    v_k = v_k.reshape(x.shape)
     # near the ends of the float range the brackets and the objective
     # overflow; a non-finite result is reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -218,57 +248,109 @@ def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float, window_f
     return BruteResult(value=v_star[()], argmax_y=y_star[()], bound=0.5 * lip * h_y)
 
 
-def _scan_argmax(
-    sample: Callable[[np.ndarray], np.ndarray], count: int, lip_step: float, scale: float
-) -> tuple[int, float]:
-    """(k, v_k): the first index of the largest of sample(j), j = 0..count-1,
-    which is what np.argmax over the full scan returns, without evaluating
-    most of the scan.
+def _raise_first_bad_point(x: np.ndarray, d: np.ndarray, checks: tuple) -> None:
+    """checks holds (bad, error, message) per condition, in the order a
+    point is checked: bad is a mask over the points and message(i) the text
+    for flat point i.  Raises for the first bad point in C order, naming it,
+    with the first of its checks that fails."""
+    bad = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if not bad.any():
+        return
+    i = int(np.flatnonzero(bad)[0])
+    _, error, message = next(check for check in checks if check[0].flat[i])
+    raise error(f"{_at_point(x.flat[i].item(), d.flat[i].item())}: {message(i)}")
 
-    sample(j) must change by at most lip_step per unit step of j.  The scan
-    runs as a tree: it starts at a coarse stride and refines by _REFINE per
-    level.  An index past the end evaluates sample(count-1), which keeps the
-    extended scan lip_step-Lipschitz with the same first argmax, so every
-    cell of a level is one stride wide.  Inside a cell [a, a + stride]
-    every sample is at most (v_a + v_b)/2 + lip_step*stride/2
-    (Piyavskii-Shubert), so a cell whose bound plus a rounding slack stays
-    below the best value seen holds only samples strictly below the maximum
-    and is dropped.  The slack is 1e-12*(1 + |best| + scale), where
-    |best| + scale bounds the magnitude of every quantity in one sample's
+
+def _scan_argmax(
+    sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    count: np.ndarray,
+    lip_step: float,
+    curv_step: float,
+    scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k, v_k) per point p: the first index of the largest of sample(p, j),
+    j = 0..count[p]-1, which is what np.argmax over that point's full scan
+    returns, without evaluating most of the scan.  sample maps arrays of
+    point numbers and indices to their samples elementwise.
+
+    sample(p, .) must change by at most lip_step per unit step of j, and
+    its second derivative in j must be at most curv_step.  The scan of each
+    point runs as a tree, all points' trees level by level together: it
+    starts at a coarse stride and refines by _REFINE per level.  An index
+    past the end evaluates sample(p, count[p]-1), which keeps the extended
+    scan lip_step-Lipschitz with the same first argmax, so every cell of a
+    level is one stride s wide.  Inside a cell every sample is at most
+    (v_a + v_b)/2 + lip_step*s/2 (Piyavskii-Shubert) and at most
+    max(v_a, v_b) + curv_step*s^2/8 (the second-order bound; the padded
+    samples equal v_b, so it holds for a cell past the end too).  A cell
+    whose smaller bound plus a rounding slack stays below the best value
+    seen at its point holds only samples strictly below the maximum and is
+    dropped.  The slack is 1e-12*(1 + |best| + scale[p]), where
+    |best| + scale[p] bounds the magnitude of every quantity in one sample's
     evaluation: rounding errs by a few ulps of it, and 1e-12 is ~4500 ulps.
-    A non-finite best or bound prunes nothing.  Only the Lipschitz constant
-    enters: no concavity and nothing from the construction.  Samples are
-    computed exactly as a full scan computes them, so the result is that
-    scan's, bit for bit.  Short scans start at stride 1, which is the full
-    scan.
+    A non-finite best or bound prunes nothing.  Only the two constants
+    enter: no concavity of the objective and nothing from the construction.
+    Samples are computed exactly as a full scan computes them, so the
+    result is that scan's, bit for bit.  Short scans start at stride 1,
+    which is the full scan.
+
+    best follows the rules of the one-point scan: the first level's maximum
+    (a nan propagates), then raised by each later level's maximum when that
+    is larger.  The index returned is np.argmax's over every sample taken,
+    so a nan sample wins.
     """
+    points = count.size
     last = count - 1
-    stride = 1
-    while stride * _REFINE * _MIN_COARSE <= count:
-        stride *= _REFINE
-    j = np.arange(0, last + stride, stride)
-    v = sample(np.minimum(j, last))
-    seen_j, seen_v = [j], [v]
-    best = float(np.max(v))
-    a, va, vb = j[:-1], v[:-1], v[1:]
-    while stride > 1:
-        bound = 0.5 * (va + vb) + 0.5 * lip_step * stride
-        keep = ~((bound + 1e-12 * (1.0 + abs(best) + scale) < best) & np.isfinite(bound))
-        a, va, vb = a[keep], va[keep], vb[keep]
-        stride //= _REFINE
+    stride = np.ones(points, dtype=np.int64)
+    grow = stride * _REFINE * _MIN_COARSE <= count
+    while grow.any():
+        stride[grow] *= _REFINE
+        grow = stride * _REFINE * _MIN_COARSE <= count
+    # first level: j = 0, stride, ..., up to the first multiple at or past last
+    width = -(-last // stride) + 1
+    p = np.repeat(np.arange(points), width)
+    j = (np.arange(p.size) - np.repeat(np.cumsum(width) - width, width)) * stride[p]
+    j = np.minimum(j, last[p])
+    v = sample(p, j)
+    seen = [(p, j, v)]
+    best = np.full(points, -math.inf)
+    np.maximum.at(best, p, v)
+    # the cells between consecutive samples of one point, at strides above 1;
+    # clipping moved only a point's last sample, which starts no cell
+    cell = (p[:-1] == p[1:]) & (stride[p[:-1]] > 1)
+    cp, s, a, va, vb = p[:-1][cell], stride[p[:-1]][cell], j[:-1][cell], v[:-1][cell], v[1:][cell]
+    steps = np.arange(_REFINE)
+    while cp.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = 1e-12 * (1.0 + np.abs(best) + scale)
+            bound = np.minimum(0.5 * (va + vb) + 0.5 * lip_step * s, np.maximum(va, vb) + curv_step * s * s / 8)
+            keep = ~((bound + slack[cp] < best[cp]) & np.isfinite(bound))
+        cp, s, a, va, vb = cp[keep], s[keep] // _REFINE, a[keep], va[keep], vb[keep]
         # the _REFINE - 1 new indices inside each kept cell
-        j = a[:, None] + stride * np.arange(1, _REFINE)
-        v = sample(np.minimum(j, last))
-        seen_j.append(j.ravel())
-        seen_v.append(v.ravel())
-        best = max(best, float(np.max(v, initial=-math.inf)))
-        pv = np.column_stack([va, v, vb])
-        a = (a[:, None] + stride * np.arange(_REFINE)).ravel()
-        va, vb = pv[:, :-1].ravel(), pv[:, 1:].ravel()
-    j, v = np.minimum(np.concatenate(seen_j), last), np.concatenate(seen_v)
-    order = np.argsort(j, kind="stable")
-    k = int(np.argmax(v[order]))
-    return int(j[order[k]]), float(v[order[k]])
+        j = a[:, None] + s[:, None] * steps[1:]
+        p = np.repeat(cp, _REFINE - 1)
+        j_in = np.minimum(j.ravel(), last[p])
+        v = sample(p, j_in)
+        seen.append((p, j_in, v))
+        level = np.full(points, -math.inf)
+        np.maximum.at(level, p, v)
+        best = np.where(level > best, level, best)
+        pv = np.column_stack([va, v.reshape(j.shape), vb])
+        a = (a[:, None] + s[:, None] * steps).ravel()
+        cp, s, va, vb = np.repeat(cp, _REFINE), np.repeat(s, _REFINE), pv[:, :-1].ravel(), pv[:, 1:].ravel()
+        coarse = s > 1
+        cp, s, a, va, vb = cp[coarse], s[coarse], a[coarse], va[coarse], vb[coarse]
+    p, j, v = (np.concatenate(arrays) for arrays in zip(*seen))
+    top = np.full(points, -math.inf)
+    np.maximum.at(top, p, v)
+    hit = (v == top[p]) | np.isnan(v)
+    k = np.full(points, np.iinfo(np.int64).max)
+    np.minimum.at(k, p[hit], j[hit])
+    # repeated samples of one index are equal, so v_k is well defined
+    first = hit & (j == k[p])
+    v_k = np.empty(points)
+    v_k[p[first]] = v[first]
+    return k, v_k
 
 
 def mw_envelopes(
@@ -331,7 +413,11 @@ def mw_envelopes(
 
 def _check_scan(points: float, what: str) -> None:
     if not points <= MAX_SCAN:
-        raise ConfigurationError(f"{what} needs {points:.3g} boundary samples, more than {MAX_SCAN}; raise h_y")
+        raise ConfigurationError(_scan_message(points, what))
+
+
+def _scan_message(points: float, what: str) -> str:
+    return f"{what} needs {points:.3g} boundary samples, more than {MAX_SCAN}; raise h_y"
 
 
 def map_points(evaluate: Callable[[tuple[float, float]], tuple], xs, ds) -> np.ndarray:
@@ -392,20 +478,15 @@ def grid_eval(
 
 
 def grid_to_csv(grid: FieldGrid) -> str:
-    lines = ["x,d,u,provenance"]
-    for i, x in enumerate(grid.xs):
-        for j, d in enumerate(grid.ds):
-            lines.append(f"{fmt_real(x)},{fmt_real(d)},{fmt_real(grid.values[i, j])},{grid.provenance}")
-    return "\n".join(lines) + "\n"
+    xs, ds = np.broadcast_arrays(grid.xs[:, None], grid.ds[None, :])
+    row = f"{REAL},{REAL},{REAL},{grid.provenance.replace('%', '%%')}"
+    return "x,d,u,provenance\n" + fmt_rows(row, [xs.ravel(), ds.ravel(), grid.values.ravel()], "\n") + "\n"
 
 
 def grid_to_structured(grid: FieldGrid) -> str:
     """Single JSON document mirroring the CSV fields at the same precision."""
-    rows = ",".join(
-        '{"x":%s,"d":%s,"u":%s}' % (fmt_real(x), fmt_real(d), fmt_real(grid.values[i, j]))
-        for i, x in enumerate(grid.xs)
-        for j, d in enumerate(grid.ds)
-    )
+    xs, ds = np.broadcast_arrays(grid.xs[:, None], grid.ds[None, :])
+    rows = fmt_rows('{"x":%s,"d":%s,"u":%s}' % ((REAL,) * 3), [xs.ravel(), ds.ravel(), grid.values.ravel()], ",")
     return (
         '{"kind":"field_grid","provenance":"%s","xmin":%s,"xmax":%s,"nx":%d,"nd":%d,"rows":[%s]}\n'
         % (grid.provenance, fmt_real(grid.spec.xmin), fmt_real(grid.spec.xmax), grid.spec.nx, grid.spec.nd, rows)

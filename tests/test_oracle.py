@@ -14,6 +14,7 @@ from striplex.oracle import (
     MAX_SCAN,
     BruteResult,
     GridSpec,
+    _scan_argmax,
     brute_force_u,
     grid_eval,
     grid_to_csv,
@@ -121,6 +122,18 @@ class TestBruteForce:
         with pytest.raises(DomainError, match=r"at grid point \(x=0.2, d=0.0\)"):
             brute_force_u((np.array([0.1, 0.2]), np.array([0.05, 0.0])), vee_problem, 1e-5)
 
+    def test_batch_error_names_the_first_bad_point(self, vee_problem):
+        # every point is checked before any scan: the first bad point in C
+        # order is named with its own message, even where a later point
+        # fails a check that comes earlier at one point
+        xs = np.array([[0.1, 0.2], [math.inf, 0.4]])
+        ds = np.array([[0.05, 0.0], [0.05, 0.05]])
+        with pytest.raises(DomainError, match=r"^at grid point \(x=0.2, d=0.0\): height must lie in \(0, delta\]"):
+            brute_force_u((xs, ds), vee_problem, 1e-5)
+        # ~1.1e8 samples at d = 0.1, ~1.1e5 at d = 1e-4
+        with pytest.raises(ConfigurationError, match=r"^at grid point \(x=0.1, d=0.1\): brute-force scan needs"):
+            brute_force_u((np.array([0.1, math.nan]), np.array([0.1, 1e-4])), vee_problem, 1e-9)
+
 
 def scalar_golden_section_max(fn, lo, hi, tol=1e-13, max_iter=90):
     """The one-bracket golden-section search the batched refinement
@@ -195,6 +208,11 @@ def scan_problem(spline, delta_frac):
 )
 @example(SAMPLE_SPLINES["constant"], 0.5, [0.4], [0.5], -6.0, 1.0)  # D = 0: a 3-sample scan
 @example(SAMPLE_SPLINES["vee"], 0.5, [0.03], [1.0], -6.0, 2.0)  # the longest acceptance scan
+# Lip(f') = 0: the second-order cell bound is max(v_a, v_b)
+@example(SAMPLE_SPLINES["ramp"], 0.5, [0.2, -1e5], [1.0], -6.0, 2.0)
+@example(BoundarySpline(f0=0.5, knots=((0.3, -0.8),)), 0.5, [2.5], [0.4, 1.0], -5.0, 1.0)
+# heights whose scans start at strides 1, 64 and 4096: one mesh, three tree depths
+@example(SAMPLE_SPLINES["vee"], 0.5, [-0.4, 0.03], [0.0005, 0.01, 1.0], -6.0, 1.0)
 @settings(max_examples=200, deadline=None)
 def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y, window_factor):
     # every sample the pruned scan drops is strictly below the best one, so
@@ -214,6 +232,40 @@ def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y,
             assert [v.hex() for v in got] == [v.hex() for v in one] == [v.hex() for v in want]
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(1, 30_000),  # scan length
+            st.floats(0.0, 3.0),  # amplitude
+            st.floats(1e-4, 0.2),  # frequency per index
+            st.floats(-1e-3, 1e-3),  # slope per index
+            st.floats(0.0, 6.3),  # phase
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@example([(20_000, 1.0, 0.002, 0.0, 0.0), (5_000, 2.0, 0.01, 1e-4, 1.0), (40, 1.0, 0.1, 0.0, 0.0)])
+@settings(max_examples=100, deadline=None)
+def test_scan_tree_needs_no_concavity(scans):
+    # many local maxima: the cell bounds alone, from the first-difference
+    # and second-derivative constants, must keep every sample that can win
+    count, amp, freq, slope, phase = (np.array(c) for c in zip(*scans))
+
+    def sample(p, j):
+        return amp[p] * np.sin(freq[p] * j + phase[p]) + slope[p] * j
+
+    lip_step = float(np.max(amp * freq + np.abs(slope)))
+    curv_step = float(np.max(amp * freq * freq))
+    # rounding in sin grows with its argument, up to freq*count + phase
+    scale = amp * (1.0 + freq * count + phase) + np.abs(slope) * count
+    k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale)
+    for p, n in enumerate(count.tolist()):
+        full = sample(np.full(n, p), np.arange(n))
+        want = int(np.argmax(full))
+        assert (int(k[p]), v_k[p].hex()) == (want, full[want].hex())
+
+
 def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
     calls = []
     value = BoundarySpline.value
@@ -226,7 +278,7 @@ def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
     monkeypatch.setattr(BoundarySpline, "value", counting)
     brute_force_u((0.3, 0.1), vee_problem, 1e-6, window_factor=2.0)
     full = 2 * math.ceil((2.0 * vee_problem.D * 0.1 + 1e-6) / 1e-6) + 1
-    assert sum(calls) < 0.05 * full
+    assert sum(calls) < 0.0025 * full
 
 
 class TestEnvelopes:
