@@ -1,7 +1,8 @@
 """Independent brute-force evaluators used as ground truth.
 
 Two oracles live here, both deliberately ignorant of the fixed-point
-construction:
+construction, and both find their extrema with one pruned scan,
+_scan_argmax, whose result is that of a scan of every sample:
 
 * direct maximization of the cone envelope over a fine boundary grid,
   refined by golden-section search (the objective is strictly concave on
@@ -14,7 +15,9 @@ construction:
   point, bit for bit, using only those two exact constants of the data: no
   concavity of the objective, nothing from the construction;
 * minimal/maximal Lipschitz envelopes of the strip boundary data, whose
-  coincidence pins u from both sides.
+  coincidence pins u from both sides: extrema over samples of the two
+  boundary lines, with the same two bounds on the evenly spaced bottom
+  line and a first-order bound measured from the samples on the top line.
 
 Grid fills and exports for both provenances are also defined here.
 """
@@ -28,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import construction
-from .errors import ConfigurationError, DomainError, StriplexError, ValidationError
+from .errors import ConfigurationError, DomainError, ValidationError
 from .ioutil import REAL, fmt_real, fmt_rows
 from .params import AdmissibleProblem
 
@@ -44,7 +47,7 @@ _GOLDEN_MAX_ITER = 90
 # the CLI defaults take at most ~4.2e6 (mw_envelopes at h_y = 1e-6 on [-2, 2])
 MAX_SCAN = 10_000_000
 
-# the pruned scan of brute_force_u: stride refinement per level, and the
+# the pruned scan of both oracles: stride refinement per level, and the
 # fewest samples its first level takes.  Scans shorter than
 # _REFINE*_MIN_COARSE = 64 samples start at stride 1, a full scan.  Measured
 # on the 257x17 vee grid at h_y = 1e-6 (2-core host), samples including the
@@ -53,7 +56,7 @@ MAX_SCAN = 10_000_000
 # as 8/8 within the noise
 _REFINE = 8
 _MIN_COARSE = 8
-# most points whose scans run together, which keeps peak memory flat
+# most points whose scans _scan_argmax runs together
 _BLOCK = 256
 
 
@@ -80,6 +83,14 @@ class GridSpec:
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.xmin, self.xmax, self.nx)
+
+    def trimmed_window(self) -> tuple[float, float]:
+        """[xmin + margin, xmax - margin], where the envelope evaluation
+        points live; the outer margin band anchors the envelope cones."""
+        lo, hi = self.xmin + self.margin, self.xmax - self.margin
+        if lo >= hi:
+            raise ConfigurationError(f"window [{self.xmin!r}, {self.xmax!r}] too narrow for margin {self.margin!r}")
+        return lo, hi
 
     def heights(self, delta: float, provenance: str = "closed_form") -> np.ndarray:
         """Sample heights, top row at delta.  Envelope provenances shift
@@ -170,11 +181,10 @@ def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float, window_f
     (the cone term is concave), so _scan_argmax skips every stretch of the
     grid whose bound from those two constants lies below the best sample
     seen: each skipped sample is strictly below the maximum, and the index
-    found is the one np.argmax over all samples returns.  The points of a
-    call are scanned together, in blocks of at most _BLOCK.  Golden-section
-    refinement then runs on the brackets around those samples, all points
-    at once.  bound is the worst-case scan error before refinement, from
-    the Lipschitz constant.
+    found is the one np.argmax over all samples returns.  All points of a
+    call go to one _scan_argmax.  Golden-section refinement then runs on
+    the brackets around those samples, all points at once.  bound is the
+    worst-case scan error before refinement, from the Lipschitz constant.
 
     Every point is checked before any scan starts; the first bad point in
     C order is named in the error.
@@ -213,19 +223,13 @@ def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float, window_f
     # float range it is inf, which prunes nothing
     with np.errstate(over="ignore"):
         scale = L * ds + lip * (np.abs(xs) + radius + t_far)
-    k, v_k = np.empty(xs.size, dtype=np.int64), np.empty(xs.size)
-    for start in range(0, xs.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        xb, db, nb = xs[block], ds[block], n[block]
 
-        def sample(p: np.ndarray, j: np.ndarray) -> np.ndarray:
-            ys = xb[p] + h_y * (j - nb[p])
-            dp = db[p]
-            return spline.value(ys) - L * np.sqrt(dp * dp + (xb[p] - ys) ** 2)
+    def sample(p: np.ndarray, j: np.ndarray) -> np.ndarray:
+        ys = xs[p] + h_y * (j - n[p])
+        dp = ds[p]
+        return spline.value(ys) - L * np.sqrt(dp * dp + (xs[p] - ys) ** 2)
 
-        k[block], v_k[block] = _scan_argmax(
-            sample, 2 * nb + 1, lip * h_y, spline.slope_lipschitz * h_y * h_y, scale[block]
-        )
+    k, v_k = _scan_argmax(sample, 2 * n + 1, lip * h_y, spline.slope_lipschitz * h_y * h_y, scale)
 
     def at(j: np.ndarray) -> np.ndarray:
         return (xs + h_y * (j - n)).reshape(x.shape)
@@ -240,11 +244,9 @@ def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float, window_f
         )
     worse = v_star < v_k
     y_star, v_star = np.where(worse, y_k, y_star), np.where(worse, v_k, v_star)
-    overflow = ~np.isfinite(v_star)
-    if np.any(overflow):
-        i = np.flatnonzero(overflow)[0]
-        xi, di = x.ravel()[i].item(), d.ravel()[i].item()
-        raise DomainError(f"{_at_point(xi, di)}: u overflows the float range at x = {xi!r}")
+    _raise_first_bad_point(x, d, (
+        (~np.isfinite(v_star), DomainError, lambda i: f"u overflows the float range at x = {x.flat[i].item()!r}"),
+    ))
     return BruteResult(value=v_star[()], argmax_y=y_star[()], bound=0.5 * lip * h_y)
 
 
@@ -258,7 +260,7 @@ def _raise_first_bad_point(x: np.ndarray, d: np.ndarray, checks: tuple) -> None:
         return
     i = int(np.flatnonzero(bad)[0])
     _, error, message = next(check for check in checks if check[0].flat[i])
-    raise error(f"{_at_point(x.flat[i].item(), d.flat[i].item())}: {message(i)}")
+    raise error(f"at grid point (x={x.flat[i].item()!r}, d={d.flat[i].item()!r}): {message(i)}")
 
 
 def _scan_argmax(
@@ -270,22 +272,24 @@ def _scan_argmax(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(k, v_k) per point p: the first index of the largest of sample(p, j),
     j = 0..count[p]-1, which is what np.argmax over that point's full scan
-    returns, without evaluating most of the scan.  sample maps arrays of
-    point numbers and indices to their samples elementwise.
+    returns, without evaluating most of the scan; v_k is -inf at count 0.
+    sample maps arrays of point numbers and indices to their samples
+    elementwise.
 
     sample(p, .) must change by at most lip_step per unit step of j, and
-    its second derivative in j must be at most curv_step.  The scan of each
-    point runs as a tree, all points' trees level by level together: it
-    starts at a coarse stride and refines by _REFINE per level.  An index
-    past the end evaluates sample(p, count[p]-1), which keeps the extended
-    scan lip_step-Lipschitz with the same first argmax, so every cell of a
-    level is one stride s wide.  Inside a cell every sample is at most
-    (v_a + v_b)/2 + lip_step*s/2 (Piyavskii-Shubert) and at most
-    max(v_a, v_b) + curv_step*s^2/8 (the second-order bound; the padded
-    samples equal v_b, so it holds for a cell past the end too).  A cell
-    whose smaller bound plus a rounding slack stays below the best value
-    seen at its point holds only samples strictly below the maximum and is
-    dropped.  The slack is 1e-12*(1 + |best| + scale[p]), where
+    its second derivative in j must be at most curv_step (inf: no
+    second-order bound).  The points run in blocks of at most _BLOCK.  The
+    scan of each point runs as a tree, all trees of a block level by level
+    together: it starts at a coarse stride and refines by _REFINE per
+    level.  An index past the end evaluates sample(p, count[p]-1), which
+    keeps the extended scan lip_step-Lipschitz with the same first argmax,
+    so every cell of a level is one stride s wide.  Inside a cell every
+    sample is at most (v_a + v_b)/2 + lip_step*s/2 (Piyavskii-Shubert) and
+    at most max(v_a, v_b) + curv_step*s^2/8 (the second-order bound; the
+    padded samples equal v_b, so it holds for a cell past the end too).  A
+    cell whose smaller bound plus a rounding slack stays below the best
+    value seen at its point holds only samples strictly below the maximum
+    and is dropped.  The slack is 1e-12*(1 + |best| + scale[p]), where
     |best| + scale[p] bounds the magnitude of every quantity in one sample's
     evaluation: rounding errs by a few ulps of it, and 1e-12 is ~4500 ulps.
     A non-finite best or bound prunes nothing.  Only the two constants
@@ -299,6 +303,14 @@ def _scan_argmax(
     is larger.  The index returned is np.argmax's over every sample taken,
     so a nan sample wins.
     """
+    if count.size > _BLOCK:
+        # one block of points at a time, which keeps peak memory flat
+        blocks = (slice(start, start + _BLOCK) for start in range(0, count.size, _BLOCK))
+        parts = [
+            _scan_argmax(lambda p, j, b=b: sample(b.start + p, j), count[b], lip_step, curv_step, scale[b])
+            for b in blocks
+        ]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     points = count.size
     last = count - 1
     stride = np.ones(points, dtype=np.int64)
@@ -348,7 +360,7 @@ def _scan_argmax(
     np.minimum.at(k, p[hit], j[hit])
     # repeated samples of one index are equal, so v_k is well defined
     first = hit & (j == k[p])
-    v_k = np.empty(points)
+    v_k = np.full(points, -math.inf)
     v_k[p[first]] = v[first]
     return k, v_k
 
@@ -365,9 +377,17 @@ def mw_envelopes(
     high = min over sampled boundary points q of g(q) + L*|point - q|,
     with g = f on the bottom line and the closed-form u on the top line.
     Sampling and truncation only widen the bracket, so low <= u <= high
-    holds pointwise; the bracket tightens at rate (L_f + L) * h_y.  The
-    boundary samples are built once per call; each point costs only its
-    distances to them.
+    holds pointwise; the bracket tightens at rate (L_f + L) * h_y.
+
+    The boundary samples are built once per call, and every point is
+    checked before any scan; the first bad point in C order is named.  Each
+    line then takes two _scan_argmax runs, of +-g - L*hypot(x - pos, height);
+    high is minus the second maximum, which is exact.  Bottom-line samples
+    are h_y apart, so per index a sample moves by at most (L_f + L)*h_y and
+    bends by at most Lip(f')*h_y^2 for either sign (the cone term is
+    concave).  Top-line samples are unevenly spaced in x, so that line gets
+    only the first-order bound max|dg| + L*max|dx|, measured from the
+    samples: exact by the triangle inequality, whatever the contact map.
     """
     delta = problem.delta
     L = problem.L
@@ -376,7 +396,9 @@ def mw_envelopes(
     # [1-q, 1+q] of 1, so a y-step of h/(1+q) keeps the x-spacing below h
     ystep = h / (1.0 + problem.contraction_q)
     pad = problem.D * delta + h
-    _check_scan((spec.xmax - spec.xmin + 2.0 * pad) / ystep + 1.0, "envelope scan")
+    samples = (spec.xmax - spec.xmin + 2.0 * pad) / ystep + 1.0
+    if not samples <= MAX_SCAN:
+        raise ConfigurationError(_scan_message(samples, "envelope scan"))
 
     ys0 = np.arange(spec.xmin, spec.xmax + 0.5 * h, h)
     g0 = problem.spline.value(ys0)
@@ -386,61 +408,45 @@ def mw_envelopes(
     xt = xt[keep]
     gt = construction.u_at_contact(yt[keep], problem)
 
-    def envelopes(p: tuple[float, float]) -> tuple[float, float]:
-        x, d = p
-        # checked per point, with the other two, so a grid error names the point
-        if spec.margin < 10.0 * problem.D * delta:
-            raise ConfigurationError(
-                f"margin {spec.margin!r} too small: envelope tests need margin >= 10*D*delta = "
-                f"{10.0 * problem.D * delta!r}"
-            )
-        if not (0.0 < d < delta):
-            raise DomainError(f"point must lie strictly inside the strip, got d={d!r}")
-        if not (spec.xmin + spec.margin <= x <= spec.xmax - spec.margin):
-            raise DomainError(
-                f"point x={x!r} outside the margin-trimmed window "
-                f"[{spec.xmin + spec.margin!r}, {spec.xmax - spec.margin!r}]"
-            )
-        dist0 = np.hypot(x - ys0, d)
-        distt = np.hypot(x - xt, delta - d)
-        low = max(float(np.max(g0 - L * dist0)), float(np.max(gt - L * distt)))
-        high = min(float(np.min(g0 + L * dist0)), float(np.min(gt + L * distt)))
-        return low, high
+    x, d = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(*point))
+    least_margin = 10.0 * problem.D * delta
+    lo, hi = spec.xmin + spec.margin, spec.xmax - spec.margin
+    # in the order of a one-point call: margin, strip, trimmed window
+    _raise_first_bad_point(x, d, (
+        (np.full(x.shape, spec.margin < least_margin), ConfigurationError,
+         lambda i: f"margin {spec.margin!r} too small: envelope tests need margin >= 10*D*delta = "
+         f"{least_margin!r}"),
+        (~((0.0 < d) & (d < delta)), DomainError,
+         lambda i: f"point must lie strictly inside the strip, got d={d.flat[i].item()!r}"),
+        (~((lo <= x) & (x <= hi)), DomainError,
+         lambda i: f"point x={x.flat[i].item()!r} outside the margin-trimmed window [{lo!r}, {hi!r}]"),
+    ))
+    xs, ds = x.ravel(), d.ravel()
+    # the magnitudes met in one sample's evaluation (see brute_force_u):
+    # positions within reach of 0, the terms of f, the cone term
+    reach = max(abs(spec.xmin), abs(spec.xmax)) + pad
+    t_far = max(abs(problem.spline.knots[0][0]), abs(problem.spline.knots[-1][0]))
+    scale = L * delta + (problem.L_f + L) * (np.abs(xs) + 2.0 * (reach + t_far))
 
-    out = map_points(envelopes, *point)
-    return out[..., 0][()], out[..., 1][()]
+    def line_max(g: np.ndarray, pos: np.ndarray, height: np.ndarray, lip_step: float, curv_step: float):
+        def sample(p: np.ndarray, j: np.ndarray) -> np.ndarray:
+            return g[j] - L * np.hypot(xs[p] - pos[j], height[p])
 
+        return _scan_argmax(sample, np.full(xs.size, pos.size), lip_step, curv_step, scale)[1]
 
-def _check_scan(points: float, what: str) -> None:
-    if not points <= MAX_SCAN:
-        raise ConfigurationError(_scan_message(points, what))
+    bottom = ((problem.L_f + L) * h, problem.spline.slope_lipschitz * h * h)
+    top = (np.max(np.abs(np.diff(gt)), initial=0.0) + L * np.max(np.abs(np.diff(xt)), initial=0.0), math.inf)
+    low0, lowt = line_max(g0, ys0, ds, *bottom), line_max(gt, xt, delta - ds, *top)
+    high0, hight = -line_max(-g0, ys0, ds, *bottom), -line_max(-gt, xt, delta - ds, *top)
+    # max and min as the builtins pick them: the first argument unless the
+    # second is strictly beyond it
+    low = np.where(lowt > low0, lowt, low0).reshape(x.shape)
+    high = np.where(hight < high0, hight, high0).reshape(x.shape)
+    return low[()], high[()]
 
 
 def _scan_message(points: float, what: str) -> str:
     return f"{what} needs {points:.3g} boundary samples, more than {MAX_SCAN}; raise h_y"
-
-
-def map_points(evaluate: Callable[[tuple[float, float]], tuple], xs, ds) -> np.ndarray:
-    """evaluate((x, d)) at every point of the broadcast (xs, ds) arrays, in
-    C order; out[..., k] holds field k of each result.  A package error is
-    re-raised with the point in its message, any other one gets it as a note."""
-    xs, ds = np.broadcast_arrays(xs, ds)
-    rows = []
-    for x, d in zip(xs.ravel().tolist(), ds.ravel().tolist()):
-        try:
-            rows.append(tuple(evaluate((x, d))))
-        except Exception as exc:
-            context = _at_point(x, d)
-            if isinstance(exc, StriplexError):
-                raise type(exc)(f"{context}: {exc}") from exc
-            if hasattr(exc, "add_note"):  # Python >= 3.11
-                exc.add_note(context)
-            raise
-    return np.array(rows, dtype=float).reshape(xs.shape + (-1,))
-
-
-def _at_point(x: float, d: float) -> str:
-    return f"at grid point (x={x!r}, d={d!r})"
 
 
 def grid_eval(
@@ -455,13 +461,7 @@ def grid_eval(
     if provenance not in PROVENANCES:
         raise ConfigurationError(f"unknown provenance {provenance!r}; expected one of {PROVENANCES}")
     if provenance in ("mw_min", "mw_max"):
-        # the outer margin band anchors the envelope cones; evaluation
-        # points live on the trimmed window
-        if spec.xmin + spec.margin >= spec.xmax - spec.margin:
-            raise ConfigurationError(
-                f"window [{spec.xmin!r}, {spec.xmax!r}] too narrow for margin {spec.margin!r}"
-            )
-        xs = np.linspace(spec.xmin + spec.margin, spec.xmax - spec.margin, spec.nx)
+        xs = np.linspace(*spec.trimmed_window(), spec.nx)
     else:
         xs = spec.xs()
     ds = spec.heights(problem.delta, provenance)

@@ -206,11 +206,9 @@ def check_envelope_coincidence(problem: AdmissibleProblem, config: VerifyConfig,
     margin = max(spec.margin, 10.0 * problem.D * problem.delta)
     env_spec = GridSpec(xmin=spec.xmin, xmax=spec.xmax, nx=2, nd=2, h_y=_ENVELOPE_H, margin=margin)
     gap_tol = 5.0 * (problem.L_f + problem.L) * _ENVELOPE_H
+    lo, hi = env_spec.trimmed_window()
     # one (x, d) pair per row, drawn x first as one-at-a-time draws would
-    xs, ds = rng.uniform(
-        [spec.xmin + margin, 0.1 * problem.delta], [spec.xmax - margin, 0.9 * problem.delta],
-        (_N_ENVELOPE_POINTS, 2),
-    ).T
+    xs, ds = rng.uniform([lo, 0.1 * problem.delta], [hi, 0.9 * problem.delta], (_N_ENVELOPE_POINTS, 2)).T
     low, high = oracle.mw_envelopes((xs, ds), problem, env_spec)
     u = construction.u_interior(xs, ds, problem, tol=config.tol, max_iter=config.max_iter)
     max_gap = max(0.0, float(np.max(high - low)))

@@ -239,6 +239,14 @@ class TestVerify:
             if line.startswith("FAIL"):
                 assert "did not converge in 1 iterations" in line
 
+    def test_window_too_narrow_for_the_envelope_margin(self, capsys):
+        # on vee at delta-frac 0.5 the envelope margin 10*D*delta = 7.33
+        # outgrows the default window; the line names both
+        argv = ["verify", "--spline", VEE, "--L", "2", "--delta-frac", "0.5", "--nx", "5", "--nd", "2"]
+        assert cli.main(argv) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL envelope_coincidence: error: window [-2.0, 2.0] too narrow for margin 7.327498473437818" in lines
+
     def test_failure_maps_to_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(
             verify, "run_acceptance", lambda problem, config=None: [verify.CheckResult("stub", "FAIL", "injected")]

@@ -1,5 +1,4 @@
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from striplex.oracle import (
     grid_eval,
     grid_to_csv,
     grid_to_structured,
-    map_points,
     mw_envelopes,
 )
 from striplex.params import ProblemParams, admit, delta_caps
@@ -266,6 +264,15 @@ def test_scan_tree_needs_no_concavity(scans):
         assert (int(k[p]), v_k[p].hex()) == (want, full[want].hex())
 
 
+def test_mesh_past_one_block_matches_one_point_calls(vee_problem):
+    # 260 points: the scan runs them in two blocks, split after flat point 255
+    xs, ds = np.broadcast_arrays(np.linspace(-1.0, 1.0, 20)[:, None], np.linspace(0.01, 0.1, 13)[None, :])
+    mesh = brute_force_u((xs, ds), vee_problem, 1e-4)
+    for i in (0, 1, 128, 254, 255, 256, 257, 258, 259):
+        one = brute_force_u((xs.flat[i], ds.flat[i]), vee_problem, 1e-4)
+        assert (mesh.value.flat[i].hex(), mesh.argmax_y.flat[i].hex()) == (one.value.hex(), one.argmax_y.hex())
+
+
 def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
     calls = []
     value = BoundarySpline.value
@@ -279,6 +286,66 @@ def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
     brute_force_u((0.3, 0.1), vee_problem, 1e-6, window_factor=2.0)
     full = 2 * math.ceil((2.0 * vee_problem.D * 0.1 + 1e-6) / 1e-6) + 1
     assert sum(calls) < 0.0025 * full
+
+
+def pointwise_mw_envelopes(point, problem, spec):
+    """The per-point loop the pruned envelope scans replaced: the same
+    boundary samples, then each point's distances to every one of them (a
+    line without samples adds nothing)."""
+    delta, L, h = problem.delta, problem.L, spec.h_y
+    ystep = h / (1.0 + problem.contraction_q)
+    pad = problem.D * delta + h
+    ys0 = np.arange(spec.xmin, spec.xmax + 0.5 * h, h)
+    g0 = problem.spline.value(ys0)
+    yt = np.arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
+    xt = construction.contact_inverse(yt, delta, problem)
+    keep = (xt >= spec.xmin) & (xt <= spec.xmax)
+    xt = xt[keep]
+    gt = construction.u_at_contact(yt[keep], problem)
+    xs, ds = np.broadcast_arrays(*point)
+    rows = []
+    for x, d in zip(xs.ravel().tolist(), ds.ravel().tolist()):
+        dist0 = np.hypot(x - ys0, d)
+        distt = np.hypot(x - xt, delta - d)
+        low = max(float(np.max(g0 - L * dist0)), float(np.max(gt - L * distt, initial=-math.inf)))
+        high = min(float(np.min(g0 + L * dist0)), float(np.min(gt + L * distt, initial=math.inf)))
+        rows.append((low, high))
+    out = np.array(rows).reshape(xs.shape + (2,))
+    return out[..., 0], out[..., 1]
+
+
+def envelope_problem(spline, delta_frac):
+    """An admitted problem for spline with L = max(2, 1.5*L_f + 1) and
+    delta = delta_frac of the admissibility cap (of 1 where f' is constant)."""
+    L = max(2.0, 1.5 * spline.max_slope + 1.0)
+    cap = min(delta_caps(L, spline.max_slope, spline.slope_lipschitz))
+    return admit(ProblemParams(L=L, delta=delta_frac * (cap if math.isfinite(cap) else 1.0), spline=spline))
+
+
+@given(
+    st.one_of(st.sampled_from(list(SAMPLE_SPLINES.values())), splines()),
+    st.floats(0.05, 0.95),
+    st.floats(-4.0, -2.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2),
+)
+# q ~ 0.9: the top-line samples are spaced most unevenly in x
+@example(SAMPLE_SPLINES["zigzag40"], 0.9, -4.0, [0.0, 0.37, 1.0], [0.01, 0.99])
+@settings(max_examples=60, deadline=None)
+def test_envelope_scans_match_pointwise_loop(spline, delta_frac, log_h, x_fracs, d_fracs):
+    # the pruned scans drop only samples strictly below the extremum, so
+    # low and high carry the bits of the loop over every boundary sample
+    problem = envelope_problem(spline, delta_frac)
+    margin = 10.0 * problem.D * problem.delta
+    spec = GridSpec(xmin=-1.0 - margin, xmax=1.0 + margin, nx=2, nd=2, h_y=10.0**log_h, margin=margin)
+    lo, hi = spec.trimmed_window()
+    xs = np.minimum(lo + (hi - lo) * np.array(x_fracs)[:, None], hi)
+    ds = problem.delta * np.array(d_fracs)[None, :]
+    got = mw_envelopes((xs, ds), problem, spec)
+    want = pointwise_mw_envelopes((xs, ds), problem, spec)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert [v.hex() for v in g.ravel().tolist()] == [v.hex() for v in w.ravel().tolist()]
 
 
 class TestEnvelopes:
@@ -322,6 +389,14 @@ class TestEnvelopes:
         with pytest.raises(ConfigurationError, match=str(MAX_SCAN)):
             mw_envelopes((0.0, 0.05), vee_problem, envelope_spec(vee_problem, h=1e-8))
 
+    def test_no_top_line_sample_leaves_the_bottom_line_bracket(self, vee_problem):
+        # a step past the window leaves the top line without a sample; the
+        # bottom line alone still brackets u
+        spec = GridSpec(xmin=-2.0, xmax=2.0, nx=2, nd=2, h_y=5.0, margin=10.0 * vee_problem.D * vee_problem.delta)
+        low, high = mw_envelopes((0.0, 0.05), vee_problem, spec)
+        assert (low, high) == pointwise_mw_envelopes((0.0, 0.05), vee_problem, spec)
+        assert low <= construction.u_interior(0.0, 0.05, vee_problem) <= high
+
     def test_point_preconditions(self, vee_problem):
         spec = envelope_spec(vee_problem)
         with pytest.raises(DomainError):
@@ -330,14 +405,19 @@ class TestEnvelopes:
             mw_envelopes((1.9, 0.05), vee_problem, spec)  # inside the margin band
 
     def test_batch_matches_pointwise(self, two_kink_problem):
-        spec = envelope_spec(two_kink_problem, h=1e-3)
-        xs = np.array([-1.2, -0.3, 0.0, 0.45, 1.3])[:, None]
-        ds = np.array([0.01, 0.05, 0.09])[None, :]
-        low, high = mw_envelopes((xs, ds), two_kink_problem, spec)
-        assert low.shape == high.shape == (5, 3)
-        for i, x in enumerate(xs[:, 0].tolist()):
-            for j, d in enumerate(ds[0].tolist()):
-                assert (low[i, j], high[i, j]) == mw_envelopes((x, d), two_kink_problem, spec)
+        meshes = (
+            ([-1.2, -0.3, 0.0, 0.45, 1.3], [0.01, 0.05, 0.09], 1e-3),
+            # 258 points: past one block of the scan
+            (np.linspace(-1.4, 1.4, 129), [0.02, 0.08], 1e-2),
+        )
+        for xs, ds, h in meshes:
+            spec = envelope_spec(two_kink_problem, h=h)
+            xs, ds = np.array(xs)[:, None], np.array(ds)[None, :]
+            low, high = mw_envelopes((xs, ds), two_kink_problem, spec)
+            assert low.shape == high.shape == (xs.size, ds.size)
+            for i, x in enumerate(xs[:, 0].tolist()):
+                for j, d in enumerate(ds[0].tolist()):
+                    assert (low[i, j], high[i, j]) == mw_envelopes((x, d), two_kink_problem, spec)
 
     def test_batch_error_names_the_point(self, vee_problem):
         spec = envelope_spec(vee_problem)
@@ -384,21 +464,6 @@ class TestGridEval:
         spec = GridSpec(xmin=-1.0, xmax=1.0, nx=2, nd=2, h_y=1e-4, margin=0.0)
         with pytest.raises(ConfigurationError, match="at grid point"):
             grid_eval(vee_problem, spec, "mw_min")
-
-    def test_foreign_error_keeps_its_type(self):
-        # a non-package error is re-raised as it is, with the point as a note
-        def evaluate(point):
-            raise MemoryError("no room")
-
-        with pytest.raises(MemoryError) as info:
-            map_points(evaluate, np.array([0.5]), np.array([0.1]))
-        if sys.version_info >= (3, 11):  # exception notes
-            assert info.value.__notes__ == ["at grid point (x=0.5, d=0.1)"]
-
-    def test_map_points_order_and_shape(self):
-        out = map_points(lambda p: (p[0], p[1], p[0] * p[1]), np.arange(3.0)[:, None], np.array([1.0, 2.0]))
-        assert out.shape == (3, 2, 3)
-        assert np.array_equal(out[..., 2], np.arange(3.0)[:, None] * np.array([1.0, 2.0]))
 
 
 class TestExports:
