@@ -25,8 +25,8 @@ Grid fills and exports for both provenances are also defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -121,10 +121,30 @@ class FieldGrid:
             raise ValidationError("grid contains non-finite values")
 
 
-class BruteResult(NamedTuple):
+@dataclass(frozen=True)
+class _Scan:
+    """What a later brute_force_u call over the same points needs to go on
+    from this one: the call's arguments, and per flat point the offset
+    k - n of the best grid sample (its y is x + h_y*offset) and the
+    refinement bracket around it."""
+
+    problem: AdmissibleProblem
+    h_y: float
+    window_factor: float
+    x: np.ndarray
+    d: np.ndarray
+    offset: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+@dataclass(frozen=True)
+class BruteResult:
     value: float
     argmax_y: float
     bound: float
+    # the scan a call with a wider window starts from (brute_force_u's inner)
+    _scan: _Scan | None = field(default=None, repr=False, compare=False)
 
 
 def golden_section_max(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -170,25 +190,44 @@ def golden_section_max(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[
     return np.where(better, mid, best_y), np.where(better, fmid, best_v)
 
 
-def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float, window_factor: float = 1.0) -> BruteResult:
+def brute_force_u(
+    point: tuple,
+    problem: AdmissibleProblem,
+    h_y: float,
+    window_factor: float = 1.0,
+    inner: BruteResult | None = None,
+) -> BruteResult:
     """Maximize f(y) - L*sqrt(d^2 + (x-y)^2) by grid scan plus refinement
     at every point of the broadcast (x, d) arrays; value and argmax_y are
     arrays of that shape, numpy scalars for a scalar point.
 
     The scan grid of a point is y_j = x + h_y*(j - n), j = 0..2n, covering
-    the window |y - x| <= window_factor*D*d + h_y.  The objective is
-    (L_f + L)-Lipschitz in y, and its second derivative is at most Lip(f')
-    (the cone term is concave), so _scan_argmax skips every stretch of the
-    grid whose bound from those two constants lies below the best sample
-    seen: each skipped sample is strictly below the maximum, and the index
-    found is the one np.argmax over all samples returns.  All points of a
-    call go to one _scan_argmax.  Golden-section refinement then runs on
-    the brackets around those samples, all points at once.  bound is the
-    worst-case scan error before refinement, from the Lipschitz constant.
+    the window |y - x| <= window_factor*D*d + h_y; window_factor is finite
+    and at least 1.  The objective is (L_f + L)-Lipschitz in y, and its
+    second derivative is at most Lip(f') (the cone term is concave), so
+    _scan_argmax skips every stretch of the grid whose bound from those two
+    constants lies below the best sample seen: each skipped sample is
+    strictly below the maximum, and the index found is the one np.argmax
+    over all samples returns.  All points of a call go to one _scan_argmax.
+    Golden-section refinement then runs on the brackets around those
+    samples, all points at once.  bound is the worst-case scan error before
+    refinement, from the Lipschitz constant.
+
+    inner, the result of a call with the same points, problem and h_y and
+    a window_factor no larger, lets this call go on from that one with the
+    same result.  Its window holds every grid position of inner's, so each
+    point's scan starts at inner's best sample, which only prunes more; the
+    whole window is still scanned.  Where a point's bracket comes out
+    bit-equal to inner's around the same sample, the refinement, a
+    function of (x, d, bracket, problem), would repeat inner's, so the
+    point takes inner's value and argmax_y.  A result that does not match
+    raises ValidationError.
 
     Every point is checked before any scan starts; the first bad point in
     C order is named in the error.
     """
+    if not (math.isfinite(window_factor) and window_factor >= 1.0):
+        raise DomainError(f"need a finite window_factor >= 1, got {window_factor!r}")
     spline = problem.spline
     L = problem.L
     lip = problem.L_f + L
@@ -215,6 +254,8 @@ def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float, window_f
             ),
         ),
     )
+    if inner is not None:
+        _check_inner(inner, x, d, problem, h_y, window_factor)
     xs, ds, radius = x.ravel(), d.ravel(), radius.ravel()
     n = np.ceil(radius / h_y).astype(np.int64)
     # |best| + scale bounds the magnitude of every quantity met in
@@ -229,25 +270,64 @@ def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float, window_f
         dp = ds[p]
         return spline.value(ys) - L * np.sqrt(dp * dp + (xs[p] - ys) ** 2)
 
-    k, v_k = _scan_argmax(sample, 2 * n + 1, lip * h_y, spline.slope_lipschitz * h_y * h_y, scale)
-
-    def at(j: np.ndarray) -> np.ndarray:
-        return (xs + h_y * (j - n)).reshape(x.shape)
-
-    lo, y_k, hi = at(np.maximum(k - 1, 0)), at(k), at(np.minimum(k + 1, 2 * n))
-    v_k = v_k.reshape(x.shape)
-    # near the ends of the float range the brackets and the objective
-    # overflow; a non-finite result is reported below
+    start = 0 if inner is None else inner._scan.offset + n
+    # near the ends of the float range the samples, the brackets and the
+    # objective overflow; a non-finite result is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        y_star, v_star = golden_section_max(
-            lambda y: spline.value(y) - L * construction._libm(math.hypot, d, x - y), lo, hi
+        k, v_k = _scan_argmax(sample, 2 * n + 1, lip * h_y, spline.slope_lipschitz * h_y * h_y, scale, start)
+        offset = k - n
+        lo, y_k, hi = (xs + h_y * (j - n) for j in (np.maximum(k - 1, 0), k, np.minimum(k + 1, 2 * n)))
+        y_star, v_star = np.empty_like(y_k), np.empty_like(v_k)
+        redo = np.ones(xs.size, dtype=bool)
+        if inner is not None:
+            # inner's refinement stands where it ran on the same bracket
+            # around the same sample
+            scan = inner._scan
+            redo = ~((offset == scan.offset) & _same_bits(lo, scan.lo) & _same_bits(hi, scan.hi))
+            y_star[~redo], v_star[~redo] = np.ravel(inner.argmax_y)[~redo], np.ravel(inner.value)[~redo]
+        x_r, d_r = xs[redo], ds[redo]
+        y_new, v_new = golden_section_max(
+            lambda y: spline.value(y) - L * construction._libm(math.hypot, d_r, x_r - y), lo[redo], hi[redo]
         )
-    worse = v_star < v_k
-    y_star, v_star = np.where(worse, y_k, y_star), np.where(worse, v_k, v_star)
+    worse = v_new < v_k[redo]
+    y_star[redo], v_star[redo] = np.where(worse, y_k[redo], y_new), np.where(worse, v_k[redo], v_new)
+    y_star, v_star = y_star.reshape(x.shape), v_star.reshape(x.shape)
     _raise_first_bad_point(x, d, (
         (~np.isfinite(v_star), DomainError, lambda i: f"u overflows the float range at x = {x.flat[i].item()!r}"),
     ))
-    return BruteResult(value=v_star[()], argmax_y=y_star[()], bound=0.5 * lip * h_y)
+    return BruteResult(
+        value=v_star[()],
+        argmax_y=y_star[()],
+        bound=0.5 * lip * h_y,
+        _scan=_Scan(problem, h_y, window_factor, x.copy(), d.copy(), offset, lo, hi),
+    )
+
+
+def _check_inner(
+    inner: BruteResult, x: np.ndarray, d: np.ndarray, problem: AdmissibleProblem, h_y: float, window_factor: float
+) -> None:
+    """Raise ValidationError unless inner is a brute_force_u result over the
+    points (x, d), problem and h_y of this call, at a window factor no
+    larger than this call's."""
+    scan = getattr(inner, "_scan", None)
+    if scan is None:
+        why = "it carries no scan; pass a result of brute_force_u"
+    elif scan.problem != problem:
+        why = "it is a scan of another problem"
+    elif scan.h_y != h_y:
+        why = f"its h_y is {scan.h_y!r}, not {h_y!r}"
+    elif scan.window_factor > window_factor:
+        why = f"its window_factor {scan.window_factor!r} is larger than {window_factor!r}"
+    elif not (scan.x.shape == x.shape and _same_bits(scan.x, x).all() and _same_bits(scan.d, d).all()):
+        why = "it is a scan of another point set"
+    else:
+        return
+    raise ValidationError(f"inner does not match this call: {why}")
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise bit equality of two float arrays (0.0 and -0.0 differ)."""
+    return a.view(np.int64) == b.view(np.int64)
 
 
 def _raise_first_bad_point(x: np.ndarray, d: np.ndarray, checks: tuple) -> None:
@@ -269,12 +349,16 @@ def _scan_argmax(
     lip_step: float,
     curv_step: float,
     scale: np.ndarray,
+    start: np.ndarray | int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(k, v_k) per point p: the first index of the largest of sample(p, j),
     j = 0..count[p]-1, which is what np.argmax over that point's full scan
     returns, without evaluating most of the scan; v_k is -inf at count 0.
     sample maps arrays of point numbers and indices to their samples
-    elementwise.
+    elementwise.  start holds one index per point in [0, count[p]-1]
+    (broadcast; 0 for a fresh scan), whose sample the first level also
+    takes: a start near the maximum only prunes more, and the result is
+    the same for any start.
 
     sample(p, .) must change by at most lip_step per unit step of j, and
     its second derivative in j must be at most curv_step (inf: no
@@ -298,16 +382,19 @@ def _scan_argmax(
     result is that scan's, bit for bit.  Short scans start at stride 1,
     which is the full scan.
 
-    best follows the rules of the one-point scan: the first level's maximum
-    (a nan propagates), then raised by each later level's maximum when that
-    is larger.  The index returned is np.argmax's over every sample taken,
-    so a nan sample wins.
+    best follows the rules of the one-point scan: the first level's maximum,
+    start sample included (a nan propagates), then raised by each later
+    level's maximum when that is larger.  The start sample is a real
+    sample, so the cells dropped still lie strictly below the maximum.  The
+    index returned is np.argmax's over every sample taken, so a nan sample
+    wins.
     """
+    start = np.broadcast_to(start, count.shape)
     if count.size > _BLOCK:
         # one block of points at a time, which keeps peak memory flat
-        blocks = (slice(start, start + _BLOCK) for start in range(0, count.size, _BLOCK))
+        blocks = (slice(first, first + _BLOCK) for first in range(0, count.size, _BLOCK))
         parts = [
-            _scan_argmax(lambda p, j, b=b: sample(b.start + p, j), count[b], lip_step, curv_step, scale[b])
+            _scan_argmax(lambda p, j, b=b: sample(b.start + p, j), count[b], lip_step, curv_step, scale[b], start[b])
             for b in blocks
         ]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
@@ -323,10 +410,15 @@ def _scan_argmax(
     p = np.repeat(np.arange(points), width)
     j = (np.arange(p.size) - np.repeat(np.cumsum(width) - width, width)) * stride[p]
     j = np.minimum(j, last[p])
-    v = sample(p, j)
-    seen = [(p, j, v)]
+    # the start samples the first level does not take already, evaluated
+    # with it and after it, outside its cells
+    extra = np.flatnonzero((start % stride != 0) & (start != last))
+    p0, j0 = np.concatenate([p, extra]), np.concatenate([j, start[extra]])
+    v0 = sample(p0, j0)
+    seen = [(p0, j0, v0)]
     best = np.full(points, -math.inf)
-    np.maximum.at(best, p, v)
+    np.maximum.at(best, p0, v0)
+    v = v0[: p.size]
     # the cells between consecutive samples of one point, at strides above 1;
     # clipping moved only a point's last sample, which starts no cell
     cell = (p[:-1] == p[1:]) & (stride[p[:-1]] > 1)
@@ -401,12 +493,8 @@ def mw_envelopes(
         raise ConfigurationError(_scan_message(samples, "envelope scan"))
 
     ys0 = np.arange(spec.xmin, spec.xmax + 0.5 * h, h)
-    g0 = problem.spline.value(ys0)
-    yt = np.arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
-    xt = construction.contact_inverse(yt, delta, problem)
-    keep = (xt >= spec.xmin) & (xt <= spec.xmax)
-    xt = xt[keep]
-    gt = construction.u_at_contact(yt[keep], problem)
+    g0 = np.concatenate([problem.spline.value(y) for y in _blocks(ys0)])
+    xt, gt = _top_line(problem, spec, ystep, pad)
 
     x, d = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(*point))
     least_margin = 10.0 * problem.D * delta
@@ -428,21 +516,53 @@ def mw_envelopes(
     t_far = max(abs(problem.spline.knots[0][0]), abs(problem.spline.knots[-1][0]))
     scale = L * delta + (problem.L_f + L) * (np.abs(xs) + 2.0 * (reach + t_far))
 
-    def line_max(g: np.ndarray, pos: np.ndarray, height: np.ndarray, lip_step: float, curv_step: float):
+    def line_max(sign: float, g: np.ndarray, pos: np.ndarray, height: np.ndarray, lip_step: float, curv_step: float):
+        # sign * g[j] is exactly g[j] or -g[j], without a negated copy of g
         def sample(p: np.ndarray, j: np.ndarray) -> np.ndarray:
-            return g[j] - L * np.hypot(xs[p] - pos[j], height[p])
+            return sign * g[j] - L * np.hypot(xs[p] - pos[j], height[p])
 
-        return _scan_argmax(sample, np.full(xs.size, pos.size), lip_step, curv_step, scale)[1]
+        return _scan_argmax(sample, np.full(xs.size, pos.size), lip_step, curv_step, scale, 0)[1]
 
     bottom = ((problem.L_f + L) * h, problem.spline.slope_lipschitz * h * h)
-    top = (np.max(np.abs(np.diff(gt)), initial=0.0) + L * np.max(np.abs(np.diff(xt)), initial=0.0), math.inf)
-    low0, lowt = line_max(g0, ys0, ds, *bottom), line_max(gt, xt, delta - ds, *top)
-    high0, hight = -line_max(-g0, ys0, ds, *bottom), -line_max(-gt, xt, delta - ds, *top)
+    top = (_max_step(gt) + L * _max_step(xt), math.inf)
+    low0, lowt = line_max(1.0, g0, ys0, ds, *bottom), line_max(1.0, gt, xt, delta - ds, *top)
+    high0, hight = -line_max(-1.0, g0, ys0, ds, *bottom), -line_max(-1.0, gt, xt, delta - ds, *top)
     # max and min as the builtins pick them: the first argument unless the
     # second is strictly beyond it
     low = np.where(lowt > low0, lowt, low0).reshape(x.shape)
     high = np.where(hight < high0, hight, high0).reshape(x.shape)
     return low[()], high[()]
+
+
+def _blocks(a: np.ndarray) -> list:
+    """a in consecutive slices of 2**16 elements.  f and the contact maps are
+    elementwise, so mapping them over the slices gives the same bits while
+    their temporaries stay a few MB instead of hundreds (mw_envelopes at
+    h_y = 1e-6 on [-2, 2] maps ~4e6 samples per line)."""
+    return [a[first : first + (1 << 16)] for first in range(0, a.size, 1 << 16)]
+
+
+def _top_line(problem: AdmissibleProblem, spec: GridSpec, ystep: float, pad: float) -> tuple:
+    """(x, u) at the top-line images of the contact points y = xmin - pad,
+    xmin - pad + ystep, ... up to xmax + pad, in order, kept where x lies in
+    [xmin, xmax]."""
+    yt = np.arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
+    xt, gt = np.empty(yt.size), np.empty(yt.size)
+    size = 0
+    for y in _blocks(yt):
+        x = construction.contact_inverse(y, problem.delta, problem)
+        keep = (x >= spec.xmin) & (x <= spec.xmax)
+        kept = np.count_nonzero(keep)
+        xt[size : size + kept], gt[size : size + kept] = x[keep], construction.u_at_contact(y[keep], problem)
+        size += kept
+    return xt[:size], gt[:size]
+
+
+def _max_step(a: np.ndarray) -> float:
+    """max |a[i+1] - a[i]|, 0 for fewer than two elements, with one
+    temporary the size of a."""
+    step = np.diff(a)
+    return np.max(np.abs(step, out=step), initial=0.0)
 
 
 def _scan_message(points: float, what: str) -> str:

@@ -247,6 +247,19 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert "FAIL envelope_coincidence: error: window [-2.0, 2.0] too narrow for margin 7.327498473437818" in lines
 
+    def test_checks_keep_their_own_oracle_calls(self, capsys):
+        # localization goes on from the oracle_equivalence scan, but each
+        # check keeps its own call and its own error: at this h_y only the
+        # 2x window is past the scan cap
+        assert cli.main(["verify", *STANDARD, "--nx", "5", "--nd", "2", "--hy", "1.5e-8"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("PASS oracle_equivalence: ")
+        assert lines[1] == (
+            "FAIL localization: error: at grid point (x=-2.0, d=0.1): brute-force scan needs 1.42e+07 "
+            "boundary samples, more than 10000000; raise h_y"
+        )
+        assert lines[-1] == "verify: 9 passed, 1 failed, 0 skipped"
+
     def test_failure_maps_to_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(
             verify, "run_acceptance", lambda problem, config=None: [verify.CheckResult("stub", "FAIL", "injected")]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from striplex import construction
+from striplex import construction, oracle
 from striplex.boundary import BoundarySpline, parse_spline
 from striplex.errors import ConfigurationError, DomainError, StriplexError, ValidationError
 from striplex.oracle import (
@@ -112,6 +112,38 @@ class TestBruteForce:
         with pytest.raises(ConfigurationError, match=str(MAX_SCAN)):
             brute_force_u((0.0, 0.1), vee_problem, 1e-12)
 
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, 0.5, math.nan, math.inf])
+    def test_window_factor_must_be_finite_and_at_least_one(self, vee_problem, factor):
+        # below 1 the window misses the maximum; negative or non-finite it
+        # has no size
+        with pytest.raises(DomainError, match=f"window_factor >= 1, got {factor!r}"):
+            brute_force_u((0.3, 0.05), vee_problem, 1e-4, factor)
+
+    def test_overflow_raises_the_package_error(self):
+        # the samples overflow at x = 1e308; no RuntimeWarning may escape
+        problem = admit(ProblemParams(L=2.0, delta=0.1, spline=BoundarySpline(f0=0.0, knots=((0.0, 1.9),))))
+        with pytest.raises(DomainError, match="u overflows the float range at x = 1e[+]308"):
+            brute_force_u((1e308, 0.05), problem, 1e-4)
+
+    def test_inner_must_be_a_scan_of_the_same_call(self, vee_problem, two_kink_problem):
+        xs, ds = np.array([-0.3, 0.2]), np.array([0.05, 0.1])
+        inner = brute_force_u((xs, ds), vee_problem, 1e-4, window_factor=1.5)
+        mismatched = (
+            ((xs, ds), two_kink_problem, 1e-4, 2.0, "another problem"),
+            ((xs, ds), vee_problem, 2e-4, 2.0, "h_y is 0.0001, not 0.0002"),
+            ((xs, ds), vee_problem, 1e-4, 1.0, "window_factor 1.5 is larger than 1.0"),
+            ((xs[::-1], ds), vee_problem, 1e-4, 2.0, "another point set"),
+            ((xs[:, None], ds), vee_problem, 1e-4, 2.0, "another point set"),
+        )
+        for point, problem, h_y, factor, why in mismatched:
+            with pytest.raises(ValidationError, match=why):
+                brute_force_u(point, problem, h_y, factor, inner=inner)
+        hand_built = BruteResult(value=inner.value, argmax_y=inner.argmax_y, bound=inner.bound)
+        with pytest.raises(ValidationError, match="carries no scan"):
+            brute_force_u((xs, ds), vee_problem, 1e-4, 2.0, inner=hand_built)
+        same = brute_force_u((xs, ds), vee_problem, 1e-4, 1.5, inner=inner)
+        assert same.value.tobytes() == inner.value.tobytes() and same.argmax_y.tobytes() == inner.argmax_y.tobytes()
+
     def test_scalar_point_gives_numpy_scalars(self, vee_problem):
         res = brute_force_u((0.3, 0.05), vee_problem, 1e-5)
         assert type(res.value) is np.float64 and type(res.argmax_y) is np.float64
@@ -216,18 +248,26 @@ def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y,
     # every sample the pruned scan drops is strictly below the best one, so
     # it finds the full scan's argmax; the batched refinement runs each
     # bracket as the one-point search does, so a mesh call, a one-point
-    # call and the full scan agree bit for bit at every point
+    # call, a mesh call going on from the 1x mesh call and the full scan
+    # agree bit for bit at every point
     problem = scan_problem(spline, delta_frac)
     xs, ds = np.array(xs), np.array(d_fracs) * problem.delta
     h_y = 10.0**log_h_y
-    mesh = brute_force_u((xs[:, None], ds[None, :]), problem, h_y, window_factor)
+    points = (xs[:, None], ds[None, :])
+    mesh = brute_force_u(points, problem, h_y, window_factor)
+    grown = brute_force_u(points, problem, h_y, window_factor, inner=brute_force_u(points, problem, h_y))
     assert mesh.value.shape == mesh.argmax_y.shape == (len(xs), len(ds))
+
+    def bits(value, argmax_y, bound):
+        return [v.hex() for v in (value, argmax_y, bound)]
+
     for i, x in enumerate(xs.tolist()):
         for j, d in enumerate(ds.tolist()):
             want = full_scan_brute_force_u((x, d), problem, h_y, window_factor)
             one = brute_force_u((x, d), problem, h_y, window_factor)
-            got = (mesh.value[i, j], mesh.argmax_y[i, j], mesh.bound)
-            assert [v.hex() for v in got] == [v.hex() for v in one] == [v.hex() for v in want]
+            assert bits(mesh.value[i, j], mesh.argmax_y[i, j], mesh.bound) == bits(one.value, one.argmax_y, one.bound)
+            assert bits(grown.value[i, j], grown.argmax_y[i, j], grown.bound) == bits(one.value, one.argmax_y, one.bound)
+            assert bits(one.value, one.argmax_y, one.bound) == bits(want.value, want.argmax_y, want.bound)
 
 
 @given(
@@ -238,17 +278,22 @@ def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y,
             st.floats(1e-4, 0.2),  # frequency per index
             st.floats(-1e-3, 1e-3),  # slope per index
             st.floats(0.0, 6.3),  # phase
+            st.floats(0.0, 1.0),  # start index, as a share of the scan
         ),
         min_size=1,
         max_size=4,
     )
 )
-@example([(20_000, 1.0, 0.002, 0.0, 0.0), (5_000, 2.0, 0.01, 1e-4, 1.0), (40, 1.0, 0.1, 0.0, 0.0)])
+@example([(20_000, 1.0, 0.002, 0.0, 0.0, 0.0), (5_000, 2.0, 0.01, 1e-4, 1.0, 0.0), (40, 1.0, 0.1, 0.0, 0.0, 0.0)])
+# starts on and off the first level's stride, and at the last index
+@example([(20_000, 1.0, 0.002, 0.0, 0.0, 0.4), (5_000, 2.0, 0.01, 1e-4, 1.0, 1.0), (30_000, 3.0, 0.2, 0.0, 2.0, 0.5)])
 @settings(max_examples=100, deadline=None)
 def test_scan_tree_needs_no_concavity(scans):
     # many local maxima: the cell bounds alone, from the first-difference
-    # and second-derivative constants, must keep every sample that can win
-    count, amp, freq, slope, phase = (np.array(c) for c in zip(*scans))
+    # and second-derivative constants, must keep every sample that can win,
+    # from any start index
+    count, amp, freq, slope, phase, start_frac = (np.array(c) for c in zip(*scans))
+    start = np.floor(start_frac * (count - 1)).astype(np.int64)
 
     def sample(p, j):
         return amp[p] * np.sin(freq[p] * j + phase[p]) + slope[p] * j
@@ -257,11 +302,38 @@ def test_scan_tree_needs_no_concavity(scans):
     curv_step = float(np.max(amp * freq * freq))
     # rounding in sin grows with its argument, up to freq*count + phase
     scale = amp * (1.0 + freq * count + phase) + np.abs(slope) * count
-    k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale)
+    k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale, start)
     for p, n in enumerate(count.tolist()):
         full = sample(np.full(n, p), np.arange(n))
         want = int(np.argmax(full))
         assert (int(k[p]), v_k[p].hex()) == (want, full[want].hex())
+
+
+@pytest.mark.parametrize("name", ["vee", "two_kinks", "zigzag40"])
+def test_scan_bounds_hold_on_the_full_sample_sequences(name, monkeypatch):
+    # the pruned scans are exact only while the lip_step and curv_step that
+    # the oracles hand to _scan_argmax bound every sample sequence's first
+    # and second differences; check them on every sample of every scan
+    problem = admit(ProblemParams(L=2.0, delta=0.1, spline=SAMPLE_SPLINES[name]))
+    calls = []
+    scan = oracle._scan_argmax
+
+    def recording(sample, count, lip_step, curv_step, scale, start):
+        calls.append((sample, count, lip_step, curv_step, scale))
+        return scan(sample, count, lip_step, curv_step, scale, start)
+
+    monkeypatch.setattr(oracle, "_scan_argmax", recording)
+    ds = problem.delta * np.array([0.2, 0.8])[None, :]
+    brute_force_u((np.linspace(-1.2, 1.2, 9)[:, None], ds), problem, 1e-4, window_factor=2.0)
+    mw_envelopes((np.linspace(-1.3, 1.3, 7)[:, None], ds), problem, envelope_spec(problem, h=1e-3))
+    assert len(calls) == 5
+    for sample, count, lip_step, curv_step, scale in calls:
+        for p, n in enumerate(count.tolist()):
+            v = sample(np.full(n, p), np.arange(n))
+            # rounding slack as in the scan's pruning
+            slack = 1e-12 * (1.0 + np.max(np.abs(v)) + scale[p])
+            assert np.max(np.abs(np.diff(v))) <= lip_step + slack
+            assert np.max(np.diff(v, 2)) <= curv_step + slack
 
 
 def test_mesh_past_one_block_matches_one_point_calls(vee_problem):
