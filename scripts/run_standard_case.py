@@ -45,8 +45,7 @@ def main(argv: list[str] | None = None) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    export_spec = oracle.GridSpec(xmin=-2.0, xmax=2.0, nx=129, nd=9, h_y=1e-5,
-                                  margin=10.0 * problem.D * problem.delta)
+    export_spec = oracle.GridSpec(xmin=-2.0, xmax=2.0, nx=129, nd=9, h_y=1e-5)
     field = oracle.grid_eval(problem, export_spec, "closed_form")
     write_text(outdir / "field_grid.csv", oracle.grid_to_csv(field))
     write_text(outdir / "kink_report.csv", analysis.kink_reports_to_csv(analysis.kink_transfer_report(problem)))

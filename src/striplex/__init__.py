@@ -7,10 +7,10 @@ brute-force and envelope oracles, and measures how boundary curvature kinks
 reappear on the top line.
 """
 
-from .boundary import BoundarySpline, Kink, eval_boundary, parse_spline
-from .construction import ContactSolution, contact_inverse, phi, phi_prime, segment_value, solve_contact, solve_contacts, u_at_contact, u_interior
+from .boundary import BoundarySpline, Kink, parse_spline
+from .construction import ContactSolution, contact_inverse, phi, phi_prime, segment_value, solve_contacts, u_at_contact, u_interior
 from .oracle import BruteResult, FieldGrid, GridSpec, brute_force_u, grid_eval, mw_envelopes
-from .analysis import KinkReport, curvature_transfer, fd_derivative_top, kink_transfer_report, monotone_map_check, residual_infinity_laplacian, second_derivatives_top
+from .analysis import KinkReport, curvature_transfer, fd_derivative_top, kink_transfer_report, residual_infinity_laplacian, second_derivatives_top
 from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
 from .verify import CheckResult, VerifyConfig, run_acceptance
 
@@ -33,11 +33,9 @@ __all__ = [
     "contact_inverse",
     "curvature_transfer",
     "delta_caps",
-    "eval_boundary",
     "fd_derivative_top",
     "grid_eval",
     "kink_transfer_report",
-    "monotone_map_check",
     "mw_envelopes",
     "parse_spline",
     "phi",
@@ -46,7 +44,6 @@ __all__ = [
     "run_acceptance",
     "second_derivatives_top",
     "segment_value",
-    "solve_contact",
     "solve_contacts",
     "u_at_contact",
     "u_interior",

@@ -30,8 +30,9 @@ from .params import AdmissibleProblem
 DEFAULT_H_SCHEDULE = (1e-3, 5e-4, 2.5e-4)
 # inner step for slope-from-oracle samples; small enough that the one-sided
 # bias at a kink stays two orders below the outer quotient scale
-DEFAULT_INNER_H = 1e-7
-DEFAULT_ORACLE_H_Y = 1e-6
+INNER_H = 1e-7
+# scan step of every oracle sample taken here
+ORACLE_H_Y = 1e-6
 
 FD_SIDES = ("central", "left", "right")
 FD_ORDERS = ("first", "second")
@@ -72,28 +73,23 @@ class KinkReport:
     midseg_jumps: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class MonotoneWitness:
-    ok: bool
-    kink_y0: float | None = None
-    pair: tuple[float, float] | None = None
-
-
 def curvature_transfer(t: float, delta: float, C: float) -> float:
     """t / (1 - delta*C*t); the identity map when delta == 0."""
     return t / (1.0 - delta * C * t)
 
 
-def second_derivatives_top(y0: float, problem: AdmissibleProblem) -> tuple[float, float]:
+def second_derivatives_top(y0, problem: AdmissibleProblem) -> tuple:
     """One-sided second derivatives of u on the top line at x(y0), from the
-    closed-form transfer of the boundary one-sided second derivatives.
-    Both sides coincide iff the boundary curvatures do."""
+    closed-form transfer of the boundary one-sided second derivatives,
+    elementwise over finite y0.  Both sides coincide iff the boundary
+    curvatures do."""
+    construction._require_finite(y0)
     spline = problem.spline
-    C = construction.phi_prime(spline.derivative(float(y0)), problem.L)
+    C = construction.phi_prime(spline.derivative(y0), problem.L)
     delta = problem.delta
     return (
-        curvature_transfer(spline.second_left(float(y0)), delta, C),
-        curvature_transfer(spline.second_right(float(y0)), delta, C),
+        curvature_transfer(spline.second_left(y0), delta, C),
+        curvature_transfer(spline.second_right(y0), delta, C),
     )
 
 
@@ -114,29 +110,27 @@ def richardson_extrapolate(hs, qs) -> float:
     return t[-1]
 
 
-def _u_top(x, problem: AdmissibleProblem, source: str, oracle_h_y: float, tol: float, max_iter: int):
+def _u_top(x, problem: AdmissibleProblem, source: str, tol: float, max_iter: int):
     """u on the top line at the points x, in one call."""
     if source == "closed_form":
         return construction.u_interior(x, problem.delta, problem, tol=tol, max_iter=max_iter)
-    return oracle.brute_force_u((x, problem.delta), problem, oracle_h_y).value
+    return oracle.brute_force_u((x, problem.delta), problem, ORACLE_H_Y).value
 
 
 def _u_prime_top(
     x,
     problem: AdmissibleProblem,
     source: str,
-    inner_h: float,
-    oracle_h_y: float,
-    tol: float,
-    max_iter: int,
+    tol: float = construction.DEFAULT_TOL,
+    max_iter: int = construction.DEFAULT_MAX_ITER,
 ):
     """u' on the top line at the points x, in one call: f' at the contact
-    points, or a central quotient of step inner_h of the oracle."""
+    points, or a central quotient of step INNER_H of the oracle."""
     if source == "closed_form":
         sol = construction.solve_contacts(x, problem.delta, problem, tol=tol, max_iter=max_iter)
         return problem.spline.derivative(sol.y)
-    up, dn = _u_top(np.add.outer((inner_h, -inner_h), x), problem, source, oracle_h_y, tol, max_iter)
-    return (up - dn) / (2.0 * inner_h)
+    up, dn = _u_top(np.add.outer((INNER_H, -INNER_H), x), problem, source, tol, max_iter)
+    return (up - dn) / (2.0 * INNER_H)
 
 
 def fd_derivative_top(
@@ -146,8 +140,6 @@ def fd_derivative_top(
     side: str = "central",
     order: str = "first",
     source: str = "closed_form",
-    inner_h: float = DEFAULT_INNER_H,
-    oracle_h_y: float = DEFAULT_ORACLE_H_Y,
     tol: float = construction.DEFAULT_TOL,
     max_iter: int = construction.DEFAULT_MAX_ITER,
 ):
@@ -157,21 +149,22 @@ def fd_derivative_top(
     One-sided quotients are O(h) accurate, central ones O(h^2) away from
     kinks.  source='closed_form' samples the contact solve (u' through the
     identity u'(x(y)) = f'(y)); source='oracle' samples the brute-force
-    maximizer only, with u' as a central quotient of step inner_h.
+    maximizer only (step ORACLE_H_Y), with u' as a central quotient of step
+    INNER_H.
     """
     if h <= 0:
         raise DomainError(f"need h > 0, got {h!r}")
     if side not in FD_SIDES:
-        raise ValueError(f"unknown side {side!r}; expected one of {FD_SIDES}")
+        raise ValidationError(f"unknown side {side!r}; expected one of {FD_SIDES}")
     if order not in FD_ORDERS:
-        raise ValueError(f"unknown order {order!r}; expected one of {FD_ORDERS}")
+        raise ValidationError(f"unknown order {order!r}; expected one of {FD_ORDERS}")
     if source not in FD_SOURCES:
-        raise ValueError(f"unknown source {source!r}; expected one of {FD_SOURCES}")
+        raise ValidationError(f"unknown source {source!r}; expected one of {FD_SOURCES}")
 
     if order == "first":
-        sample = lambda xx: _u_top(xx, problem, source, oracle_h_y, tol, max_iter)
+        sample = lambda xx: _u_top(xx, problem, source, tol, max_iter)
     else:
-        sample = lambda xx: _u_prime_top(xx, problem, source, inner_h, oracle_h_y, tol, max_iter)
+        sample = lambda xx: _u_prime_top(xx, problem, source, tol, max_iter)
     # both stencil points, as offsets from x, sampled in one call
     ahead, behind = {"central": (h, -h), "right": (h, 0.0), "left": (0.0, -h)}[side]
     u_ahead, u_behind = sample(np.add.outer((ahead, behind), x))
@@ -204,7 +197,7 @@ def kink_transfer_report(problem: AdmissibleProblem) -> list[KinkReport]:
     slope jumps.
 
     Measured one-sided second derivatives come from the assumption-free slow
-    path: u' sampled as central quotients (step DEFAULT_INNER_H) of the
+    path: u' sampled as central quotients (step INNER_H) of the
     brute-force oracle at x0 and x0 +- h, then one-sided quotients
     Richardson-extrapolated over h in DEFAULT_H_SCHEDULE.  The 14 oracle
     points of a kink take one call.
@@ -222,15 +215,7 @@ def kink_transfer_report(problem: AdmissibleProblem) -> list[KinkReport]:
         denom_plus = 1.0 - delta * C * kink.second_right
 
         # u' at x0, x0 + hs and x0 - hs
-        up = _u_prime_top(
-            x0 + offsets,
-            problem,
-            "oracle",
-            DEFAULT_INNER_H,
-            DEFAULT_ORACLE_H_Y,
-            construction.DEFAULT_TOL,
-            construction.DEFAULT_MAX_ITER,
-        )
+        up = _u_prime_top(x0 + offsets, problem, "oracle")
         q_plus = (up[1 : n + 1] - up[0]) / hs
         q_minus = (up[0] - up[n + 1 :]) / hs
 
@@ -250,29 +235,6 @@ def kink_transfer_report(problem: AdmissibleProblem) -> list[KinkReport]:
             )
         )
     return reports
-
-
-def monotone_map_check(problem: AdmissibleProblem, samples: int = 201) -> MonotoneWitness:
-    """Verify t -> t / (1 - delta*C*t) is strictly increasing on
-    [-Lip(f'), Lip(f')] for C = phi'(f'(y0)) at every kink.
-
-    Returns the first violating pair if one exists (it cannot, for admitted
-    problems: the denominator stays above 1 - q > 0)."""
-    if samples < 2:
-        raise ValidationError(f"need samples >= 2, got {samples!r}")
-    lip = problem.lip_fprime
-    delta = problem.delta
-    for kink in problem.spline.kinks():
-        if lip == 0.0:
-            break
-        C = construction.phi_prime(problem.spline.derivative(kink.y0), problem.L)
-        ts = -lip + np.arange(samples) * (2.0 * lip / (samples - 1))
-        vs = curvature_transfer(ts, delta, C)
-        bad = np.flatnonzero(~(vs[1:] > vs[:-1]))
-        if bad.size:
-            k = int(bad[0])
-            return MonotoneWitness(ok=False, kink_y0=kink.y0, pair=(float(ts[k]), float(ts[k + 1])))
-    return MonotoneWitness(ok=True)
 
 
 def residual_infinity_laplacian(

@@ -17,15 +17,12 @@ Serialization emits the same directives with round-trip precision.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ValidationError
-
-EVAL_KINDS = ("value", "derivative", "second_left", "second_right")
+from .errors import ParseError, ValidationError
 
 
 class Kink(NamedTuple):
@@ -48,12 +45,10 @@ class BoundarySpline:
 
     f0: float
     knots: tuple[tuple[float, float], ...]
-    # derived, filled by __post_init__
-    _ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _ss: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _seg: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # knot abscissas, slopes, segment slopes and knot values of f as
-    # read-only arrays, for value/derivative
+    # derived, filled by __post_init__: knot abscissas, slopes, segment
+    # slopes of f' and knot values of f, and f'' on each of the len(knots)+1
+    # intervals between knots (the segment slopes, 0 on the two tails), as
+    # read-only arrays
     _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,10 +76,8 @@ class BoundarySpline:
         vals = [self.f0]
         for i in range(len(ts) - 1):
             vals.append(vals[-1] + 0.5 * (ss[i] + ss[i + 1]) * (ts[i + 1] - ts[i]))
-        object.__setattr__(self, "_ts", tuple(ts))
-        object.__setattr__(self, "_ss", tuple(ss))
-        object.__setattr__(self, "_seg", tuple(seg))
-        arrays = tuple(np.array(a, dtype=float) for a in (ts, ss, seg, vals))
+        curv = np.array([0.0, *seg, 0.0])
+        arrays = (np.array(ts), np.array(ss), curv[1:-1], np.array(vals), curv)
         for a in arrays:
             a.flags.writeable = False
         object.__setattr__(self, "_arrays", arrays)
@@ -94,7 +87,7 @@ class BoundarySpline:
     def value(self, y):
         """f(y), elementwise; a scalar y gives a numpy scalar."""
         y = np.asarray(y, dtype=float)
-        ts, ss, seg, vals = self._arrays
+        ts, ss, seg, vals, _ = self._arrays
         left = vals[0] + ss[0] * (y - ts[0])
         if len(ts) == 1:
             return left[()]
@@ -111,31 +104,26 @@ class BoundarySpline:
     def derivative(self, y):
         """f'(y), elementwise; a scalar y gives a numpy scalar."""
         y = np.asarray(y, dtype=float)
-        ts, ss, seg, _ = self._arrays
+        ts, ss, seg, _, _ = self._arrays
         if len(ts) == 1:
             return np.full_like(y, ss[0])[()]
         i = np.searchsorted(ts[1:-1], y, side="right")
         inner = ss[i] + seg[i] * (y - ts[i])
         return np.where(y <= ts[0], ss[0], np.where(y >= ts[-1], ss[-1], inner))[()]
 
-    def second_left(self, y: float) -> float:
-        """One-sided curvature of f from the left: slope of f' on the
-        interval immediately left of y (0 on the constant tails)."""
-        ts = self._ts
-        if y <= ts[0] or y > ts[-1] or len(ts) == 1:
-            return 0.0
-        # bisect on the open side so an exact knot hit picks the incoming segment
-        i = bisect_right(ts, y) - 1
-        if y == ts[i]:
-            i -= 1
-        return self._seg[i]
+    def second_left(self, y):
+        """One-sided curvature of f from the left, elementwise: slope of f'
+        on the interval immediately left of y (0 on the constant tails); a
+        scalar y gives a numpy scalar."""
+        ts, curv = self._arrays[0], self._arrays[4]
+        # side="left" so an exact knot hit picks the incoming interval
+        return curv[np.searchsorted(ts, y, side="left")][()]
 
-    def second_right(self, y: float) -> float:
-        """One-sided curvature of f from the right (0 on the constant tails)."""
-        ts = self._ts
-        if y < ts[0] or y >= ts[-1] or len(ts) == 1:
-            return 0.0
-        return self._seg[bisect_right(ts, y) - 1]
+    def second_right(self, y):
+        """One-sided curvature of f from the right, elementwise (0 on the
+        constant tails)."""
+        ts, curv = self._arrays[0], self._arrays[4]
+        return curv[np.searchsorted(ts, y, side="right")][()]
 
     # -- exact constants -----------------------------------------------
 
@@ -143,15 +131,13 @@ class BoundarySpline:
     def max_slope(self) -> float:
         """sup |f'| — attained at a knot since f' is piecewise linear with
         constant tails."""
-        return max(abs(s) for s in self._ss)
+        return max(abs(s) for _, s in self.knots)
 
     @property
     def slope_lipschitz(self) -> float:
         """Lip(f') — the largest |slope| of f' over the interior segments
         (the tails contribute 0)."""
-        if not self._seg:
-            return 0.0
-        return max(abs(m) for m in self._seg)
+        return float(np.max(np.abs(self._arrays[4])))
 
     def kinks(self) -> list[Kink]:
         """Interior knots where the slope of f' changes, in increasing order.
@@ -159,10 +145,11 @@ class BoundarySpline:
         Knots whose adjacent segments share one slope are not kinks.  The
         junctions with the constant tails are excluded by contract.
         """
+        seg = self._arrays[2].tolist()
         out = []
-        for i in range(1, len(self._ts) - 1):
-            if self._seg[i - 1] != self._seg[i]:
-                out.append(Kink(self._ts[i], self._seg[i - 1], self._seg[i]))
+        for i in range(1, len(seg)):
+            if seg[i - 1] != seg[i]:
+                out.append(Kink(self.knots[i][0], seg[i - 1], seg[i]))
         return out
 
     def serialize(self) -> str:
@@ -214,19 +201,3 @@ def _parse_real(token: str, lineno: int) -> float:
     if not math.isfinite(v):
         raise ValidationError(f"line {lineno}: non-finite value {token!r}")
     return v
-
-
-def eval_boundary(spline: BoundarySpline, y: float, kind: str) -> float:
-    """Evaluate f at y: kind is one of 'value', 'derivative', 'second_left',
-    'second_right'."""
-    if not math.isfinite(y):
-        raise DomainError(f"boundary evaluation needs finite y, got {y!r}")
-    if kind == "value":
-        return spline.value(float(y))
-    if kind == "derivative":
-        return spline.derivative(float(y))
-    if kind == "second_left":
-        return spline.second_left(float(y))
-    if kind == "second_right":
-        return spline.second_right(float(y))
-    raise ValueError(f"unknown evaluation kind {kind!r}; expected one of {EVAL_KINDS}")

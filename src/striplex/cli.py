@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,24 +22,6 @@ from .oracle import GridSpec
 from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
 
 
-@dataclass
-class RunConfig:
-    spline_path: str
-    L: float
-    delta: float | None
-    delta_frac: float | None
-    xmin: float
-    xmax: float
-    nx: int
-    nd: int
-    h_y: float
-    tol: float
-    max_iter: int
-    out_path: str | None
-    format: str
-    provenance: str
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; 2 means "inadmissible"
     # here, so route usage problems through UsageError -> exit 1 instead
@@ -49,6 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    grid = verify.VerifyConfig().grid
     common = _Parser(add_help=False)
     common.add_argument("--spline", required=True, metavar="PATH", help="spline-spec file")
     common.add_argument("--L", required=True, type=float, help="cone slope (must exceed sup |f'|)")
@@ -59,13 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="strip height as a fraction in (0,1) of the admissible cap",
     )
-    common.add_argument("--xmin", type=float, default=-2.0)
-    common.add_argument("--xmax", type=float, default=2.0)
-    common.add_argument("--nx", type=int, default=257)
-    common.add_argument("--nd", type=int, default=17)
-    common.add_argument("--hy", type=float, default=1e-6, help="oracle maximization step")
-    common.add_argument("--tol", type=float, default=1e-12)
-    common.add_argument("--max-iter", type=int, default=200)
+    common.add_argument("--xmin", type=float, default=grid.xmin)
+    common.add_argument("--xmax", type=float, default=grid.xmax)
+    common.add_argument("--nx", type=int, default=grid.nx)
+    common.add_argument("--nd", type=int, default=grid.nd)
+    common.add_argument("--hy", type=float, default=grid.h_y, help="oracle maximization step")
+    common.add_argument("--tol", type=float, default=construction.DEFAULT_TOL)
+    common.add_argument("--max-iter", type=int, default=construction.DEFAULT_MAX_ITER)
     common.add_argument("--out", metavar="PATH", help="output file")
     common.add_argument("--format", choices=("csv", "structured"), default="csv")
     common.add_argument(
@@ -85,77 +67,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _spline_and_delta(args) -> tuple[BoundarySpline, float]:
+    """The parsed --spline file and the strip height, from --delta or
+    --delta-frac times the smaller admissibility cap."""
     if args.delta is None and not (0.0 < args.delta_frac < 1.0):
         raise UsageError(f"--delta-frac must lie in (0, 1), got {args.delta_frac!r}")
-    return RunConfig(
-        spline_path=args.spline,
-        L=args.L,
-        delta=args.delta,
-        delta_frac=args.delta_frac,
+    spline = parse_spline(Path(args.spline).read_text(encoding="utf-8"))
+    if args.delta is not None:
+        return spline, args.delta
+    touch, banach = delta_caps(args.L, spline.max_slope, spline.slope_lipschitz)
+    cap = min(touch, banach)
+    if not math.isfinite(cap):
+        raise UsageError("--delta-frac needs a finite admissibility cap; pass --delta instead")
+    return spline, args.delta_frac * cap
+
+
+def _admit(args) -> AdmissibleProblem:
+    spline, delta = _spline_and_delta(args)
+    return admit(ProblemParams(L=args.L, delta=delta, spline=spline))
+
+
+def _grid_spec(args) -> GridSpec:
+    return GridSpec(
         xmin=args.xmin,
         xmax=args.xmax,
         nx=args.nx,
         nd=args.nd,
         h_y=args.hy,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        out_path=args.out,
-        format=args.format,
-        provenance=args.provenance,
     )
 
 
-def _load_spline(config: RunConfig) -> BoundarySpline:
-    return parse_spline(Path(config.spline_path).read_text(encoding="utf-8"))
-
-
-def _resolve_delta(config: RunConfig, spline: BoundarySpline) -> float:
-    if config.delta is not None:
-        return config.delta
-    touch, banach = delta_caps(config.L, spline.max_slope, spline.slope_lipschitz)
-    cap = min(touch, banach)
-    if not math.isfinite(cap):
-        raise UsageError("--delta-frac needs a finite admissibility cap; pass --delta instead")
-    return config.delta_frac * cap
-
-
-def _admit(config: RunConfig) -> AdmissibleProblem:
-    spline = _load_spline(config)
-    delta = _resolve_delta(config, spline)
-    return admit(ProblemParams(L=config.L, delta=delta, spline=spline))
-
-
-def _grid_spec(config: RunConfig, problem: AdmissibleProblem) -> GridSpec:
-    return GridSpec(
-        xmin=config.xmin,
-        xmax=config.xmax,
-        nx=config.nx,
-        nd=config.nd,
-        h_y=config.h_y,
-        margin=10.0 * problem.D * problem.delta,
-    )
-
-
-def _require_out(config: RunConfig) -> str:
-    if not config.out_path:
+def _require_out(args) -> str:
+    if not args.out:
         raise UsageError("this subcommand needs --out PATH")
-    return config.out_path
+    return args.out
 
 
-def cmd_params(config: RunConfig) -> int:
-    spline = _load_spline(config)
-    delta = _resolve_delta(config, spline)
-    touch, banach = delta_caps(config.L, spline.max_slope, spline.slope_lipschitz)
+def cmd_params(args) -> int:
+    spline, delta = _spline_and_delta(args)
+    touch, banach = delta_caps(args.L, spline.max_slope, spline.slope_lipschitz)
     print(f"L_f = {fmt_real(spline.max_slope)}")
     print(f"Lf_prime = {fmt_real(spline.slope_lipschitz)}")
     print(f"delta_touch = {fmt_real(touch)}")
     print(f"delta_banach = {fmt_real(banach)}")
     print(f"delta = {fmt_real(delta)}")
     try:
-        problem = admit(ProblemParams(L=config.L, delta=delta, spline=spline))
+        problem = admit(ProblemParams(L=args.L, delta=delta, spline=spline))
     except AdmissibilityError as exc:
-        print(f"D = {fmt_real(window_radius(config.L, spline.max_slope))}")
+        print(f"D = {fmt_real(window_radius(args.L, spline.max_slope))}")
         print(f"admitted = false ({exc})")
         return 2
     print(f"D = {fmt_real(problem.D)}")
@@ -166,18 +125,18 @@ def cmd_params(config: RunConfig) -> int:
     return 0
 
 
-def cmd_construct(config: RunConfig) -> int:
-    problem = _admit(config)
-    out = _require_out(config)
+def cmd_construct(args) -> int:
+    problem = _admit(args)
+    out = _require_out(args)
     # the window rule GridSpec applies to the grid subcommand
-    if not (math.isfinite(config.xmin) and math.isfinite(config.xmax) and config.xmin < config.xmax and config.nx >= 2):
+    if not (math.isfinite(args.xmin) and math.isfinite(args.xmax) and args.xmin < args.xmax and args.nx >= 2):
         raise ValidationError(
-            f"need finite xmin < xmax and nx >= 2, got {config.xmin!r}, {config.xmax!r}, nx={config.nx!r}"
+            f"need finite xmin < xmax and nx >= 2, got {args.xmin!r}, {args.xmax!r}, nx={args.nx!r}"
         )
-    xs = np.linspace(config.xmin, config.xmax, config.nx)
-    sol = construction.solve_contacts(xs, problem.delta, problem, tol=config.tol, max_iter=config.max_iter)
+    xs = np.linspace(args.xmin, args.xmax, args.nx)
+    sol = construction.solve_contacts(xs, problem.delta, problem, tol=args.tol, max_iter=args.max_iter)
     columns = [sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
-    if config.format == "csv":
+    if args.format == "csv":
         body = fmt_rows(",".join([REAL] * 5), columns, "\n")
         write_text(out, "x,y,Y,u,uprime\n" + body + "\n")
     else:
@@ -186,34 +145,32 @@ def cmd_construct(config: RunConfig) -> int:
     return 0
 
 
-def cmd_grid(config: RunConfig) -> int:
-    problem = _admit(config)
-    out = _require_out(config)
-    grid = oracle.grid_eval(
-        problem, _grid_spec(config, problem), config.provenance, tol=config.tol, max_iter=config.max_iter
-    )
-    text = oracle.grid_to_csv(grid) if config.format == "csv" else oracle.grid_to_structured(grid)
+def cmd_grid(args) -> int:
+    problem = _admit(args)
+    out = _require_out(args)
+    grid = oracle.grid_eval(problem, _grid_spec(args), args.provenance, tol=args.tol, max_iter=args.max_iter)
+    text = oracle.grid_to_csv(grid) if args.format == "csv" else oracle.grid_to_structured(grid)
     write_text(out, text)
     return 0
 
 
-def cmd_report(config: RunConfig) -> int:
-    problem = _admit(config)
-    out = _require_out(config)
+def cmd_report(args) -> int:
+    problem = _admit(args)
+    out = _require_out(args)
     reports = analysis.kink_transfer_report(problem)
     text = (
         analysis.kink_reports_to_csv(reports)
-        if config.format == "csv"
+        if args.format == "csv"
         else analysis.kink_reports_to_structured(reports)
     )
     write_text(out, text)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    problem = _admit(config)
-    vconfig = verify.VerifyConfig(grid=_grid_spec(config, problem), tol=config.tol, max_iter=config.max_iter)
-    results = verify.run_acceptance(problem, vconfig)
+def cmd_verify(args) -> int:
+    problem = _admit(args)
+    config = verify.VerifyConfig(grid=_grid_spec(args), tol=args.tol, max_iter=args.max_iter)
+    results = verify.run_acceptance(problem, config)
     for res in results:
         print(f"{res.status} {res.name}: {res.detail}")
     failed = sum(r.failed for r in results)
@@ -235,8 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](args)
     except AdmissibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

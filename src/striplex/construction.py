@@ -17,7 +17,7 @@ tighten as the height grows, so admissibility at delta covers every d below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,13 @@ from .params import AdmissibleProblem
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
+
+
+def _require_finite(y) -> None:
+    """DomainError unless every element of y is finite."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"need finite y, got {y[~np.isfinite(y)][0].item()!r}")
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -54,8 +61,8 @@ def phi_prime(t, L: float):
 
 @dataclass(frozen=True)
 class ContactSolution:
-    """Result of a contact solve: arrays of the broadcast (x, height) shape
-    from solve_contacts, plain floats and an int from solve_contact."""
+    """Result of solve_contacts: arrays of the broadcast (x, height) shape,
+    numpy scalars for a scalar point."""
 
     x: float
     height: float
@@ -133,30 +140,20 @@ def solve_contacts(
     )
 
 
-def solve_contact(
-    x: float,
-    height: float,
-    problem: AdmissibleProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ContactSolution:
-    """solve_contacts at one point, with plain float and int fields."""
-    sol = solve_contacts(x, height, problem, tol=tol, max_iter=max_iter)
-    return ContactSolution(*(getattr(sol, f.name).item() for f in fields(sol)))
-
-
 def contact_inverse(y, height: float, problem: AdmissibleProblem):
     """x(y) = y - height * phi(f'(y)): the top-line abscissa whose contact
     point at the given height is y.  Strictly increasing for admitted
-    problems; elementwise."""
+    problems; elementwise over finite y."""
     if not (0.0 < height <= problem.delta):
         raise DomainError(f"height must lie in (0, delta], got {height!r} with delta={problem.delta!r}")
+    _require_finite(y)
     return y - height * phi(problem.spline.derivative(y), problem.L)
 
 
 def u_at_contact(y, problem: AdmissibleProblem):
     """u at the top-line point (x(y), delta), in closed form:
-    f(y) - delta * L^2 / sqrt(L^2 - f'(y)^2), elementwise."""
+    f(y) - delta * L^2 / sqrt(L^2 - f'(y)^2), elementwise over finite y."""
+    _require_finite(y)
     L = problem.L
     slope = problem.spline.derivative(y)
     return problem.spline.value(y) - problem.delta * L * L / np.sqrt(L * L - slope * slope)
@@ -179,7 +176,8 @@ def segment_value(y, t, problem: AdmissibleProblem):
     elementwise over the broadcast (y, t).
 
     The segment joins (y, 0) to (x(y), delta); u is affine along it with
-    slope -L per unit length, so value = f(y) - L * t * |segment|.
+    slope -L per unit length, so value = f(y) - L * t * |segment|.  y must
+    be finite, as for contact_inverse.
     """
     if not np.all((0.0 <= np.asarray(t)) & (np.asarray(t) <= 1.0)):
         raise DomainError(f"segment parameter must lie in [0, 1], got {t!r}")

@@ -62,14 +62,13 @@ _BLOCK = 256
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling window on the strip plus oracle step sizes."""
+    """Sampling window on the strip plus the oracle step size."""
 
     xmin: float
     xmax: float
     nx: int
     nd: int
     h_y: float
-    margin: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.xmin) and math.isfinite(self.xmax) and self.xmin < self.xmax):
@@ -78,18 +77,18 @@ class GridSpec:
             raise ValidationError(f"need nx, nd >= 2, got nx={self.nx!r}, nd={self.nd!r}")
         if not self.h_y > 0:
             raise ValidationError(f"need h_y > 0, got {self.h_y!r}")
-        if self.margin < 0:
-            raise ValidationError(f"need margin >= 0, got {self.margin!r}")
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.xmin, self.xmax, self.nx)
 
-    def trimmed_window(self) -> tuple[float, float]:
-        """[xmin + margin, xmax - margin], where the envelope evaluation
-        points live; the outer margin band anchors the envelope cones."""
-        lo, hi = self.xmin + self.margin, self.xmax - self.margin
+    def trimmed_window(self, problem: AdmissibleProblem) -> tuple[float, float]:
+        """[xmin + margin, xmax - margin] with margin = 10*D*delta, where the
+        envelope evaluation points live: the outer band anchors the envelope
+        cones.  The one place that sets the margin."""
+        margin = 10.0 * problem.D * problem.delta
+        lo, hi = self.xmin + margin, self.xmax - margin
         if lo >= hi:
-            raise ConfigurationError(f"window [{self.xmin!r}, {self.xmax!r}] too narrow for margin {self.margin!r}")
+            raise ConfigurationError(f"window [{self.xmin!r}, {self.xmax!r}] too narrow for margin {margin!r}")
         return lo, hi
 
     def heights(self, delta: float, provenance: str = "closed_form") -> np.ndarray:
@@ -471,8 +470,10 @@ def mw_envelopes(
     Sampling and truncation only widen the bracket, so low <= u <= high
     holds pointwise; the bracket tightens at rate (L_f + L) * h_y.
 
-    The boundary samples are built once per call, and every point is
-    checked before any scan; the first bad point in C order is named.  Each
+    Points must lie strictly inside the strip and inside
+    spec.trimmed_window(problem), whose margin band anchors the cones.  The
+    boundary samples are built once per call, and every point is checked
+    before any scan; the first bad point in C order is named.  Each
     line then takes two _scan_argmax runs, of +-g - L*hypot(x - pos, height);
     high is minus the second maximum, which is exact.  Bottom-line samples
     are h_y apart, so per index a sample moves by at most (L_f + L)*h_y and
@@ -484,6 +485,7 @@ def mw_envelopes(
     delta = problem.delta
     L = problem.L
     h = spec.h_y
+    lo, hi = spec.trimmed_window(problem)
     # top line sampled through the contact parameterization; dx/dy is within
     # [1-q, 1+q] of 1, so a y-step of h/(1+q) keeps the x-spacing below h
     ystep = h / (1.0 + problem.contraction_q)
@@ -497,13 +499,8 @@ def mw_envelopes(
     xt, gt = _top_line(problem, spec, ystep, pad)
 
     x, d = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(*point))
-    least_margin = 10.0 * problem.D * delta
-    lo, hi = spec.xmin + spec.margin, spec.xmax - spec.margin
-    # in the order of a one-point call: margin, strip, trimmed window
+    # in the order of a one-point call: strip, trimmed window
     _raise_first_bad_point(x, d, (
-        (np.full(x.shape, spec.margin < least_margin), ConfigurationError,
-         lambda i: f"margin {spec.margin!r} too small: envelope tests need margin >= 10*D*delta = "
-         f"{least_margin!r}"),
         (~((0.0 < d) & (d < delta)), DomainError,
          lambda i: f"point must lie strictly inside the strip, got d={d.flat[i].item()!r}"),
         (~((lo <= x) & (x <= hi)), DomainError,
@@ -581,7 +578,7 @@ def grid_eval(
     if provenance not in PROVENANCES:
         raise ConfigurationError(f"unknown provenance {provenance!r}; expected one of {PROVENANCES}")
     if provenance in ("mw_min", "mw_max"):
-        xs = np.linspace(*spec.trimmed_window(), spec.nx)
+        xs = np.linspace(*spec.trimmed_window(problem), spec.nx)
     else:
         xs = spec.xs()
     ds = spec.heights(problem.delta, provenance)

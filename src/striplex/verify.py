@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -31,6 +31,7 @@ _N_PAIRS = 10_000
 _N_ENVELOPE_POINTS = 50
 _ENVELOPE_H = 1e-4
 _N_SEGMENTS = 20
+_N_PROBES = 10
 _SEED = 20260810
 
 
@@ -47,23 +48,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Knobs for the acceptance run; defaults match the desk scale."""
+    """Knobs for the acceptance run; defaults match the desk scale and are
+    the CLI's defaults."""
 
-    grid: GridSpec | None = None
-    tol: float = 1e-12
-    max_iter: int = 200
-    residual_probes: tuple[tuple[float, float], ...] | None = None
-
-
-def default_grid_spec(problem: AdmissibleProblem) -> GridSpec:
-    return GridSpec(
-        xmin=-2.0,
-        xmax=2.0,
-        nx=257,
-        nd=17,
-        h_y=1e-6,
-        margin=10.0 * problem.D * problem.delta,
-    )
+    grid: GridSpec = GridSpec(xmin=-2.0, xmax=2.0, nx=257, nd=17, h_y=1e-6)
+    tol: float = construction.DEFAULT_TOL
+    max_iter: int = construction.DEFAULT_MAX_ITER
 
 
 def _status(ok: bool) -> str:
@@ -204,10 +194,9 @@ def check_envelope_coincidence(problem: AdmissibleProblem, config: VerifyConfig,
     """Min/max Lipschitz envelopes of the boundary data bracket u and pinch
     to it at the sampling rate."""
     rng = np.random.default_rng(_SEED + 2)
-    margin = max(spec.margin, 10.0 * problem.D * problem.delta)
-    env_spec = GridSpec(xmin=spec.xmin, xmax=spec.xmax, nx=2, nd=2, h_y=_ENVELOPE_H, margin=margin)
+    env_spec = replace(spec, h_y=_ENVELOPE_H)
     gap_tol = 5.0 * (problem.L_f + problem.L) * _ENVELOPE_H
-    lo, hi = env_spec.trimmed_window()
+    lo, hi = env_spec.trimmed_window(problem)
     # one (x, d) pair per row, drawn x first as one-at-a-time draws would
     xs, ds = rng.uniform([lo, 0.1 * problem.delta], [hi, 0.9 * problem.delta], (_N_ENVELOPE_POINTS, 2)).T
     low, high = oracle.mw_envelopes((xs, ds), problem, env_spec)
@@ -266,11 +255,11 @@ def check_lipschitz_quotient(problem: AdmissibleProblem, config: VerifyConfig, s
 def default_residual_probes(
     problem: AdmissibleProblem,
     h_max: float,
-    count: int = 10,
     tol: float = construction.DEFAULT_TOL,
     max_iter: int = construction.DEFAULT_MAX_ITER,
 ) -> tuple[tuple[float, float], ...]:
-    """Probe points at mid-height, clear of every knot's contact segment.
+    """_N_PROBES probe points at mid-height, clear of every knot's contact
+    segment.
 
     Prefers points whose contact neighborhood has nonzero boundary
     curvature: where f'' = 0 the residual is identically zero and only
@@ -280,7 +269,7 @@ def default_residual_probes(
     d = 0.5 * problem.delta
     if len(ts) == 1 or ts[-1] - ts[0] <= 0.2:
         center = ts[0]
-        xs = center + 0.3 * (np.arange(count) - 0.5 * (count - 1))
+        xs = center + 0.3 * (np.arange(_N_PROBES) - 0.5 * (_N_PROBES - 1))
         return tuple((float(x), d) for x in xs)
     # x-positions of the knot segments at the probe height
     lines = ts + 0.5 * (construction.contact_inverse(ts, problem.delta, problem) - ts)
@@ -288,12 +277,10 @@ def default_residual_probes(
     cands = np.linspace(ts[0], ts[-1], 401)
     clear = cands[np.min(np.abs(cands[:, None] - lines), axis=1) >= clearance_min]
     ys = construction.solve_contacts(clear, d, problem, tol=tol, max_iter=max_iter).y
-    good = [
-        x for x, y in zip(clear.tolist(), ys.tolist()) if spline.second_left(y) != 0.0 or spline.second_right(y) != 0.0
-    ]
-    if len(good) < count:
-        good = clear.tolist() if len(clear) >= count else cands.tolist()
-    idx = np.linspace(0, len(good) - 1, count).round().astype(int)
+    good = clear[(spline.second_left(ys) != 0.0) | (spline.second_right(ys) != 0.0)]
+    if len(good) < _N_PROBES:
+        good = clear if len(clear) >= _N_PROBES else cands
+    idx = np.linspace(0, len(good) - 1, _N_PROBES).round().astype(int)
     return tuple((float(good[i]), d) for i in idx)
 
 
@@ -301,9 +288,7 @@ def check_residual_refinement(problem: AdmissibleProblem, config: VerifyConfig) 
     """The infinity-Laplacian residual decays by >= 1.5x per step halving at
     probes off the kink segments (or sits at the rounding floor)."""
     hs = (problem.delta / 10.0, problem.delta / 20.0, problem.delta / 40.0)
-    probes = config.residual_probes or default_residual_probes(
-        problem, max(hs), tol=config.tol, max_iter=config.max_iter
-    )
+    probes = default_residual_probes(problem, max(hs), tol=config.tol, max_iter=config.max_iter)
     # rounding floor of the second-difference stencil: ~eps/h^2 times the
     # squared gradient scale; below it there is no decay left to measure
     eps = np.finfo(float).eps
@@ -372,7 +357,7 @@ def run_acceptance(
     oracle-equivalence check (negative-control hook for the test harness).
     """
     config = config or VerifyConfig()
-    spec = config.grid or default_grid_spec(problem)
+    spec = config.grid
     u_closed = u_override or (
         lambda x, d: construction.u_interior(x, d, problem, tol=config.tol, max_iter=config.max_iter)
     )

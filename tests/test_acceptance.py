@@ -3,7 +3,8 @@
 Standard configuration: vee slope profile (knots (-1, 0.5), (0, 0), (1, 0.5),
 f0 = 0), cone slope L = 2, strip height delta = 0.1, window [-2, 2].  One
 test per criterion; each prints its PASS/FAIL line with the measured values.
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
+The run uses VerifyConfig() as it stands, the configuration `striplex
+verify` runs by default, so these tests gate what the CLI prints.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 """
 
 import pytest
@@ -24,18 +25,9 @@ CRITERIA = {
     10: "degenerate_closed_forms",
 }
 
-# probes for criterion 9: mid-height, inside the curved region |x| < 1,
-# clear of the kink segment at x = 0 and of the tail-junction segments
-# near x = +-0.99
-RESIDUAL_PROBES = tuple(
-    (x, 0.05) for x in (-0.85, -0.7, -0.55, -0.4, -0.25, 0.25, 0.4, 0.55, 0.7, 0.85)
-)
-
-
 @pytest.fixture(scope="module")
 def results(vee_problem):
-    config = verify.VerifyConfig(residual_probes=RESIDUAL_PROBES)
-    run = verify.run_acceptance(vee_problem, config)
+    run = verify.run_acceptance(vee_problem, verify.VerifyConfig())
     return {r.name: r for r in run}
 
 

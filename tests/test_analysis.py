@@ -9,14 +9,13 @@ from striplex.analysis import (
     kink_reports_to_csv,
     kink_reports_to_structured,
     kink_transfer_report,
-    monotone_map_check,
     residual_infinity_laplacian,
     richardson_extrapolate,
     second_derivatives_top,
 )
 from striplex.boundary import BoundarySpline
 from striplex.construction import contact_inverse
-from striplex.errors import DomainError
+from striplex.errors import DomainError, ValidationError
 from striplex.params import ProblemParams, admit
 
 H_SCHEDULE = (1e-3, 5e-4, 2.5e-4)
@@ -67,12 +66,6 @@ class TestCurvatureTransfer:
         assert vals[2] == pytest.approx(UPP_PLUS, rel=1e-15)
         assert vals[0] < vals[1] < vals[2]
 
-    def test_monotone_map_check(self, vee_problem, constant_problem):
-        assert monotone_map_check(vee_problem).ok
-        assert monotone_map_check(constant_problem).ok
-        with pytest.raises(Exception):
-            monotone_map_check(vee_problem, samples=1)
-
 
 class TestFdDerivativeTop:
     def test_constant_all_variants(self, constant_problem):
@@ -88,11 +81,11 @@ class TestFdDerivativeTop:
     def test_step_guard(self, vee_problem):
         with pytest.raises(DomainError):
             fd_derivative_top(0.0, vee_problem, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             fd_derivative_top(0.0, vee_problem, 1e-4, side="up")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             fd_derivative_top(0.0, vee_problem, 1e-4, order="third")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             fd_derivative_top(0.0, vee_problem, 1e-4, source="tea-leaves")
 
     def test_one_sided_second_matches_prediction(self, vee_problem):

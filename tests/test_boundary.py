@@ -1,4 +1,3 @@
-import math
 from bisect import bisect_right
 
 import numpy as np
@@ -6,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplex.boundary import BoundarySpline, eval_boundary, parse_spline
-from striplex.errors import DomainError, ParseError, ValidationError
+from striplex.boundary import BoundarySpline, parse_spline
+from striplex.errors import ParseError, ValidationError
 
 VEE_TEXT = """\
 f0 0
@@ -65,6 +64,26 @@ def scalar_derivative(spline, y):
     return ss[i] + seg[i] * (y - ts[i])
 
 
+def scalar_second_left(spline, y):
+    """The one-point second_left that the array path replaced."""
+    ts, _, seg, _ = knot_tables(spline)
+    if y <= ts[0] or y > ts[-1] or len(ts) == 1:
+        return 0.0
+    # bisect on the open side so an exact knot hit picks the incoming segment
+    i = bisect_right(ts, y) - 1
+    if y == ts[i]:
+        i -= 1
+    return seg[i]
+
+
+def scalar_second_right(spline, y):
+    """The one-point second_right that the array path replaced."""
+    ts, _, seg, _ = knot_tables(spline)
+    if y < ts[0] or y >= ts[-1] or len(ts) == 1:
+        return 0.0
+    return seg[bisect_right(ts, y) - 1]
+
+
 class TestParse:
     def test_vee_document(self):
         spline = parse_spline(VEE_TEXT)
@@ -119,31 +138,24 @@ class TestParse:
 class TestEval:
     def test_vee_one_sided_curvature_at_kink(self):
         spline = parse_spline(VEE_TEXT)
-        assert eval_boundary(spline, 0.0, "second_left") == -0.5
-        assert eval_boundary(spline, 0.0, "second_right") == 0.5
+        assert spline.second_left(0.0) == -0.5
+        assert spline.second_right(0.0) == 0.5
 
     def test_vee_value_at_zero(self):
         # exact integral of 0.5|t| from -1 to 0
         spline = parse_spline(VEE_TEXT)
-        assert eval_boundary(spline, 0.0, "value") == pytest.approx(0.25, abs=1e-15)
+        assert spline.value(0.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_single_knot_linear_value(self):
         spline = parse_spline("f0 0\nknot 0 0.25\n")
-        assert eval_boundary(spline, 4.0, "value") == pytest.approx(1.0, abs=1e-15)
+        assert spline.value(4.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_tail_curvature_is_zero(self):
         spline = parse_spline(VEE_TEXT)
-        assert eval_boundary(spline, -3.0, "second_left") == 0.0
-        assert eval_boundary(spline, 3.0, "second_right") == 0.0
-        assert eval_boundary(spline, -1.0, "second_left") == 0.0
-        assert eval_boundary(spline, 1.0, "second_right") == 0.0
-
-    def test_non_finite_input(self):
-        spline = parse_spline(VEE_TEXT)
-        with pytest.raises(DomainError):
-            eval_boundary(spline, math.inf, "value")
-        with pytest.raises(ValueError):
-            eval_boundary(spline, 0.0, "third")
+        assert spline.second_left(-3.0) == 0.0
+        assert spline.second_right(3.0) == 0.0
+        assert spline.second_left(-1.0) == 0.0
+        assert spline.second_right(1.0) == 0.0
 
     def test_vectorized_matches_scalar(self):
         spline = parse_spline(VEE_TEXT)
@@ -170,6 +182,23 @@ def test_array_path_equals_scalar_formulas(spline, extra, frac):
         one = (spline.value(y), spline.derivative(y))
         assert [type(v) for v in one] == [np.float64, np.float64]
         assert [v.hex() for v in one] == [scalar_value(spline, y).hex(), scalar_derivative(spline, y).hex()]
+
+
+@given(splines(), st.lists(st.floats(-1e6, 1e6), max_size=5), st.floats(0.0, 1.0))
+@settings(max_examples=200)
+def test_one_sided_curvatures_equal_scalar_formulas(spline, extra, frac):
+    # at every knot (where the two sides differ), inside each segment, on
+    # both tails and at drawn points, the elementwise second_left and
+    # second_right give the one-point formulas' bits, array and scalar alike
+    ts = [t for t, _ in spline.knots]
+    inside = [a + frac * (b - a) for a, b in zip(ts, ts[1:])]
+    ys = [*ts, *inside, ts[0] - 0.5, ts[-1] + 0.5, ts[0] - 1e6, ts[-1] + 1e6, *extra]
+    for method, scalar in ((spline.second_left, scalar_second_left), (spline.second_right, scalar_second_right)):
+        want = [float(scalar(spline, y)).hex() for y in ys]
+        assert [v.hex() for v in method(np.array(ys)).tolist()] == want
+        one = [method(y) for y in ys]
+        assert all(type(v) is np.float64 for v in one)
+        assert [v.hex() for v in one] == want
 
 
 class TestConstants:

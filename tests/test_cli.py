@@ -270,7 +270,7 @@ class TestVerify:
         def broken(x, d):
             raise NonConvergenceError("injected")
 
-        spec = GridSpec(xmin=-1.0, xmax=1.0, nx=5, nd=2, h_y=1e-5, margin=10 * vee_problem.D * 0.1)
+        spec = GridSpec(xmin=-1.0, xmax=1.0, nx=5, nd=2, h_y=1e-5)
         run = verify.run_acceptance(vee_problem, verify.VerifyConfig(grid=spec), u_override=broken)
         results = {r.name: r for r in run}
         assert results["oracle_equivalence"].status == "FAIL"
@@ -279,7 +279,7 @@ class TestVerify:
 
     def test_corrupted_evaluator_fails_oracle_equivalence(self, vee_problem):
         # small grid keeps the negative control cheap
-        spec = GridSpec(xmin=-1.0, xmax=1.0, nx=5, nd=2, h_y=1e-5, margin=10 * vee_problem.D * 0.1)
+        spec = GridSpec(xmin=-1.0, xmax=1.0, nx=5, nd=2, h_y=1e-5)
         corrupted = lambda x, d: u_interior(x, d, vee_problem) + 1e-6
         res = verify.check_oracle_equivalence(vee_problem, spec, corrupted, {})
         assert res.status == "FAIL"

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from striplex import oracle
+from striplex.analysis import second_derivatives_top
 from striplex.construction import (
     contact_inverse,
     phi,
     phi_prime,
     segment_value,
-    solve_contact,
     solve_contacts,
     u_at_contact,
     u_interior,
@@ -61,21 +61,21 @@ class TestPhi:
 class TestSolveContact:
     def test_constant_data(self, constant_problem):
         for x in (-3.0, 0.0, 11.5):
-            sol = solve_contact(x, 0.07, constant_problem)
+            sol = solve_contacts(x, 0.07, constant_problem)
             assert sol.Y == 0.0
             assert sol.value == pytest.approx(1.0 - 2.0 * 0.07, abs=1e-15)
             assert sol.iterations == 1
             assert sol.residual == 0.0
 
     def test_linear_data(self, linear_problem):
-        sol = solve_contact(0.0, 0.1, linear_problem)
+        sol = solve_contacts(0.0, 0.1, linear_problem)
         assert sol.Y == pytest.approx(0.1 / math.sqrt(3.0), abs=1e-13)
         assert sol.value == pytest.approx(-0.1 * math.sqrt(3.0), abs=1e-13)
-        sol = solve_contact(4.5, 0.1, linear_problem)
+        sol = solve_contacts(4.5, 0.1, linear_problem)
         assert sol.value == pytest.approx(4.5 - 0.1 * math.sqrt(3.0), abs=1e-13)
 
     def test_worked_point_matches_frozen_oracle(self, vee_problem):
-        sol = solve_contact(WORKED_X, 0.1, vee_problem)
+        sol = solve_contacts(WORKED_X, 0.1, vee_problem)
         assert sol.y == pytest.approx(WORKED_Y, abs=1e-12)
         assert sol.value == pytest.approx(WORKED_VALUE, abs=1e-12)
 
@@ -84,22 +84,22 @@ class TestSolveContact:
         for _ in range(100):
             x = float(rng.uniform(-3, 3))
             h = float(rng.uniform(0.001, 0.1))
-            sol = solve_contact(x, h, vee_problem)
+            sol = solve_contacts(x, h, vee_problem)
             assert sol.residual <= 1e-12
             assert abs(sol.Y) <= vee_problem.D * h
 
     def test_height_domain(self, vee_problem):
         for bad in (0.0, -0.5, 0.1000001):
             with pytest.raises(DomainError):
-                solve_contact(0.0, bad, vee_problem)
+                solve_contacts(0.0, bad, vee_problem)
 
     def test_iteration_budget_guard(self, vee_problem):
         from striplex.errors import NonConvergenceError
 
         with pytest.raises(NonConvergenceError):
-            solve_contact(0.7, 0.1, vee_problem, max_iter=1)
+            solve_contacts(0.7, 0.1, vee_problem, max_iter=1)
         with pytest.raises(DomainError):
-            solve_contact(0.7, 0.1, vee_problem, tol=0.0)
+            solve_contacts(0.7, 0.1, vee_problem, tol=0.0)
 
 
 class TestContactInverse:
@@ -115,12 +115,12 @@ class TestContactInverse:
         rng = np.random.default_rng(11)
         for y in rng.uniform(-1.5, 1.5, 100):
             x = contact_inverse(float(y), 0.1, vee_problem)
-            sol = solve_contact(x, 0.1, vee_problem)
+            sol = solve_contacts(x, 0.1, vee_problem)
             assert abs(sol.y - float(y)) <= 1e-10
 
     def test_monotone_bijection(self, vee_problem):
         xs = np.sort(np.random.default_rng(3).uniform(-2, 2, 200))
-        ys = [solve_contact(float(x), 0.1, vee_problem).y for x in xs]
+        ys = [solve_contacts(float(x), 0.1, vee_problem).y for x in xs]
         assert all(a < b for a, b in zip(ys, ys[1:]))
 
     def test_vectorized_matches_scalar(self, vee_problem):
@@ -149,7 +149,7 @@ class TestUAtContact:
     def test_matches_solver_value(self, vee_problem):
         for y in np.linspace(-1.4, 1.4, 15):
             x = contact_inverse(float(y), 0.1, vee_problem)
-            sol = solve_contact(x, 0.1, vee_problem)
+            sol = solve_contacts(x, 0.1, vee_problem)
             assert u_at_contact(float(y), vee_problem) == pytest.approx(sol.value, abs=1e-12)
 
 
@@ -169,7 +169,7 @@ class TestUInterior:
 
     def test_agrees_with_top_line_solve(self, vee_problem):
         for x in (-0.9, 0.0, 1.7):
-            assert u_interior(x, 0.1, vee_problem) == solve_contact(x, 0.1, vee_problem).value
+            assert u_interior(x, 0.1, vee_problem) == solve_contacts(x, 0.1, vee_problem).value
 
 
 class TestUPrimeTop:
@@ -222,7 +222,7 @@ def test_touching_from_above(vee_problem):
     # the translated cone through (x, u(x)) dominates f and touches it at y(x)
     rng = np.random.default_rng(5)
     for x in rng.uniform(-1.8, 1.8, 20):
-        sol = solve_contact(float(x), 0.1, vee_problem)
+        sol = solve_contacts(float(x), 0.1, vee_problem)
         ys = np.linspace(float(x) - 3.0, float(x) + 3.0, 4001)
         g = sol.value + 2.0 * np.sqrt(0.01 + (float(x) - ys) ** 2)
         assert np.all(g - vee_problem.spline.value(ys) >= -1e-12)
@@ -236,8 +236,8 @@ def test_empirical_lipschitz_of_offset(vee_problem):
     for _ in range(500):
         x1 = float(rng.uniform(-2, 2))
         dx = float(rng.uniform(1e-4, 0.2)) * (1 if rng.random() < 0.5 else -1)
-        Y1 = solve_contact(x1, 0.1, vee_problem, tol=1e-14).Y
-        Y2 = solve_contact(x1 + dx, 0.1, vee_problem, tol=1e-14).Y
+        Y1 = solve_contacts(x1, 0.1, vee_problem, tol=1e-14).Y
+        Y2 = solve_contacts(x1 + dx, 0.1, vee_problem, tol=1e-14).Y
         assert abs(Y2 - Y1) <= bound * abs(dx)
 
 
@@ -250,7 +250,7 @@ def test_solver_contract_on_random_problems(spline, x, height_frac):
     delta = 0.4 * cap if math.isfinite(cap) else 0.5
     problem = admit(ProblemParams(L=L, delta=delta, spline=spline))
     h = height_frac * delta
-    sol = solve_contact(x, h, problem)
+    sol = solve_contacts(x, h, problem)
     assert sol.residual <= 1e-12
     assert abs(sol.Y) <= problem.D * h + 1e-15
     # round trip through the closed-form inverse
@@ -299,7 +299,7 @@ def test_batched_solve_matches_pointwise(spline, points, delta_frac):
     batch = solve_contacts(xs, hs, problem)
     names = ("Y", "y", "value", "iterations", "residual")
     for k, (x, h) in enumerate(zip(xs.tolist(), hs.tolist())):
-        alone = solve_contact(x, h, problem)
+        alone = solve_contacts(x, h, problem)
         for name, ref in zip(names, reference_solve(x, h, problem)):
             got = float(getattr(batch, name)[k]).hex()
             assert got == float(getattr(alone, name)).hex() == float(ref).hex(), name
@@ -312,11 +312,19 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 @settings(max_examples=100, deadline=None)
 def test_entry_points_finite_or_package_error(vee_problem, x, height_frac):
     d = height_frac * vee_problem.delta
+
+    def segment():
+        (px, pd), value = segment_value(x, height_frac, vee_problem)
+        return px, pd, value
+
     calls = {
-        "solve_contact": lambda: solve_contact(x, d, vee_problem).value,
         "solve_contacts": lambda: solve_contacts(np.array([0.0, x]), d, vee_problem).value,
         "u_interior": lambda: u_interior(x, d, vee_problem),
         "brute_force_u": lambda: oracle.brute_force_u((x, d), vee_problem, 1e-4).value,
+        "contact_inverse": lambda: contact_inverse(x, d, vee_problem),
+        "u_at_contact": lambda: u_at_contact(x, vee_problem),
+        "segment_value": segment,
+        "second_derivatives_top": lambda: second_derivatives_top(x, vee_problem),
     }
     for name, call in calls.items():
         if math.isfinite(x):
