@@ -1,3 +1,4 @@
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from striplex.analysis import second_derivatives_top
 from striplex.boundary import BoundarySpline, parse_spline
-from striplex.errors import ParseError, ValidationError
+from striplex.errors import DomainError, ParseError, ValidationError
 
 VEE_TEXT = """\
 f0 0
@@ -156,6 +158,23 @@ class TestEval:
         assert spline.second_right(3.0) == 0.0
         assert spline.second_left(-1.0) == 0.0
         assert spline.second_right(1.0) == 0.0
+
+    def test_non_finite_input(self, vee_problem):
+        # the spline's values and slopes carry a non-finite y through as the
+        # limits of its linear tails, but a one-sided curvature at nan reads a
+        # tail's 0; the public entry that evaluates f'' at a caller's y
+        # refuses non-finite y instead
+        spline = vee_problem.spline
+        assert spline.value(math.inf) == math.inf
+        assert spline.value(-math.inf) == -math.inf
+        assert spline.derivative(math.inf) == 0.5
+        assert math.isnan(spline.value(math.nan))
+        assert math.isnan(spline.derivative(math.nan))
+        for y in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                second_derivatives_top(y, vee_problem)
+        with pytest.raises(DomainError):
+            second_derivatives_top(np.array([0.0, math.nan]), vee_problem)
 
     def test_vectorized_matches_scalar(self):
         spline = parse_spline(VEE_TEXT)
