@@ -57,7 +57,8 @@ class BoundarySpline:
         if not math.isfinite(self.f0):
             raise ValidationError(f"f0 must be finite, got {self.f0!r}")
         ts = [float(t) for t, _ in self.knots]
-        ss = [float(s) for _, s in self.knots]
+        # + 0.0 makes a -0.0 slope 0.0, which np.interp returns at its knot
+        ss = [float(s) + 0.0 for _, s in self.knots]
         for i, (t, s) in enumerate(zip(ts, ss)):
             if not (math.isfinite(t) and math.isfinite(s)):
                 raise ValidationError(f"knot {i}: non-finite entry ({t!r}, {s!r})")
@@ -103,27 +104,24 @@ class BoundarySpline:
 
     def derivative(self, y):
         """f'(y), elementwise; a scalar y gives a numpy scalar."""
-        y = np.asarray(y, dtype=float)
-        ts, ss, seg, _, _ = self._arrays
-        if len(ts) == 1:
-            return np.full_like(y, ss[0])[()]
-        i = np.searchsorted(ts[1:-1], y, side="right")
-        inner = ss[i] + seg[i] * (y - ts[i])
-        return np.where(y <= ts[0], ss[0], np.where(y >= ts[-1], ss[-1], inner))[()]
+        # f' is np.interp's interpolant, constant past the ends; its C loop
+        # computes seg[j]*(y - ts[j]) + ss[j], and gives ss[j] at a knot hit
+        return np.interp(y, self._arrays[0], self._arrays[1])[()]
 
     def second_left(self, y):
         """One-sided curvature of f from the left, elementwise: slope of f'
-        on the interval immediately left of y (0 on the constant tails); a
-        scalar y gives a numpy scalar."""
+        on the interval immediately left of y (0 on the constant tails, nan
+        at nan); a scalar y gives a numpy scalar."""
         ts, curv = self._arrays[0], self._arrays[4]
-        # side="left" so an exact knot hit picks the incoming interval
-        return curv[np.searchsorted(ts, y, side="left")][()]
+        # side="left" so an exact knot hit picks the incoming interval;
+        # searchsorted puts nan past the last knot, onto the right tail's 0
+        return np.where(np.isnan(y), np.nan, curv[np.searchsorted(ts, y, side="left")])[()]
 
     def second_right(self, y):
         """One-sided curvature of f from the right, elementwise (0 on the
-        constant tails)."""
+        constant tails, nan at nan)."""
         ts, curv = self._arrays[0], self._arrays[4]
-        return curv[np.searchsorted(ts, y, side="right")][()]
+        return np.where(np.isnan(y), np.nan, curv[np.searchsorted(ts, y, side="right")])[()]
 
     # -- exact constants -----------------------------------------------
 
@@ -146,11 +144,7 @@ class BoundarySpline:
         junctions with the constant tails are excluded by contract.
         """
         seg = self._arrays[2].tolist()
-        out = []
-        for i in range(1, len(seg)):
-            if seg[i - 1] != seg[i]:
-                out.append(Kink(self.knots[i][0], seg[i - 1], seg[i]))
-        return out
+        return [Kink(self.knots[i][0], seg[i - 1], seg[i]) for i in range(1, len(seg)) if seg[i - 1] != seg[i]]
 
     def serialize(self) -> str:
         lines = [f"f0 {self.f0!r}"]

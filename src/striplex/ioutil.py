@@ -21,12 +21,12 @@ def fmt_real(v: float) -> str:
 
 
 def fmt_rows(row: str, columns: list, sep: str) -> str:
-    """The rows of the equal-length real columns, joined by sep.  row is a
-    %-template with one REAL field per column, applied once per block of
-    _FMT_BLOCK rows over the block's flattened values; every field reads as
-    fmt_real writes it."""
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    blocks = (table[start : start + _FMT_BLOCK] for start in range(0, len(table), _FMT_BLOCK))
+    """The rows of the equal-length column arrays, joined by sep.  row is a
+    %-template with one field per column, REAL for reals and %s for text,
+    applied once per block of _FMT_BLOCK rows over the block's flattened
+    values; every REAL field reads as fmt_real writes it."""
+    starts = range(0, len(columns[0]), _FMT_BLOCK)
+    blocks = (np.column_stack([c[start : start + _FMT_BLOCK] for c in columns]) for start in starts)
     return sep.join(sep.join([row] * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
 
 

@@ -594,16 +594,21 @@ def grid_eval(
 # -- exports -------------------------------------------------------------
 
 
+def _grid_rows(grid: FieldGrid, row: str, sep: str) -> str:
+    """The grid's rows, x-major, joined by sep; row is a %-template with %s
+    for x and d, each distinct one formatted once, and REAL for u."""
+    xs, ds = (np.array([REAL % v for v in a.tolist()], dtype=object) for a in (grid.xs, grid.ds))
+    return fmt_rows(row, [np.repeat(xs, ds.size), np.tile(ds, xs.size), grid.values.ravel()], sep)
+
+
 def grid_to_csv(grid: FieldGrid) -> str:
-    xs, ds = np.broadcast_arrays(grid.xs[:, None], grid.ds[None, :])
-    row = f"{REAL},{REAL},{REAL},{grid.provenance.replace('%', '%%')}"
-    return "x,d,u,provenance\n" + fmt_rows(row, [xs.ravel(), ds.ravel(), grid.values.ravel()], "\n") + "\n"
+    row = f"%s,%s,{REAL},{grid.provenance.replace('%', '%%')}"
+    return "x,d,u,provenance\n" + _grid_rows(grid, row, "\n") + "\n"
 
 
 def grid_to_structured(grid: FieldGrid) -> str:
     """Single JSON document mirroring the CSV fields at the same precision."""
-    xs, ds = np.broadcast_arrays(grid.xs[:, None], grid.ds[None, :])
-    rows = fmt_rows('{"x":%s,"d":%s,"u":%s}' % ((REAL,) * 3), [xs.ravel(), ds.ravel(), grid.values.ravel()], ",")
+    rows = _grid_rows(grid, '{"x":%%s,"d":%%s,"u":%s}' % REAL, ",")
     return (
         '{"kind":"field_grid","provenance":"%s","xmin":%s,"xmax":%s,"nx":%d,"nd":%d,"rows":[%s]}\n'
         % (grid.provenance, fmt_real(grid.spec.xmin), fmt_real(grid.spec.xmax), grid.spec.nx, grid.spec.nd, rows)

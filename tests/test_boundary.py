@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from striplex.analysis import second_derivatives_top
 from striplex.boundary import BoundarySpline, parse_spline
 from striplex.errors import DomainError, ParseError, ValidationError
+from striplex.ioutil import fmt_real
+
+SPLINE_FILES = sorted((Path(__file__).resolve().parent.parent / "data" / "splines").glob("*.spline"))
 
 VEE_TEXT = """\
 f0 0
@@ -64,6 +68,20 @@ def scalar_derivative(spline, y):
         return ss[-1]
     i = bisect_right(ts, y) - 1
     return ss[i] + seg[i] * (y - ts[i])
+
+
+def searchsorted_derivative(spline, y):
+    """The searchsorted/where derivative that np.interp replaced."""
+    y = np.asarray(y, dtype=float)
+    ts, ss, seg, _ = (np.array(a) for a in knot_tables(spline))
+    if len(ts) == 1:
+        return np.full_like(y, ss[0])[()]
+    i = np.searchsorted(ts[1:-1], y, side="right")
+    # far out a tail's segment term overflows, and at y = +-inf a flat one
+    # meets 0 * inf; np.where drops both
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = ss[i] + seg[i] * (y - ts[i])
+    return np.where(y <= ts[0], ss[0], np.where(y >= ts[-1], ss[-1], inner))[()]
 
 
 def scalar_second_left(spline, y):
@@ -160,21 +178,56 @@ class TestEval:
         assert spline.second_right(1.0) == 0.0
 
     def test_non_finite_input(self, vee_problem):
-        # the spline's values and slopes carry a non-finite y through as the
-        # limits of its linear tails, but a one-sided curvature at nan reads a
-        # tail's 0; the public entry that evaluates f'' at a caller's y
-        # refuses non-finite y instead
+        # the spline's values, slopes and one-sided curvatures carry a
+        # non-finite y through as the limits of its tails, and nan as nan;
+        # the public entry that evaluates f'' at a caller's y refuses
+        # non-finite y instead
         spline = vee_problem.spline
         assert spline.value(math.inf) == math.inf
         assert spline.value(-math.inf) == -math.inf
         assert spline.derivative(math.inf) == 0.5
         assert math.isnan(spline.value(math.nan))
         assert math.isnan(spline.derivative(math.nan))
+        for method in (spline.second_left, spline.second_right):
+            assert method(math.inf) == 0.0
+            assert method(-math.inf) == 0.0
+            assert math.isnan(method(math.nan))
+            assert type(method(math.nan)) is np.float64
+            both = method(np.array([math.nan, 0.5]))
+            assert math.isnan(both[0]) and both[1] == 0.5
         for y in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 second_derivatives_top(y, vee_problem)
         with pytest.raises(DomainError):
             second_derivatives_top(np.array([0.0, math.nan]), vee_problem)
+
+    def test_negative_zero_slope_reads_as_zero(self):
+        # np.interp returns a knot's slope as stored, so a -0.0 slope would
+        # print as -0 in the uprime column where the searchsorted formula
+        # gave 0 (-0.0 + 0.5*0.0); the spline stores it as 0.0
+        spline = BoundarySpline(f0=0.0, knots=((-1.0, -0.0), (0.0, -0.0), (1.0, 0.5)))
+        assert [math.copysign(1.0, s) for _, s in spline.knots] == [1.0, 1.0, 1.0]
+        for y in (-2.0, -1.0, 0.0):
+            assert fmt_real(spline.derivative(y)) == "0"
+            assert fmt_real(spline.derivative(np.array([y]))[0]) == "0"
+        assert "-0" not in spline.serialize()
+
+    @pytest.mark.parametrize("path", SPLINE_FILES, ids=lambda path: path.stem)
+    def test_derivative_at_non_finite_input(self, path):
+        # f' at +-inf is the tail slope, with no warning: two_kinks' last
+        # interior segment is flat, where 0 * inf once warned (an error under
+        # this suite's filter) before np.where dropped it
+        spline = parse_spline(path.read_text(encoding="utf-8"))
+        first, last = spline.knots[0][1], spline.knots[-1][1]
+        assert spline.derivative(-math.inf) == first
+        assert spline.derivative(math.inf) == last
+        assert spline.derivative(np.array([-math.inf, math.inf])).tolist() == [first, last]
+        if len(spline.knots) == 1:
+            # f' is constant: it reads the same at nan
+            assert spline.derivative(math.nan) == first
+        else:
+            assert math.isnan(spline.derivative(math.nan))
+            assert np.isnan(spline.derivative(np.array([math.nan, math.nan]))).all()
 
     def test_vectorized_matches_scalar(self):
         spline = parse_spline(VEE_TEXT)
@@ -201,6 +254,29 @@ def test_array_path_equals_scalar_formulas(spline, extra, frac):
         one = (spline.value(y), spline.derivative(y))
         assert [type(v) for v in one] == [np.float64, np.float64]
         assert [v.hex() for v in one] == [scalar_value(spline, y).hex(), scalar_derivative(spline, y).hex()]
+
+
+@given(splines(), st.lists(st.floats(), max_size=5), st.floats(0.0, 1.0))
+@settings(max_examples=200)
+def test_derivative_equals_searchsorted_formula(spline, extra, frac):
+    # at every knot and its two float neighbours, inside each segment, on
+    # both tails near, far and infinite, at nan and at drawn floats of any
+    # size, np.interp gives the searchsorted formula's bits, for 0-d, 1-d
+    # and 2-d input
+    ts = np.array([t for t, _ in spline.knots])
+    inside = ts[:-1] + frac * (ts[1:] - ts[:-1])
+    tails = [ts[0] - 0.5, ts[-1] + 0.5, ts[0] - 1e6, ts[-1] + 1e6, -1e308, 1e308, -math.inf, math.inf, math.nan]
+    ys = np.concatenate([ts, np.nextafter(ts, -math.inf), np.nextafter(ts, math.inf), inside, tails, extra])
+    want = [v.hex() for v in searchsorted_derivative(spline, ys).tolist()]
+    assert [v.hex() for v in spline.derivative(ys).tolist()] == want
+    square = np.stack([ys, ys[::-1]])
+    got = spline.derivative(square)
+    assert got.shape == square.shape
+    assert [v.hex() for v in got.ravel().tolist()] == want + want[::-1]
+    for y, w in zip(ys.tolist(), want):
+        one = (spline.derivative(y), spline.derivative(np.array(y)))
+        assert [type(v) for v in one] == [np.float64, np.float64]
+        assert [v.hex() for v in one] == [w, w]
 
 
 @given(splines(), st.lists(st.floats(-1e6, 1e6), max_size=5), st.floats(0.0, 1.0))

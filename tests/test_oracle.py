@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from striplex import construction, oracle
 from striplex.boundary import BoundarySpline, parse_spline
 from striplex.errors import ConfigurationError, DomainError, StriplexError, ValidationError
+from striplex.ioutil import REAL, fmt_real, fmt_rows
 from striplex.oracle import (
     MAX_SCAN,
     BruteResult,
@@ -563,6 +564,33 @@ class TestExports:
             assert row["x"] == float(x)
             assert row["d"] == float(d)
             assert row["u"] == float(u)
+
+    @pytest.mark.parametrize(
+        "nx, nd, provenance",
+        [(2049, 2, "closed_form"), (129, 33, "100% mw_min"), (5, 3, "%s%%d")],
+    )
+    def test_exports_equal_every_field_through_real(self, nx, nd, provenance):
+        # the exports format each x and d once; byte for byte they are the
+        # fmt_rows formulation that formatted all three fields per row.
+        # 2049x2 and 129x33 cross the 4096-row block edge, the second inside
+        # an x; a -0.0 coordinate and a % in the provenance are carried
+        rng = np.random.default_rng(nx * nd)
+        xs = np.linspace(-1.0, 1.0, nx) + rng.uniform(0.0, 1e-3)
+        xs[nx // 2] = -0.0
+        ds = rng.uniform(0.01, 0.1, nd)
+        values = rng.normal(size=(nx, nd))
+        values[0, 0] = -0.0
+        spec = GridSpec(xmin=-1.0, xmax=1.0, nx=nx, nd=nd, h_y=1e-6)
+        grid = oracle.FieldGrid(spec=spec, provenance=provenance, xs=xs, ds=ds, values=values)
+        columns = [a.ravel() for a in np.broadcast_arrays(xs[:, None], ds[None, :])] + [values.ravel()]
+        row = f"{REAL},{REAL},{REAL},{provenance.replace('%', '%%')}"
+        assert grid_to_csv(grid) == "x,d,u,provenance\n" + fmt_rows(row, columns, "\n") + "\n"
+        rows = fmt_rows('{"x":%s,"d":%s,"u":%s}' % ((REAL,) * 3), columns, ",")
+        assert grid_to_structured(grid) == (
+            '{"kind":"field_grid","provenance":"%s","xmin":%s,"xmax":%s,"nx":%d,"nd":%d,"rows":[%s]}\n'
+            % (provenance, fmt_real(-1.0), fmt_real(1.0), nx, nd, rows)
+        )
+        assert f"\n-0,{fmt_real(ds[0])}," in grid_to_csv(grid)
 
 
 @given(st.floats(-1.5, 1.5), st.floats(0.2, 1.0), st.floats(0.1, 0.6))
