@@ -89,17 +89,18 @@ class BoundarySpline:
         """f(y), elementwise; a scalar y gives a numpy scalar."""
         y = np.asarray(y, dtype=float)
         ts, ss, seg, vals, _ = self._arrays
-        left = vals[0] + ss[0] * (y - ts[0])
-        if len(ts) == 1:
-            return left[()]
-        # the segment of y, the end segments extended over the tails
-        i = np.searchsorted(ts[1:-1], y, side="right")
-        dy = y - ts[i]
         # far outside the knot range dy*dy may overflow, and at y = +-inf meet
-        # a zero slope; np.where drops those
+        # a zero slope; np.where drops those.  A flat tail reads its end value
+        # at +-inf, its limit, where its formula gives 0*inf = nan
         with np.errstate(over="ignore", invalid="ignore"):
+            tails = [vals[j] + ss[j] * (y - ts[j]) for j in (0, -1)]
+            left, right = (np.where(np.isinf(y), vals[j], t) if ss[j] == 0 else t for j, t in zip((0, -1), tails))
+            if len(ts) == 1:
+                return left[()]
+            # the segment of y, the end segments extended over the tails
+            i = np.searchsorted(ts[1:-1], y, side="right")
+            dy = y - ts[i]
             inner = vals[i] + ss[i] * dy + 0.5 * seg[i] * dy * dy
-        right = vals[-1] + ss[-1] * (y - ts[-1])
         return np.where(y <= ts[0], left, np.where(y >= ts[-1], right, inner))[()]
 
     def derivative(self, y):

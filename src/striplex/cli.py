@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis, construction, oracle, verify
 from .boundary import BoundarySpline, parse_spline
 from .errors import AdmissibilityError, StriplexError, UsageError, ValidationError
-from .ioutil import REAL, fmt_real, fmt_rows, write_text
+from .ioutil import REAL, fmt_blocks, fmt_real, write_blocks, write_text
 from .oracle import GridSpec
 from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
 
@@ -137,11 +137,11 @@ def cmd_construct(args) -> int:
     sol = construction.solve_contacts(xs, problem.delta, problem, tol=args.tol, max_iter=args.max_iter)
     columns = [sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
     if args.format == "csv":
-        body = fmt_rows(",".join([REAL] * 5), columns, "\n")
-        write_text(out, "x,y,Y,u,uprime\n" + body + "\n")
+        head, row, sep, tail = "x,y,Y,u,uprime\n", ",".join([REAL] * 5), "\n", "\n"
     else:
-        body = fmt_rows('{"x":%s,"y":%s,"Y":%s,"u":%s,"uprime":%s}' % ((REAL,) * 5), columns, ",")
-        write_text(out, '{"kind":"top_line","rows":[%s]}\n' % body)
+        row = '{"x":%s,"y":%s,"Y":%s,"u":%s,"uprime":%s}' % ((REAL,) * 5)
+        head, sep, tail = '{"kind":"top_line","rows":[', ",", "]}\n"
+    write_blocks(out, head, fmt_blocks(row, args.nx, lambda a, b: [c[a:b] for c in columns], sep), sep, tail)
     return 0
 
 
@@ -149,8 +149,7 @@ def cmd_grid(args) -> int:
     problem = _admit(args)
     out = _require_out(args)
     grid = oracle.grid_eval(problem, _grid_spec(args), args.provenance, tol=args.tol, max_iter=args.max_iter)
-    text = oracle.grid_to_csv(grid) if args.format == "csv" else oracle.grid_to_structured(grid)
-    write_text(out, text)
+    write_blocks(out, *oracle.grid_document(grid, args.format))
     return 0
 
 

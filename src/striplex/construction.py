@@ -26,6 +26,8 @@ from .params import AdmissibleProblem
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
+# points per block of solve_contacts, run in C order: bounds its temporaries to a few MB
+_SOLVE_BLOCK = 1 << 14
 
 
 def _require_finite(y) -> None:
@@ -105,33 +107,36 @@ def solve_contacts(
     threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
     shape = x.shape
     x, height = x.ravel(), height.ravel()
-    Y = np.zeros(x.size)
-    iterations = np.zeros(x.size, dtype=int)
-    # the still-iterating points: flat index, x, height and current iterate
-    active, xa, ha, Ya = np.arange(x.size), x, height, np.zeros(x.size)
-    for k in range(1, max_iter + 1):
-        if not active.size:
-            break
-        slope = spline.derivative(xa + Ya)
-        bad = np.abs(slope) >= L
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise DomainError(f"|f'| = {abs(float(slope[i]))!r} >= L = {L!r} at y = {float(xa[i] + Ya[i])!r}")
-        Y_next = ha * slope / np.sqrt(L * L - slope * slope)
-        done = np.abs(Y_next - Ya) <= threshold
-        finished = active[done]
-        Y[finished], iterations[finished] = Y_next[done], k
-        keep = ~done
-        active, xa, ha, Ya = active[keep], xa[keep], ha[keep], Y_next[keep]
-    if active.size:
-        raise NonConvergenceError(
-            f"contact solve at (x={float(xa[0])!r}, height={float(ha[0])!r}) "
-            f"did not converge in {max_iter} iterations"
-        )
-    y = x + Y
-    slope = spline.derivative(y)
-    residual = np.abs(Y - height * slope / np.sqrt(L * L - slope * slope))
-    value = spline.value(y) - L * _libm(math.hypot, height, Y)
+    Y, y, value, residual = (np.empty(x.size) for _ in range(4))
+    iterations = np.empty(x.size, dtype=int)
+    for first in range(0, x.size, _SOLVE_BLOCK):
+        block = slice(first, first + _SOLVE_BLOCK)
+        xb, hb = x[block], height[block]
+        # the block's still-iterating points: flat index, x, height and iterate
+        active, xa, ha, Ya = np.arange(first, first + xb.size), xb, hb, np.zeros(xb.size)
+        for k in range(1, max_iter + 1):
+            if not active.size:
+                break
+            slope = spline.derivative(xa + Ya)
+            bad = np.abs(slope) >= L
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise DomainError(f"|f'| = {abs(float(slope[i]))!r} >= L = {L!r} at y = {float(xa[i] + Ya[i])!r}")
+            Y_next = ha * slope / np.sqrt(L * L - slope * slope)
+            done = np.abs(Y_next - Ya) <= threshold
+            finished = active[done]
+            Y[finished], iterations[finished] = Y_next[done], k
+            keep = ~done
+            active, xa, ha, Ya = active[keep], xa[keep], ha[keep], Y_next[keep]
+        if active.size:
+            raise NonConvergenceError(
+                f"contact solve at (x={float(xa[0])!r}, height={float(ha[0])!r}) "
+                f"did not converge in {max_iter} iterations"
+            )
+        y[block] = xb + Y[block]
+        slope = spline.derivative(y[block])
+        residual[block] = np.abs(Y[block] - hb * slope / np.sqrt(L * L - slope * slope))
+        value[block] = spline.value(y[block]) - L * _libm(math.hypot, hb, Y[block])
     if not np.all(np.isfinite(value)):
         raise DomainError("u overflows the float range at some x")
     # [()] turns a 0-d result into a numpy scalar

@@ -10,7 +10,7 @@ import numpy as np
 SIGNIFICANT_DIGITS = 17
 # the %-field that formats a real as fmt_real does
 REAL = f"%.{SIGNIFICANT_DIGITS}g"
-# rows fmt_rows formats per template application: the values of a whole
+# rows fmt_blocks formats per template application: the values of a whole
 # table at once (65537x5 in field exports) cost ~10 MB more peak memory
 _FMT_BLOCK = 4096
 
@@ -20,17 +20,24 @@ def fmt_real(v: float) -> str:
     return format(float(v), f".{SIGNIFICANT_DIGITS}g")
 
 
-def fmt_rows(row: str, columns: list, sep: str) -> str:
-    """The rows of the equal-length column arrays, joined by sep.  row is a
-    %-template with one field per column, REAL for reals and %s for text,
-    applied once per block of _FMT_BLOCK rows over the block's flattened
-    values; every REAL field reads as fmt_real writes it."""
-    starts = range(0, len(columns[0]), _FMT_BLOCK)
-    blocks = (np.column_stack([c[start : start + _FMT_BLOCK] for c in columns]) for start in starts)
-    return sep.join(sep.join([row] * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+def fmt_blocks(row: str, size: int, columns, sep: str):
+    """Rows 0 .. size-1 in blocks of _FMT_BLOCK rows joined by sep; columns(first,
+    last) gives the column arrays of rows first .. last-1.  row is a %-template,
+    REAL per real and %s per text column; REAL reads as fmt_real writes."""
+    for first in range(0, size, _FMT_BLOCK):
+        block = np.column_stack(columns(first, min(first + _FMT_BLOCK, size)))
+        yield sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+
+
+def write_blocks(path: str | Path, head: str, blocks, sep: str, tail: str) -> None:
+    """Write head + sep.join(blocks) + tail with '\\n' newlines, one block at a
+    time; the file is opened (truncated) here, so compute the values first."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        fh.writelines(sep + block if k else block for k, block in enumerate(blocks))
+        fh.write(tail)
 
 
 def write_text(path: str | Path, text: str) -> None:
     """Write text with '\\n' newlines regardless of platform."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_blocks(path, text, (), "", "")

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import construction
 from .errors import ConfigurationError, DomainError, ValidationError
-from .ioutil import REAL, fmt_real, fmt_rows
+from .ioutil import REAL, fmt_blocks, fmt_real
 from .params import AdmissibleProblem
 
 PROVENANCES = ("closed_form", "brute_force", "mw_min", "mw_max")
@@ -594,22 +594,30 @@ def grid_eval(
 # -- exports -------------------------------------------------------------
 
 
-def _grid_rows(grid: FieldGrid, row: str, sep: str) -> str:
-    """The grid's rows, x-major, joined by sep; row is a %-template with %s
-    for x and d, each distinct one formatted once, and REAL for u."""
+def grid_document(grid: FieldGrid, fmt: str) -> tuple:
+    """(head, blocks, sep, tail) of the "csv" or "structured" export for
+    ioutil.write_blocks: rows x-major, each distinct x and d formatted once."""
     xs, ds = (np.array([REAL % v for v in a.tolist()], dtype=object) for a in (grid.xs, grid.ds))
-    return fmt_rows(row, [np.repeat(xs, ds.size), np.tile(ds, xs.size), grid.values.ravel()], sep)
+
+    def columns(first: int, last: int) -> list:
+        i, j = np.divmod(np.arange(first, last), ds.size)
+        return [xs[i], ds[j], grid.values[i, j]]
+
+    if fmt == "csv":
+        row = f"%s,%s,{REAL},{grid.provenance.replace('%', '%%')}"
+        return "x,d,u,provenance\n", fmt_blocks(row, grid.values.size, columns, "\n"), "\n", "\n"
+    head = '{"kind":"field_grid","provenance":"%s","xmin":%s,"xmax":%s,"nx":%d,"nd":%d,"rows":[' % (
+        grid.provenance, fmt_real(grid.spec.xmin), fmt_real(grid.spec.xmax), grid.spec.nx, grid.spec.nd
+    )
+    return head, fmt_blocks('{"x":%%s,"d":%%s,"u":%s}' % REAL, grid.values.size, columns, ","), ",", "]}\n"
 
 
 def grid_to_csv(grid: FieldGrid) -> str:
-    row = f"%s,%s,{REAL},{grid.provenance.replace('%', '%%')}"
-    return "x,d,u,provenance\n" + _grid_rows(grid, row, "\n") + "\n"
+    head, blocks, sep, tail = grid_document(grid, "csv")
+    return head + sep.join(blocks) + tail
 
 
 def grid_to_structured(grid: FieldGrid) -> str:
     """Single JSON document mirroring the CSV fields at the same precision."""
-    rows = _grid_rows(grid, '{"x":%%s,"d":%%s,"u":%s}' % REAL, ",")
-    return (
-        '{"kind":"field_grid","provenance":"%s","xmin":%s,"xmax":%s,"nx":%d,"nd":%d,"rows":[%s]}\n'
-        % (grid.provenance, fmt_real(grid.spec.xmin), fmt_real(grid.spec.xmax), grid.spec.nx, grid.spec.nd, rows)
-    )
+    head, blocks, sep, tail = grid_document(grid, "structured")
+    return head + sep.join(blocks) + tail

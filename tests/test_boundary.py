@@ -229,6 +229,21 @@ class TestEval:
             assert math.isnan(spline.derivative(math.nan))
             assert np.isnan(spline.derivative(np.array([math.nan, math.nan]))).all()
 
+    @pytest.mark.parametrize("path", SPLINE_FILES, ids=lambda path: path.stem)
+    def test_value_at_non_finite_input(self, path):
+        # f at +-inf is the tail's limit with no warning: +-inf on a sloped
+        # tail, and f's finite end value on a flat one (constant and zigzag40
+        # on both tails), where the tail formula once read 0 * inf = nan
+        spline = parse_spline(path.read_text(encoding="utf-8"))
+        (t_first, s_first), (t_last, s_last) = spline.knots[0], spline.knots[-1]
+        low = spline.value(t_first) if s_first == 0.0 else math.copysign(math.inf, -s_first)
+        high = spline.value(t_last) if s_last == 0.0 else math.copysign(math.inf, s_last)
+        assert spline.value(-math.inf) == low
+        assert spline.value(math.inf) == high
+        assert math.isnan(spline.value(math.nan))
+        both = spline.value(np.array([-math.inf, math.inf, math.nan]))
+        assert both[:2].tolist() == [low, high] and math.isnan(both[2])
+
     def test_vectorized_matches_scalar(self):
         spline = parse_spline(VEE_TEXT)
         ys = np.linspace(-2.5, 2.5, 101)

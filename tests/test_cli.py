@@ -1,15 +1,21 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from striplex import cli, verify
-from striplex.construction import u_interior
+from striplex.construction import solve_contacts, u_interior
 from striplex.errors import NonConvergenceError
-from striplex.oracle import GridSpec
+from striplex.ioutil import REAL, fmt_real
+from striplex.oracle import GridSpec, grid_eval
+
+from test_construction import sample_problem
+from test_oracle import fmt_rows
 
 REPO = Path(__file__).resolve().parent.parent
 VEE = str(REPO / "data" / "splines" / "vee.spline")
@@ -188,6 +194,102 @@ class TestGrid:
             assert cli.main(argv) == 1, command
             assert capsys.readouterr().err.startswith("error:")
             assert not out.exists()
+
+
+def construct_reference(problem, nx: int, fmt: str) -> str:
+    """The construct document as one string, built in memory the way the
+    exports were before they were streamed to their file."""
+    sol = solve_contacts(np.linspace(-2.0, 2.0, nx), problem.delta, problem)
+    columns = [sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
+    if fmt == "csv":
+        return "x,y,Y,u,uprime\n" + fmt_rows(",".join([REAL] * 5), columns, "\n") + "\n"
+    rows = fmt_rows('{"x":%s,"y":%s,"Y":%s,"u":%s,"uprime":%s}' % ((REAL,) * 5), columns, ",")
+    return '{"kind":"top_line","rows":[%s]}\n' % rows
+
+
+def grid_reference(problem, nx: int, nd: int, fmt: str) -> str:
+    """The closed-form grid document as one string, every field per row."""
+    grid = grid_eval(problem, GridSpec(xmin=-2.0, xmax=2.0, nx=nx, nd=nd, h_y=1e-6))
+    columns = [a.ravel() for a in np.broadcast_arrays(grid.xs[:, None], grid.ds[None, :])] + [grid.values.ravel()]
+    if fmt == "csv":
+        return "x,d,u,provenance\n" + fmt_rows(f"{REAL},{REAL},{REAL},closed_form", columns, "\n") + "\n"
+    rows = fmt_rows('{"x":%s,"d":%s,"u":%s}' % ((REAL,) * 3), columns, ",")
+    return '{"kind":"field_grid","provenance":"closed_form","xmin":%s,"xmax":%s,"nx":%d,"nd":%d,"rows":[%s]}\n' % (
+        fmt_real(-2.0), fmt_real(2.0), nx, nd, rows
+    )
+
+
+ZIGZAG_WINDOW = ["--spline", ZIGZAG, "--L", "2", "--delta-frac", "0.8", "--xmin", "-2", "--xmax", "2"]
+
+
+class TestStreamedExports:
+    # construct and grid write their documents block by block; the file must
+    # be the in-memory document byte for byte: one separator at each block
+    # seam (4096 rows), the file truncated when it held a longer document,
+    # and the x and d labels of each grid row those of its u
+
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    @pytest.mark.parametrize(
+        "command, sizes",
+        [
+            ("construct", ["--nx", "4095"]),
+            ("construct", ["--nx", "4096"]),
+            ("construct", ["--nx", "4097"]),
+            ("construct", ["--nx", "8193"]),
+            ("grid", ["--nx", "129", "--nd", "33"]),
+            ("grid", ["--nx", "2", "--nd", "3"]),
+        ],
+    )
+    def test_file_equals_in_memory_document(self, tmp_path, capsys, command, sizes, fmt):
+        problem = sample_problem("zigzag40")
+        if command == "construct":
+            expected = construct_reference(problem, int(sizes[1]), fmt)
+        else:
+            expected = grid_reference(problem, int(sizes[1]), int(sizes[3]), fmt)
+        out = tmp_path / "out"
+        out.write_text("#" * (len(expected) + 10000))
+        argv = [command, *ZIGZAG_WINDOW, *sizes, "--format", fmt, "--out", str(out)]
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            assert out.read_text(encoding="utf-8") == expected
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("command", ["construct", "grid"])
+    def test_failed_solve_leaves_the_file_untouched(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        out.write_text("kept\n")
+        argv = [command, *ZIGZAG_WINDOW, "--nx", "8193", "--nd", "3", "--max-iter", "1", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "did not converge in 1 iterations" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+
+def traced_peak_mb(argv) -> float:
+    """Peak of the memory tracemalloc sees allocated during cli.main(argv)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == 0
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "sizes, bound_mb",
+    # bounds halfway between the peaks measured when the exports were built
+    # in memory and the contact solve ran on all points at once (construct
+    # 19.2 MB, grid 9.9 MB) and once both ran in blocks (6.3 and 5.5 MB)
+    [(["construct", "--nx", "65537"], 12.8), (["grid", "--nx", "2049", "--nd", "33"], 7.7)],
+)
+def test_export_peak_memory_is_bounded(tmp_path, capsys, sizes, bound_mb):
+    # the sizes of the field_zigzag benchmark's two commands, on its N = 40 zigzag
+    argv = [sizes[0], *ZIGZAG_WINDOW, *sizes[1:], "--out", str(tmp_path / "out.csv")]
+    assert traced_peak_mb(argv) <= bound_mb
 
 
 class TestReport:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplex import oracle
+from striplex import construction, oracle
 from striplex.analysis import second_derivatives_top
 from striplex.construction import (
     contact_inverse,
@@ -16,10 +16,11 @@ from striplex.construction import (
     u_at_contact,
     u_interior,
 )
-from striplex.errors import DomainError, StriplexError
+from striplex.boundary import parse_spline
+from striplex.errors import DomainError, NonConvergenceError, StriplexError
 from striplex.params import ProblemParams, admit, delta_caps
 
-from test_boundary import splines
+from test_boundary import SPLINE_FILES, splines
 
 # frozen oracle values for the vee profile at L=2, delta=0.1: grid scan at
 # h_y=1e-7 plus golden-section refinement, cross-checked bit-identical with
@@ -303,6 +304,78 @@ def test_batched_solve_matches_pointwise(spline, points, delta_frac):
         for name, ref in zip(names, reference_solve(x, h, problem)):
             got = float(getattr(batch, name)[k]).hex()
             assert got == float(getattr(alone, name)).hex() == float(ref).hex(), name
+
+
+def unblocked_solve(x, height, problem, tol: float = 1e-12, max_iter: int = 200):
+    """The masked fixed-point loop over every point at once, as it ran before
+    solve_contacts went through its points in blocks.  Returns the seven
+    ContactSolution fields in order."""
+    x, height = (a.astype(float) for a in np.broadcast_arrays(x, height))
+    spline, L, q = problem.spline, problem.L, problem.contraction_q
+    threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
+    shape = x.shape
+    x, height = x.ravel(), height.ravel()
+    Y = np.zeros(x.size)
+    iterations = np.zeros(x.size, dtype=int)
+    active, xa, ha, Ya = np.arange(x.size), x, height, np.zeros(x.size)
+    for k in range(1, max_iter + 1):
+        if not active.size:
+            break
+        slope = spline.derivative(xa + Ya)
+        Y_next = ha * slope / np.sqrt(L * L - slope * slope)
+        done = np.abs(Y_next - Ya) <= threshold
+        finished = active[done]
+        Y[finished], iterations[finished] = Y_next[done], k
+        keep = ~done
+        active, xa, ha, Ya = active[keep], xa[keep], ha[keep], Y_next[keep]
+    assert not active.size, "reference loop did not converge"
+    y = x + Y
+    slope = spline.derivative(y)
+    residual = np.abs(Y - height * slope / np.sqrt(L * L - slope * slope))
+    value = spline.value(y) - L * np.array([math.hypot(h, v) for h, v in zip(height.tolist(), Y.tolist())])
+    return tuple(a.reshape(shape)[()] for a in (x, height, Y, y, value, iterations, residual))
+
+
+def sample_problem(name: str, delta_frac: float = 0.8):
+    """The sample spline at L = 2 and the arithmetic of `--delta-frac`: a
+    fraction of the smaller admissibility cap."""
+    path = next(path for path in SPLINE_FILES if path.stem == name)
+    spline = parse_spline(path.read_text(encoding="utf-8"))
+    cap = min(delta_caps(2.0, spline.max_slope, spline.slope_lipschitz))
+    return admit(ProblemParams(L=2.0, delta=delta_frac * cap, spline=spline))
+
+
+@pytest.mark.parametrize("name", ["vee", "two_kinks", "zigzag40"])
+def test_blocked_solve_equals_unblocked_loop(name):
+    # solve_contacts runs its points in blocks of _SOLVE_BLOCK; every field
+    # must be the one the loop over all points at once gives, bit for bit,
+    # for a line at one height and for an (x, d) mesh, both over 3 blocks
+    problem = sample_problem(name)
+    size = 3 * construction._SOLVE_BLOCK + 17
+    xs = np.linspace(-2.0, 2.0, size)
+    mesh = (np.linspace(-2.0, 2.0, size // 32 + 1)[:, None], problem.delta * np.linspace(0.05, 1.0, 32)[None, :])
+    names = ("x", "height", "Y", "y", "value", "iterations", "residual")
+    for point in ((xs, problem.delta), mesh):
+        got = solve_contacts(*point, problem)
+        for name, ref in zip(names, unblocked_solve(*point, problem)):
+            field = getattr(got, name)
+            assert field.dtype == ref.dtype and field.shape == ref.shape, name
+            assert field.tobytes() == ref.tobytes(), name
+
+
+def test_nonconvergence_names_the_first_point_in_a_later_block():
+    # zigzag40's tails are flat, so x = -3 converges in one iteration; the
+    # first point that does not sits in the second block, a later one in the
+    # third
+    problem = sample_problem("zigzag40")
+    block = construction._SOLVE_BLOCK
+    xs = np.full(3 * block, -3.0)
+    xs[block + 7], xs[2 * block + 3] = 0.3125, 0.6125
+    with pytest.raises(NonConvergenceError) as err:
+        solve_contacts(xs, problem.delta, problem, max_iter=1)
+    assert str(err.value) == (
+        f"contact solve at (x=0.3125, height={problem.delta!r}) did not converge in 1 iterations"
+    )
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

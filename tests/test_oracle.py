@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from striplex import construction, oracle
 from striplex.boundary import BoundarySpline, parse_spline
 from striplex.errors import ConfigurationError, DomainError, StriplexError, ValidationError
-from striplex.ioutil import REAL, fmt_real, fmt_rows
+from striplex.ioutil import _FMT_BLOCK, REAL, fmt_real
 from striplex.oracle import (
     MAX_SCAN,
     BruteResult,
@@ -30,6 +30,15 @@ SPLINES = Path(__file__).resolve().parent.parent / "data" / "splines"
 SAMPLE_SPLINES = {
     path.stem: parse_spline(path.read_text(encoding="utf-8")) for path in sorted(SPLINES.glob("*.spline"))
 }
+
+
+def fmt_rows(row: str, columns: list, sep: str) -> str:
+    """The rows of the equal-length column arrays joined by sep, in one
+    string: the in-memory formulation the streamed exports must equal byte
+    for byte (one %-template application per block of _FMT_BLOCK rows)."""
+    starts = range(0, len(columns[0]), _FMT_BLOCK)
+    blocks = (np.column_stack([c[start : start + _FMT_BLOCK] for c in columns]) for start in starts)
+    return sep.join(sep.join([row] * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
 
 
 def envelope_spec(problem, h=1e-4):
