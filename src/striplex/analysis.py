@@ -110,26 +110,20 @@ def richardson_extrapolate(hs, qs) -> float:
     return t[-1]
 
 
-def _u_top(x, problem: AdmissibleProblem, source: str, tol: float, max_iter: int):
+def _u_top(x, problem: AdmissibleProblem, source: str, tol: float):
     """u on the top line at the points x, in one call."""
     if source == "closed_form":
-        return construction.u_interior(x, problem.delta, problem, tol=tol, max_iter=max_iter)
+        return construction.u_interior(x, problem.delta, problem, tol=tol)
     return oracle.brute_force_u((x, problem.delta), problem, ORACLE_H_Y).value
 
 
-def _u_prime_top(
-    x,
-    problem: AdmissibleProblem,
-    source: str,
-    tol: float = construction.DEFAULT_TOL,
-    max_iter: int = construction.DEFAULT_MAX_ITER,
-):
+def _u_prime_top(x, problem: AdmissibleProblem, source: str, tol: float = construction.DEFAULT_TOL):
     """u' on the top line at the points x, in one call: f' at the contact
     points, or a central quotient of step INNER_H of the oracle."""
     if source == "closed_form":
-        sol = construction.solve_contacts(x, problem.delta, problem, tol=tol, max_iter=max_iter)
+        sol = construction.solve_contacts(x, problem.delta, problem, tol=tol)
         return problem.spline.derivative(sol.y)
-    up, dn = _u_top(np.add.outer((INNER_H, -INNER_H), x), problem, source, tol, max_iter)
+    up, dn = _u_top(np.add.outer((INNER_H, -INNER_H), x), problem, source, tol)
     return (up - dn) / (2.0 * INNER_H)
 
 
@@ -141,7 +135,6 @@ def fd_derivative_top(
     order: str = "first",
     source: str = "closed_form",
     tol: float = construction.DEFAULT_TOL,
-    max_iter: int = construction.DEFAULT_MAX_ITER,
 ):
     """Difference quotient of u (order='first') or of u' (order='second')
     along the top line, elementwise over x.
@@ -162,9 +155,9 @@ def fd_derivative_top(
         raise ValidationError(f"unknown source {source!r}; expected one of {FD_SOURCES}")
 
     if order == "first":
-        sample = lambda xx: _u_top(xx, problem, source, tol, max_iter)
+        sample = lambda xx: _u_top(xx, problem, source, tol)
     else:
-        sample = lambda xx: _u_prime_top(xx, problem, source, tol, max_iter)
+        sample = lambda xx: _u_prime_top(xx, problem, source, tol)
     # both stencil points, as offsets from x, sampled in one call
     ahead, behind = {"central": (h, -h), "right": (h, 0.0), "left": (0.0, -h)}[side]
     u_ahead, u_behind = sample(np.add.outer((ahead, behind), x))
@@ -242,7 +235,6 @@ def residual_infinity_laplacian(
     problem: AdmissibleProblem,
     h: float,
     tol: float = construction.DEFAULT_TOL,
-    max_iter: int = construction.DEFAULT_MAX_ITER,
 ) -> float:
     """Central-difference u_x^2 u_xx + 2 u_x u_d u_xd + u_d^2 u_dd at point
     (coordinates may be arrays).
@@ -262,7 +254,7 @@ def residual_infinity_laplacian(
     ox = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
     od = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     u0, uxp, uxm, udp, udm, upp, upm, ump, umm = construction.u_interior(
-        np.add.outer(ox * h, x), np.add.outer(od * h, d), problem, tol=tol, max_iter=max_iter
+        np.add.outer(ox * h, x), np.add.outer(od * h, d), problem, tol=tol
     )
     ux = (uxp - uxm) / (2.0 * h)
     ud = (udp - udm) / (2.0 * h)

@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--nd", type=int, default=grid.nd)
     common.add_argument("--hy", type=float, default=grid.h_y, help="oracle maximization step")
     common.add_argument("--tol", type=float, default=construction.DEFAULT_TOL)
-    common.add_argument("--max-iter", type=int, default=construction.DEFAULT_MAX_ITER)
     common.add_argument("--out", metavar="PATH", help="output file")
     common.add_argument("--format", choices=("csv", "structured"), default="csv")
     common.add_argument(
@@ -134,7 +133,7 @@ def cmd_construct(args) -> int:
             f"need finite xmin < xmax and nx >= 2, got {args.xmin!r}, {args.xmax!r}, nx={args.nx!r}"
         )
     xs = np.linspace(args.xmin, args.xmax, args.nx)
-    sol = construction.solve_contacts(xs, problem.delta, problem, tol=args.tol, max_iter=args.max_iter)
+    sol = construction.solve_contacts(xs, problem.delta, problem, tol=args.tol)
     columns = [sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
     if args.format == "csv":
         head, row, sep, tail = "x,y,Y,u,uprime\n", ",".join([REAL] * 5), "\n", "\n"
@@ -148,7 +147,7 @@ def cmd_construct(args) -> int:
 def cmd_grid(args) -> int:
     problem = _admit(args)
     out = _require_out(args)
-    grid = oracle.grid_eval(problem, _grid_spec(args), args.provenance, tol=args.tol, max_iter=args.max_iter)
+    grid = oracle.grid_eval(problem, _grid_spec(args), args.provenance, tol=args.tol)
     write_blocks(out, *oracle.grid_document(grid, args.format))
     return 0
 
@@ -168,7 +167,7 @@ def cmd_report(args) -> int:
 
 def cmd_verify(args) -> int:
     problem = _admit(args)
-    config = verify.VerifyConfig(grid=_grid_spec(args), tol=args.tol, max_iter=args.max_iter)
+    config = verify.VerifyConfig(grid=_grid_spec(args), tol=args.tol)
     results = verify.run_acceptance(problem, config)
     for res in results:
         print(f"{res.status} {res.name}: {res.detail}")

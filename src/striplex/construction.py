@@ -9,8 +9,9 @@ and substituting into u = f(x + Y) - L * sqrt(d^2 + Y^2).  For admitted
 problems the iteration map is a global contraction with factor
 q = delta * phi_prime_max * Lip(f'), so plain fixed-point iteration from
 Y = 0 with the a-posteriori stopping rule |Y_{k+1} - Y_k| <= tol*(1-q)/q
-guarantees both |Y - Y*| <= tol and residual <= tol.  Heights d < delta use
-the same equation with d in place of delta: the admissibility caps only
+guarantees both |Y - Y*| <= tol and residual <= tol, and the contraction
+bounds how many steps the rule can take (_iteration_cap).  Heights d < delta
+use the same equation with d in place of delta: the admissibility caps only
 tighten as the height grows, so admissibility at delta covers every d below.
 """
 
@@ -25,7 +26,6 @@ from .errors import DomainError, NonConvergenceError
 from .params import AdmissibleProblem
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
 # points per block of solve_contacts, run in C order: bounds its temporaries to a few MB
 _SOLVE_BLOCK = 1 << 14
 
@@ -75,13 +75,24 @@ class ContactSolution:
     residual: float
 
 
-def solve_contacts(
-    x,
-    height,
-    problem: AdmissibleProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ContactSolution:
+def _iteration_cap(problem: AdmissibleProblem, threshold: float) -> int:
+    """Iterations after which the stopping rule |Y_k - Y_(k-1)| <= threshold
+    of solve_contacts has held at every point in exact arithmetic.
+
+    From Y_0 = 0 the first step |Y_1| is at most Ymax = delta * phi(L_f),
+    and step k is at most q^(k-1) * Ymax.  The cap asks for half the
+    threshold, which leaves room for the rounding of the float iteration;
+    the threshold is floored at the smallest subnormal, so the cap stays
+    finite when a tiny tol underflows the threshold to 0."""
+    L, L_f = problem.L, problem.L_f
+    y_max = problem.delta * L_f / math.sqrt(L * L - L_f * L_f)
+    threshold = max(threshold, math.ulp(0.0))
+    if y_max <= 0.5 * threshold:
+        return 1
+    return 1 + math.ceil((math.log(threshold) - math.log(2.0 * y_max)) / math.log(problem.contraction_q))
+
+
+def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_TOL) -> ContactSolution:
     """Solve Y = height * phi(f'(x + Y)) at every point of the broadcast
     (x, height) arrays and evaluate u there.
 
@@ -99,12 +110,13 @@ def solve_contacts(
         raise DomainError(
             f"height must lie in (0, delta], got {float(height[bad_height][0])!r} with delta={problem.delta!r}"
         )
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
     spline = problem.spline
     L = problem.L
     q = problem.contraction_q
     threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
+    cap = _iteration_cap(problem, threshold)
     shape = x.shape
     x, height = x.ravel(), height.ravel()
     Y, y, value, residual = (np.empty(x.size) for _ in range(4))
@@ -114,7 +126,7 @@ def solve_contacts(
         xb, hb = x[block], height[block]
         # the block's still-iterating points: flat index, x, height and iterate
         active, xa, ha, Ya = np.arange(first, first + xb.size), xb, hb, np.zeros(xb.size)
-        for k in range(1, max_iter + 1):
+        for k in range(1, cap + 1):
             if not active.size:
                 break
             slope = spline.derivative(xa + Ya)
@@ -131,7 +143,7 @@ def solve_contacts(
         if active.size:
             raise NonConvergenceError(
                 f"contact solve at (x={float(xa[0])!r}, height={float(ha[0])!r}) "
-                f"did not converge in {max_iter} iterations"
+                f"did not converge in {cap} iterations"
             )
         y[block] = xb + Y[block]
         slope = spline.derivative(y[block])
@@ -164,16 +176,10 @@ def u_at_contact(y, problem: AdmissibleProblem):
     return problem.spline.value(y) - problem.delta * L * L / np.sqrt(L * L - slope * slope)
 
 
-def u_interior(
-    x,
-    d,
-    problem: AdmissibleProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
+def u_interior(x, d, problem: AdmissibleProblem, tol: float = DEFAULT_TOL):
     """u at every point of the broadcast (x, d) arrays, anywhere in the
     strip, via the height-d contact solve."""
-    return solve_contacts(x, d, problem, tol=tol, max_iter=max_iter).value
+    return solve_contacts(x, d, problem, tol=tol).value
 
 
 def segment_value(y, t, problem: AdmissibleProblem):

@@ -30,7 +30,8 @@ class DomainError(StriplexError):
 
 
 class NonConvergenceError(StriplexError):
-    """Fixed-point iteration exhausted max_iter without meeting tolerance."""
+    """Fixed-point iteration reached its iteration cap without meeting
+    tolerance."""
 
 
 class ConfigurationError(StriplexError):

@@ -571,10 +571,9 @@ def grid_eval(
     spec: GridSpec,
     provenance: str = "closed_form",
     tol: float = construction.DEFAULT_TOL,
-    max_iter: int = construction.DEFAULT_MAX_ITER,
 ) -> FieldGrid:
-    """Fill the grid with the selected evaluator; deterministic.  tol and
-    max_iter drive the closed-form contact solve."""
+    """Fill the grid with the selected evaluator; deterministic.  tol drives
+    the closed-form contact solve."""
     if provenance not in PROVENANCES:
         raise ConfigurationError(f"unknown provenance {provenance!r}; expected one of {PROVENANCES}")
     if provenance in ("mw_min", "mw_max"):
@@ -583,7 +582,7 @@ def grid_eval(
         xs = spec.xs()
     ds = spec.heights(problem.delta, provenance)
     if provenance == "closed_form":
-        values = construction.u_interior(xs[:, None], ds[None, :], problem, tol=tol, max_iter=max_iter)
+        values = construction.u_interior(xs[:, None], ds[None, :], problem, tol=tol)
     elif provenance == "brute_force":
         values = brute_force_u((xs[:, None], ds[None, :]), problem, spec.h_y).value
     else:
@@ -610,14 +609,3 @@ def grid_document(grid: FieldGrid, fmt: str) -> tuple:
         grid.provenance, fmt_real(grid.spec.xmin), fmt_real(grid.spec.xmax), grid.spec.nx, grid.spec.nd
     )
     return head, fmt_blocks('{"x":%%s,"d":%%s,"u":%s}' % REAL, grid.values.size, columns, ","), ",", "]}\n"
-
-
-def grid_to_csv(grid: FieldGrid) -> str:
-    head, blocks, sep, tail = grid_document(grid, "csv")
-    return head + sep.join(blocks) + tail
-
-
-def grid_to_structured(grid: FieldGrid) -> str:
-    """Single JSON document mirroring the CSV fields at the same precision."""
-    head, blocks, sep, tail = grid_document(grid, "structured")
-    return head + sep.join(blocks) + tail

@@ -53,7 +53,6 @@ class VerifyConfig:
 
     grid: GridSpec = GridSpec(xmin=-2.0, xmax=2.0, nx=257, nd=17, h_y=1e-6)
     tol: float = construction.DEFAULT_TOL
-    max_iter: int = construction.DEFAULT_MAX_ITER
 
 
 def _status(ok: bool) -> str:
@@ -109,24 +108,25 @@ def check_localization(problem: AdmissibleProblem, spec: GridSpec, cache: dict) 
     )
 
 
-def check_fixed_point(problem: AdmissibleProblem, config: VerifyConfig, spec: GridSpec) -> CheckResult:
+def check_fixed_point(problem: AdmissibleProblem, config: VerifyConfig) -> CheckResult:
     """Residuals at tol, contact round trip, iteration counts versus the
     contraction budget."""
     rng = np.random.default_rng(_SEED)
     delta = problem.delta
-    xs = rng.uniform(spec.xmin, spec.xmax, _N_RANDOM)
+    grid = config.grid
+    xs = rng.uniform(grid.xmin, grid.xmax, _N_RANDOM)
     # each x is solved at the top line and at one random lower height
     heights = np.stack([np.full_like(xs, delta), rng.uniform(0.1 * delta, delta, _N_RANDOM)], axis=1)
-    sol = construction.solve_contacts(xs[:, None], heights, problem, tol=config.tol, max_iter=config.max_iter)
+    sol = construction.solve_contacts(xs[:, None], heights, problem, tol=config.tol)
     worst_residual = float(np.max(sol.residual))
     worst_iters = int(np.max(sol.iterations))
     q = problem.contraction_q
     iter_budget = math.ceil(math.log(config.tol) / math.log(q)) + 2 if 0.0 < q < 1.0 else 2
-    half = 0.75 * 0.5 * (spec.xmax - spec.xmin)
-    mid = 0.5 * (spec.xmin + spec.xmax)
+    half = 0.75 * 0.5 * (grid.xmax - grid.xmin)
+    mid = 0.5 * (grid.xmin + grid.xmax)
     ys = rng.uniform(mid - half, mid + half, _N_RANDOM)
     x_back = construction.contact_inverse(ys, delta, problem)
-    sol = construction.solve_contacts(x_back, delta, problem, tol=config.tol, max_iter=config.max_iter)
+    sol = construction.solve_contacts(x_back, delta, problem, tol=config.tol)
     worst_roundtrip = float(np.max(np.abs(sol.y - ys)))
     ok = worst_residual <= config.tol and worst_roundtrip <= 1e-10 and worst_iters <= iter_budget
     return CheckResult(
@@ -138,13 +138,13 @@ def check_fixed_point(problem: AdmissibleProblem, config: VerifyConfig, spec: Gr
     )
 
 
-def check_gradient_identity(problem: AdmissibleProblem, config: VerifyConfig, spec: GridSpec) -> CheckResult:
+def check_gradient_identity(problem: AdmissibleProblem, config: VerifyConfig) -> CheckResult:
     """Central difference of u along the top line equals f' at the contact
     point, 1e-3 at step 1e-5."""
     rng = np.random.default_rng(_SEED + 1)
     kinks = np.array([k.y0 for k in problem.spline.kinks()])
-    half = 0.75 * 0.5 * (spec.xmax - spec.xmin)
-    mid = 0.5 * (spec.xmin + spec.xmax)
+    half = 0.75 * 0.5 * (config.grid.xmax - config.grid.xmin)
+    mid = 0.5 * (config.grid.xmin + config.grid.xmax)
     h = 1e-5
     # draws within 1e-4 of a kink are rejected; drawing only the shortfall
     # keeps the stream of one-at-a-time draws
@@ -153,9 +153,7 @@ def check_gradient_identity(problem: AdmissibleProblem, config: VerifyConfig, sp
         draw = rng.uniform(mid - half, mid + half, _N_RANDOM - ys.size)
         ys = np.concatenate([ys, draw[~np.any(np.abs(draw[:, None] - kinks) < 1e-4, axis=1)]])
     x = construction.contact_inverse(ys, problem.delta, problem)
-    fd = analysis.fd_derivative_top(
-        x, problem, h, side="central", order="first", tol=config.tol, max_iter=config.max_iter
-    )
+    fd = analysis.fd_derivative_top(x, problem, h, side="central", order="first", tol=config.tol)
     worst = max(0.0, float(np.max(np.abs(fd - problem.spline.derivative(ys)))))
     ok = worst <= 1e-3
     return CheckResult(
@@ -190,17 +188,17 @@ def check_kink_transfer(problem: AdmissibleProblem) -> CheckResult:
     )
 
 
-def check_envelope_coincidence(problem: AdmissibleProblem, config: VerifyConfig, spec: GridSpec) -> CheckResult:
+def check_envelope_coincidence(problem: AdmissibleProblem, config: VerifyConfig) -> CheckResult:
     """Min/max Lipschitz envelopes of the boundary data bracket u and pinch
     to it at the sampling rate."""
     rng = np.random.default_rng(_SEED + 2)
-    env_spec = replace(spec, h_y=_ENVELOPE_H)
+    env_spec = replace(config.grid, h_y=_ENVELOPE_H)
     gap_tol = 5.0 * (problem.L_f + problem.L) * _ENVELOPE_H
     lo, hi = env_spec.trimmed_window(problem)
     # one (x, d) pair per row, drawn x first as one-at-a-time draws would
     xs, ds = rng.uniform([lo, 0.1 * problem.delta], [hi, 0.9 * problem.delta], (_N_ENVELOPE_POINTS, 2)).T
     low, high = oracle.mw_envelopes((xs, ds), problem, env_spec)
-    u = construction.u_interior(xs, ds, problem, tol=config.tol, max_iter=config.max_iter)
+    u = construction.u_interior(xs, ds, problem, tol=config.tol)
     max_gap = max(0.0, float(np.max(high - low)))
     # 1e-12 float guard on inequalities that hold exactly in real arithmetic
     bracket_ok = bool(np.all((low <= u + 1e-12) & (u <= high + 1e-12) & (low <= high + 1e-12)))
@@ -220,7 +218,7 @@ def check_segment_affinity(problem: AdmissibleProblem, config: VerifyConfig) -> 
     lo, hi = (ts[0] - 1.0, ts[-1] + 1.0) if len(ts) == 1 else (ts[0] - 0.25, ts[-1] + 0.25)
     ys = np.linspace(lo, hi, _N_SEGMENTS)[:, None]
     (px, pd), line_value = construction.segment_value(ys, np.arange(0.1, 0.95, 0.1), problem)
-    u = construction.u_interior(px, pd, problem, tol=config.tol, max_iter=config.max_iter)
+    u = construction.u_interior(px, pd, problem, tol=config.tol)
     worst = float(np.max(np.abs(u - line_value)))
     ok = worst <= 1e-9
     return CheckResult(
@@ -230,15 +228,15 @@ def check_segment_affinity(problem: AdmissibleProblem, config: VerifyConfig) -> 
     )
 
 
-def check_lipschitz_quotient(problem: AdmissibleProblem, config: VerifyConfig, spec: GridSpec) -> CheckResult:
+def check_lipschitz_quotient(problem: AdmissibleProblem, config: VerifyConfig) -> CheckResult:
     """Empirical sup of |dY/dx| against the contraction-derived bound
     q/(1-q); the variant bound (Lip(f') squared) is reported, not gated."""
     rng = np.random.default_rng(_SEED + 3)
-    x1 = rng.uniform(spec.xmin, spec.xmax, _N_PAIRS)
+    x1 = rng.uniform(config.grid.xmin, config.grid.xmax, _N_PAIRS)
     dx = rng.uniform(1e-4, 0.2, _N_PAIRS) * rng.choice([-1.0, 1.0], _N_PAIRS)
     # tol fixed at 1e-14 so solver error stays far below the measured quotients
-    ya = construction.solve_contacts(x1, problem.delta, problem, tol=1e-14, max_iter=config.max_iter).Y
-    yb = construction.solve_contacts(x1 + dx, problem.delta, problem, tol=1e-14, max_iter=config.max_iter).Y
+    ya = construction.solve_contacts(x1, problem.delta, problem, tol=1e-14).Y
+    yb = construction.solve_contacts(x1 + dx, problem.delta, problem, tol=1e-14).Y
     sup_quot = float(np.max(np.abs(yb - ya) / np.abs(dx)))
     bound = problem.lip_Y_bound
     variant = problem.lip_Y_bound_variant
@@ -253,10 +251,7 @@ def check_lipschitz_quotient(problem: AdmissibleProblem, config: VerifyConfig, s
 
 
 def default_residual_probes(
-    problem: AdmissibleProblem,
-    h_max: float,
-    tol: float = construction.DEFAULT_TOL,
-    max_iter: int = construction.DEFAULT_MAX_ITER,
+    problem: AdmissibleProblem, h_max: float, tol: float = construction.DEFAULT_TOL
 ) -> tuple[tuple[float, float], ...]:
     """_N_PROBES probe points at mid-height, clear of every knot's contact
     segment.
@@ -276,7 +271,7 @@ def default_residual_probes(
     clearance_min = max(5.0 * h_max, 0.02)
     cands = np.linspace(ts[0], ts[-1], 401)
     clear = cands[np.min(np.abs(cands[:, None] - lines), axis=1) >= clearance_min]
-    ys = construction.solve_contacts(clear, d, problem, tol=tol, max_iter=max_iter).y
+    ys = construction.solve_contacts(clear, d, problem, tol=tol).y
     good = clear[(spline.second_left(ys) != 0.0) | (spline.second_right(ys) != 0.0)]
     if len(good) < _N_PROBES:
         good = clear if len(clear) >= _N_PROBES else cands
@@ -288,16 +283,14 @@ def check_residual_refinement(problem: AdmissibleProblem, config: VerifyConfig) 
     """The infinity-Laplacian residual decays by >= 1.5x per step halving at
     probes off the kink segments (or sits at the rounding floor)."""
     hs = (problem.delta / 10.0, problem.delta / 20.0, problem.delta / 40.0)
-    probes = default_residual_probes(problem, max(hs), tol=config.tol, max_iter=config.max_iter)
+    probes = default_residual_probes(problem, max(hs), tol=config.tol)
     # rounding floor of the second-difference stencil: ~eps/h^2 times the
     # squared gradient scale; below it there is no decay left to measure
     eps = np.finfo(float).eps
     floors = np.array([4096.0 * eps * (1.0 + problem.L**2) / (h * h) for h in hs])
     points = tuple(np.array(probes, dtype=float).T)
     # res[k, p]: residual at probe p with step hs[k]
-    res = np.abs(
-        [analysis.residual_infinity_laplacian(points, problem, h, tol=config.tol, max_iter=config.max_iter) for h in hs]
-    )
+    res = np.abs([analysis.residual_infinity_laplacian(points, problem, h, tol=config.tol) for h in hs])
     measured = res[1:] > floors[1:, None]
     ratios = res[:-1][measured] / res[1:][measured]
     min_ratio = float(np.min(ratios)) if ratios.size else math.inf
@@ -332,7 +325,7 @@ def check_degenerate_closed_forms(problem: AdmissibleProblem, config: VerifyConf
         return oracle.brute_force_u((xs, ds), p, 1e-6).value
 
     def closed(xs, ds, p):
-        return construction.u_interior(xs, ds, p, tol=config.tol, max_iter=config.max_iter)
+        return construction.u_interior(xs, ds, p, tol=config.tol)
 
     worst = max(0.0, deviation(closed, 50), deviation(brute, 10))
     ok = worst <= 1e-12
@@ -358,9 +351,7 @@ def run_acceptance(
     """
     config = config or VerifyConfig()
     spec = config.grid
-    u_closed = u_override or (
-        lambda x, d: construction.u_interior(x, d, problem, tol=config.tol, max_iter=config.max_iter)
-    )
+    u_closed = u_override or (lambda x, d: construction.u_interior(x, d, problem, tol=config.tol))
     results: list[CheckResult] = []
 
     def guarded(name: str, fn):
@@ -375,12 +366,12 @@ def run_acceptance(
         results.append(guarded("localization", lambda: check_localization(problem, spec, cache)))
     else:
         results.append(CheckResult("localization", "SKIP", "no oracle grid available"))
-    results.append(guarded("fixed_point_contract", lambda: check_fixed_point(problem, config, spec)))
-    results.append(guarded("gradient_identity", lambda: check_gradient_identity(problem, config, spec)))
+    results.append(guarded("fixed_point_contract", lambda: check_fixed_point(problem, config)))
+    results.append(guarded("gradient_identity", lambda: check_gradient_identity(problem, config)))
     results.append(guarded("kink_transfer", lambda: check_kink_transfer(problem)))
-    results.append(guarded("envelope_coincidence", lambda: check_envelope_coincidence(problem, config, spec)))
+    results.append(guarded("envelope_coincidence", lambda: check_envelope_coincidence(problem, config)))
     results.append(guarded("segment_affinity", lambda: check_segment_affinity(problem, config)))
-    results.append(guarded("lipschitz_quotient", lambda: check_lipschitz_quotient(problem, config, spec)))
+    results.append(guarded("lipschitz_quotient", lambda: check_lipschitz_quotient(problem, config)))
     results.append(guarded("residual_refinement", lambda: check_residual_refinement(problem, config)))
     results.append(guarded("degenerate_closed_forms", lambda: check_degenerate_closed_forms(problem, config)))
     return results

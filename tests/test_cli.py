@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from striplex import cli, verify
+from striplex import cli, construction, verify
 from striplex.construction import solve_contacts, u_interior
 from striplex.errors import NonConvergenceError
 from striplex.ioutil import REAL, fmt_real
@@ -122,6 +122,20 @@ class TestConstruct:
         assert cli.main(argv) == 0
         assert out.read_bytes() == GOLDEN_ZIGZAG.read_bytes()
 
+    def test_zigzag_near_the_banach_cap(self, tmp_path, capsys):
+        # at q ~ 0.90 some points need 248 iterations, more than a fixed cap
+        # of 200 allowed; the cap derived from q lets every point converge
+        out = tmp_path / "zigzag.csv"
+        argv = ["construct", "--spline", ZIGZAG, "--L", "2", "--delta-frac", "0.9", "--nx", "513", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len(out.read_text().splitlines()) == 514
+
+    def test_max_iter_is_an_unknown_flag(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert cli.main(["construct", *STANDARD, "--max-iter", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_out_required(self, capsys):
         assert cli.main(["construct", *STANDARD]) == 1
 
@@ -185,7 +199,7 @@ class TestGrid:
         err = capsys.readouterr().err
         assert err.startswith("error: at grid point") and "boundary samples" in err
 
-    @pytest.mark.parametrize("flags", [["--max-iter", "1"], ["--tol", "0"]])
+    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"]])
     def test_solver_flags_reach_the_closed_form_fill(self, tmp_path, capsys, flags):
         # the same flags make construct exit 1; grid must not ignore them
         for command in ("grid", "construct"):
@@ -255,10 +269,11 @@ class TestStreamedExports:
         assert out.read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize("command", ["construct", "grid"])
-    def test_failed_solve_leaves_the_file_untouched(self, tmp_path, capsys, command):
+    def test_failed_solve_leaves_the_file_untouched(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)
         out = tmp_path / "out.csv"
         out.write_text("kept\n")
-        argv = [command, *ZIGZAG_WINDOW, "--nx", "8193", "--nd", "3", "--max-iter", "1", "--out", str(out)]
+        argv = [command, *ZIGZAG_WINDOW, "--nx", "8193", "--nd", "3", "--out", str(out)]
         assert cli.main(argv) == 1
         assert "did not converge in 1 iterations" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
@@ -327,19 +342,31 @@ class TestVerify:
         assert "SKIP kink_transfer" in out
         assert "FAIL" not in out
 
-    def test_max_iter_reaches_every_contact_solve(self, capsys):
-        assert cli.main(["verify", *STANDARD, "--nx", "5", "--nd", "2", "--max-iter", "1"]) == 3
+    def test_iteration_cap_reaches_every_contact_solve(self, capsys, monkeypatch):
+        monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)
+        assert cli.main(["verify", *STANDARD, "--nx", "5", "--nd", "2"]) == 3
         lines = capsys.readouterr().out.splitlines()[:-1]
         status = {line.split()[1].rstrip(":"): line.split()[0] for line in lines}
-        # kink_transfer measures through the oracle only, and the degenerate
-        # profiles have q = 0, so one iteration solves them exactly
-        passing = {"kink_transfer", "degenerate_closed_forms"}
+        # the degenerate profiles have q = 0, so one iteration solves them
+        # exactly; kink_transfer measures through the oracle, but its report
+        # also solves contacts for the mid-segment jumps, so the cap reaches
+        # it too
+        passing = {"degenerate_closed_forms"}
         # localization needs only the oracle grid, which is built first
         assert status.pop("localization") == "PASS"
         assert {name for name, s in status.items() if s == "PASS"} == passing
         for line in lines:
             if line.startswith("FAIL"):
                 assert "did not converge in 1 iterations" in line
+
+    def test_zigzag_near_the_banach_cap(self, capsys):
+        # the four checks whose contact solves need more than 200 iterations
+        # at q ~ 0.90 (248 at most)
+        cli.main(["verify", "--spline", ZIGZAG, "--L", "2", "--delta-frac", "0.9"])
+        lines = capsys.readouterr().out.splitlines()
+        status = {line.split()[1].rstrip(":"): line.split()[0] for line in lines[:-1]}
+        for name in ("oracle_equivalence", "fixed_point_contract", "gradient_identity", "lipschitz_quotient"):
+            assert status[name] == "PASS", name
 
     def test_window_too_narrow_for_the_envelope_margin(self, capsys):
         # on vee at delta-frac 0.5 the envelope margin 10*D*delta = 7.33
@@ -399,6 +426,9 @@ TINY = st.sampled_from([5e-324, -5e-324, 1e-300, 2.2250738585072014e-308])
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 ANY_VALUE = st.one_of(FINITE, TINY, NON_FINITE)
 ANY_STEP = st.one_of(st.floats(1e-5, 4.0), st.floats(-4.0, 0.0), TINY, NON_FINITE)
+# contact-solve tolerances: normal, tiny (5e-324 underflows the stopping
+# threshold to 0), nan and +-inf, and negative
+ANY_TOL = st.one_of(st.floats(1e-15, 1e-3), TINY, NON_FINITE, st.floats(-1.0, 0.0))
 
 
 @given(
@@ -408,14 +438,17 @@ ANY_STEP = st.one_of(st.floats(1e-5, 4.0), st.floats(-4.0, 0.0), TINY, NON_FINIT
     ANY_STEP,
     ANY_VALUE,
     st.integers(0, 5),
+    ANY_TOL,
 )
+# at delta = 2.5, q ~ 0.68 > 0.5, so this tol underflows the stopping threshold to 0
+@example(command=["construct"], xmin=-2.0, xmax=2.0, hy=1e-5, delta=2.5, nx=5, tol=5e-324)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_any_window_exits_with_a_contract_code(tmp_path, capsys, command, xmin, xmax, hy, delta, nx):
+def test_any_window_exits_with_a_contract_code(tmp_path, capsys, command, xmin, xmax, hy, delta, nx, tol):
     # every input ends in a documented exit code without a traceback, and
     # the usage/input (1) and inadmissible (2) codes say why on stderr
     capsys.readouterr()
     argv = [*command, "--spline", VEE, "--L", "2", "--delta", repr(delta), "--xmin", repr(xmin),
-            "--xmax", repr(xmax), "--hy", repr(hy), "--nx", str(nx), "--nd", "2",
+            "--xmax", repr(xmax), "--hy", repr(hy), "--nx", str(nx), "--nd", "2", "--tol", repr(tol),
             "--out", str(tmp_path / "out.csv")]
     code = cli.main(argv)
     err = capsys.readouterr().err

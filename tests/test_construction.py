@@ -94,13 +94,14 @@ class TestSolveContact:
             with pytest.raises(DomainError):
                 solve_contacts(0.0, bad, vee_problem)
 
-    def test_iteration_budget_guard(self, vee_problem):
-        from striplex.errors import NonConvergenceError
-
-        with pytest.raises(NonConvergenceError):
-            solve_contacts(0.7, 0.1, vee_problem, max_iter=1)
+    def test_iteration_budget_guard(self, vee_problem, monkeypatch):
         with pytest.raises(DomainError):
             solve_contacts(0.7, 0.1, vee_problem, tol=0.0)
+        with pytest.raises(DomainError, match="tol must be > 0, got nan"):
+            solve_contacts(0.7, 0.1, vee_problem, tol=math.nan)
+        monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)
+        with pytest.raises(NonConvergenceError, match="did not converge in 1 iterations"):
+            solve_contacts(0.7, 0.1, vee_problem)
 
 
 class TestContactInverse:
@@ -363,16 +364,47 @@ def test_blocked_solve_equals_unblocked_loop(name):
             assert field.tobytes() == ref.tobytes(), name
 
 
-def test_nonconvergence_names_the_first_point_in_a_later_block():
+@pytest.mark.parametrize("name", ["vee", "two_kinks", "zigzag40"])
+def test_derived_iteration_cap_never_binds(name):
+    # the cap derived from q stops no point that a cap far above it lets
+    # converge: every field is the one the unblocked loop gives with 100
+    # times the cap, bit for bit, up to q ~ 0.9 on zigzag40
+    rng = np.random.default_rng(len(name))
+    names = ("x", "height", "Y", "y", "value", "iterations", "residual")
+    for delta_frac in (0.05, 0.3, 0.6, 0.9):
+        problem = sample_problem(name, delta_frac)
+        # a quarter of the points on the top line, where the most iterations
+        # are needed, the rest at heights in (0, delta]
+        xs = rng.uniform(-3.0, 3.0, 2000)
+        heights = problem.delta * np.concatenate([np.ones(500), 1.0 - rng.uniform(0.0, 1.0, 1500)])
+        q = problem.contraction_q
+        for tol in (1e-10, 1e-12, 1e-14):
+            cap = construction._iteration_cap(problem, tol * (1.0 - q) / q)
+            got = solve_contacts(xs, heights, problem, tol=tol)
+            assert int(np.max(got.iterations)) <= cap
+            for field, ref in zip(names, unblocked_solve(xs, heights, problem, tol=tol, max_iter=100 * cap)):
+                assert getattr(got, field).tobytes() == ref.tobytes(), (delta_frac, tol, field)
+
+
+def test_underflowing_threshold_keeps_the_cap_finite():
+    # at q > 0.5 a tol of 5e-324 underflows the stopping threshold to 0,
+    # which the float iteration at this point never meets
+    problem = sample_problem("vee", 0.9)
+    with pytest.raises(NonConvergenceError, match="did not converge in"):
+        solve_contacts(-1.5, problem.delta, problem, tol=5e-324)
+
+
+def test_nonconvergence_names_the_first_point_in_a_later_block(monkeypatch):
     # zigzag40's tails are flat, so x = -3 converges in one iteration; the
     # first point that does not sits in the second block, a later one in the
     # third
+    monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)
     problem = sample_problem("zigzag40")
     block = construction._SOLVE_BLOCK
     xs = np.full(3 * block, -3.0)
     xs[block + 7], xs[2 * block + 3] = 0.3125, 0.6125
     with pytest.raises(NonConvergenceError) as err:
-        solve_contacts(xs, problem.delta, problem, max_iter=1)
+        solve_contacts(xs, problem.delta, problem)
     assert str(err.value) == (
         f"contact solve at (x=0.3125, height={problem.delta!r}) did not converge in 1 iterations"
     )

@@ -16,9 +16,8 @@ from striplex.oracle import (
     GridSpec,
     _scan_argmax,
     brute_force_u,
+    grid_document,
     grid_eval,
-    grid_to_csv,
-    grid_to_structured,
     mw_envelopes,
 )
 from striplex.params import ProblemParams, admit, delta_caps
@@ -547,11 +546,18 @@ class TestGridEval:
             grid_eval(vee_problem, spec, "brute_force")
 
 
+def joined_document(grid, fmt: str) -> str:
+    """The grid's export document in one string, as the grid command writes
+    it to its file."""
+    head, blocks, sep, tail = grid_document(grid, fmt)
+    return head + sep.join(blocks) + tail
+
+
 class TestExports:
     def test_csv_shape_and_precision(self, constant_problem):
         spec = GridSpec(xmin=-1.0, xmax=1.0, nx=3, nd=3, h_y=1e-6)
         grid = grid_eval(constant_problem, spec, "closed_form")
-        text = grid_to_csv(grid)
+        text = joined_document(grid, "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "x,d,u,provenance"
         assert len(lines) == 1 + 9
@@ -564,8 +570,8 @@ class TestExports:
 
         spec = GridSpec(xmin=-0.5, xmax=0.5, nx=3, nd=2, h_y=1e-6)
         grid = grid_eval(vee_problem, spec, "closed_form")
-        csv_rows = grid_to_csv(grid).strip().split("\n")[1:]
-        doc = json.loads(grid_to_structured(grid))
+        csv_rows = joined_document(grid, "csv").strip().split("\n")[1:]
+        doc = json.loads(joined_document(grid, "structured"))
         assert doc["provenance"] == "closed_form"
         assert len(doc["rows"]) == len(csv_rows)
         for row, line in zip(doc["rows"], csv_rows):
@@ -593,13 +599,13 @@ class TestExports:
         grid = oracle.FieldGrid(spec=spec, provenance=provenance, xs=xs, ds=ds, values=values)
         columns = [a.ravel() for a in np.broadcast_arrays(xs[:, None], ds[None, :])] + [values.ravel()]
         row = f"{REAL},{REAL},{REAL},{provenance.replace('%', '%%')}"
-        assert grid_to_csv(grid) == "x,d,u,provenance\n" + fmt_rows(row, columns, "\n") + "\n"
+        assert joined_document(grid, "csv") == "x,d,u,provenance\n" + fmt_rows(row, columns, "\n") + "\n"
         rows = fmt_rows('{"x":%s,"d":%s,"u":%s}' % ((REAL,) * 3), columns, ",")
-        assert grid_to_structured(grid) == (
+        assert joined_document(grid, "structured") == (
             '{"kind":"field_grid","provenance":"%s","xmin":%s,"xmax":%s,"nx":%d,"nd":%d,"rows":[%s]}\n'
             % (provenance, fmt_real(-1.0), fmt_real(1.0), nx, nd, rows)
         )
-        assert f"\n-0,{fmt_real(ds[0])}," in grid_to_csv(grid)
+        assert f"\n-0,{fmt_real(ds[0])}," in joined_document(grid, "csv")
 
 
 @given(st.floats(-1.5, 1.5), st.floats(0.2, 1.0), st.floats(0.1, 0.6))

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from striplex import cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+VEE = SCRIPTS.parent / "data" / "splines" / "vee.spline"
 
 
 def load(name):
@@ -27,4 +30,9 @@ def test_run_standard_case(tmp_path, capsys):
     assert load("run_standard_case").main(["--outdir", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("PASS ") for line in lines) == 10
-    assert (tmp_path / "field_grid.csv").is_file() and (tmp_path / "kink_report.csv").is_file()
+    assert (tmp_path / "kink_report.csv").is_file()
+    # the script's field grid is the grid command's file at the same settings
+    out = tmp_path / "cli_grid.csv"
+    argv = ["grid", "--spline", str(VEE), "--L", "2", "--delta", "0.1", "--nx", "129", "--nd", "9", "--hy", "1e-5"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert (tmp_path / "field_grid.csv").read_bytes() == out.read_bytes()
