@@ -329,6 +329,23 @@ class TestReport:
         for c, v in zip(header.split(","), row.split(",")):
             assert doc["rows"][0][c] == float(v)
 
+    @pytest.mark.parametrize(
+        "spline, height, fmt, golden",
+        [
+            # 79 kinks at q ~ 0.80: pins the report arithmetic over many kinks
+            ("zigzag40", ["--delta-frac", "0.8"], "csv", "report_zigzag40.csv"),
+            ("two_kinks", ["--delta", "0.1"], "structured", "report_two_kinks.json"),
+            # no kink: the header line alone
+            ("ramp", ["--delta", "0.1"], "csv", "report_ramp.csv"),
+        ],
+    )
+    def test_golden_file(self, tmp_path, capsys, spline, height, fmt, golden):
+        out = tmp_path / "report"
+        path = str(REPO / "data" / "splines" / f"{spline}.spline")
+        argv = ["report", "--spline", path, "--L", "2", *height, "--format", fmt, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_bytes() == (GOLDEN.parent / golden).read_bytes()
+
 
 class TestVerify:
     def test_no_kink_profile_skips_and_passes(self, tmp_path, capsys):
