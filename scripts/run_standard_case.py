@@ -15,7 +15,7 @@ from pathlib import Path
 
 from striplex import analysis, oracle, verify
 from striplex.boundary import parse_spline
-from striplex.ioutil import fmt_real, write_blocks, write_text
+from striplex.ioutil import fmt_real, write_blocks
 from striplex.params import ProblemParams, admit
 
 REPO = Path(__file__).resolve().parent.parent
@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     export_spec = oracle.GridSpec(xmin=-2.0, xmax=2.0, nx=129, nd=9, h_y=1e-5)
     field = oracle.grid_eval(problem, export_spec, "closed_form")
     write_blocks(outdir / "field_grid.csv", *oracle.grid_document(field, "csv"))
-    write_text(outdir / "kink_report.csv", analysis.kink_reports_to_csv(analysis.kink_transfer_report(problem)))
+    write_blocks(outdir / "kink_report.csv", *analysis.report_document(analysis.kink_transfer_report(problem), "csv"))
     print(f"\nwrote {outdir / 'field_grid.csv'} and {outdir / 'kink_report.csv'}")
     return 3 if failed else 0
 

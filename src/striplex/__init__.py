@@ -10,7 +10,7 @@ reappear on the top line.
 from .boundary import BoundarySpline, Kink, parse_spline
 from .construction import ContactSolution, contact_inverse, phi, phi_prime, segment_value, solve_contacts, u_at_contact, u_interior
 from .oracle import BruteResult, FieldGrid, GridSpec, brute_force_u, grid_eval, mw_envelopes
-from .analysis import KinkReport, curvature_transfer, fd_derivative_top, kink_transfer_report, residual_infinity_laplacian, second_derivatives_top
+from .analysis import KinkReport, curvature_transfer, kink_transfer_report, residual_infinity_laplacian, second_derivatives_top
 from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
 from .verify import CheckResult, VerifyConfig, run_acceptance
 
@@ -33,7 +33,6 @@ __all__ = [
     "contact_inverse",
     "curvature_transfer",
     "delta_caps",
-    "fd_derivative_top",
     "grid_eval",
     "kink_transfer_report",
     "mw_envelopes",

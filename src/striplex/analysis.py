@@ -1,5 +1,5 @@
-"""Differential diagnostics: curvature transfer at kinks, gradient identity,
-and the infinity-Laplacian residual.
+"""Differential diagnostics: curvature transfer at kinks and the
+infinity-Laplacian residual.
 
 A slope kink of the boundary profile at y0 reappears on the top line at
 x0 = x(y0) with one-sided second derivatives
@@ -8,23 +8,20 @@ x0 = x(y0) with one-sided second derivatives
 
 so distinct boundary curvatures stay distinct: the transfer map
 t -> t / (1 - delta*C*t) is strictly increasing while the denominators stay
-above 1 - q.  The measurements here never trust that formula: one-sided
-difference quotients of u' are built either from the contact identity
-u'(x(y)) = f'(y) (fast path) or from raw finite differences of the
-brute-force oracle (slow path), and Richardson extrapolation removes the
-leading quotient error.
+above 1 - q.  The measurement never trusts that formula: u' comes from
+central quotients of the brute-force oracle alone, and Richardson
+extrapolation removes the leading error of the one-sided quotients of u'.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import construction, oracle
 from .errors import DomainError, ValidationError
-from .ioutil import fmt_real
+from .ioutil import REAL, fmt_blocks
 from .params import AdmissibleProblem
 
 DEFAULT_H_SCHEDULE = (1e-3, 5e-4, 2.5e-4)
@@ -34,31 +31,11 @@ INNER_H = 1e-7
 # scan step of every oracle sample taken here
 ORACLE_H_Y = 1e-6
 
-FD_SIDES = ("central", "left", "right")
-FD_ORDERS = ("first", "second")
-FD_SOURCES = ("closed_form", "oracle")
-
-KINK_REPORT_COLUMNS = (
-    "y0",
-    "x0",
-    "fpp_minus",
-    "fpp_plus",
-    "upp_minus_pred",
-    "upp_plus_pred",
-    "upp_minus_fd",
-    "upp_plus_fd",
-    "denom_minus",
-    "denom_plus",
-)
-
 
 @dataclass(frozen=True)
 class KinkReport:
     """Boundary curvature jump paired with its predicted and measured image
-    on the top line.  midseg_jumps holds the transverse one-sided
-    second-difference gap at the segment midpoint per probe step
-    (informative: a nonzero limit witnesses the curvature jump along the
-    whole segment)."""
+    on the top line."""
 
     y0: float
     x0: float
@@ -70,7 +47,9 @@ class KinkReport:
     upp_plus_fd: float
     denom_minus: float
     denom_plus: float
-    midseg_jumps: tuple[float, ...]
+
+
+KINK_REPORT_COLUMNS = tuple(f.name for f in fields(KinkReport))
 
 
 def curvature_transfer(t: float, delta: float, C: float) -> float:
@@ -93,141 +72,65 @@ def second_derivatives_top(y0, problem: AdmissibleProblem) -> tuple:
     )
 
 
-def richardson_extrapolate(hs, qs) -> float:
-    """Extrapolate samples Q(h) to h = 0 by Neville's scheme.
+def richardson_extrapolate(hs, qs):
+    """Extrapolate samples Q(h) to h = 0 by Neville's scheme, elementwise
+    when each sample qs[i] is an array.
 
     Exact for Q polynomial in h of degree < len(hs); kills the O(h) and
     O(h^2) terms of one-sided quotients on the default 3-step schedule.
     """
     if len(hs) != len(qs) or len(hs) < 1:
         raise ValidationError("need equally many steps and samples, at least one each")
-    t = [float(q) for q in qs]
-    h = [float(v) for v in hs]
+    t = list(qs)
     n = len(t)
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):
-            t[i] = t[i] + (t[i] - t[i - 1]) * h[i] / (h[i - k] - h[i])
+            t[i] = t[i] + (t[i] - t[i - 1]) * hs[i] / (hs[i - k] - hs[i])
     return t[-1]
-
-
-def _u_top(x, problem: AdmissibleProblem, source: str, tol: float):
-    """u on the top line at the points x, in one call."""
-    if source == "closed_form":
-        return construction.u_interior(x, problem.delta, problem, tol=tol)
-    return oracle.brute_force_u((x, problem.delta), problem, ORACLE_H_Y).value
-
-
-def _u_prime_top(x, problem: AdmissibleProblem, source: str, tol: float = construction.DEFAULT_TOL):
-    """u' on the top line at the points x, in one call: f' at the contact
-    points, or a central quotient of step INNER_H of the oracle."""
-    if source == "closed_form":
-        sol = construction.solve_contacts(x, problem.delta, problem, tol=tol)
-        return problem.spline.derivative(sol.y)
-    up, dn = _u_top(np.add.outer((INNER_H, -INNER_H), x), problem, source, tol)
-    return (up - dn) / (2.0 * INNER_H)
-
-
-def fd_derivative_top(
-    x,
-    problem: AdmissibleProblem,
-    h: float,
-    side: str = "central",
-    order: str = "first",
-    source: str = "closed_form",
-    tol: float = construction.DEFAULT_TOL,
-):
-    """Difference quotient of u (order='first') or of u' (order='second')
-    along the top line, elementwise over x.
-
-    One-sided quotients are O(h) accurate, central ones O(h^2) away from
-    kinks.  source='closed_form' samples the contact solve (u' through the
-    identity u'(x(y)) = f'(y)); source='oracle' samples the brute-force
-    maximizer only (step ORACLE_H_Y), with u' as a central quotient of step
-    INNER_H.
-    """
-    if h <= 0:
-        raise DomainError(f"need h > 0, got {h!r}")
-    if side not in FD_SIDES:
-        raise ValidationError(f"unknown side {side!r}; expected one of {FD_SIDES}")
-    if order not in FD_ORDERS:
-        raise ValidationError(f"unknown order {order!r}; expected one of {FD_ORDERS}")
-    if source not in FD_SOURCES:
-        raise ValidationError(f"unknown source {source!r}; expected one of {FD_SOURCES}")
-
-    if order == "first":
-        sample = lambda xx: _u_top(xx, problem, source, tol)
-    else:
-        sample = lambda xx: _u_prime_top(xx, problem, source, tol)
-    # both stencil points, as offsets from x, sampled in one call
-    ahead, behind = {"central": (h, -h), "right": (h, 0.0), "left": (0.0, -h)}[side]
-    u_ahead, u_behind = sample(np.add.outer((ahead, behind), x))
-    return (u_ahead - u_behind) / (ahead - behind)
-
-
-def _midsegment_jumps(y0: float, x0: float, problem: AdmissibleProblem) -> tuple[float, ...]:
-    """Transverse one-sided second-difference gap of u at the segment
-    midpoint, per step.  The two quotients straddle the segment; their
-    difference tends to the curvature jump across it."""
-    delta = problem.delta
-    length = math.hypot(delta, x0 - y0)
-    nx, nd = delta / length, -(x0 - y0) / length
-    mx, md = y0 + 0.5 * (x0 - y0), 0.5 * delta
-    # stencil offsets along the normal, in units of the step
-    steps = np.array([0.0, 1.0, 2.0, -1.0, -2.0])
-    jumps = []
-    for h in DEFAULT_H_SCHEDULE:
-        # keep the five-point transverse stencil inside the strip
-        hh = min(h, 0.2 * delta / (abs(nd) + 1e-3))
-        u0, up1, up2, dn1, dn2 = construction.u_interior(mx + steps * hh * nx, md + steps * hh * nd, problem)
-        right = (up2 - 2.0 * up1 + u0) / (hh * hh)
-        left = (dn2 - 2.0 * dn1 + u0) / (hh * hh)
-        jumps.append(right - left)
-    return tuple(jumps)
 
 
 def kink_transfer_report(problem: AdmissibleProblem) -> list[KinkReport]:
     """One report per boundary kink, sorted by y0; empty when f' has no
     slope jumps.
 
-    Measured one-sided second derivatives come from the assumption-free slow
-    path: u' sampled as central quotients (step INNER_H) of the
-    brute-force oracle at x0 and x0 +- h, then one-sided quotients
-    Richardson-extrapolated over h in DEFAULT_H_SCHEDULE.  The 14 oracle
-    points of a kink take one call.
+    Measured one-sided second derivatives come from the oracle alone: u'
+    sampled as central quotients (step INNER_H) of the brute-force oracle
+    at x0 and x0 +- h, then one-sided quotients Richardson-extrapolated
+    over h in DEFAULT_H_SCHEDULE.  The 14 oracle points of every kink take
+    one call.
     """
+    kinks = problem.spline.kinks()
+    if not kinks:
+        return []
+    delta = problem.delta
+    y0, fpp_minus, fpp_plus = np.array([(k.y0, k.second_left, k.second_right) for k in kinks]).T
+    x0 = construction.contact_inverse(y0, delta, problem)
+    C = construction.phi_prime(problem.spline.derivative(y0), problem.L)
+    denom_minus = 1.0 - delta * C * fpp_minus
+    denom_plus = 1.0 - delta * C * fpp_plus
+
+    # u' at x0, x0 + hs and x0 - hs: one row per offset, one column per kink
     hs = np.array(DEFAULT_H_SCHEDULE)
     n = len(hs)
-    offsets = np.concatenate([[0.0], hs, -hs])
-    delta = problem.delta
-    reports = []
-    for kink in problem.spline.kinks():
-        y0 = kink.y0
-        x0 = construction.contact_inverse(y0, delta, problem)
-        C = construction.phi_prime(problem.spline.derivative(y0), problem.L)
-        denom_minus = 1.0 - delta * C * kink.second_left
-        denom_plus = 1.0 - delta * C * kink.second_right
+    x = np.concatenate([[0.0], hs, -hs])[:, None] + x0
+    up, dn = oracle.brute_force_u((np.add.outer((INNER_H, -INNER_H), x), delta), problem, ORACLE_H_Y).value
+    slope = (up - dn) / (2.0 * INNER_H)
+    q_plus = (slope[1 : n + 1] - slope[0]) / hs[:, None]
+    q_minus = (slope[0] - slope[n + 1 :]) / hs[:, None]
 
-        # u' at x0, x0 + hs and x0 - hs
-        up = _u_prime_top(x0 + offsets, problem, "oracle")
-        q_plus = (up[1 : n + 1] - up[0]) / hs
-        q_minus = (up[0] - up[n + 1 :]) / hs
-
-        reports.append(
-            KinkReport(
-                y0=y0,
-                x0=float(x0),
-                fpp_minus=kink.second_left,
-                fpp_plus=kink.second_right,
-                upp_minus_pred=kink.second_left / denom_minus,
-                upp_plus_pred=kink.second_right / denom_plus,
-                upp_minus_fd=richardson_extrapolate(hs, q_minus),
-                upp_plus_fd=richardson_extrapolate(hs, q_plus),
-                denom_minus=denom_minus,
-                denom_plus=denom_plus,
-                midseg_jumps=_midsegment_jumps(y0, float(x0), problem),
-            )
-        )
-    return reports
+    columns = (
+        y0,
+        x0,
+        fpp_minus,
+        fpp_plus,
+        fpp_minus / denom_minus,
+        fpp_plus / denom_plus,
+        richardson_extrapolate(hs, q_minus),
+        richardson_extrapolate(hs, q_plus),
+        denom_minus,
+        denom_plus,
+    )
+    return [KinkReport(*row) for row in np.column_stack(columns).tolist()]
 
 
 def residual_infinity_laplacian(
@@ -267,17 +170,15 @@ def residual_infinity_laplacian(
 # -- exports -------------------------------------------------------------
 
 
-def kink_reports_to_csv(reports: list[KinkReport]) -> str:
-    lines = [",".join(KINK_REPORT_COLUMNS)]
-    for r in reports:
-        lines.append(",".join(fmt_real(getattr(r, c)) for c in KINK_REPORT_COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
-def kink_reports_to_structured(reports: list[KinkReport]) -> str:
-    """Single JSON document mirroring the CSV columns at the same precision."""
-    rows = ",".join(
-        "{%s}" % ",".join(f'"{c}":{fmt_real(getattr(r, c))}' for c in KINK_REPORT_COLUMNS)
-        for r in reports
-    )
-    return '{"kind":"kink_report","rows":[%s]}\n' % rows
+def report_document(reports: list[KinkReport], fmt: str) -> tuple:
+    """(head, blocks, sep, tail) of the "csv" or "structured" kink report for
+    ioutil.write_blocks, one row per report at fmt_real precision."""
+    values = np.array([astuple(r) for r in reports])
+    if fmt == "csv":
+        row, head, sep = ",".join([REAL] * len(KINK_REPORT_COLUMNS)), ",".join(KINK_REPORT_COLUMNS) + "\n", "\n"
+        # the header line alone when there are no rows
+        tail = "\n" if reports else ""
+    else:
+        row = "{%s}" % ",".join(f'"{c}":{REAL}' for c in KINK_REPORT_COLUMNS)
+        head, sep, tail = '{"kind":"kink_report","rows":[', ",", "]}\n"
+    return head, fmt_blocks(row, len(reports), lambda first, last: list(values[first:last].T), sep), sep, tail

@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis, construction, oracle, verify
 from .boundary import BoundarySpline, parse_spline
 from .errors import AdmissibilityError, StriplexError, UsageError, ValidationError
-from .ioutil import REAL, fmt_blocks, fmt_real, write_blocks, write_text
+from .ioutil import REAL, fmt_blocks, fmt_real, write_blocks
 from .oracle import GridSpec
 from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
 
@@ -156,12 +156,7 @@ def cmd_report(args) -> int:
     problem = _admit(args)
     out = _require_out(args)
     reports = analysis.kink_transfer_report(problem)
-    text = (
-        analysis.kink_reports_to_csv(reports)
-        if args.format == "csv"
-        else analysis.kink_reports_to_structured(reports)
-    )
-    write_text(out, text)
+    write_blocks(out, *analysis.report_document(reports, args.format))
     return 0
 
 

@@ -36,8 +36,3 @@ def write_blocks(path: str | Path, head: str, blocks, sep: str, tail: str) -> No
         fh.write(head)
         fh.writelines(sep + block if k else block for k, block in enumerate(blocks))
         fh.write(tail)
-
-
-def write_text(path: str | Path, text: str) -> None:
-    """Write text with '\\n' newlines regardless of platform."""
-    write_blocks(path, text, (), "", "")

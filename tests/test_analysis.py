@@ -5,17 +5,15 @@ import pytest
 
 from striplex.analysis import (
     curvature_transfer,
-    fd_derivative_top,
-    kink_reports_to_csv,
-    kink_reports_to_structured,
     kink_transfer_report,
+    report_document,
     residual_infinity_laplacian,
     richardson_extrapolate,
     second_derivatives_top,
 )
 from striplex.boundary import BoundarySpline
-from striplex.construction import contact_inverse
-from striplex.errors import DomainError, ValidationError
+from striplex.construction import solve_contacts, u_interior
+from striplex.errors import DomainError
 from striplex.params import ProblemParams, admit
 
 H_SCHEDULE = (1e-3, 5e-4, 2.5e-4)
@@ -33,6 +31,12 @@ class TestRichardson:
 
     def test_single_sample_passthrough(self):
         assert richardson_extrapolate((1e-3,), (42.0,)) == 42.0
+
+    def test_elementwise_over_arrays(self):
+        qs = np.random.default_rng(5).normal(size=(3, 4))
+        columns = richardson_extrapolate(H_SCHEDULE, qs)
+        for j in range(4):
+            assert columns[j] == richardson_extrapolate(H_SCHEDULE, qs[:, j].tolist())
 
 
 class TestSecondDerivativesTop:
@@ -68,44 +72,16 @@ class TestCurvatureTransfer:
 
 
 class TestFdDerivativeTop:
-    def test_constant_all_variants(self, constant_problem):
-        for side in ("central", "left", "right"):
-            for order in ("first", "second"):
-                fd = fd_derivative_top(0.3, constant_problem, 1e-4, side=side, order=order)
-                assert fd == pytest.approx(0.0, abs=1e-9)
-
-    def test_linear_first_derivative(self, linear_problem):
-        fd = fd_derivative_top(0.7, linear_problem, 1e-5)
-        assert fd == pytest.approx(1.0, abs=1e-9)
-
-    def test_step_guard(self, vee_problem):
-        with pytest.raises(DomainError):
-            fd_derivative_top(0.0, vee_problem, 0.0)
-        with pytest.raises(ValidationError):
-            fd_derivative_top(0.0, vee_problem, 1e-4, side="up")
-        with pytest.raises(ValidationError):
-            fd_derivative_top(0.0, vee_problem, 1e-4, order="third")
-        with pytest.raises(ValidationError):
-            fd_derivative_top(0.0, vee_problem, 1e-4, source="tea-leaves")
-
     def test_one_sided_second_matches_prediction(self, vee_problem):
-        # closed-form fast path for u'
-        for side, expected in (("left", UPP_MINUS), ("right", UPP_PLUS)):
-            qs = [
-                fd_derivative_top(0.0, vee_problem, h, side=side, order="second")
-                for h in H_SCHEDULE
-            ]
-            extrapolated = richardson_extrapolate(H_SCHEDULE, qs)
-            assert extrapolated == pytest.approx(expected, rel=1e-6)
-
-    def test_fast_and_slow_paths_agree(self, vee_problem):
-        # identity-based u' versus u' from raw differences of the oracle
-        for side in ("left", "right"):
-            fast = fd_derivative_top(0.0, vee_problem, 5e-4, side=side, order="second")
-            slow = fd_derivative_top(
-                0.0, vee_problem, 5e-4, side=side, order="second", source="oracle"
-            )
-            assert slow == pytest.approx(fast, rel=1e-2)
+        # u' = f'(y(x)) through the contact identity, at 0 and +-h
+        hs = np.array(H_SCHEDULE)
+        n = len(hs)
+        y = solve_contacts(np.concatenate([[0.0], hs, -hs]), vee_problem.delta, vee_problem).y
+        up = vee_problem.spline.derivative(y)
+        left = (up[0] - up[n + 1 :]) / hs
+        right = (up[1 : n + 1] - up[0]) / hs
+        assert richardson_extrapolate(H_SCHEDULE, left) == pytest.approx(UPP_MINUS, rel=1e-6)
+        assert richardson_extrapolate(H_SCHEDULE, right) == pytest.approx(UPP_PLUS, rel=1e-6)
 
 
 class TestKinkTransferReport:
@@ -125,14 +101,24 @@ class TestKinkTransferReport:
         assert r.upp_minus_fd < r.upp_plus_fd
 
     def test_midsegment_jump_nonvanishing(self, vee_problem):
-        r = kink_transfer_report(vee_problem)[0]
-        assert all(abs(j) > 0.5 for j in r.midseg_jumps)
+        # transverse one-sided second differences of u at the midpoint of the
+        # kink's contact segment, from (0, 0) to (0, delta) on vee: the two
+        # quotients straddle the segment and their gap tends to the
+        # curvature jump, so C^2 fails along the whole segment
+        delta = vee_problem.delta
+        steps = np.array([0.0, 1.0, 2.0, -1.0, -2.0])
+        for h in H_SCHEDULE:
+            u0, up1, up2, dn1, dn2 = u_interior(steps * h, np.full(5, 0.5 * delta), vee_problem)
+            right = (up2 - 2.0 * up1 + u0) / (h * h)
+            left = (dn2 - 2.0 * dn1 + u0) / (h * h)
+            assert abs(right - left) > 0.5
 
     def test_linear_empty(self, linear_problem):
         assert kink_transfer_report(linear_problem) == []
 
-    def test_one_oracle_call_per_kink(self, two_kink_problem, monkeypatch):
-        # u' at x0 and x0 +- h for three h, each from two oracle points
+    def test_one_oracle_call_per_report(self, two_kink_problem, monkeypatch):
+        # u' at x0 and x0 +- h for three h, each from two oracle points, for
+        # both kinks at once
         from striplex import oracle
 
         sizes = []
@@ -144,7 +130,7 @@ class TestKinkTransferReport:
 
         monkeypatch.setattr(oracle, "brute_force_u", counting)
         kink_transfer_report(two_kink_problem)
-        assert sizes == [14, 14]
+        assert sizes == [28]
 
     def test_two_kinks_sorted_and_order_preserving(self, two_kink_problem):
         reports = kink_transfer_report(two_kink_problem)
@@ -159,12 +145,15 @@ class TestKinkTransferReport:
     def test_exports(self, vee_problem):
         import json
 
+        def text(fmt):
+            head, blocks, sep, tail = report_document(reports, fmt)
+            return head + sep.join(blocks) + tail
+
         reports = kink_transfer_report(vee_problem)
-        text = kink_reports_to_csv(reports)
-        lines = text.strip().split("\n")
+        lines = text("csv").strip().split("\n")
         assert lines[0].startswith("y0,x0,fpp_minus")
         assert len(lines) == 2
-        doc = json.loads(kink_reports_to_structured(reports))
+        doc = json.loads(text("structured"))
         row = doc["rows"][0]
         cols = lines[0].split(",")
         vals = [float(v) for v in lines[1].split(",")]
@@ -204,15 +193,3 @@ class TestResidual:
         res = verify.check_residual_refinement(linear_problem, verify.VerifyConfig())
         assert res.status == "PASS"  # everything at the rounding floor
 
-
-def test_gradient_identity_along_top_line(vee_problem):
-    rng = np.random.default_rng(17)
-    checked = 0
-    while checked < 40:
-        y = float(rng.uniform(-1.5, 1.5))
-        if abs(y) < 1e-4:
-            continue
-        checked += 1
-        x = contact_inverse(y, 0.1, vee_problem)
-        fd = fd_derivative_top(x, vee_problem, 1e-5)
-        assert abs(fd - vee_problem.spline.derivative(y)) <= 1e-3

@@ -338,6 +338,7 @@ class TestReport:
             # no kink: the header line alone
             ("ramp", ["--delta", "0.1"], "csv", "report_ramp.csv"),
         ],
+        ids=["zigzag40", "two_kinks", "ramp"],
     )
     def test_golden_file(self, tmp_path, capsys, spline, height, fmt, golden):
         out = tmp_path / "report"
@@ -365,16 +366,26 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()[:-1]
         status = {line.split()[1].rstrip(":"): line.split()[0] for line in lines}
         # the degenerate profiles have q = 0, so one iteration solves them
-        # exactly; kink_transfer measures through the oracle, but its report
-        # also solves contacts for the mid-segment jumps, so the cap reaches
-        # it too
-        passing = {"degenerate_closed_forms"}
+        # exactly; kink_transfer measures through the oracle and the
+        # contact map's closed-form inverse and solves no contacts
+        passing = {"degenerate_closed_forms", "kink_transfer"}
         # localization needs only the oracle grid, which is built first
         assert status.pop("localization") == "PASS"
         assert {name for name, s in status.items() if s == "PASS"} == passing
         for line in lines:
             if line.startswith("FAIL"):
                 assert "did not converge in 1 iterations" in line
+
+    def test_window_within_the_kink_margin_skips_gradient_identity(self, capsys, vee_problem):
+        # every draw from this window lies within 1e-4 of vee's kink at 0, so
+        # the redraws run out and the check skips instead of drawing for ever
+        window = ["--xmin=-1e-4", "--xmax=1e-4", "--nx", "2", "--nd", "2"]
+        config = verify.VerifyConfig(grid=GridSpec(xmin=-1e-4, xmax=1e-4, nx=2, nd=2, h_y=1e-6))
+        res = verify.check_gradient_identity(vee_problem, config)
+        assert res.status == "SKIP"
+        assert res.detail.startswith("only 0 of 100 draws")
+        cli.main(["verify", *STANDARD, *window])
+        assert f"SKIP gradient_identity: {res.detail}" in capsys.readouterr().out.splitlines()
 
     def test_zigzag_near_the_banach_cap(self, capsys):
         # the four checks whose contact solves need more than 200 iterations
