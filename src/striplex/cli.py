@@ -1,8 +1,9 @@
 """Command-line front end: params | construct | verify | grid | report.
 
 Exit codes: 0 success, 1 usage or I/O or invalid parameters, 2 inadmissible
-delta, 3 verification failure.  All numeric output carries 17 significant
-digits so identical configurations produce identical bytes.
+delta, 3 verification failure.  Each subcommand takes only the flags it
+reads; any other flag is a usage error (exit 1).  All numeric output carries
+17 significant digits so identical configurations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import analysis, construction, oracle, verify
 from .boundary import BoundarySpline, parse_spline
-from .errors import AdmissibilityError, StriplexError, UsageError, ValidationError
+from .errors import AdmissibilityError, ConfigurationError, StriplexError, UsageError, ValidationError
 from .ioutil import REAL, fmt_blocks, fmt_real, write_blocks
 from .oracle import GridSpec
 from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
@@ -30,39 +31,41 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    grid = verify.VerifyConfig().grid
-    common = _Parser(add_help=False)
-    common.add_argument("--spline", required=True, metavar="PATH", help="spline-spec file")
-    common.add_argument("--L", required=True, type=float, help="cone slope (must exceed sup |f'|)")
-    group = common.add_mutually_exclusive_group(required=True)
+    defaults = verify.VerifyConfig().grid
+    problem = _Parser(add_help=False)
+    problem.add_argument("--spline", required=True, metavar="PATH", help="spline-spec file")
+    problem.add_argument("--L", required=True, type=float, help="cone slope (must exceed sup |f'|)")
+    group = problem.add_mutually_exclusive_group(required=True)
     group.add_argument("--delta", type=float, help="strip height")
     group.add_argument(
         "--delta-frac",
         type=float,
         help="strip height as a fraction in (0,1) of the admissible cap",
     )
-    common.add_argument("--xmin", type=float, default=grid.xmin)
-    common.add_argument("--xmax", type=float, default=grid.xmax)
-    common.add_argument("--nx", type=int, default=grid.nx)
-    common.add_argument("--nd", type=int, default=grid.nd)
-    common.add_argument("--hy", type=float, default=grid.h_y, help="oracle maximization step")
-    common.add_argument("--tol", type=float, default=construction.DEFAULT_TOL)
-    common.add_argument("--out", metavar="PATH", help="output file")
-    common.add_argument("--format", choices=("csv", "structured"), default="csv")
-    common.add_argument(
-        "--provenance",
-        choices=oracle.PROVENANCES,
-        default="closed_form",
-        help="evaluator for the grid subcommand",
-    )
+    window = _Parser(add_help=False)
+    window.add_argument("--xmin", type=float, default=defaults.xmin)
+    window.add_argument("--xmax", type=float, default=defaults.xmax)
+    window.add_argument("--nx", type=int, default=defaults.nx)
+    window.add_argument("--tol", type=float, default=construction.DEFAULT_TOL)
+    sampling = _Parser(add_help=False)
+    sampling.add_argument("--nd", type=int, default=defaults.nd)
+    sampling.add_argument("--hy", type=float, default=defaults.h_y, help="oracle maximization step")
+    output = _Parser(add_help=False)
+    output.add_argument("--out", required=True, metavar="PATH", help="output file")
+    output.add_argument("--format", choices=("csv", "structured"), default="csv")
 
     parser = _Parser(prog="striplex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("params", parents=[common], help="print admissibility constants")
-    sub.add_parser("construct", parents=[common], help="sample the top-line solution")
-    sub.add_parser("verify", parents=[common], help="run the acceptance checks")
-    sub.add_parser("grid", parents=[common], help="export a field grid")
-    sub.add_parser("report", parents=[common], help="export the kink transfer report")
+    sub.add_parser("params", parents=[problem], help="print admissibility constants").set_defaults(run=cmd_params)
+    construct = sub.add_parser("construct", parents=[problem, window, output], help="sample the top-line solution")
+    construct.set_defaults(run=cmd_construct)
+    check = sub.add_parser("verify", parents=[problem, window, sampling], help="run the acceptance checks")
+    check.set_defaults(run=cmd_verify)
+    grid = sub.add_parser("grid", parents=[problem, window, sampling, output], help="export a field grid")
+    grid.add_argument("--provenance", choices=oracle.PROVENANCES, default="closed_form", help="field evaluator")
+    grid.set_defaults(run=cmd_grid)
+    report = sub.add_parser("report", parents=[problem, output], help="export the kink transfer report")
+    report.set_defaults(run=cmd_report)
     return parser
 
 
@@ -96,12 +99,6 @@ def _grid_spec(args) -> GridSpec:
     )
 
 
-def _require_out(args) -> str:
-    if not args.out:
-        raise UsageError("this subcommand needs --out PATH")
-    return args.out
-
-
 def cmd_params(args) -> int:
     spline, delta = _spline_and_delta(args)
     touch, banach = delta_caps(args.L, spline.max_slope, spline.slope_lipschitz)
@@ -126,12 +123,13 @@ def cmd_params(args) -> int:
 
 def cmd_construct(args) -> int:
     problem = _admit(args)
-    out = _require_out(args)
     # the window rule GridSpec applies to the grid subcommand
     if not (math.isfinite(args.xmin) and math.isfinite(args.xmax) and args.xmin < args.xmax and args.nx >= 2):
         raise ValidationError(
             f"need finite xmin < xmax and nx >= 2, got {args.xmin!r}, {args.xmax!r}, nx={args.nx!r}"
         )
+    if not args.nx <= oracle.MAX_POINTS:
+        raise ConfigurationError(f"top line needs nx = {args.nx} points, more than {oracle.MAX_POINTS}")
     xs = np.linspace(args.xmin, args.xmax, args.nx)
     sol = construction.solve_contacts(xs, problem.delta, problem, tol=args.tol)
     columns = [sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
@@ -140,23 +138,21 @@ def cmd_construct(args) -> int:
     else:
         row = '{"x":%s,"y":%s,"Y":%s,"u":%s,"uprime":%s}' % ((REAL,) * 5)
         head, sep, tail = '{"kind":"top_line","rows":[', ",", "]}\n"
-    write_blocks(out, head, fmt_blocks(row, args.nx, lambda a, b: [c[a:b] for c in columns], sep), sep, tail)
+    write_blocks(args.out, head, fmt_blocks(row, args.nx, lambda a, b: [c[a:b] for c in columns], sep), sep, tail)
     return 0
 
 
 def cmd_grid(args) -> int:
     problem = _admit(args)
-    out = _require_out(args)
     grid = oracle.grid_eval(problem, _grid_spec(args), args.provenance, tol=args.tol)
-    write_blocks(out, *oracle.grid_document(grid, args.format))
+    write_blocks(args.out, *oracle.grid_document(grid, args.format))
     return 0
 
 
 def cmd_report(args) -> int:
     problem = _admit(args)
-    out = _require_out(args)
     reports = analysis.kink_transfer_report(problem)
-    write_blocks(out, *analysis.report_document(reports, args.format))
+    write_blocks(args.out, *analysis.report_document(reports, args.format))
     return 0
 
 
@@ -172,20 +168,11 @@ def cmd_verify(args) -> int:
     return 3 if failed else 0
 
 
-_COMMANDS = {
-    "params": cmd_params,
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "grid": cmd_grid,
-    "report": cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except AdmissibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

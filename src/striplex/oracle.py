@@ -46,6 +46,10 @@ _GOLDEN_MAX_ITER = 90
 # most boundary samples one oracle scan may take, checked before allocating;
 # the CLI defaults take at most ~4.2e6 (mw_envelopes at h_y = 1e-6 on [-2, 2])
 MAX_SCAN = 10_000_000
+# most points one grid (nx*nd) or top line (nx) may hold, checked before
+# allocating; on vee at this cap `construct` peaks at 324 MB RSS (16.6 s)
+# and a 2048x2048 closed-form `grid` at 268 MB (6.5 s), 2-core host
+MAX_POINTS = 2**22
 
 # the pruned scan of both oracles: stride refinement per level, and the
 # fewest samples its first level takes.  Scans shorter than
@@ -75,6 +79,8 @@ class GridSpec:
             raise ValidationError(f"need finite xmin < xmax, got {self.xmin!r}, {self.xmax!r}")
         if self.nx < 2 or self.nd < 2:
             raise ValidationError(f"need nx, nd >= 2, got nx={self.nx!r}, nd={self.nd!r}")
+        if not self.nx * self.nd <= MAX_POINTS:
+            raise ConfigurationError(f"grid needs nx*nd = {self.nx * self.nd} points, more than {MAX_POINTS}")
         if not self.h_y > 0:
             raise ValidationError(f"need h_y > 0, got {self.h_y!r}")
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from striplex import cli, construction, verify
+from striplex import cli, construction, oracle, verify
 from striplex.construction import solve_contacts, u_interior
 from striplex.errors import NonConvergenceError
 from striplex.ioutil import REAL, fmt_real
@@ -138,6 +139,19 @@ class TestConstruct:
 
     def test_out_required(self, capsys):
         assert cli.main(["construct", *STANDARD]) == 1
+        # parsing comes before admission: delta = 3 is inadmissible for vee
+        assert cli.main(["construct", "--spline", VEE, "--L", "2", "--delta", "3"]) == 1
+        assert capsys.readouterr().err.endswith("error: the following arguments are required: --out\n")
+
+    def test_zero_stopping_threshold_reaches_the_solve(self, tmp_path, capsys):
+        # the @example of the exit-code property below: at delta = 2.5,
+        # q ~ 0.68 > 0.5, so tol = 5e-324 underflows the stopping threshold
+        # to 0 and the solve runs out of iterations (not out of flags)
+        out = tmp_path / "c.csv"
+        argv = ["construct", "--spline", VEE, "--L", "2", "--delta", "2.5", "--nx", "5", "--tol", "5e-324"]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: contact solve at (x=-1.0, height=2.5) did not converge")
+        assert not out.exists()
 
     def test_too_few_points_exit_1(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -202,9 +216,9 @@ class TestGrid:
     @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"]])
     def test_solver_flags_reach_the_closed_form_fill(self, tmp_path, capsys, flags):
         # the same flags make construct exit 1; grid must not ignore them
-        for command in ("grid", "construct"):
+        for command, sizes in (("grid", ["--nx", "3", "--nd", "2"]), ("construct", ["--nx", "3"])):
             out = tmp_path / f"{command}.csv"
-            argv = [command, *STANDARD, "--nx", "3", "--nd", "2", *flags, "--out", str(out)]
+            argv = [command, *STANDARD, *sizes, *flags, "--out", str(out)]
             assert cli.main(argv) == 1, command
             assert capsys.readouterr().err.startswith("error:")
             assert not out.exists()
@@ -268,15 +282,34 @@ class TestStreamedExports:
             assert out.read_text(encoding="utf-8") == expected
         assert out.read_bytes() == expected.encode("utf-8")
 
-    @pytest.mark.parametrize("command", ["construct", "grid"])
-    def test_failed_solve_leaves_the_file_untouched(self, tmp_path, capsys, monkeypatch, command):
+    @pytest.mark.parametrize(
+        "command, sizes",
+        [("construct", ["--nx", "8193"]), ("grid", ["--nx", "8193", "--nd", "3"])],
+        ids=["construct", "grid"],
+    )
+    def test_failed_solve_leaves_the_file_untouched(self, tmp_path, capsys, monkeypatch, command, sizes):
         monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)
         out = tmp_path / "out.csv"
         out.write_text("kept\n")
-        argv = [command, *ZIGZAG_WINDOW, "--nx", "8193", "--nd", "3", "--out", str(out)]
+        argv = [command, *ZIGZAG_WINDOW, *sizes, "--out", str(out)]
         assert cli.main(argv) == 1
         assert "did not converge in 1 iterations" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
+
+
+# each size is refused before anything is allocated, not by numpy's
+# allocator; a size just past oracle.MAX_POINTS would be allocated for real
+# where the cap is missing, so these sizes are far past it
+@pytest.mark.parametrize(
+    "command, sizes",
+    [("construct", ["--nx", "1000000000000"]), ("grid", ["--nx", "1000000", "--nd", "1000000"])],
+)
+def test_oversized_point_count_exit_1(tmp_path, capsys, command, sizes):
+    out = tmp_path / "out.csv"
+    assert cli.main([command, *STANDARD, *sizes, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"points, more than {oracle.MAX_POINTS}\n")
+    assert not out.exists()
 
 
 def traced_peak_mb(argv) -> float:
@@ -465,7 +498,8 @@ ANY_TOL = st.one_of(st.floats(1e-15, 1e-3), TINY, NON_FINITE, st.floats(-1.0, 0.
     ANY_VALUE,
     ANY_STEP,
     ANY_VALUE,
-    st.integers(0, 5),
+    # 10**12 points is past oracle.MAX_POINTS
+    st.one_of(st.integers(0, 5), st.just(10**12)),
     ANY_TOL,
 )
 # at delta = 2.5, q ~ 0.68 > 0.5, so this tol underflows the stopping threshold to 0
@@ -476,11 +510,54 @@ def test_any_window_exits_with_a_contract_code(tmp_path, capsys, command, xmin, 
     # the usage/input (1) and inadmissible (2) codes say why on stderr
     capsys.readouterr()
     argv = [*command, "--spline", VEE, "--L", "2", "--delta", repr(delta), "--xmin", repr(xmin),
-            "--xmax", repr(xmax), "--hy", repr(hy), "--nx", str(nx), "--nd", "2", "--tol", repr(tol),
-            "--out", str(tmp_path / "out.csv")]
+            "--xmax", repr(xmax), "--nx", str(nx), "--tol", repr(tol), "--out", str(tmp_path / "out.csv")]
+    if command[0] == "grid":
+        argv += ["--hy", repr(hy), "--nd", "2"]
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+    assert "unrecognized arguments" not in err
     if code in (1, 2):
         assert err.startswith("error:")
+
+
+# the flags each subcommand reads, by the parent parsers of cli.build_parser
+PROBLEM = ["--spline", "--L", "--delta", "--delta-frac"]
+WINDOW = ["--xmin", "--xmax", "--nx", "--tol"]
+SAMPLING = ["--nd", "--hy"]
+OUTPUT = ["--out", "--format"]
+READS = {
+    "params": PROBLEM,
+    "construct": PROBLEM + WINDOW + OUTPUT,
+    "verify": PROBLEM + WINDOW + SAMPLING,
+    "grid": PROBLEM + WINDOW + SAMPLING + OUTPUT + ["--provenance"],
+    "report": PROBLEM + OUTPUT,
+}
+# a value each flag accepts; --out takes the test's output path
+VALUES = {
+    "--xmin": "-1", "--xmax": "1", "--nx": "5", "--tol": "1e-12", "--nd": "2", "--hy": "1e-4",
+    "--format": "csv", "--provenance": "closed_form",
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", list(READS))
+    def test_help_lists_the_flags_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        options = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        assert sorted(options) == sorted(READS[command])
+
+    @pytest.mark.parametrize(
+        "command, flag", [(command, flag) for command in READS for flag in READS["grid"] if flag not in READS[command]]
+    )
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        argv = [command, *STANDARD, flag, VALUES.get(flag, str(out))]
+        if "--out" in READS[command]:
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {flag} ")
+        assert not out.exists()

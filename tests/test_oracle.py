@@ -53,6 +53,12 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             GridSpec(xmin=0.0, xmax=1.0, nx=4, nd=4, h_y=0.0)
 
+    def test_point_cap(self):
+        # checked on nx*nd before any array exists
+        GridSpec(xmin=0.0, xmax=1.0, nx=2, nd=oracle.MAX_POINTS // 2, h_y=1e-6)
+        with pytest.raises(ConfigurationError, match="more than"):
+            GridSpec(xmin=0.0, xmax=1.0, nx=2, nd=oracle.MAX_POINTS // 2 + 1, h_y=1e-6)
+
     def test_heights_reach_delta_exactly(self):
         spec = GridSpec(xmin=0.0, xmax=1.0, nx=4, nd=3, h_y=1e-6)
         assert spec.heights(0.1)[-1] == 0.1
