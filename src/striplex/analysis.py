@@ -21,7 +21,7 @@ import numpy as np
 
 from . import construction, oracle
 from .errors import DomainError, ValidationError
-from .ioutil import REAL, fmt_blocks
+from .ioutil import REAL, write_table
 from .params import AdmissibleProblem
 
 DEFAULT_H_SCHEDULE = (1e-3, 5e-4, 2.5e-4)
@@ -47,9 +47,6 @@ class KinkReport:
     upp_plus_fd: float
     denom_minus: float
     denom_plus: float
-
-
-KINK_REPORT_COLUMNS = tuple(f.name for f in fields(KinkReport))
 
 
 def curvature_transfer(t: float, delta: float, C: float) -> float:
@@ -170,15 +167,9 @@ def residual_infinity_laplacian(
 # -- exports -------------------------------------------------------------
 
 
-def report_document(reports: list[KinkReport], fmt: str) -> tuple:
-    """(head, blocks, sep, tail) of the "csv" or "structured" kink report for
-    ioutil.write_blocks, one row per report at fmt_real precision."""
+def write_report(path, reports: list[KinkReport], fmt: str) -> None:
+    """Write the "csv" or "structured" kink report to path through
+    ioutil.write_table, one row per report at fmt_real precision."""
     values = np.array([astuple(r) for r in reports])
-    if fmt == "csv":
-        row, head, sep = ",".join([REAL] * len(KINK_REPORT_COLUMNS)), ",".join(KINK_REPORT_COLUMNS) + "\n", "\n"
-        # the header line alone when there are no rows
-        tail = "\n" if reports else ""
-    else:
-        row = "{%s}" % ",".join(f'"{c}":{REAL}' for c in KINK_REPORT_COLUMNS)
-        head, sep, tail = '{"kind":"kink_report","rows":[', ",", "]}\n"
-    return head, fmt_blocks(row, len(reports), lambda first, last: list(values[first:last].T), sep), sep, tail
+    row = [(f.name, REAL) for f in fields(KinkReport)]
+    write_table(path, fmt, "kink_report", row, len(reports), lambda first, last: list(values[first:last].T))

@@ -10,8 +10,6 @@ Text format (one directive per line, '#' starts a comment, blanks ignored)::
 
     f0 <value>
     knot <t> <s>        # abscissas strictly increasing
-
-Serialization emits the same directives with round-trip precision.
 """
 
 from __future__ import annotations
@@ -146,11 +144,6 @@ class BoundarySpline:
         """
         seg = self._arrays[2].tolist()
         return [Kink(self.knots[i][0], seg[i - 1], seg[i]) for i in range(1, len(seg)) if seg[i - 1] != seg[i]]
-
-    def serialize(self) -> str:
-        lines = [f"f0 {self.f0!r}"]
-        lines.extend(f"knot {t!r} {s!r}" for t, s in self.knots)
-        return "\n".join(lines) + "\n"
 
 
 # -- module-level operation surface -------------------------------------

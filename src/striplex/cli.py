@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, construction, oracle, verify
 from .boundary import BoundarySpline, parse_spline
 from .errors import AdmissibilityError, ConfigurationError, StriplexError, UsageError, ValidationError
-from .ioutil import REAL, fmt_blocks, fmt_real, write_blocks
+from .ioutil import REAL, fmt_real, write_table
 from .oracle import GridSpec
 from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
 
@@ -133,26 +133,22 @@ def cmd_construct(args) -> int:
     xs = np.linspace(args.xmin, args.xmax, args.nx)
     sol = construction.solve_contacts(xs, problem.delta, problem, tol=args.tol)
     columns = [sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
-    if args.format == "csv":
-        head, row, sep, tail = "x,y,Y,u,uprime\n", ",".join([REAL] * 5), "\n", "\n"
-    else:
-        row = '{"x":%s,"y":%s,"Y":%s,"u":%s,"uprime":%s}' % ((REAL,) * 5)
-        head, sep, tail = '{"kind":"top_line","rows":[', ",", "]}\n"
-    write_blocks(args.out, head, fmt_blocks(row, args.nx, lambda a, b: [c[a:b] for c in columns], sep), sep, tail)
+    row = [(name, REAL) for name in ("x", "y", "Y", "u", "uprime")]
+    write_table(args.out, args.format, "top_line", row, args.nx, lambda first, last: [c[first:last] for c in columns])
     return 0
 
 
 def cmd_grid(args) -> int:
     problem = _admit(args)
     grid = oracle.grid_eval(problem, _grid_spec(args), args.provenance, tol=args.tol)
-    write_blocks(args.out, *oracle.grid_document(grid, args.format))
+    oracle.write_grid(args.out, grid, args.format)
     return 0
 
 
 def cmd_report(args) -> int:
     problem = _admit(args)
     reports = analysis.kink_transfer_report(problem)
-    write_blocks(args.out, *analysis.report_document(reports, args.format))
+    analysis.write_report(args.out, reports, args.format)
     return 0
 
 
@@ -169,9 +165,11 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits after printing --help
+            return exc.code
         return args.run(args)
     except AdmissibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import construction
 from .errors import ConfigurationError, DomainError, ValidationError
-from .ioutil import REAL, fmt_blocks, fmt_real
+from .ioutil import REAL, write_table
 from .params import AdmissibleProblem
 
 PROVENANCES = ("closed_form", "brute_force", "mw_min", "mw_max")
@@ -599,19 +599,16 @@ def grid_eval(
 # -- exports -------------------------------------------------------------
 
 
-def grid_document(grid: FieldGrid, fmt: str) -> tuple:
-    """(head, blocks, sep, tail) of the "csv" or "structured" export for
-    ioutil.write_blocks: rows x-major, each distinct x and d formatted once."""
+def write_grid(path, grid: FieldGrid, fmt: str) -> None:
+    """Write the "csv" or "structured" export of grid to path through
+    ioutil.write_table: rows x-major, each distinct x and d formatted once."""
     xs, ds = (np.array([REAL % v for v in a.tolist()], dtype=object) for a in (grid.xs, grid.ds))
 
     def columns(first: int, last: int) -> list:
         i, j = np.divmod(np.arange(first, last), ds.size)
         return [xs[i], ds[j], grid.values[i, j]]
 
-    if fmt == "csv":
-        row = f"%s,%s,{REAL},{grid.provenance.replace('%', '%%')}"
-        return "x,d,u,provenance\n", fmt_blocks(row, grid.values.size, columns, "\n"), "\n", "\n"
-    head = '{"kind":"field_grid","provenance":"%s","xmin":%s,"xmax":%s,"nx":%d,"nd":%d,"rows":[' % (
-        grid.provenance, fmt_real(grid.spec.xmin), fmt_real(grid.spec.xmax), grid.spec.nx, grid.spec.nd
-    )
-    return head, fmt_blocks('{"x":%%s,"d":%%s,"u":%s}' % REAL, grid.values.size, columns, ","), ",", "]}\n"
+    spec = grid.spec
+    meta = (("xmin", spec.xmin), ("xmax", spec.xmax), ("nx", spec.nx), ("nd", spec.nd))
+    row = (("x", "%s"), ("d", "%s"), ("u", REAL))
+    write_table(path, fmt, "field_grid", row, grid.values.size, columns, (("provenance", grid.provenance),), meta)

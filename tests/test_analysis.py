@@ -6,10 +6,10 @@ import pytest
 from striplex.analysis import (
     curvature_transfer,
     kink_transfer_report,
-    report_document,
     residual_infinity_laplacian,
     richardson_extrapolate,
     second_derivatives_top,
+    write_report,
 )
 from striplex.boundary import BoundarySpline
 from striplex.construction import solve_contacts, u_interior
@@ -142,12 +142,12 @@ class TestKinkTransferReport:
             rhs = r.fpp_plus - r.fpp_minus
             assert math.copysign(1.0, lhs) == math.copysign(1.0, rhs)
 
-    def test_exports(self, vee_problem):
+    def test_exports(self, tmp_path, vee_problem):
         import json
 
         def text(fmt):
-            head, blocks, sep, tail = report_document(reports, fmt)
-            return head + sep.join(blocks) + tail
+            write_report(tmp_path / fmt, reports, fmt)
+            return (tmp_path / fmt).read_bytes().decode("utf-8")
 
         reports = kink_transfer_report(vee_problem)
         lines = text("csv").strip().split("\n")

@@ -148,12 +148,6 @@ class TestParse:
         with pytest.raises(ValidationError, match="non-finite"):
             parse_spline("f0 0\nknot 0 nan\n")
 
-    @given(splines())
-    def test_roundtrip_identity(self, spline):
-        again = parse_spline(spline.serialize())
-        assert again.f0 == spline.f0
-        assert again.knots == spline.knots
-
 
 class TestEval:
     def test_vee_one_sided_curvature_at_kink(self):
@@ -210,7 +204,6 @@ class TestEval:
         for y in (-2.0, -1.0, 0.0):
             assert fmt_real(spline.derivative(y)) == "0"
             assert fmt_real(spline.derivative(np.array([y]))[0]) == "0"
-        assert "-0" not in spline.serialize()
 
     @pytest.mark.parametrize("path", SPLINE_FILES, ids=lambda path: path.stem)
     def test_derivative_at_non_finite_input(self, path):

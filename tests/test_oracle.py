@@ -16,9 +16,9 @@ from striplex.oracle import (
     GridSpec,
     _scan_argmax,
     brute_force_u,
-    grid_document,
     grid_eval,
     mw_envelopes,
+    write_grid,
 )
 from striplex.params import ProblemParams, admit, delta_caps
 
@@ -552,18 +552,18 @@ class TestGridEval:
             grid_eval(vee_problem, spec, "brute_force")
 
 
-def joined_document(grid, fmt: str) -> str:
-    """The grid's export document in one string, as the grid command writes
-    it to its file."""
-    head, blocks, sep, tail = grid_document(grid, fmt)
-    return head + sep.join(blocks) + tail
+def joined_document(path, grid, fmt: str) -> str:
+    """The grid's export document in one string: the file write_grid wrote
+    to path, as the grid command writes it."""
+    write_grid(path, grid, fmt)
+    return path.read_bytes().decode("utf-8")
 
 
 class TestExports:
-    def test_csv_shape_and_precision(self, constant_problem):
+    def test_csv_shape_and_precision(self, tmp_path, constant_problem):
         spec = GridSpec(xmin=-1.0, xmax=1.0, nx=3, nd=3, h_y=1e-6)
         grid = grid_eval(constant_problem, spec, "closed_form")
-        text = joined_document(grid, "csv")
+        text = joined_document(tmp_path / "grid", grid, "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "x,d,u,provenance"
         assert len(lines) == 1 + 9
@@ -571,13 +571,13 @@ class TestExports:
         assert prov == "closed_form"
         assert float(u) == grid.values[0, 0]
 
-    def test_formats_carry_identical_numbers(self, vee_problem):
+    def test_formats_carry_identical_numbers(self, tmp_path, vee_problem):
         import json
 
         spec = GridSpec(xmin=-0.5, xmax=0.5, nx=3, nd=2, h_y=1e-6)
         grid = grid_eval(vee_problem, spec, "closed_form")
-        csv_rows = joined_document(grid, "csv").strip().split("\n")[1:]
-        doc = json.loads(joined_document(grid, "structured"))
+        csv_rows = joined_document(tmp_path / "grid", grid, "csv").strip().split("\n")[1:]
+        doc = json.loads(joined_document(tmp_path / "grid", grid, "structured"))
         assert doc["provenance"] == "closed_form"
         assert len(doc["rows"]) == len(csv_rows)
         for row, line in zip(doc["rows"], csv_rows):
@@ -590,7 +590,7 @@ class TestExports:
         "nx, nd, provenance",
         [(2049, 2, "closed_form"), (129, 33, "100% mw_min"), (5, 3, "%s%%d")],
     )
-    def test_exports_equal_every_field_through_real(self, nx, nd, provenance):
+    def test_exports_equal_every_field_through_real(self, tmp_path, nx, nd, provenance):
         # the exports format each x and d once; byte for byte they are the
         # fmt_rows formulation that formatted all three fields per row.
         # 2049x2 and 129x33 cross the 4096-row block edge, the second inside
@@ -605,13 +605,13 @@ class TestExports:
         grid = oracle.FieldGrid(spec=spec, provenance=provenance, xs=xs, ds=ds, values=values)
         columns = [a.ravel() for a in np.broadcast_arrays(xs[:, None], ds[None, :])] + [values.ravel()]
         row = f"{REAL},{REAL},{REAL},{provenance.replace('%', '%%')}"
-        assert joined_document(grid, "csv") == "x,d,u,provenance\n" + fmt_rows(row, columns, "\n") + "\n"
+        assert joined_document(tmp_path / "grid", grid, "csv") == "x,d,u,provenance\n" + fmt_rows(row, columns, "\n") + "\n"
         rows = fmt_rows('{"x":%s,"d":%s,"u":%s}' % ((REAL,) * 3), columns, ",")
-        assert joined_document(grid, "structured") == (
+        assert joined_document(tmp_path / "grid", grid, "structured") == (
             '{"kind":"field_grid","provenance":"%s","xmin":%s,"xmax":%s,"nx":%d,"nd":%d,"rows":[%s]}\n'
             % (provenance, fmt_real(-1.0), fmt_real(1.0), nx, nd, rows)
         )
-        assert f"\n-0,{fmt_real(ds[0])}," in joined_document(grid, "csv")
+        assert f"\n-0,{fmt_real(ds[0])}," in joined_document(tmp_path / "grid", grid, "csv")
 
 
 @given(st.floats(-1.5, 1.5), st.floats(0.2, 1.0), st.floats(0.1, 0.6))

@@ -30,6 +30,8 @@ def test_run_standard_case(tmp_path, capsys):
     assert load("run_standard_case").main(["--outdir", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("PASS ") for line in lines) == 10
+    assert "verify: 10 passed, 0 failed, 0 skipped" in lines
+    assert "admitted = true" in lines
     assert (tmp_path / "kink_report.csv").is_file()
     # the script's field grid is the grid command's file at the same settings
     out = tmp_path / "cli_grid.csv"
