@@ -213,6 +213,23 @@ class TestGrid:
         err = capsys.readouterr().err
         assert err.startswith("error: at grid point") and "boundary samples" in err
 
+    @pytest.mark.parametrize(
+        "spline, height, provenance, fmt, golden",
+        [
+            ("two_kinks", ["--delta", "0.1"], "mw_min", "csv", "grid_mw_min_two_kinks.csv"),
+            # q ~ 0.9: the top-line samples are spaced most unevenly in x
+            ("zigzag40", ["--delta-frac", "0.9"], "mw_max", "structured", "grid_mw_max_zigzag40.json"),
+        ],
+        ids=["mw_min_two_kinks", "mw_max_zigzag40"],
+    )
+    def test_envelope_golden_file(self, tmp_path, capsys, spline, height, provenance, fmt, golden):
+        out = tmp_path / "grid"
+        path = str(REPO / "data" / "splines" / f"{spline}.spline")
+        argv = ["grid", "--spline", path, "--L", "2", *height, "--provenance", provenance]
+        argv += ["--nx", "33", "--nd", "5", "--hy", "1e-4", "--format", fmt, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_bytes() == (GOLDEN.parent / golden).read_bytes()
+
     @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"]])
     def test_solver_flags_reach_the_closed_form_fill(self, tmp_path, capsys, flags):
         # the same flags make construct exit 1; grid must not ignore them
