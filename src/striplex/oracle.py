@@ -16,14 +16,16 @@ _scan_argmax, whose result is that of a scan of every sample:
   concavity of the objective, nothing from the construction;
 * minimal/maximal Lipschitz envelopes of the strip boundary data, whose
   coincidence pins u from both sides: extrema over samples of the two
-  boundary lines, with the same two bounds on the evenly spaced bottom
-  line and a first-order bound measured from the samples on the top line.
+  boundary lines, computed where the scan reads them, with the same two
+  bounds on the evenly spaced bottom line and a first-order bound from the
+  y-spacing and q on the top line.
 
 Grid fills and exports for both provenances are also defined here.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -43,8 +45,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-13
 _GOLDEN_MAX_ITER = 90
 
-# most boundary samples one oracle scan may take, checked before allocating;
-# the CLI defaults take at most ~4.2e6 (mw_envelopes at h_y = 1e-6 on [-2, 2])
+# most boundary samples one oracle scan may range over, checked before any
+# scan starts; no scan holds its samples in one array, so it bounds time.  The
+# CLI defaults range over at most ~4.2e6 (mw_envelopes at h_y = 1e-6 on [-2, 2])
 MAX_SCAN = 10_000_000
 # most points one grid (nx*nd) or top line (nx) may hold, checked before
 # allocating; on vee at this cap `construct` peaks at 324 MB RSS (16.6 s)
@@ -478,31 +481,33 @@ def mw_envelopes(
 
     Points must lie strictly inside the strip and inside
     spec.trimmed_window(problem), whose margin band anchors the cones.  The
-    boundary samples are built once per call, and every point is checked
-    before any scan; the first bad point in C order is named.  Each
-    line then takes two _scan_argmax runs, of +-g - L*hypot(x - pos, height);
-    high is minus the second maximum, which is exact.  Bottom-line samples
-    are h_y apart, so per index a sample moves by at most (L_f + L)*h_y and
-    bends by at most Lip(f')*h_y^2 for either sign (the cone term is
-    concave).  Top-line samples are unevenly spaced in x, so that line gets
-    only the first-order bound max|dg| + L*max|dx|, measured from the
-    samples: exact by the triangle inequality, whatever the contact map.
+    scan size and then every point are checked before any scan; the first
+    bad point in C order is named.  The samples sit at np.arange's
+    positions, each computed where a scan reads it: on the bottom line at
+    y_j from xmin to xmax, on the top line at x(y_j) for contact points y_j
+    from xmin - pad to xmax + pad, kept where x(y_j) lies in [xmin, xmax].
+    x(y) is increasing, so the kept indices are one run, found by bisection.
+    Each line takes two _scan_argmax runs, of +-g - L*hypot(x - pos,
+    height); high is minus the second maximum, which is exact.  With dy the
+    spacing np.arange steps by, a bottom-line sample moves by at most
+    (L_f + L)*dy per index and bends by at most Lip(f')*dy^2 for either sign
+    (the cone term is concave).  On the top line |dx/dy| <= 1 + q and
+    dg/dy = f'(y)*dx/dy, so a sample moves by at most (L_f + L)*(1 + q)*dy;
+    its x-spacing is uneven, so that line gets only this first-order bound.
     """
     delta = problem.delta
     L = problem.L
+    lip = problem.L_f + L
+    q = problem.contraction_q
     h = spec.h_y
     lo, hi = spec.trimmed_window(problem)
     # top line sampled through the contact parameterization; dx/dy is within
     # [1-q, 1+q] of 1, so a y-step of h/(1+q) keeps the x-spacing below h
-    ystep = h / (1.0 + problem.contraction_q)
+    ystep = h / (1.0 + q)
     pad = problem.D * delta + h
     samples = (spec.xmax - spec.xmin + 2.0 * pad) / ystep + 1.0
     if not samples <= MAX_SCAN:
         raise ConfigurationError(_scan_message(samples, "envelope scan"))
-
-    ys0 = np.arange(spec.xmin, spec.xmax + 0.5 * h, h)
-    g0 = np.concatenate([problem.spline.value(y) for y in _blocks(ys0)])
-    xt, gt = _top_line(problem, spec, ystep, pad)
 
     x, d = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(*point))
     # in the order of a one-point call: strip, trimmed window
@@ -517,19 +522,35 @@ def mw_envelopes(
     # positions within reach of 0, the terms of f, the cone term
     reach = max(abs(spec.xmin), abs(spec.xmax)) + pad
     t_far = max(abs(problem.spline.knots[0][0]), abs(problem.spline.knots[-1][0]))
-    scale = L * delta + (problem.L_f + L) * (np.abs(xs) + 2.0 * (reach + t_far))
+    scale = L * delta + lip * (np.abs(xs) + 2.0 * (reach + t_far))
 
-    def line_max(sign: float, g: np.ndarray, pos: np.ndarray, height: np.ndarray, lip_step: float, curv_step: float):
-        # sign * g[j] is exactly g[j] or -g[j], without a negated copy of g
+    n0, step0, y0 = _arange(spec.xmin, spec.xmax + 0.5 * h, h)
+    nt, stept, yt = _arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
+
+    def x_top(j):
+        return construction.contact_inverse(yt(j), delta, problem)
+
+    first = bisect.bisect_left(range(nt), spec.xmin, key=x_top)
+    last = bisect.bisect_right(range(nt), spec.xmax, first, key=x_top)
+
+    def g_bottom(j: np.ndarray) -> tuple:
+        y = y0(j)
+        return problem.spline.value(y), y
+
+    def g_top(j: np.ndarray) -> tuple:
+        return construction.u_at_contact(yt(first + j), problem), x_top(first + j)
+
+    def line_max(sign: float, count: int, g_pos, height: np.ndarray, lip_step: float, curv_step: float):
         def sample(p: np.ndarray, j: np.ndarray) -> np.ndarray:
-            return sign * g[j] - L * np.hypot(xs[p] - pos[j], height[p])
+            g, pos = g_pos(j)
+            return sign * g - L * np.hypot(xs[p] - pos, height[p])
 
-        return _scan_argmax(sample, np.full(xs.size, pos.size), lip_step, curv_step, scale, 0)[1]
+        return _scan_argmax(sample, np.full(xs.size, count), lip_step, curv_step, scale, 0)[1]
 
-    bottom = ((problem.L_f + L) * h, problem.spline.slope_lipschitz * h * h)
-    top = (_max_step(gt) + L * _max_step(xt), math.inf)
-    low0, lowt = line_max(1.0, g0, ys0, ds, *bottom), line_max(1.0, gt, xt, delta - ds, *top)
-    high0, hight = -line_max(-1.0, g0, ys0, ds, *bottom), -line_max(-1.0, gt, xt, delta - ds, *top)
+    bottom = (n0, g_bottom, ds, lip * step0, problem.spline.slope_lipschitz * step0 * step0)
+    top = (last - first, g_top, delta - ds, lip * (1.0 + q) * stept, math.inf)
+    low0, lowt = line_max(1.0, *bottom), line_max(1.0, *top)
+    high0, hight = -line_max(-1.0, *bottom), -line_max(-1.0, *top)
     # max and min as the builtins pick them: the first argument unless the
     # second is strictly beyond it
     low = np.where(lowt > low0, lowt, low0).reshape(x.shape)
@@ -537,35 +558,14 @@ def mw_envelopes(
     return low[()], high[()]
 
 
-def _blocks(a: np.ndarray) -> list:
-    """a in consecutive slices of 2**16 elements.  f and the contact maps are
-    elementwise, so mapping them over the slices gives the same bits while
-    their temporaries stay a few MB instead of hundreds (mw_envelopes at
-    h_y = 1e-6 on [-2, 2] maps ~4e6 samples per line)."""
-    return [a[first : first + (1 << 16)] for first in range(0, a.size, 1 << 16)]
-
-
-def _top_line(problem: AdmissibleProblem, spec: GridSpec, ystep: float, pad: float) -> tuple:
-    """(x, u) at the top-line images of the contact points y = xmin - pad,
-    xmin - pad + ystep, ... up to xmax + pad, in order, kept where x lies in
-    [xmin, xmax]."""
-    yt = np.arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
-    xt, gt = np.empty(yt.size), np.empty(yt.size)
-    size = 0
-    for y in _blocks(yt):
-        x = construction.contact_inverse(y, problem.delta, problem)
-        keep = (x >= spec.xmin) & (x <= spec.xmax)
-        kept = np.count_nonzero(keep)
-        xt[size : size + kept], gt[size : size + kept] = x[keep], construction.u_at_contact(y[keep], problem)
-        size += kept
-    return xt[:size], gt[:size]
-
-
-def _max_step(a: np.ndarray) -> float:
-    """max |a[i+1] - a[i]|, 0 for fewer than two elements, with one
-    temporary the size of a."""
-    step = np.diff(a)
-    return np.max(np.abs(step, out=step), initial=0.0)
+def _arange(start: float, stop: float, step: float) -> tuple:
+    """(size, spacing, at) of np.arange(start, stop, step) without the
+    array: np.arange takes ceil((stop - start)/step) elements, spaced by
+    (start + step) - start rather than step, and at(j) computes its element
+    j as it does, elementwise over integer j: start at j = 0 (a start of
+    -0.0 keeps its sign), start + j*spacing past it."""
+    spacing = (start + step) - start
+    return max(math.ceil((stop - start) / step), 0), spacing, lambda j: np.where(j > 0, start + j * spacing, start)
 
 
 def _scan_message(points: float, what: str) -> str:

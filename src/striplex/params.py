@@ -41,6 +41,11 @@ def delta_caps(L: float, L_f: float, lip_fprime: float) -> tuple[float, float]:
     return touch, banach
 
 
+# the largest cone slope admitted: the caps and phi' raise L^2 - L_f^2 to
+# the power 3/2, which overflows from L ~ 5.6e102
+_MAX_SLOPE = 1e100
+
+
 def _require_slope_gap(L: float, L_f: float) -> None:
     if not (math.isfinite(L) and math.isfinite(L_f)):
         raise InvalidParametersError(f"L and L_f must be finite, got {L!r}, {L_f!r}")
@@ -48,6 +53,8 @@ def _require_slope_gap(L: float, L_f: float) -> None:
         raise InvalidParametersError(
             f"cone slope must strictly dominate the data slope: need 0 <= L_f < L, got L={L!r}, L_f={L_f!r}"
         )
+    if not L <= _MAX_SLOPE:
+        raise InvalidParametersError(f"cone slope L={L!r} too large: need L <= {_MAX_SLOPE!r}, or L**3 overflows")
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,11 @@ class TestParams:
         assert delta == pytest.approx(0.5 * min(touch, banach), rel=1e-15)
 
     def test_invalid_parameters_exit_1(self, capsys):
-        assert cli.main(["params", "--spline", VEE, "--L", "0.4", "--delta", "0.1"]) == 1
+        # past L ~ 5.6e102 the caps' power 3/2 overflows, and past
+        # L ~ 1.35e154 L*L is inf, which makes the constants nan
+        for L in ("0.4", "1e103", "1e300"):
+            assert cli.main(["params", "--spline", VEE, "--L", L, "--delta", "0.1"]) == 1
+            assert capsys.readouterr().err.startswith("error:"), L
 
     def test_delta_at_cap_exit_2(self, capsys):
         assert cli.main(["params", "--spline", VEE, "--L", "2", "--delta", "2.7478119275391819"]) == 2
@@ -355,6 +359,14 @@ def test_export_peak_memory_is_bounded(tmp_path, capsys, sizes, bound_mb):
     # the sizes of the field_zigzag benchmark's two commands, on its N = 40 zigzag
     argv = [sizes[0], *ZIGZAG_WINDOW, *sizes[1:], "--out", str(tmp_path / "out.csv")]
     assert traced_peak_mb(argv) <= bound_mb
+
+
+def test_envelope_grid_peak_memory_is_bounded(tmp_path, capsys):
+    # the envelope oracle at the default h_y = 1e-6 ranges over ~4e6 samples
+    # per boundary line: 163.5 MB with every sample in whole-window arrays,
+    # 4.2 MB with each computed where a scan reads it
+    argv = ["grid", *STANDARD, "--provenance", "mw_min", "--nx", "9", "--nd", "3"]
+    assert traced_peak_mb([*argv, "--out", str(tmp_path / "out.csv")]) <= 20.0
 
 
 class TestReport:

@@ -415,13 +415,15 @@ def envelope_problem(spline, delta_frac):
 
 @given(
     st.one_of(st.sampled_from(list(SAMPLE_SPLINES.values())), splines()),
-    st.floats(0.05, 0.95),
+    st.floats(0.05, 0.99999),
     st.floats(-4.0, -2.0),
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
     st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2),
 )
-# q ~ 0.9: the top-line samples are spaced most unevenly in x
+# q ~ 0.9 and q ~ 1: the top-line samples are spaced unevenly in x, the
+# more so the nearer q is to 1
 @example(SAMPLE_SPLINES["zigzag40"], 0.9, -4.0, [0.0, 0.37, 1.0], [0.01, 0.99])
+@example(SAMPLE_SPLINES["zigzag40"], 0.99999, -4.0, [0.0, 0.37, 1.0], [0.01, 0.99])
 @settings(max_examples=60, deadline=None)
 def test_envelope_scans_match_pointwise_loop(spline, delta_frac, log_h, x_fracs, d_fracs):
     # the pruned scans drop only samples strictly below the extremum, so
@@ -437,6 +439,24 @@ def test_envelope_scans_match_pointwise_loop(spline, delta_frac, log_h, x_fracs,
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert [v.hex() for v in g.ravel().tolist()] == [v.hex() for v in w.ravel().tolist()]
+
+
+@given(st.floats(-1e3, 1e3), st.floats(1e-7, 1.0), st.floats(-2.0, 2000.0))
+# spacings (start + step) - start that round down and up from step
+@example(-2.0, 1e-6, 1000.5)
+@example(-1.0, 1e-6, 1000.5)
+@example(0.1, 0.3, 3.0)
+@example(-0.0, 1.0, 1.0)  # element 0 is start itself, sign included
+@settings(max_examples=200, deadline=None)
+def test_positions_match_np_arange(start, step, steps):
+    # mw_envelopes samples the positions of np.arange without the array
+    stop = start + steps * step
+    size, spacing, at = oracle._arange(start, stop, step)
+    want = np.arange(start, stop, step)
+    assert size == want.size
+    assert [v.hex() for v in at(np.arange(size)).tolist()] == [v.hex() for v in want.tolist()]
+    if size > 1:
+        assert spacing == want[1] - want[0]
 
 
 class TestEnvelopes:

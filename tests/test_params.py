@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from striplex import oracle
@@ -89,6 +89,23 @@ class TestAdmit:
     def test_variant_bound_uses_squared_slope_lipschitz(self, vee_problem):
         c = 0.1 * vee_problem.phi_prime_max * 0.25
         assert vee_problem.lip_Y_bound_variant == pytest.approx(c / (1 - c), rel=1e-14)
+
+    @given(splines(), st.floats(0.0, 308.0), st.floats(0.05, 0.95))
+    # the powers of L overflow from L ~ 5.6e102 (L**3) and ~ 1.35e154 (L*L)
+    @example(BoundarySpline(f0=0.0, knots=((0.0, -0.5), (1.0, 0.5))), 103.0, 0.5)
+    @example(BoundarySpline(f0=0.0, knots=((0.0, -0.5), (1.0, 0.5))), 300.0, 0.5)
+    @settings(max_examples=150)
+    def test_any_slope_gives_finite_constants_or_is_invalid(self, spline, log_L, frac):
+        L = 10.0**log_L
+        try:
+            cap = min(delta_caps(L, spline.max_slope, spline.slope_lipschitz))
+            problem = admit(ProblemParams(L=L, delta=frac * cap if math.isfinite(cap) else frac, spline=spline))
+        except InvalidParametersError:
+            return
+        # a cap past the float range is +inf, as for constant f': no cap
+        assert not any(math.isnan(c) for c in (problem.delta_touch, problem.delta_banach))
+        constants = (problem.D, problem.contraction_q, problem.phi_prime_max, problem.lip_Y_bound)
+        assert all(math.isfinite(c) for c in constants), constants
 
     @given(splines(), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
     @settings(max_examples=150)
