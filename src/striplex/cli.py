@@ -132,7 +132,7 @@ def cmd_construct(args) -> int:
         raise ConfigurationError(f"top line needs nx = {args.nx} points, more than {oracle.MAX_POINTS}")
     xs = np.linspace(args.xmin, args.xmax, args.nx)
     sol = construction.solve_contacts(xs, problem.delta, problem, tol=args.tol)
-    columns = [sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
+    columns = [xs, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
     row = [(name, REAL) for name in ("x", "y", "Y", "u", "uprime")]
     write_table(args.out, args.format, "top_line", row, args.nx, lambda first, last: [c[first:last] for c in columns])
     return 0

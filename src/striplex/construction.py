@@ -66,13 +66,10 @@ class ContactSolution:
     """Result of solve_contacts: arrays of the broadcast (x, height) shape,
     numpy scalars for a scalar point."""
 
-    x: float
-    height: float
     Y: float
     y: float
     value: float
     iterations: int
-    residual: float
 
 
 def _iteration_cap(problem: AdmissibleProblem, threshold: float) -> int:
@@ -119,7 +116,7 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
     cap = _iteration_cap(problem, threshold)
     shape = x.shape
     x, height = x.ravel(), height.ravel()
-    Y, y, value, residual = (np.empty(x.size) for _ in range(4))
+    Y, y, value = (np.empty(x.size) for _ in range(3))
     iterations = np.empty(x.size, dtype=int)
     for first in range(0, x.size, _SOLVE_BLOCK):
         block = slice(first, first + _SOLVE_BLOCK)
@@ -129,11 +126,8 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
         for k in range(1, cap + 1):
             if not active.size:
                 break
+            # |f'| <= L_f < L everywhere (ProblemParams), so the square root is real
             slope = spline.derivative(xa + Ya)
-            bad = np.abs(slope) >= L
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise DomainError(f"|f'| = {abs(float(slope[i]))!r} >= L = {L!r} at y = {float(xa[i] + Ya[i])!r}")
             Y_next = ha * slope / np.sqrt(L * L - slope * slope)
             done = np.abs(Y_next - Ya) <= threshold
             finished = active[done]
@@ -146,23 +140,21 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
                 f"did not converge in {cap} iterations"
             )
         y[block] = xb + Y[block]
-        slope = spline.derivative(y[block])
-        residual[block] = np.abs(Y[block] - hb * slope / np.sqrt(L * L - slope * slope))
         value[block] = spline.value(y[block]) - L * _libm(math.hypot, hb, Y[block])
     if not np.all(np.isfinite(value)):
         raise DomainError("u overflows the float range at some x")
     # [()] turns a 0-d result into a numpy scalar
-    return ContactSolution(
-        *(a.reshape(shape)[()] for a in (x, height, Y, y, value, iterations, residual))
-    )
+    return ContactSolution(*(a.reshape(shape)[()] for a in (Y, y, value, iterations)))
 
 
-def contact_inverse(y, height: float, problem: AdmissibleProblem):
+def contact_inverse(y, height, problem: AdmissibleProblem):
     """x(y) = y - height * phi(f'(y)): the top-line abscissa whose contact
     point at the given height is y.  Strictly increasing for admitted
-    problems; elementwise over finite y."""
-    if not (0.0 < height <= problem.delta):
-        raise DomainError(f"height must lie in (0, delta], got {height!r} with delta={problem.delta!r}")
+    problems; elementwise over finite y and the broadcast height."""
+    h = np.asarray(height, dtype=float)
+    bad = ~((0.0 < h) & (h <= problem.delta))
+    if np.any(bad):
+        raise DomainError(f"height must lie in (0, delta], got {h[bad][0].item()!r} with delta={problem.delta!r}")
     _require_finite(y)
     return y - height * phi(problem.spline.derivative(y), problem.L)
 

@@ -131,10 +131,12 @@ class FieldGrid:
 
 @dataclass(frozen=True)
 class _Scan:
-    """What a later brute_force_u call over the same points needs to go on
-    from this one: the call's arguments, and per flat point the offset
-    k - n of the best grid sample (its y is x + h_y*offset) and the
-    refinement bracket around it."""
+    """What BruteResult.widened needs to go on from a brute_force_u result:
+    the call's arguments and window factor, and per flat point the offset
+    k - n of the best grid sample (its y is x + h_y*offset) and whether
+    that sample lies strictly inside the window: then its refinement
+    bracket, the grid samples at offsets offset - 1 and offset + 1, is the
+    same at every wider window."""
 
     problem: AdmissibleProblem
     h_y: float
@@ -142,8 +144,7 @@ class _Scan:
     x: np.ndarray
     d: np.ndarray
     offset: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    interior: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,26 @@ class BruteResult:
     value: float
     argmax_y: float
     bound: float
-    # the scan a call with a wider window starts from (brute_force_u's inner)
-    _scan: _Scan | None = field(default=None, repr=False, compare=False)
+    _scan: _Scan = field(repr=False, compare=False)
+
+    def widened(self, window_factor: float) -> BruteResult:
+        """The result over the same points, problem and h_y with the window
+        |y - x| <= window_factor*D*d + h_y; window_factor is finite and at
+        least this result's (1 for brute_force_u's).
+
+        The result is that of a scan of the whole wider window, which holds
+        every grid position of this one.  The scan goes on from this result:
+        each point's scan starts at this result's best sample, which only
+        prunes more.  Where a point's best sample is this result's and lies
+        inside this result's window, its bracket comes out bit-equal to this
+        result's, and the refinement, a function of (x, d, bracket,
+        problem), would repeat this one's, so the point keeps this result's
+        value and argmax_y.
+        """
+        scan = self._scan
+        if not (math.isfinite(window_factor) and window_factor >= scan.window_factor):
+            raise DomainError(f"need a finite window_factor >= {scan.window_factor!r}, got {window_factor!r}")
+        return _brute_force(scan.x, scan.d, scan.problem, scan.h_y, window_factor, self)
 
 
 def golden_section_max(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -198,21 +217,15 @@ def golden_section_max(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[
     return np.where(better, mid, best_y), np.where(better, fmid, best_v)
 
 
-def brute_force_u(
-    point: tuple,
-    problem: AdmissibleProblem,
-    h_y: float,
-    window_factor: float = 1.0,
-    inner: BruteResult | None = None,
-) -> BruteResult:
+def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float) -> BruteResult:
     """Maximize f(y) - L*sqrt(d^2 + (x-y)^2) by grid scan plus refinement
     at every point of the broadcast (x, d) arrays; value and argmax_y are
     arrays of that shape, numpy scalars for a scalar point.
 
     The scan grid of a point is y_j = x + h_y*(j - n), j = 0..2n, covering
-    the window |y - x| <= window_factor*D*d + h_y; window_factor is finite
-    and at least 1.  The objective is (L_f + L)-Lipschitz in y, and its
-    second derivative is at most Lip(f') (the cone term is concave), so
+    the window |y - x| <= D*d + h_y (BruteResult.widened scans a wider
+    one).  The objective is (L_f + L)-Lipschitz in y, and its second
+    derivative is at most Lip(f') (the cone term is concave), so
     _scan_argmax skips every stretch of the grid whose bound from those two
     constants lies below the best sample seen: each skipped sample is
     strictly below the maximum, and the index found is the one np.argmax
@@ -221,26 +234,27 @@ def brute_force_u(
     samples, all points at once.  bound is the worst-case scan error before
     refinement, from the Lipschitz constant.
 
-    inner, the result of a call with the same points, problem and h_y and
-    a window_factor no larger, lets this call go on from that one with the
-    same result.  Its window holds every grid position of inner's, so each
-    point's scan starts at inner's best sample, which only prunes more; the
-    whole window is still scanned.  Where a point's bracket comes out
-    bit-equal to inner's around the same sample, the refinement, a
-    function of (x, d, bracket, problem), would repeat inner's, so the
-    point takes inner's value and argmax_y.  A result that does not match
-    raises ValidationError.
-
     Every point is checked before any scan starts; the first bad point in
     C order is named in the error.
     """
-    if not (math.isfinite(window_factor) and window_factor >= 1.0):
-        raise DomainError(f"need a finite window_factor >= 1, got {window_factor!r}")
+    x, d = (np.array(a, dtype=float) for a in np.broadcast_arrays(*point))
+    return _brute_force(x, d, problem, h_y, 1.0, None)
+
+
+def _brute_force(
+    x: np.ndarray,
+    d: np.ndarray,
+    problem: AdmissibleProblem,
+    h_y: float,
+    window_factor: float,
+    narrow: BruteResult | None,
+) -> BruteResult:
+    """brute_force_u at window_factor, going on from narrow, a result over
+    the same points at a window factor no larger (None: a fresh scan)."""
     spline = problem.spline
     L = problem.L
     lip = problem.L_f + L
     t_far = max(abs(spline.knots[0][0]), abs(spline.knots[-1][0]))
-    x, d = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(*point))
     radius = window_factor * problem.D * d + h_y
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scan_size = 2.0 * radius / h_y + 1.0
@@ -262,8 +276,6 @@ def brute_force_u(
             ),
         ),
     )
-    if inner is not None:
-        _check_inner(inner, x, d, problem, h_y, window_factor)
     xs, ds, radius = x.ravel(), d.ravel(), radius.ravel()
     n = np.ceil(radius / h_y).astype(np.int64)
     # |best| + scale bounds the magnitude of every quantity met in
@@ -278,7 +290,7 @@ def brute_force_u(
         dp = ds[p]
         return spline.value(ys) - L * np.sqrt(dp * dp + (xs[p] - ys) ** 2)
 
-    start = 0 if inner is None else inner._scan.offset + n
+    start = 0 if narrow is None else narrow._scan.offset + n
     # near the ends of the float range the samples, the brackets and the
     # objective overflow; a non-finite result is reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -287,12 +299,12 @@ def brute_force_u(
         lo, y_k, hi = (xs + h_y * (j - n) for j in (np.maximum(k - 1, 0), k, np.minimum(k + 1, 2 * n)))
         y_star, v_star = np.empty_like(y_k), np.empty_like(v_k)
         redo = np.ones(xs.size, dtype=bool)
-        if inner is not None:
-            # inner's refinement stands where it ran on the same bracket
+        if narrow is not None:
+            # narrow's refinement stands where it ran on the same bracket
             # around the same sample
-            scan = inner._scan
-            redo = ~((offset == scan.offset) & _same_bits(lo, scan.lo) & _same_bits(hi, scan.hi))
-            y_star[~redo], v_star[~redo] = np.ravel(inner.argmax_y)[~redo], np.ravel(inner.value)[~redo]
+            scan = narrow._scan
+            redo = ~((offset == scan.offset) & scan.interior)
+            y_star[~redo], v_star[~redo] = np.ravel(narrow.argmax_y)[~redo], np.ravel(narrow.value)[~redo]
         x_r, d_r = xs[redo], ds[redo]
         y_new, v_new = golden_section_max(
             lambda y: spline.value(y) - L * construction._libm(math.hypot, d_r, x_r - y), lo[redo], hi[redo]
@@ -307,35 +319,8 @@ def brute_force_u(
         value=v_star[()],
         argmax_y=y_star[()],
         bound=0.5 * lip * h_y,
-        _scan=_Scan(problem, h_y, window_factor, x.copy(), d.copy(), offset, lo, hi),
+        _scan=_Scan(problem, h_y, window_factor, x, d, offset, (0 < k) & (k < 2 * n)),
     )
-
-
-def _check_inner(
-    inner: BruteResult, x: np.ndarray, d: np.ndarray, problem: AdmissibleProblem, h_y: float, window_factor: float
-) -> None:
-    """Raise ValidationError unless inner is a brute_force_u result over the
-    points (x, d), problem and h_y of this call, at a window factor no
-    larger than this call's."""
-    scan = getattr(inner, "_scan", None)
-    if scan is None:
-        why = "it carries no scan; pass a result of brute_force_u"
-    elif scan.problem != problem:
-        why = "it is a scan of another problem"
-    elif scan.h_y != h_y:
-        why = f"its h_y is {scan.h_y!r}, not {h_y!r}"
-    elif scan.window_factor > window_factor:
-        why = f"its window_factor {scan.window_factor!r} is larger than {window_factor!r}"
-    elif not (scan.x.shape == x.shape and _same_bits(scan.x, x).all() and _same_bits(scan.d, d).all()):
-        why = "it is a scan of another point set"
-    else:
-        return
-    raise ValidationError(f"inner does not match this call: {why}")
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise bit equality of two float arrays (0.0 and -0.0 differ)."""
-    return a.view(np.int64) == b.view(np.int64)
 
 
 def _raise_first_bad_point(x: np.ndarray, d: np.ndarray, checks: tuple) -> None:

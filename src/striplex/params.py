@@ -41,8 +41,11 @@ def delta_caps(L: float, L_f: float, lip_fprime: float) -> tuple[float, float]:
     return touch, banach
 
 
-# the largest cone slope admitted: the caps and phi' raise L^2 - L_f^2 to
-# the power 3/2, which overflows from L ~ 5.6e102
+# the cone slopes admitted: the caps and phi' raise L^2 - L_f^2 to the power
+# 3/2, which overflows from L ~ 5.6e102.  With L_f just below L, L^2 - L_f^2
+# is a few ulps of L^2, whose power 3/2 leaves the normal range below
+# L ~ 1e-94 and underflows to 0 below L ~ 1e-100
+_MIN_SLOPE = 1e-90
 _MAX_SLOPE = 1e100
 
 
@@ -55,6 +58,10 @@ def _require_slope_gap(L: float, L_f: float) -> None:
         )
     if not L <= _MAX_SLOPE:
         raise InvalidParametersError(f"cone slope L={L!r} too large: need L <= {_MAX_SLOPE!r}, or L**3 overflows")
+    if not L >= _MIN_SLOPE:
+        raise InvalidParametersError(
+            f"cone slope L={L!r} too small: need L >= {_MIN_SLOPE!r}, or (L**2 - L_f**2)**1.5 underflows"
+        )
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from test_oracle import fmt_rows
 
 REPO = Path(__file__).resolve().parent.parent
 VEE = str(REPO / "data" / "splines" / "vee.spline")
+CONSTANT = str(REPO / "data" / "splines" / "constant.spline")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "construct_standard.csv"
 # N = 40 zigzag of scripts/kink_density_demo.py at q ~ 0.80: 1 to 114
 # fixed-point iterations per point, so it pins the batched solve's masking
@@ -56,10 +57,12 @@ class TestParams:
 
     def test_invalid_parameters_exit_1(self, capsys):
         # past L ~ 5.6e102 the caps' power 3/2 overflows, and past
-        # L ~ 1.35e154 L*L is inf, which makes the constants nan
-        for L in ("0.4", "1e103", "1e300"):
-            assert cli.main(["params", "--spline", VEE, "--L", L, "--delta", "0.1"]) == 1
-            assert capsys.readouterr().err.startswith("error:"), L
+        # L ~ 1.35e154 L*L is inf, which makes the constants nan; below
+        # L ~ 1.6e-162 L*L is 0, which window_radius divides by
+        for spline, L in ((VEE, "0.4"), (VEE, "1e103"), (VEE, "1e300"), (CONSTANT, "1e-200")):
+            assert cli.main(["params", "--spline", spline, "--L", L, "--delta", "0.1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and not captured.out, L
 
     def test_delta_at_cap_exit_2(self, capsys):
         assert cli.main(["params", "--spline", VEE, "--L", "2", "--delta", "2.7478119275391819"]) == 2
@@ -248,8 +251,9 @@ class TestGrid:
 def construct_reference(problem, nx: int, fmt: str) -> str:
     """The construct document as one string, built in memory the way the
     exports were before they were streamed to their file."""
-    sol = solve_contacts(np.linspace(-2.0, 2.0, nx), problem.delta, problem)
-    columns = [sol.x, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
+    xs = np.linspace(-2.0, 2.0, nx)
+    sol = solve_contacts(xs, problem.delta, problem)
+    columns = [xs, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
     if fmt == "csv":
         return "x,y,Y,u,uprime\n" + fmt_rows(",".join([REAL] * 5), columns, "\n") + "\n"
     rows = fmt_rows('{"x":%s,"y":%s,"Y":%s,"u":%s,"uprime":%s}' % ((REAL,) * 5), columns, ",")

@@ -32,6 +32,13 @@ WORKED_INTERIOR_POINT = (0.02, 0.05)
 WORKED_INTERIOR_VALUE = 0.15010126583100059
 
 
+def contact_residual(x, height, Y, problem):
+    """|Y - height*phi(f'(x + Y))|, the residual of a returned iterate."""
+    L = problem.L
+    slope = problem.spline.derivative(x + Y)
+    return np.abs(Y - height * slope / np.sqrt(L * L - slope * slope))
+
+
 class TestPhi:
     def test_zero(self):
         assert phi(0.0, 5.0) == 0.0
@@ -66,7 +73,7 @@ class TestSolveContact:
             assert sol.Y == 0.0
             assert sol.value == pytest.approx(1.0 - 2.0 * 0.07, abs=1e-15)
             assert sol.iterations == 1
-            assert sol.residual == 0.0
+            assert contact_residual(x, 0.07, sol.Y, constant_problem) == 0.0
 
     def test_linear_data(self, linear_problem):
         sol = solve_contacts(0.0, 0.1, linear_problem)
@@ -86,7 +93,7 @@ class TestSolveContact:
             x = float(rng.uniform(-3, 3))
             h = float(rng.uniform(0.001, 0.1))
             sol = solve_contacts(x, h, vee_problem)
-            assert sol.residual <= 1e-12
+            assert contact_residual(x, h, sol.Y, vee_problem) <= 1e-12
             assert abs(sol.Y) <= vee_problem.D * h
 
     def test_height_domain(self, vee_problem):
@@ -127,9 +134,17 @@ class TestContactInverse:
 
     def test_vectorized_matches_scalar(self, vee_problem):
         ys = np.linspace(-2, 2, 17)
-        vec = contact_inverse(ys, 0.1, vee_problem)
-        for y, x in zip(ys, vec):
-            assert x == contact_inverse(float(y), 0.1, vee_problem)
+        hs = np.linspace(0.01, 0.1, 17)
+        for height in (0.1, hs):
+            vec = contact_inverse(ys, height, vee_problem)
+            for y, h, x in zip(ys, np.broadcast_to(height, ys.shape), vec):
+                assert x == contact_inverse(float(y), float(h), vee_problem)
+
+    def test_height_domain(self, vee_problem):
+        # the first bad height is named, for a scalar and an array height
+        for height, bad in ((0.0, "0.0"), (np.array([0.05, 0.2, -1.0]), "0.2")):
+            with pytest.raises(DomainError, match=rf"height must lie in \(0, delta\], got {bad} with delta=0.1"):
+                contact_inverse(np.array([0.1, 0.2, 0.3]), height, vee_problem)
 
 
 class TestUAtContact:
@@ -256,7 +271,7 @@ def test_solver_contract_on_random_problems(spline, x, height_frac):
     problem = admit(ProblemParams(L=L, delta=delta, spline=spline))
     h = height_frac * delta
     sol = solve_contacts(x, h, problem)
-    assert sol.residual <= 1e-12
+    assert contact_residual(x, h, sol.Y, problem) <= 1e-12
     assert abs(sol.Y) <= problem.D * h + 1e-15
     # round trip through the closed-form inverse; y - Y rounds to the float
     # grid at y, so one ulp of y is the floor of any bound
@@ -267,7 +282,7 @@ def test_solver_contract_on_random_problems(spline, x, height_frac):
 def reference_solve(x: float, height: float, problem, tol: float = 1e-12, max_iter: int = 200):
     """The scalar fixed-point loop the batched solve replaced: one point,
     Python floats, scalar spline lookups.  Returns (Y, y, value,
-    iterations, residual)."""
+    iterations)."""
     spline, L, q = problem.spline, problem.L, problem.contraction_q
     threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
     Y = 0.0
@@ -280,10 +295,8 @@ def reference_solve(x: float, height: float, problem, tol: float = 1e-12, max_it
             break
     else:
         raise AssertionError("reference loop did not converge")
-    slope = spline.derivative(x + Y)
-    residual = abs(Y - height * slope / math.sqrt(L * L - slope * slope))
     y = x + Y
-    return Y, y, spline.value(y) - L * math.hypot(height, Y), iterations, residual
+    return Y, y, spline.value(y) - L * math.hypot(height, Y), iterations
 
 
 @given(
@@ -303,7 +316,7 @@ def test_batched_solve_matches_pointwise(spline, points, delta_frac):
     xs = np.array([x for x, _ in points])
     hs = np.array([frac * delta for _, frac in points])
     batch = solve_contacts(xs, hs, problem)
-    names = ("Y", "y", "value", "iterations", "residual")
+    names = ("Y", "y", "value", "iterations")
     for k, (x, h) in enumerate(zip(xs.tolist(), hs.tolist())):
         alone = solve_contacts(x, h, problem)
         for name, ref in zip(names, reference_solve(x, h, problem)):
@@ -313,7 +326,7 @@ def test_batched_solve_matches_pointwise(spline, points, delta_frac):
 
 def unblocked_solve(x, height, problem, tol: float = 1e-12, max_iter: int = 200):
     """The masked fixed-point loop over every point at once, as it ran before
-    solve_contacts went through its points in blocks.  Returns the seven
+    solve_contacts went through its points in blocks.  Returns the four
     ContactSolution fields in order."""
     x, height = (a.astype(float) for a in np.broadcast_arrays(x, height))
     spline, L, q = problem.spline, problem.L, problem.contraction_q
@@ -335,10 +348,8 @@ def unblocked_solve(x, height, problem, tol: float = 1e-12, max_iter: int = 200)
         active, xa, ha, Ya = active[keep], xa[keep], ha[keep], Y_next[keep]
     assert not active.size, "reference loop did not converge"
     y = x + Y
-    slope = spline.derivative(y)
-    residual = np.abs(Y - height * slope / np.sqrt(L * L - slope * slope))
     value = spline.value(y) - L * np.array([math.hypot(h, v) for h, v in zip(height.tolist(), Y.tolist())])
-    return tuple(a.reshape(shape)[()] for a in (x, height, Y, y, value, iterations, residual))
+    return tuple(a.reshape(shape)[()] for a in (Y, y, value, iterations))
 
 
 def sample_problem(name: str, delta_frac: float = 0.8):
@@ -359,7 +370,7 @@ def test_blocked_solve_equals_unblocked_loop(name):
     size = 3 * construction._SOLVE_BLOCK + 17
     xs = np.linspace(-2.0, 2.0, size)
     mesh = (np.linspace(-2.0, 2.0, size // 32 + 1)[:, None], problem.delta * np.linspace(0.05, 1.0, 32)[None, :])
-    names = ("x", "height", "Y", "y", "value", "iterations", "residual")
+    names = ("Y", "y", "value", "iterations")
     for point in ((xs, problem.delta), mesh):
         got = solve_contacts(*point, problem)
         for name, ref in zip(names, unblocked_solve(*point, problem)):
@@ -374,7 +385,7 @@ def test_derived_iteration_cap_never_binds(name):
     # converge: every field is the one the unblocked loop gives with 100
     # times the cap, bit for bit, up to q ~ 0.9 on zigzag40
     rng = np.random.default_rng(len(name))
-    names = ("x", "height", "Y", "y", "value", "iterations", "residual")
+    names = ("Y", "y", "value", "iterations")
     for delta_frac in (0.05, 0.3, 0.6, 0.9):
         problem = sample_problem(name, delta_frac)
         # a quarter of the points on the top line, where the most iterations
@@ -430,7 +441,11 @@ def test_entry_points_finite_or_package_error(vee_problem, x, height_frac):
         "solve_contacts": lambda: solve_contacts(np.array([0.0, x]), d, vee_problem).value,
         "u_interior": lambda: u_interior(x, d, vee_problem),
         "brute_force_u": lambda: oracle.brute_force_u((x, d), vee_problem, 1e-4).value,
+        "BruteResult.widened": lambda: oracle.brute_force_u((x, d), vee_problem, 1e-4).widened(2.0).value,
         "contact_inverse": lambda: contact_inverse(x, d, vee_problem),
+        "contact_inverse at array heights": lambda: contact_inverse(
+            np.array([0.1, x]), np.array([0.5 * d, d]), vee_problem
+        ),
         "u_at_contact": lambda: u_at_contact(x, vee_problem),
         "segment_value": segment,
         "second_derivatives_top": lambda: second_derivatives_top(x, vee_problem),

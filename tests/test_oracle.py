@@ -12,7 +12,6 @@ from striplex.errors import ConfigurationError, DomainError, StriplexError, Vali
 from striplex.ioutil import _FMT_BLOCK, REAL, fmt_real
 from striplex.oracle import (
     MAX_SCAN,
-    BruteResult,
     GridSpec,
     _scan_argmax,
     brute_force_u,
@@ -89,7 +88,7 @@ class TestBruteForce:
     def test_window_widening_changes_nothing(self, vee_problem):
         for x, d in ((0.03, 0.1), (-1.2, 0.04), (0.6, 0.07)):
             base = brute_force_u((x, d), vee_problem, 1e-6)
-            wide = brute_force_u((x, d), vee_problem, 1e-6, window_factor=2.0)
+            wide = base.widened(2.0)
             assert abs(wide.value - base.value) <= 1e-12
 
     def test_monotone_in_data(self, vee_problem):
@@ -129,8 +128,8 @@ class TestBruteForce:
     def test_window_factor_must_be_finite_and_at_least_one(self, vee_problem, factor):
         # below 1 the window misses the maximum; negative or non-finite it
         # has no size
-        with pytest.raises(DomainError, match=f"window_factor >= 1, got {factor!r}"):
-            brute_force_u((0.3, 0.05), vee_problem, 1e-4, factor)
+        with pytest.raises(DomainError, match=f"window_factor >= 1.0, got {factor!r}"):
+            brute_force_u((0.3, 0.05), vee_problem, 1e-4).widened(factor)
 
     def test_overflow_raises_the_package_error(self):
         # the samples overflow at x = 1e308; no RuntimeWarning may escape
@@ -138,24 +137,13 @@ class TestBruteForce:
         with pytest.raises(DomainError, match="u overflows the float range at x = 1e[+]308"):
             brute_force_u((1e308, 0.05), problem, 1e-4)
 
-    def test_inner_must_be_a_scan_of_the_same_call(self, vee_problem, two_kink_problem):
+    def test_widened_never_narrows_and_keeps_its_own_factor(self, vee_problem):
         xs, ds = np.array([-0.3, 0.2]), np.array([0.05, 0.1])
-        inner = brute_force_u((xs, ds), vee_problem, 1e-4, window_factor=1.5)
-        mismatched = (
-            ((xs, ds), two_kink_problem, 1e-4, 2.0, "another problem"),
-            ((xs, ds), vee_problem, 2e-4, 2.0, "h_y is 0.0001, not 0.0002"),
-            ((xs, ds), vee_problem, 1e-4, 1.0, "window_factor 1.5 is larger than 1.0"),
-            ((xs[::-1], ds), vee_problem, 1e-4, 2.0, "another point set"),
-            ((xs[:, None], ds), vee_problem, 1e-4, 2.0, "another point set"),
-        )
-        for point, problem, h_y, factor, why in mismatched:
-            with pytest.raises(ValidationError, match=why):
-                brute_force_u(point, problem, h_y, factor, inner=inner)
-        hand_built = BruteResult(value=inner.value, argmax_y=inner.argmax_y, bound=inner.bound)
-        with pytest.raises(ValidationError, match="carries no scan"):
-            brute_force_u((xs, ds), vee_problem, 1e-4, 2.0, inner=hand_built)
-        same = brute_force_u((xs, ds), vee_problem, 1e-4, 1.5, inner=inner)
-        assert same.value.tobytes() == inner.value.tobytes() and same.argmax_y.tobytes() == inner.argmax_y.tobytes()
+        wide = brute_force_u((xs, ds), vee_problem, 1e-4).widened(1.5)
+        with pytest.raises(DomainError, match="window_factor >= 1.5, got 1.0"):
+            wide.widened(1.0)
+        same = wide.widened(1.5)
+        assert same.value.tobytes() == wide.value.tobytes() and same.argmax_y.tobytes() == wide.argmax_y.tobytes()
 
     def test_scalar_point_gives_numpy_scalars(self, vee_problem):
         res = brute_force_u((0.3, 0.05), vee_problem, 1e-5)
@@ -212,7 +200,8 @@ def scalar_golden_section_max(fn, lo, hi, tol=1e-13, max_iter=90):
 
 def full_scan_brute_force_u(point, problem, h_y, window_factor=1.0):
     """The full grid scan the pruned scan replaced: every sample of the
-    window, np.argmax, then the one-point refinement."""
+    window, np.argmax, then the one-point refinement.  Returns (value,
+    argmax_y, bound)."""
     x, d = point
     spline = problem.spline
     L = problem.L
@@ -230,7 +219,7 @@ def full_scan_brute_force_u(point, problem, h_y, window_factor=1.0):
     y_star, v_star = scalar_golden_section_max(objective, lo, hi)
     if v_star < vals[k]:
         y_star, v_star = float(ys[k]), float(vals[k])
-    return BruteResult(value=float(v_star), argmax_y=float(y_star), bound=0.5 * (problem.L_f + L) * h_y)
+    return float(v_star), float(y_star), 0.5 * (problem.L_f + L) * h_y
 
 
 def scan_problem(spline, delta_frac):
@@ -260,27 +249,27 @@ def scan_problem(spline, delta_frac):
 def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y, window_factor):
     # every sample the pruned scan drops is strictly below the best one, so
     # it finds the full scan's argmax; the batched refinement runs each
-    # bracket as the one-point search does, so a mesh call, a one-point
-    # call, a mesh call going on from the 1x mesh call and the full scan
-    # agree bit for bit at every point
+    # bracket as the one-point search does, and widened goes on from the 1x
+    # result with the bits of a fresh scan, so a mesh call and one-point
+    # calls, as returned and widened, agree with the full scan of their
+    # window bit for bit at every point
     problem = scan_problem(spline, delta_frac)
     xs, ds = np.array(xs), np.array(d_fracs) * problem.delta
     h_y = 10.0**log_h_y
-    points = (xs[:, None], ds[None, :])
-    mesh = brute_force_u(points, problem, h_y, window_factor)
-    grown = brute_force_u(points, problem, h_y, window_factor, inner=brute_force_u(points, problem, h_y))
-    assert mesh.value.shape == mesh.argmax_y.shape == (len(xs), len(ds))
+    mesh = brute_force_u((xs[:, None], ds[None, :]), problem, h_y)
+    wide = mesh.widened(window_factor)
+    assert mesh.value.shape == mesh.argmax_y.shape == wide.value.shape == wide.argmax_y.shape == (len(xs), len(ds))
 
     def bits(value, argmax_y, bound):
         return [v.hex() for v in (value, argmax_y, bound)]
 
     for i, x in enumerate(xs.tolist()):
         for j, d in enumerate(ds.tolist()):
-            want = full_scan_brute_force_u((x, d), problem, h_y, window_factor)
-            one = brute_force_u((x, d), problem, h_y, window_factor)
-            assert bits(mesh.value[i, j], mesh.argmax_y[i, j], mesh.bound) == bits(one.value, one.argmax_y, one.bound)
-            assert bits(grown.value[i, j], grown.argmax_y[i, j], grown.bound) == bits(one.value, one.argmax_y, one.bound)
-            assert bits(one.value, one.argmax_y, one.bound) == bits(want.value, want.argmax_y, want.bound)
+            one = brute_force_u((x, d), problem, h_y)
+            for factor, grid, alone in ((1.0, mesh, one), (window_factor, wide, one.widened(window_factor))):
+                want = bits(*full_scan_brute_force_u((x, d), problem, h_y, factor))
+                assert bits(grid.value[i, j], grid.argmax_y[i, j], grid.bound) == want, factor
+                assert bits(alone.value, alone.argmax_y, alone.bound) == want, factor
 
 
 @given(
@@ -337,15 +326,16 @@ def test_scan_bounds_hold_on_the_full_sample_sequences(name, monkeypatch):
 
     monkeypatch.setattr(oracle, "_scan_argmax", recording)
     ds = problem.delta * np.array([0.2, 0.8])[None, :]
-    brute_force_u((np.linspace(-1.2, 1.2, 9)[:, None], ds), problem, 1e-4, window_factor=2.0)
+    brute_force_u((np.linspace(-1.2, 1.2, 9)[:, None], ds), problem, 1e-4).widened(2.0)
     if name != "two_kinks":
         # far from x the cone bends less than f' may, so the second
         # differences come near the brute-force curv_step = Lip(f')*h_y^2:
         # on vee at h_y = 1e-3 their largest is -1.7e-5 at window factor 1,
         # +2.0e-7 at 8 and +4.6e-7 at 16, against 5e-7
-        brute_force_u((np.linspace(-1.2, 1.2, 9)[:, None], ds), problem, 1e-3, window_factor=16.0)
+        brute_force_u((np.linspace(-1.2, 1.2, 9)[:, None], ds), problem, 1e-3).widened(16.0)
     mw_envelopes((np.linspace(-1.3, 1.3, 7)[:, None], ds), problem, envelope_spec(problem, h=1e-3))
-    assert len(calls) == (5 if name == "two_kinks" else 6)
+    # each brute_force_u call and each widening scans once, mw_envelopes four times
+    assert len(calls) == (6 if name == "two_kinks" else 8)
     for sample, count, lip_step, curv_step, scale in calls:
         for p, n in enumerate(count.tolist()):
             v = sample(np.full(n, p), np.arange(n))
@@ -374,9 +364,36 @@ def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
         return value(spline, y)
 
     monkeypatch.setattr(BoundarySpline, "value", counting)
-    brute_force_u((0.3, 0.1), vee_problem, 1e-6, window_factor=2.0)
+    brute_force_u((0.3, 0.1), vee_problem, 1e-6).widened(2.0)
     full = 2 * math.ceil((2.0 * vee_problem.D * 0.1 + 1e-6) / 1e-6) + 1
     assert sum(calls) < 0.0025 * full
+
+
+def test_widened_goes_on_from_the_narrower_scan(vee_problem, monkeypatch):
+    # both parts of the continuation, which the localization check's time
+    # rests on: each wider scan starts at the narrower best sample, and a
+    # bracket that comes out bit-equal is not refined again (on this grid,
+    # none is)
+    scans, refined = [], []
+    scan, refine = oracle._scan_argmax, oracle.golden_section_max
+
+    def recording_scan(sample, count, lip_step, curv_step, scale, start):
+        k, v_k = scan(sample, count, lip_step, curv_step, scale, start)
+        scans.append((count, start, k))
+        return k, v_k
+
+    def recording_refine(fn, lo, hi):
+        refined.append(np.size(lo))
+        return refine(fn, lo, hi)
+
+    monkeypatch.setattr(oracle, "_scan_argmax", recording_scan)
+    monkeypatch.setattr(oracle, "golden_section_max", recording_refine)
+    points = (np.linspace(-2.0, 2.0, 33)[:, None], vee_problem.delta * np.arange(1, 6)[None, :] / 5)
+    brute_force_u(points, vee_problem, 1e-5).widened(2.0)
+    (count1, start1, k1), (count2, start2, _) = scans
+    assert np.all(start1 == 0)
+    assert np.array_equal(start2, k1 - count1 // 2 + count2 // 2)
+    assert refined == [count1.size, 0]
 
 
 def pointwise_mw_envelopes(point, problem, spec):

@@ -90,13 +90,25 @@ class TestAdmit:
         c = 0.1 * vee_problem.phi_prime_max * 0.25
         assert vee_problem.lip_Y_bound_variant == pytest.approx(c / (1 - c), rel=1e-14)
 
-    @given(splines(), st.floats(0.0, 308.0), st.floats(0.05, 0.95))
+    @given(splines(), st.floats(-308.0, 308.0), st.one_of(st.floats(0.0, 1.0), st.none()), st.floats(0.05, 0.95))
     # the powers of L overflow from L ~ 5.6e102 (L**3) and ~ 1.35e154 (L*L)
-    @example(BoundarySpline(f0=0.0, knots=((0.0, -0.5), (1.0, 0.5))), 103.0, 0.5)
-    @example(BoundarySpline(f0=0.0, knots=((0.0, -0.5), (1.0, 0.5))), 300.0, 0.5)
+    @example(BoundarySpline(f0=0.0, knots=((0.0, -0.5), (1.0, 0.5))), 103.0, 0.25, 0.5)
+    @example(BoundarySpline(f0=0.0, knots=((0.0, -0.5), (1.0, 0.5))), 300.0, 0.25, 0.5)
+    # L*L underflows to 0 (window_radius divides by it), and
+    # (L*L - L_f*L_f)**1.5 underflows to 0 (phi_prime_max divides by it)
+    @example(BoundarySpline(f0=0.0, knots=((0.0, 0.0),)), -200.0, 0.0, 0.5)
+    @example(BoundarySpline(f0=0.0, knots=((0.0, -0.5), (1.0, 0.5))), -150.0, 0.5, 0.5)
+    # L_f just below the smallest L admitted
+    @example(BoundarySpline(f0=0.0, knots=((0.0, -0.5), (1.0, 0.5))), -90.0, None, 0.5)
     @settings(max_examples=150)
-    def test_any_slope_gives_finite_constants_or_is_invalid(self, spline, log_L, frac):
+    def test_any_slope_gives_finite_constants_or_is_invalid(self, spline, log_L, share, frac):
         L = 10.0**log_L
+        # the data slopes scaled under L, so that small L is admitted too:
+        # L_f = share*L, or the float just below L for share None
+        if spline.max_slope > 0.0:
+            top = math.nextafter(L, 0.0) if share is None else share * L
+            knots = tuple((t, top * (s / spline.max_slope)) for t, s in spline.knots)
+            spline = BoundarySpline(f0=spline.f0, knots=knots)
         try:
             cap = min(delta_caps(L, spline.max_slope, spline.slope_lipschitz))
             problem = admit(ProblemParams(L=L, delta=frac * cap if math.isfinite(cap) else frac, spline=spline))
