@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, construction, oracle, verify
-from .boundary import BoundarySpline, parse_spline
-from .errors import AdmissibilityError, ConfigurationError, StriplexError, UsageError, ValidationError
+from .boundary import parse_spline
+from .errors import AdmissibilityError, ConfigurationError, StriplexError, UsageError
 from .ioutil import REAL, fmt_real, write_table
 from .oracle import GridSpec
-from .params import AdmissibleProblem, ProblemParams, admit, delta_caps, window_radius
+from .params import ProblemParams, admit, delta_caps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,24 +69,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spline_and_delta(args) -> tuple[BoundarySpline, float]:
-    """The parsed --spline file and the strip height, from --delta or
-    --delta-frac times the smaller admissibility cap."""
+def _problem(args) -> ProblemParams:
+    """The problem of --spline and --L, at --delta or at --delta-frac times
+    the smaller admissibility cap."""
     if args.delta is None and not (0.0 < args.delta_frac < 1.0):
         raise UsageError(f"--delta-frac must lie in (0, 1), got {args.delta_frac!r}")
     spline = parse_spline(Path(args.spline).read_text(encoding="utf-8"))
-    if args.delta is not None:
-        return spline, args.delta
-    touch, banach = delta_caps(args.L, spline.max_slope, spline.slope_lipschitz)
-    cap = min(touch, banach)
-    if not math.isfinite(cap):
-        raise UsageError("--delta-frac needs a finite admissibility cap; pass --delta instead")
-    return spline, args.delta_frac * cap
-
-
-def _admit(args) -> AdmissibleProblem:
-    spline, delta = _spline_and_delta(args)
-    return admit(ProblemParams(L=args.L, delta=delta, spline=spline))
+    delta = args.delta
+    if delta is None:
+        # delta is not known yet, so the caps come from (L, spline) alone
+        cap = min(delta_caps(args.L, spline.max_slope, spline.slope_lipschitz))
+        if not math.isfinite(cap):
+            raise UsageError("--delta-frac needs a finite admissibility cap; pass --delta instead")
+        delta = args.delta_frac * cap
+    return ProblemParams(L=args.L, delta=delta, spline=spline)
 
 
 def _grid_spec(args) -> GridSpec:
@@ -100,20 +96,19 @@ def _grid_spec(args) -> GridSpec:
 
 
 def cmd_params(args) -> int:
-    spline, delta = _spline_and_delta(args)
-    touch, banach = delta_caps(args.L, spline.max_slope, spline.slope_lipschitz)
-    print(f"L_f = {fmt_real(spline.max_slope)}")
-    print(f"Lf_prime = {fmt_real(spline.slope_lipschitz)}")
+    params = _problem(args)
+    touch, banach = params.caps
+    print(f"L_f = {fmt_real(params.L_f)}")
+    print(f"Lf_prime = {fmt_real(params.spline.slope_lipschitz)}")
     print(f"delta_touch = {fmt_real(touch)}")
     print(f"delta_banach = {fmt_real(banach)}")
-    print(f"delta = {fmt_real(delta)}")
+    print(f"delta = {fmt_real(params.delta)}")
+    print(f"D = {fmt_real(params.D)}")
     try:
-        problem = admit(ProblemParams(L=args.L, delta=delta, spline=spline))
+        problem = admit(params)
     except AdmissibilityError as exc:
-        print(f"D = {fmt_real(window_radius(args.L, spline.max_slope))}")
         print(f"admitted = false ({exc})")
         return 2
-    print(f"D = {fmt_real(problem.D)}")
     print(f"contraction_q = {fmt_real(problem.contraction_q)}")
     print(f"lip_Y_bound = {fmt_real(problem.lip_Y_bound)}")
     print(f"lip_Y_bound_variant = {fmt_real(problem.lip_Y_bound_variant)}")
@@ -122,12 +117,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    problem = _admit(args)
-    # the window rule GridSpec applies to the grid subcommand
-    if not (math.isfinite(args.xmin) and math.isfinite(args.xmax) and args.xmin < args.xmax and args.nx >= 2):
-        raise ValidationError(
-            f"need finite xmin < xmax and nx >= 2, got {args.xmin!r}, {args.xmax!r}, nx={args.nx!r}"
-        )
+    problem = admit(_problem(args))
+    oracle.require_window(args.xmin, args.xmax, args.nx)
     if not args.nx <= oracle.MAX_POINTS:
         raise ConfigurationError(f"top line needs nx = {args.nx} points, more than {oracle.MAX_POINTS}")
     xs = np.linspace(args.xmin, args.xmax, args.nx)
@@ -139,21 +130,21 @@ def cmd_construct(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    problem = _admit(args)
+    problem = admit(_problem(args))
     grid = oracle.grid_eval(problem, _grid_spec(args), args.provenance, tol=args.tol)
     oracle.write_grid(args.out, grid, args.format)
     return 0
 
 
 def cmd_report(args) -> int:
-    problem = _admit(args)
+    problem = admit(_problem(args))
     reports = analysis.kink_transfer_report(problem)
     analysis.write_report(args.out, reports, args.format)
     return 0
 
 
 def cmd_verify(args) -> int:
-    problem = _admit(args)
+    problem = admit(_problem(args))
     config = verify.VerifyConfig(grid=_grid_spec(args), tol=args.tol)
     results = verify.run_acceptance(problem, config)
     for res in results:

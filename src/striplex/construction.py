@@ -30,6 +30,13 @@ DEFAULT_TOL = 1e-12
 _SOLVE_BLOCK = 1 << 14
 
 
+def require_tol(tol: float) -> None:
+    """The contact-solve tolerance rule, 0 < tol < inf: at tol = inf the
+    stopping rule holds after one step whatever the error."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def _require_finite(y) -> None:
     """DomainError unless every element of y is finite."""
     y = np.asarray(y, dtype=float)
@@ -98,6 +105,7 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
     take alone.  Every returned iterate satisfies |Y - Y*| <= tol and
     |Y - height*phi(f'(x+Y))| <= tol.
     """
+    require_tol(tol)
     x, height = (a.astype(float) for a in np.broadcast_arrays(x, height))
     bad_x = ~np.isfinite(x)
     if np.any(bad_x):
@@ -107,8 +115,6 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
         raise DomainError(
             f"height must lie in (0, delta], got {float(height[bad_height][0])!r} with delta={problem.delta!r}"
         )
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
     spline = problem.spline
     L = problem.L
     q = problem.contraction_q

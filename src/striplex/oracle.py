@@ -67,6 +67,16 @@ _MIN_COARSE = 8
 _BLOCK = 256
 
 
+def require_window(xmin: float, xmax: float, nx: int) -> None:
+    """The rule of a sampled x window (a GridSpec, the construct top line):
+    finite xmin < xmax whose width xmax - xmin, which np.linspace divides,
+    is finite too, and nx >= 2 samples."""
+    if not (math.isfinite(xmin) and math.isfinite(xmax - xmin) and xmin < xmax and nx >= 2):
+        raise ValidationError(
+            f"need finite xmin < xmax with a finite width and nx >= 2, got {xmin!r}, {xmax!r}, nx={nx!r}"
+        )
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling window on the strip plus the oracle step size."""
@@ -78,10 +88,9 @@ class GridSpec:
     h_y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.xmin) and math.isfinite(self.xmax) and self.xmin < self.xmax):
-            raise ValidationError(f"need finite xmin < xmax, got {self.xmin!r}, {self.xmax!r}")
-        if self.nx < 2 or self.nd < 2:
-            raise ValidationError(f"need nx, nd >= 2, got nx={self.nx!r}, nd={self.nd!r}")
+        require_window(self.xmin, self.xmax, self.nx)
+        if self.nd < 2:
+            raise ValidationError(f"need nd >= 2, got nd={self.nd!r}")
         if not self.nx * self.nd <= MAX_POINTS:
             raise ConfigurationError(f"grid needs nx*nd = {self.nx * self.nd} points, more than {MAX_POINTS}")
         if not self.h_y > 0:

@@ -1,4 +1,4 @@
-"""Admissibility constants for the strip extension problem.
+"""The strip extension problem and its admissibility constants.
 
 Everything the contact-point construction needs is derived here from the
 cone slope L, the strip height delta, and the two exact Lipschitz constants
@@ -66,7 +66,8 @@ def _require_slope_gap(L: float, L_f: float) -> None:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Raw problem statement: cone slope, strip height, boundary spline."""
+    """Problem statement: cone slope, strip height, boundary spline, and the
+    constants derived from them."""
 
     L: float
     delta: float
@@ -77,42 +78,56 @@ class ProblemParams:
             raise InvalidParametersError(f"delta must be finite and > 0, got {self.delta!r}")
         _require_slope_gap(self.L, self.spline.max_slope)
 
+    @property
+    def L_f(self) -> float:
+        return self.spline.max_slope
+
+    @property
+    def D(self) -> float:
+        return window_radius(self.L, self.L_f)
+
+    @property
+    def caps(self) -> tuple[float, float]:
+        """(delta_touch, delta_banach), see delta_caps."""
+        return delta_caps(self.L, self.L_f, self.spline.slope_lipschitz)
+
+    @property
+    def phi_prime_max(self) -> float:
+        L, L_f = self.L, self.L_f
+        return L * L / (L * L - L_f * L_f) ** 1.5
+
+    @property
+    def contraction_q(self) -> float:
+        """Contraction factor of the contact fixed-point map; below 1
+        exactly when delta < delta_banach."""
+        return self.delta * self.phi_prime_max * self.spline.slope_lipschitz
+
 
 @dataclass(frozen=True)
-class AdmissibleProblem:
-    """ProblemParams plus every derived constant, validated once.
+class AdmissibleProblem(ProblemParams):
+    """A ProblemParams whose delta lies strictly below both caps, the
+    condition under which the construction and its checks hold.
 
     Immutable; all downstream evaluation is pure, so instances may be shared
     freely across threads.
     """
 
-    params: ProblemParams
-    D: float
-    delta_touch: float
-    delta_banach: float
-    contraction_q: float
-    phi_prime_max: float
-    lip_Y_bound: float
+    def __post_init__(self):
+        super().__post_init__()
+        names = ("delta_touch", "delta_banach")
+        violated = [(name, cap) for name, cap in zip(names, self.caps) if self.delta >= cap]
+        if violated:
+            listed = ", ".join(f"{n} = {v:.6g}" for n, v in violated)
+            raise AdmissibilityError(
+                f"delta = {self.delta:.6g} is not strictly below {listed}",
+                violated_cap=violated[0][0],
+            )
 
     @property
-    def L(self) -> float:
-        return self.params.L
-
-    @property
-    def delta(self) -> float:
-        return self.params.delta
-
-    @property
-    def spline(self) -> BoundarySpline:
-        return self.params.spline
-
-    @property
-    def L_f(self) -> float:
-        return self.params.spline.max_slope
-
-    @property
-    def lip_fprime(self) -> float:
-        return self.params.spline.slope_lipschitz
+    def lip_Y_bound(self) -> float:
+        """Lipschitz bound q/(1-q) of the contact offset Y."""
+        q = self.contraction_q
+        return q / (1.0 - q)
 
     @property
     def lip_Y_bound_variant(self) -> float:
@@ -120,43 +135,16 @@ class AdmissibleProblem:
         entering squared instead of linearly.  Tracked so the measured
         quotient can adjudicate between the two candidate constants; never
         used as a gate."""
-        c = self.delta * self.phi_prime_max * self.lip_fprime**2
+        c = self.delta * self.phi_prime_max * self.spline.slope_lipschitz**2
         if c >= 1.0:
             return math.inf
         return c / (1.0 - c)
 
 
 def admit(params: ProblemParams) -> AdmissibleProblem:
-    """Validate delta against both caps and assemble all derived constants.
+    """params as an AdmissibleProblem.
 
     Raises AdmissibilityError (naming the violated cap) unless delta is
     strictly below min(delta_touch, delta_banach).
     """
-    L = params.L
-    L_f = params.spline.max_slope
-    lip_fp = params.spline.slope_lipschitz
-    D = window_radius(L, L_f)
-    touch, banach = delta_caps(L, L_f, lip_fp)
-    violated = []
-    if params.delta >= touch:
-        violated.append(("delta_touch", touch))
-    if params.delta >= banach:
-        violated.append(("delta_banach", banach))
-    if violated:
-        names = ", ".join(f"{n} = {v:.6g}" for n, v in violated)
-        raise AdmissibilityError(
-            f"delta = {params.delta:.6g} is not strictly below {names}",
-            violated_cap=violated[0][0],
-        )
-    phi_prime_max = L * L / (L * L - L_f * L_f) ** 1.5
-    q = params.delta * phi_prime_max * lip_fp
-    # delta < delta_banach is equivalent to q < 1
-    return AdmissibleProblem(
-        params=params,
-        D=D,
-        delta_touch=touch,
-        delta_banach=banach,
-        contraction_q=q,
-        phi_prime_max=phi_prime_max,
-        lip_Y_bound=q / (1.0 - q),
-    )
+    return AdmissibleProblem(params.L, params.delta, params.spline)

@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, construction, oracle
 from .boundary import BoundarySpline
 from .oracle import GridSpec
-from .params import AdmissibleProblem, ProblemParams, admit
+from .params import AdmissibleProblem
 
 # evaluator used for the closed-form side of the oracle-equivalence check, on
 # the (x, d) mesh arrays; replaceable by tests as a negative control
@@ -56,6 +56,9 @@ class VerifyConfig:
 
     grid: GridSpec = GridSpec(xmin=-2.0, xmax=2.0, nx=257, nd=17, h_y=1e-6)
     tol: float = construction.DEFAULT_TOL
+
+    def __post_init__(self):
+        construction.require_tol(self.tol)
 
 
 def _status(ok: bool) -> str:
@@ -324,8 +327,8 @@ def check_degenerate_closed_forms(problem: AdmissibleProblem, config: VerifyConf
     L = problem.L
     delta = problem.delta
     c, a = 1.0, 1.0
-    const_problem = admit(ProblemParams(L=L, delta=delta, spline=BoundarySpline(f0=c, knots=((0.0, 0.0),))))
-    linear_problem = admit(ProblemParams(L=L, delta=delta, spline=BoundarySpline(f0=0.0, knots=((0.0, a),))))
+    const_problem = AdmissibleProblem(L=L, delta=delta, spline=BoundarySpline(f0=c, knots=((0.0, 0.0),)))
+    linear_problem = AdmissibleProblem(L=L, delta=delta, spline=BoundarySpline(f0=0.0, knots=((0.0, a),)))
     rng = np.random.default_rng(_SEED + 4)
 
     def deviation(evaluate, n: int) -> float:

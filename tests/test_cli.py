@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,12 @@ class TestParams:
             assert cli.main(["params", "--spline", spline, "--L", L, "--delta", "0.1"]) == 1
             captured = capsys.readouterr()
             assert captured.err.startswith("error:") and not captured.out, L
+
+    @pytest.mark.parametrize("delta", ["-1", "0", "nan", "inf"])
+    def test_invalid_delta_prints_nothing(self, capsys, delta):
+        assert cli.main(["params", "--spline", VEE, "--L", "2", f"--delta={delta}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: delta must be finite and > 0") and not captured.out
 
     def test_delta_at_cap_exit_2(self, capsys):
         assert cli.main(["params", "--spline", VEE, "--L", "2", "--delta", "2.7478119275391819"]) == 2
@@ -237,14 +244,19 @@ class TestGrid:
         assert cli.main(argv) == 0
         assert out.read_bytes() == (GOLDEN.parent / golden).read_bytes()
 
-    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"]])
+    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"], ["--tol", "inf"]])
     def test_solver_flags_reach_the_closed_form_fill(self, tmp_path, capsys, flags):
-        # the same flags make construct exit 1; grid must not ignore them
-        for command, sizes in (("grid", ["--nx", "3", "--nd", "2"]), ("construct", ["--nx", "3"])):
-            out = tmp_path / f"{command}.csv"
-            argv = [command, *STANDARD, *sizes, *flags, "--out", str(out)]
-            assert cli.main(argv) == 1, command
-            assert capsys.readouterr().err.startswith("error:")
+        # the same flags make construct exit 1; grid must not ignore them,
+        # and verify refuses them before any check runs
+        out = tmp_path / "out.csv"
+        for command, tail in (
+            ("grid", ["--nx", "3", "--nd", "2", "--out", str(out)]),
+            ("construct", ["--nx", "3", "--out", str(out)]),
+            ("verify", ["--nx", "3", "--nd", "2"]),
+        ):
+            assert cli.main([command, *STANDARD, *tail, *flags]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: tol must be finite and > 0") and not captured.out, command
             assert not out.exists()
 
 
@@ -335,6 +347,32 @@ def test_oversized_point_count_exit_1(tmp_path, capsys, command, sizes):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"points, more than {oracle.MAX_POINTS}\n")
     assert not out.exists()
+
+
+# a finite window whose width xmax - xmin overflows, which np.linspace divides
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid", "--provenance", "closed_form", "--nx", "3", "--nd", "2"],
+        ["grid", "--provenance", "brute_force", "--nx", "3", "--nd", "2"],
+        ["grid", "--provenance", "mw_min", "--nx", "3", "--nd", "2"],
+        ["construct", "--nx", "3"],
+        ["verify", "--nx", "3", "--nd", "2"],
+    ],
+    ids=["closed_form", "brute_force", "mw_min", "construct", "verify"],
+)
+def test_overflowing_window_width_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    window = ["--xmin=-1.7e308", "--xmax=1.7e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([*argv, *STANDARD, *window] + (["--out", str(out)] if argv[0] != "verify" else []))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: need finite xmin < xmax with a finite width and nx >= 2, got -1.7e+308, 1.7e+308, nx=3\n"
+    )
+    assert not captured.out and not out.exists()
 
 
 def traced_peak_mb(argv) -> float:
@@ -482,6 +520,17 @@ class TestVerify:
             "boundary samples, more than 10000000; raise h_y"
         )
         assert lines[-1] == "verify: 9 passed, 1 failed, 0 skipped"
+
+    def test_oracle_scan_past_the_cap_skips_localization(self, vee_problem):
+        # localization goes on from the oracle_equivalence grid, so without
+        # one it has nothing to measure
+        config = verify.VerifyConfig(grid=GridSpec(xmin=-1.0, xmax=1.0, nx=2, nd=2, h_y=1e-8))
+        results = verify.run_acceptance(vee_problem, config)
+        assert [f"{r.status} {r.name}: {r.detail}" for r in results[:2]] == [
+            "FAIL oracle_equivalence: error: at grid point (x=-1.0, d=0.1): brute-force scan needs 1.07e+07 "
+            "boundary samples, more than 10000000; raise h_y",
+            "SKIP localization: no oracle grid available",
+        ]
 
     def test_failure_maps_to_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -104,7 +104,7 @@ class TestSolveContact:
     def test_iteration_budget_guard(self, vee_problem, monkeypatch):
         with pytest.raises(DomainError):
             solve_contacts(0.7, 0.1, vee_problem, tol=0.0)
-        with pytest.raises(DomainError, match="tol must be > 0, got nan"):
+        with pytest.raises(DomainError, match="tol must be finite and > 0, got nan"):
             solve_contacts(0.7, 0.1, vee_problem, tol=math.nan)
         monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)
         with pytest.raises(NonConvergenceError, match="did not converge in 1 iterations"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -70,12 +71,27 @@ class TestAdmit:
 
     def test_rejects_at_touch_cap(self):
         spline = BoundarySpline(f0=0.0, knots=((-1.0, 1.0), (0.0, 0.0), (1.0, 1.0)))
-        touch, _ = delta_caps(2.0, 1.0, 1.0)
+        touch, banach = delta_caps(2.0, 1.0, 1.0)
         with pytest.raises(AdmissibilityError) as err:
             admit(ProblemParams(L=2.0, delta=touch, spline=spline))
         assert err.value.violated_cap == "delta_touch"
+        # the record itself enforces admission, whoever builds it
+        with pytest.raises(AdmissibilityError, match="delta_touch = .*, delta_banach = ") as err:
+            AdmissibleProblem(L=2.0, delta=banach, spline=spline)
+        assert err.value.violated_cap == "delta_touch"
         # strictly below still admits
         assert isinstance(admit(ProblemParams(L=2.0, delta=0.999 * touch, spline=spline)), AdmissibleProblem)
+
+    def test_constants_derive_from_the_problem(self, vee_spline):
+        # (L, delta, spline) is the whole record; every constant is derived,
+        # also for a delta past the caps, which admission then refuses
+        assert [f.name for f in dataclasses.fields(AdmissibleProblem)] == ["L", "delta", "spline"]
+        params = ProblemParams(L=2.0, delta=5.0, spline=vee_spline)
+        assert params.caps == delta_caps(2.0, 0.5, 0.5)
+        assert params.D == window_radius(2.0, 0.5)
+        assert params.contraction_q == 5.0 * params.phi_prime_max * 0.5 > 1.0
+        with pytest.raises(AdmissibilityError):
+            admit(params)
 
     def test_invalid_slope_gap(self):
         spline = BoundarySpline(f0=0.0, knots=((0.0, 1.5),))
@@ -115,7 +131,7 @@ class TestAdmit:
         except InvalidParametersError:
             return
         # a cap past the float range is +inf, as for constant f': no cap
-        assert not any(math.isnan(c) for c in (problem.delta_touch, problem.delta_banach))
+        assert not any(math.isnan(c) for c in problem.caps)
         constants = (problem.D, problem.contraction_q, problem.phi_prime_max, problem.lip_Y_bound)
         assert all(math.isfinite(c) for c in constants), constants
 
