@@ -59,7 +59,7 @@ def second_derivatives_top(y0, problem: AdmissibleProblem) -> tuple:
     closed-form transfer of the boundary one-sided second derivatives,
     elementwise over finite y0.  Both sides coincide iff the boundary
     curvatures do."""
-    construction._require_finite(y0)
+    construction.require_strip_points(problem, y0, problem.delta, name="y")
     spline = problem.spline
     C = construction.phi_prime(spline.derivative(y0), problem.L)
     delta = problem.delta
@@ -142,14 +142,12 @@ def residual_infinity_laplacian(
     Off the contact segments of curvature jumps the residual decays at
     O(h^2) once h is below the distance to the nearest such segment.
     """
-    if h <= 0:
-        raise DomainError(f"need h > 0, got {h!r}")
-    x, d = point
-    delta = problem.delta
-    if not np.all((d - 2.0 * h > 0.0) & (delta - d > 2.0 * h)):
-        raise DomainError(
-            f"point (x={x!r}, d={d!r}) too close to the strip edges for step h={h!r}"
-        )
+    construction.require_positive("h", h)
+    x, d = (np.asarray(a, dtype=float) for a in point)
+    near_edge = ~((d - 2.0 * h > 0.0) & (problem.delta - d > 2.0 * h))
+    construction.require_strip_points(
+        problem, x, d, (near_edge, DomainError, lambda i, p: f"too close to the strip edges for step h={h!r}")
+    )
     # the nine-point stencil, offsets in units of h
     ox = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
     od = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])

@@ -161,8 +161,6 @@ def parse_spline(text: str) -> BoundarySpline:
         if parts[0] == "f0":
             if f0 is not None:
                 raise ParseError(f"line {lineno}: duplicate f0 directive")
-            if knots:
-                raise ParseError(f"line {lineno}: f0 must precede knot lines")
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'f0 <value>'")
             f0 = _parse_real(parts[1], lineno)
@@ -176,8 +174,6 @@ def parse_spline(text: str) -> BoundarySpline:
             raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
     if f0 is None:
         raise ParseError("missing required 'f0 <value>' line")
-    if not knots:
-        raise ValidationError("spline needs at least one knot")
     return BoundarySpline(f0=f0, knots=tuple(knots))
 
 

@@ -23,25 +23,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .params import AdmissibleProblem
+from .params import AdmissibleProblem, ProblemParams
 
 DEFAULT_TOL = 1e-12
 # points per block of solve_contacts, run in C order: bounds its temporaries to a few MB
 _SOLVE_BLOCK = 1 << 14
 
 
-def require_tol(tol: float) -> None:
-    """The contact-solve tolerance rule, 0 < tol < inf: at tol = inf the
-    stopping rule holds after one step whatever the error."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+def require_positive(name: str, value: float) -> None:
+    """The rule of every tolerance and step, 0 < value < inf: at tol = inf
+    the contact solve's stopping rule holds after one step whatever the
+    error, and a non-finite step leaves a scan or a stencil no points."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _require_finite(y) -> None:
-    """DomainError unless every element of y is finite."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise DomainError(f"need finite y, got {y[~np.isfinite(y)][0].item()!r}")
+def raise_first_bad_point(coords: dict, checks: tuple) -> None:
+    """The package's one pointwise input check.  coords maps each coordinate
+    name to its array over the points; checks holds (bad, error, message)
+    per condition, in the order a point is checked: bad is a mask over the
+    points, and message(i, point) the text for flat point i, with point
+    mapping each coordinate name to its value there.  The coordinates and
+    masks broadcast to the points' shape.  Raises for the first bad point
+    in C order, naming it, with the first of its checks that fails."""
+    if not any(mask.any() for mask, _, _ in checks):
+        return
+    arrays = np.broadcast_arrays(*coords.values(), *(mask for mask, _, _ in checks))
+    values, masks = arrays[: len(coords)], arrays[len(coords) :]
+    i = int(np.flatnonzero(np.logical_or.reduce(masks))[0])
+    point = {name: a.flat[i].item() for name, a in zip(coords, values)}
+    _, error, message = next(check for check, mask in zip(checks, masks) if mask.flat[i])
+    named = ", ".join(f"{name}={value!r}" for name, value in point.items())
+    raise error(f"at grid point ({named}): {message(i, point)}")
+
+
+def require_strip_points(problem: ProblemParams, x, d, *extra, name: str = "x") -> None:
+    """raise_first_bad_point over (x, d) with the strip-point conditions,
+    then the extra ones: x (a contact point y for name "y") is finite and
+    the height d lies in (0, delta].  Each mask is taken on its own
+    coordinate's shape, so a scalar height costs one comparison."""
+    x, d = np.asarray(x, dtype=float), np.asarray(d, dtype=float)
+    raise_first_bad_point({name: x, "d": d}, (
+        (~np.isfinite(x), DomainError, lambda i, p: f"need finite {name}, got {p[name]!r}"),
+        (
+            ~((0.0 < d) & (d <= problem.delta)),
+            DomainError,
+            lambda i, p: f"height must lie in (0, delta], got {p['d']!r} with delta={problem.delta!r}",
+        ),
+        *extra,
+    ))
+
+
+def require_finite_u(x: np.ndarray, d: np.ndarray, value: np.ndarray) -> None:
+    """DomainError naming the first point of (x, d) where the value of u
+    overflowed."""
+    raise_first_bad_point({"x": x, "d": d}, (
+        (~np.isfinite(value), DomainError, lambda i, p: f"u overflows the float range at x = {p['x']!r}"),
+    ))
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -105,16 +143,9 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
     take alone.  Every returned iterate satisfies |Y - Y*| <= tol and
     |Y - height*phi(f'(x+Y))| <= tol.
     """
-    require_tol(tol)
+    require_positive("tol", tol)
     x, height = (a.astype(float) for a in np.broadcast_arrays(x, height))
-    bad_x = ~np.isfinite(x)
-    if np.any(bad_x):
-        raise DomainError(f"contact solve needs finite x, got {float(x[bad_x][0])!r}")
-    bad_height = ~((0.0 < height) & (height <= problem.delta))
-    if np.any(bad_height):
-        raise DomainError(
-            f"height must lie in (0, delta], got {float(height[bad_height][0])!r} with delta={problem.delta!r}"
-        )
+    require_strip_points(problem, x, height)
     spline = problem.spline
     L = problem.L
     q = problem.contraction_q
@@ -147,8 +178,7 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
             )
         y[block] = xb + Y[block]
         value[block] = spline.value(y[block]) - L * _libm(math.hypot, hb, Y[block])
-    if not np.all(np.isfinite(value)):
-        raise DomainError("u overflows the float range at some x")
+    require_finite_u(x, height, value)
     # [()] turns a 0-d result into a numpy scalar
     return ContactSolution(*(a.reshape(shape)[()] for a in (Y, y, value, iterations)))
 
@@ -157,18 +187,14 @@ def contact_inverse(y, height, problem: AdmissibleProblem):
     """x(y) = y - height * phi(f'(y)): the top-line abscissa whose contact
     point at the given height is y.  Strictly increasing for admitted
     problems; elementwise over finite y and the broadcast height."""
-    h = np.asarray(height, dtype=float)
-    bad = ~((0.0 < h) & (h <= problem.delta))
-    if np.any(bad):
-        raise DomainError(f"height must lie in (0, delta], got {h[bad][0].item()!r} with delta={problem.delta!r}")
-    _require_finite(y)
+    require_strip_points(problem, y, height, name="y")
     return y - height * phi(problem.spline.derivative(y), problem.L)
 
 
 def u_at_contact(y, problem: AdmissibleProblem):
     """u at the top-line point (x(y), delta), in closed form:
     f(y) - delta * L^2 / sqrt(L^2 - f'(y)^2), elementwise over finite y."""
-    _require_finite(y)
+    require_strip_points(problem, y, problem.delta, name="y")
     L = problem.L
     slope = problem.spline.derivative(y)
     return problem.spline.value(y) - problem.delta * L * L / np.sqrt(L * L - slope * slope)
@@ -185,11 +211,12 @@ def segment_value(y, t, problem: AdmissibleProblem):
     elementwise over the broadcast (y, t).
 
     The segment joins (y, 0) to (x(y), delta); u is affine along it with
-    slope -L per unit length, so value = f(y) - L * t * |segment|.  y must
-    be finite, as for contact_inverse.
+    slope -L per unit length, so value = f(y) - L * t * |segment|.  t is
+    checked first, then y must be finite, as for contact_inverse.
     """
-    if not np.all((0.0 <= np.asarray(t)) & (np.asarray(t) <= 1.0)):
-        raise DomainError(f"segment parameter must lie in [0, 1], got {t!r}")
+    ys, ts = np.asarray(y, dtype=float), np.asarray(t, dtype=float)
+    outside = (~((0.0 <= ts) & (ts <= 1.0)), DomainError, lambda i, p: "segment parameter must lie in [0, 1]")
+    raise_first_bad_point({"y": ys, "t": ts}, (outside,))
     delta = problem.delta
     x_top = contact_inverse(y, delta, problem)
     length = _libm(math.hypot, delta, x_top - y)

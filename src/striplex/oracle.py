@@ -35,7 +35,7 @@ import numpy as np
 from . import construction
 from .errors import ConfigurationError, DomainError, ValidationError
 from .ioutil import REAL, write_table
-from .params import AdmissibleProblem
+from .params import AdmissibleProblem, ProblemParams
 
 PROVENANCES = ("closed_form", "brute_force", "mw_min", "mw_max")
 
@@ -93,8 +93,8 @@ class GridSpec:
             raise ValidationError(f"need nd >= 2, got nd={self.nd!r}")
         if not self.nx * self.nd <= MAX_POINTS:
             raise ConfigurationError(f"grid needs nx*nd = {self.nx * self.nd} points, more than {MAX_POINTS}")
-        if not self.h_y > 0:
-            raise ValidationError(f"need h_y > 0, got {self.h_y!r}")
+        if not 0.0 < self.h_y < math.inf:
+            raise ValidationError(f"h_y must be finite and > 0, got {self.h_y!r}")
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.xmin, self.xmax, self.nx)
@@ -147,7 +147,7 @@ class _Scan:
     bracket, the grid samples at offsets offset - 1 and offset + 1, is the
     same at every wider window."""
 
-    problem: AdmissibleProblem
+    problem: ProblemParams
     h_y: float
     window_factor: float
     x: np.ndarray
@@ -226,7 +226,7 @@ def golden_section_max(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[
     return np.where(better, mid, best_y), np.where(better, fmid, best_v)
 
 
-def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float) -> BruteResult:
+def brute_force_u(point: tuple, problem: ProblemParams, h_y: float) -> BruteResult:
     """Maximize f(y) - L*sqrt(d^2 + (x-y)^2) by grid scan plus refinement
     at every point of the broadcast (x, d) arrays; value and argmax_y are
     arrays of that shape, numpy scalars for a scalar point.
@@ -243,9 +243,12 @@ def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float) -> Brute
     samples, all points at once.  bound is the worst-case scan error before
     refinement, from the Lipschitz constant.
 
-    Every point is checked before any scan starts; the first bad point in
-    C order is named in the error.
+    h_y is checked first, then every point before any scan starts; the
+    first bad point in C order is named in the error.  problem need not be
+    admitted: the scan needs only D, L_f + L and Lip(f'), which hold at
+    every delta.
     """
+    construction.require_positive("h_y", h_y)
     x, d = (np.array(a, dtype=float) for a in np.broadcast_arrays(*point))
     return _brute_force(x, d, problem, h_y, 1.0, None)
 
@@ -253,7 +256,7 @@ def brute_force_u(point: tuple, problem: AdmissibleProblem, h_y: float) -> Brute
 def _brute_force(
     x: np.ndarray,
     d: np.ndarray,
-    problem: AdmissibleProblem,
+    problem: ProblemParams,
     h_y: float,
     window_factor: float,
     narrow: BruteResult | None,
@@ -265,26 +268,13 @@ def _brute_force(
     lip = problem.L_f + L
     t_far = max(abs(spline.knots[0][0]), abs(spline.knots[-1][0]))
     radius = window_factor * problem.D * d + h_y
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         scan_size = 2.0 * radius / h_y + 1.0
-    _raise_first_bad_point(
-        x,
-        d,
-        (
-            (~np.isfinite(x), DomainError, lambda i: f"need finite x, got {x.flat[i].item()!r}"),
-            (
-                ~((0.0 < d) & (d <= problem.delta)),
-                DomainError,
-                lambda i: f"height must lie in (0, delta], got {d.flat[i].item()!r}",
-            ),
-            (np.full(x.shape, h_y <= 0), DomainError, lambda i: f"need h_y > 0, got {h_y!r}"),
-            (
-                ~(scan_size <= MAX_SCAN),
-                ConfigurationError,
-                lambda i: _scan_message(scan_size.flat[i].item(), "brute-force scan"),
-            ),
-        ),
-    )
+    construction.require_strip_points(problem, x, d, (
+        ~(scan_size <= MAX_SCAN),
+        ConfigurationError,
+        lambda i, p: _scan_message(scan_size.flat[i].item(), "brute-force scan"),
+    ))
     xs, ds, radius = x.ravel(), d.ravel(), radius.ravel()
     n = np.ceil(radius / h_y).astype(np.int64)
     # |best| + scale bounds the magnitude of every quantity met in
@@ -321,28 +311,13 @@ def _brute_force(
     worse = v_new < v_k[redo]
     y_star[redo], v_star[redo] = np.where(worse, y_k[redo], y_new), np.where(worse, v_k[redo], v_new)
     y_star, v_star = y_star.reshape(x.shape), v_star.reshape(x.shape)
-    _raise_first_bad_point(x, d, (
-        (~np.isfinite(v_star), DomainError, lambda i: f"u overflows the float range at x = {x.flat[i].item()!r}"),
-    ))
+    construction.require_finite_u(x, d, v_star)
     return BruteResult(
         value=v_star[()],
         argmax_y=y_star[()],
         bound=0.5 * lip * h_y,
         _scan=_Scan(problem, h_y, window_factor, x, d, offset, (0 < k) & (k < 2 * n)),
     )
-
-
-def _raise_first_bad_point(x: np.ndarray, d: np.ndarray, checks: tuple) -> None:
-    """checks holds (bad, error, message) per condition, in the order a
-    point is checked: bad is a mask over the points and message(i) the text
-    for flat point i.  Raises for the first bad point in C order, naming it,
-    with the first of its checks that fails."""
-    bad = np.logical_or.reduce([mask for mask, _, _ in checks])
-    if not bad.any():
-        return
-    i = int(np.flatnonzero(bad)[0])
-    _, error, message = next(check for check in checks if check[0].flat[i])
-    raise error(f"at grid point (x={x.flat[i].item()!r}, d={d.flat[i].item()!r}): {message(i)}")
 
 
 def _scan_argmax(
@@ -505,11 +480,11 @@ def mw_envelopes(
 
     x, d = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(*point))
     # in the order of a one-point call: strip, trimmed window
-    _raise_first_bad_point(x, d, (
+    construction.raise_first_bad_point({"x": x, "d": d}, (
         (~((0.0 < d) & (d < delta)), DomainError,
-         lambda i: f"point must lie strictly inside the strip, got d={d.flat[i].item()!r}"),
+         lambda i, p: f"point must lie strictly inside the strip, got d={p['d']!r}"),
         (~((lo <= x) & (x <= hi)), DomainError,
-         lambda i: f"point x={x.flat[i].item()!r} outside the margin-trimmed window [{lo!r}, {hi!r}]"),
+         lambda i, p: f"point x={p['x']!r} outside the margin-trimmed window [{lo!r}, {hi!r}]"),
     ))
     xs, ds = x.ravel(), d.ravel()
     # the magnitudes met in one sample's evaluation (see brute_force_u):

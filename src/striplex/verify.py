@@ -58,7 +58,7 @@ class VerifyConfig:
     tol: float = construction.DEFAULT_TOL
 
     def __post_init__(self):
-        construction.require_tol(self.tol)
+        construction.require_positive("tol", self.tol)
 
 
 def _status(ok: bool) -> str:

@@ -177,10 +177,13 @@ class TestResidual:
         assert res[1] / res[2] >= 2.0
 
     def test_edge_guard(self, vee_problem):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^at grid point \(x=0.0, d=0.01\): too close to the strip edges"):
             residual_infinity_laplacian((0.0, 0.01), vee_problem, 1e-2)
         with pytest.raises(DomainError):
             residual_infinity_laplacian((0.0, 0.09), vee_problem, 1e-2)
+        for h in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"^h must be finite and > 0, got {h!r}$"):
+                residual_infinity_laplacian((0.0, 0.05), vee_problem, h)
 
     def test_refinement_check_skips_flat_regions(self, two_kink_problem, linear_problem):
         # the flat piece of the two-kink profile has residual at rounding

@@ -133,14 +133,21 @@ class TestParse:
             parse_spline("f0 0\n")
 
     def test_missing_f0(self):
-        with pytest.raises(ParseError, match="f0"):
+        with pytest.raises(ParseError, match="line 1: first directive must be 'f0 <value>'"):
             parse_spline("knot 0 1\n")
+        with pytest.raises(ParseError, match="missing required 'f0 <value>' line"):
+            parse_spline("# only a comment\n")
 
     def test_malformed_line_carries_number(self):
-        with pytest.raises(ParseError, match="line 3"):
-            parse_spline("f0 0\nknot 0 1\nknot oops 2\n")
-        with pytest.raises(ParseError, match="line 2"):
-            parse_spline("f0 0\nwiggle 1 2\n")
+        for text, message in (
+            ("f0 0\nknot 0 1\nknot oops 2\n", "line 3: not a real number"),
+            ("f0 0\nwiggle 1 2\n", "line 2: unknown directive"),
+            ("f0 0\nknot 0 1\nf0 1\n", "line 3: duplicate f0 directive"),
+            ("# header\nf0 0 1\n", "line 2: expected 'f0 <value>'"),
+            ("f0 0\nknot 0\n", "line 2: expected 'knot <t> <s>'"),
+        ):
+            with pytest.raises(ParseError, match=message):
+                parse_spline(text)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):

@@ -59,8 +59,10 @@ class TestParams:
     def test_invalid_parameters_exit_1(self, capsys):
         # past L ~ 5.6e102 the caps' power 3/2 overflows, and past
         # L ~ 1.35e154 L*L is inf, which makes the constants nan; below
-        # L ~ 1.6e-162 L*L is 0, which window_radius divides by
-        for spline, L in ((VEE, "0.4"), (VEE, "1e103"), (VEE, "1e300"), (CONSTANT, "1e-200")):
+        # L ~ 1.6e-162 L*L is 0, which window_radius divides by; a
+        # non-finite L is refused as such
+        cases = ((VEE, "0.4"), (VEE, "1e103"), (VEE, "1e300"), (CONSTANT, "1e-200"), (VEE, "inf"), (VEE, "nan"))
+        for spline, L in cases:
             assert cli.main(["params", "--spline", spline, "--L", L, "--delta", "0.1"]) == 1
             captured = capsys.readouterr()
             assert captured.err.startswith("error:") and not captured.out, L
@@ -71,16 +73,37 @@ class TestParams:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: delta must be finite and > 0") and not captured.out
 
-    def test_delta_at_cap_exit_2(self, capsys):
-        assert cli.main(["params", "--spline", VEE, "--L", "2", "--delta", "2.7478119275391819"]) == 2
-        out = capsys.readouterr().out
-        assert "delta_touch" in out
+    @pytest.mark.parametrize("command", ["params", "construct", "grid", "verify", "report"])
+    def test_delta_at_cap_exit_2(self, tmp_path, capsys, command):
+        # params reports the refusal on stdout; every other command refuses
+        # before any work, with one error line and no output file
+        out = tmp_path / "out.csv"
+        argv = [command, "--spline", VEE, "--L", "2", "--delta", "2.7478119275391819"]
+        if command in ("construct", "grid", "report"):
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        refusal = "delta = 2.74781 is not strictly below delta_touch = 2.74781"
+        if command == "params":
+            assert captured.out.endswith(f"admitted = false ({refusal})\n") and not captured.err
+        else:
+            assert captured.err == f"error: {refusal}\n" and not captured.out
+            assert not out.exists()
 
     def test_missing_file_exit_1(self, capsys):
         assert cli.main(["params", "--spline", "/nonexistent.spline", "--L", "2", "--delta", "0.1"]) == 1
 
     def test_bad_delta_frac_exit_1(self, capsys):
-        assert cli.main(["params", "--spline", VEE, "--L", "2", "--delta-frac", "1.5"]) == 1
+        # f' is constant on ramp, so both caps are infinite and no fraction
+        # of them is a height
+        ramp = str(REPO / "data" / "splines" / "ramp.spline")
+        for spline, frac, message in (
+            (VEE, "1.5", "--delta-frac must lie in (0, 1), got 1.5"),
+            (ramp, "0.5", "--delta-frac needs a finite admissibility cap; pass --delta instead"),
+        ):
+            assert cli.main(["params", "--spline", spline, "--L", "2", "--delta-frac", frac]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n" and not captured.out
 
     def test_usage_errors_exit_1(self, capsys):
         assert cli.main(["params", "--spline", VEE, "--L", "2"]) == 1  # no delta at all
@@ -244,19 +267,27 @@ class TestGrid:
         assert cli.main(argv) == 0
         assert out.read_bytes() == (GOLDEN.parent / golden).read_bytes()
 
-    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"], ["--tol", "inf"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "nan"], ["--tol", "0"], ["--tol", "inf"], ["--hy", "inf"], ["--hy", "nan"], ["--hy", "0"]],
+    )
     def test_solver_flags_reach_the_closed_form_fill(self, tmp_path, capsys, flags):
-        # the same flags make construct exit 1; grid must not ignore them,
-        # and verify refuses them before any check runs
+        # the same tol makes construct exit 1; grid must not ignore a bad
+        # tol on the closed form or a bad h_y on any provenance, and verify
+        # refuses either before any check runs
         out = tmp_path / "out.csv"
-        for command, tail in (
-            ("grid", ["--nx", "3", "--nd", "2", "--out", str(out)]),
-            ("construct", ["--nx", "3", "--out", str(out)]),
-            ("verify", ["--nx", "3", "--nd", "2"]),
-        ):
-            assert cli.main([command, *STANDARD, *tail, *flags]) == 1, command
+        grid = ["--nx", "3", "--nd", "2", "--out", str(out)]
+        commands = [["verify", "--nx", "3", "--nd", "2"]]
+        if flags[0] == "--tol":
+            commands += [["grid", *grid], ["construct", "--nx", "3", "--out", str(out)]]
+        else:
+            commands += [["grid", "--provenance", provenance, *grid] for provenance in oracle.PROVENANCES]
+        name = flags[0].lstrip("-").replace("hy", "h_y")
+        for command in commands:
+            assert cli.main([command[0], *STANDARD, *command[1:], *flags]) == 1, command
             captured = capsys.readouterr()
-            assert captured.err.startswith("error: tol must be finite and > 0") and not captured.out, command
+            assert captured.err == f"error: {name} must be finite and > 0, got {float(flags[1])!r}\n", command
+            assert not captured.out, command
             assert not out.exists()
 
 

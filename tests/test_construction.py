@@ -173,8 +173,15 @@ class TestUAtContact:
 class TestUInterior:
     def test_domain(self, vee_problem):
         for bad in (0.0, -0.01, 0.11):
-            with pytest.raises(DomainError):
+            message = rf"^at grid point \(x=0.0, d={bad!r}\): height must lie in \(0, delta\], got {bad!r}"
+            with pytest.raises(DomainError, match=message + " with delta=0.1$"):
                 u_interior(0.0, bad, vee_problem)
+
+    def test_overflow_names_the_point(self):
+        problem = admit(ProblemParams(L=2.0, delta=0.1, spline=BoundarySpline(f0=0.0, knots=((0.0, 1.9),))))
+        message = r"^at grid point \(x=1e\+308, d=0.05\): u overflows the float range at x = 1e\+308$"
+        with pytest.raises(DomainError, match=message):
+            u_interior(np.array([0.0, 1e308]), 0.05, problem)
 
     def test_constant(self, constant_problem):
         assert u_interior(2.0, 0.03, constant_problem) == pytest.approx(1.0 - 0.06, abs=1e-15)
@@ -233,6 +240,10 @@ class TestSegmentValue:
             segment_value(0.0, -0.1, vee_problem)
         with pytest.raises(DomainError):
             segment_value(0.0, 1.1, vee_problem)
+        # the first bad parameter is named with its point
+        message = r"^at grid point \(y=0.5, t=2.0\): segment parameter must lie in \[0, 1\]$"
+        with pytest.raises(DomainError, match=message):
+            segment_value(np.linspace(-1.0, 1.0, 5), np.array([0.1, 0.2, 0.5, 2.0, math.nan]), vee_problem)
 
 
 def test_touching_from_above(vee_problem):
@@ -454,5 +465,7 @@ def test_entry_points_finite_or_package_error(vee_problem, x, height_frac):
         if math.isfinite(x):
             assert np.all(np.isfinite(call())), name
         else:
-            with pytest.raises(StriplexError):
+            # the bad point is named, with the condition it fails
+            message = rf"^at grid point \([xy]={x!r}[,)].*: need finite [xy], got {x!r}$"
+            with pytest.raises(StriplexError, match=message):
                 call()

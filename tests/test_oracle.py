@@ -49,8 +49,9 @@ class TestGridSpec:
             GridSpec(xmin=1.0, xmax=0.0, nx=4, nd=4, h_y=1e-6)
         with pytest.raises(ValidationError):
             GridSpec(xmin=0.0, xmax=1.0, nx=1, nd=4, h_y=1e-6)
-        with pytest.raises(ValidationError):
-            GridSpec(xmin=0.0, xmax=1.0, nx=4, nd=4, h_y=0.0)
+        for h_y in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match=f"^h_y must be finite and > 0, got {h_y!r}$"):
+                GridSpec(xmin=0.0, xmax=1.0, nx=4, nd=4, h_y=h_y)
 
     def test_point_cap(self):
         # checked on nx*nd before any array exists
@@ -116,8 +117,10 @@ class TestBruteForce:
     def test_domain(self, vee_problem):
         with pytest.raises(DomainError):
             brute_force_u((0.0, 0.0), vee_problem, 1e-6)
-        with pytest.raises(DomainError):
-            brute_force_u((0.0, 0.05), vee_problem, -1e-6)
+        # the step is checked once per call, before any point
+        for h_y in (-1e-6, 0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"^h_y must be finite and > 0, got {h_y!r}$"):
+                brute_force_u((math.nan, 0.05), vee_problem, h_y)
 
     def test_scan_size_checked_before_allocating(self, vee_problem):
         # 2 * D * d / h_y samples: ~1e11 here
@@ -223,10 +226,14 @@ def full_scan_brute_force_u(point, problem, h_y, window_factor=1.0):
 
 
 def scan_problem(spline, delta_frac):
-    """An admitted problem for spline with L = max(2, 1.5*L_f + 1) and
-    delta at most 0.1, which keeps the scans short enough for the reference."""
+    """A problem for spline with L = max(2, 1.5*L_f + 1): below 1, an
+    admitted one at delta_frac times the smaller cap but at most 0.1, which
+    keeps the scans short enough for the reference; from 1 on, a plain
+    ProblemParams at delta_frac times the (finite) smaller cap."""
     L = max(2.0, 1.5 * spline.max_slope + 1.0)
     cap = min(delta_caps(L, spline.max_slope, spline.slope_lipschitz))
+    if delta_frac >= 1.0:
+        return ProblemParams(L=L, delta=delta_frac * cap, spline=spline)
     return admit(ProblemParams(L=L, delta=min(delta_frac * cap, 0.1), spline=spline))
 
 
@@ -245,6 +252,12 @@ def scan_problem(spline, delta_frac):
 @example(BoundarySpline(f0=0.5, knots=((0.3, -0.8),)), 0.5, [2.5], [0.4, 1.0], -5.0, 1.0)
 # heights whose scans start at strides 1, 64 and 4096: one mesh, three tree depths
 @example(SAMPLE_SPLINES["vee"], 0.5, [-0.4, 0.03], [0.0005, 0.01, 1.0], -6.0, 1.0)
+# past the caps, unadmitted: the scan reads no constant that needs admission.
+# vee at delta ~ 3.02 lies between delta_touch and delta_banach; two_kinks at
+# ~ 4.12 and zigzag40 at ~ 4.80 lie past both, two_kinks past its fold too
+@example(SAMPLE_SPLINES["vee"], 1.1, [0.3, -1.0], [0.5, 1.0], -3.0, 2.0)
+@example(SAMPLE_SPLINES["two_kinks"], 1.5, [0.0, 0.7], [1.0], -3.0, 2.0)
+@example(SAMPLE_SPLINES["zigzag40"], 1.2, [-0.3125, 0.5], [0.25, 1.0], -4.0, 2.0)
 @settings(max_examples=200, deadline=None)
 def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y, window_factor):
     # every sample the pruned scan drops is strictly below the best one, so
@@ -252,7 +265,7 @@ def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y,
     # bracket as the one-point search does, and widened goes on from the 1x
     # result with the bits of a fresh scan, so a mesh call and one-point
     # calls, as returned and widened, agree with the full scan of their
-    # window bit for bit at every point
+    # window bit for bit at every point, admitted or not
     problem = scan_problem(spline, delta_frac)
     xs, ds = np.array(xs), np.array(d_fracs) * problem.delta
     h_y = 10.0**log_h_y

@@ -1,8 +1,9 @@
 import dataclasses
 import math
+import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from striplex import oracle
@@ -134,6 +135,20 @@ class TestAdmit:
         assert not any(math.isnan(c) for c in problem.caps)
         constants = (problem.D, problem.contraction_q, problem.phi_prime_max, problem.lip_Y_bound)
         assert all(math.isfinite(c) for c in constants), constants
+
+    @given(st.floats(1e-3, 1e3), st.floats(-300.0, 0.0), st.floats(1e-3, 1e3))
+    # here the float Banach cap lies one ulp below the touch cap
+    @example(0.7, -300.0, 7.0)
+    @settings(max_examples=300)
+    def test_banach_cap_is_the_touch_cap_or_above_up_to_rounding(self, L, log_share, lip):
+        # with a = L_f/L, (banach/touch)^(2/3) = (1 + a^2)^2/(1 - a^2) >= 1,
+        # equal at a = 0; the float caps keep that order only up to a few
+        # roundings, so within an ulp-wide window the Banach comparison can
+        # decide admission
+        L_f = L * 10.0**log_share
+        assume(L_f < L)
+        touch, banach = delta_caps(L, L_f, lip)
+        assert banach >= touch * (1.0 - 4.0 * sys.float_info.epsilon), (touch, banach)
 
     @given(splines(), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
     @settings(max_examples=150)
