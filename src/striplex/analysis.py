@@ -15,7 +15,7 @@ extrapolation removes the leading error of the one-sided quotients of u'.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,21 +32,21 @@ INNER_H = 1e-7
 ORACLE_H_Y = 1e-6
 
 
-@dataclass(frozen=True)
-class KinkReport:
-    """Boundary curvature jump paired with its predicted and measured image
-    on the top line."""
+class KinkReport(NamedTuple):
+    """Boundary curvature jumps paired with their predicted and measured
+    images on the top line, as columns: one entry per kink, in increasing
+    y0."""
 
-    y0: float
-    x0: float
-    fpp_minus: float
-    fpp_plus: float
-    upp_minus_pred: float
-    upp_plus_pred: float
-    upp_minus_fd: float
-    upp_plus_fd: float
-    denom_minus: float
-    denom_plus: float
+    y0: np.ndarray
+    x0: np.ndarray
+    fpp_minus: np.ndarray
+    fpp_plus: np.ndarray
+    upp_minus_pred: np.ndarray
+    upp_plus_pred: np.ndarray
+    upp_minus_fd: np.ndarray
+    upp_plus_fd: np.ndarray
+    denom_minus: np.ndarray
+    denom_plus: np.ndarray
 
 
 def curvature_transfer(t: float, delta: float, C: float) -> float:
@@ -86,25 +86,23 @@ def richardson_extrapolate(hs, qs):
     return t[-1]
 
 
-def kink_transfer_report(problem: AdmissibleProblem) -> list[KinkReport]:
-    """One report per boundary kink, sorted by y0; empty when f' has no
-    slope jumps.
+def kink_transfer_report(problem: AdmissibleProblem) -> KinkReport:
+    """The report of every boundary kink, in increasing y0; empty columns,
+    and no oracle call, when f' has no slope jumps.
 
+    The predicted columns are second_derivatives_top at the kinks.
     Measured one-sided second derivatives come from the oracle alone: u'
     sampled as central quotients (step INNER_H) of the brute-force oracle
     at x0 and x0 +- h, then one-sided quotients Richardson-extrapolated
     over h in DEFAULT_H_SCHEDULE.  The 14 oracle points of every kink take
     one call.
     """
-    kinks = problem.spline.kinks()
-    if not kinks:
-        return []
+    y0, fpp_minus, fpp_plus = problem.spline.kinks()
+    if not y0.size:
+        return KinkReport(*(np.empty(0) for _ in KinkReport._fields))
     delta = problem.delta
-    y0, fpp_minus, fpp_plus = np.array([(k.y0, k.second_left, k.second_right) for k in kinks]).T
     x0 = construction.contact_inverse(y0, delta, problem)
     C = construction.phi_prime(problem.spline.derivative(y0), problem.L)
-    denom_minus = 1.0 - delta * C * fpp_minus
-    denom_plus = 1.0 - delta * C * fpp_plus
 
     # u' at x0, x0 + hs and x0 - hs: one row per offset, one column per kink
     hs = np.array(DEFAULT_H_SCHEDULE)
@@ -115,19 +113,10 @@ def kink_transfer_report(problem: AdmissibleProblem) -> list[KinkReport]:
     q_plus = (slope[1 : n + 1] - slope[0]) / hs[:, None]
     q_minus = (slope[0] - slope[n + 1 :]) / hs[:, None]
 
-    columns = (
-        y0,
-        x0,
-        fpp_minus,
-        fpp_plus,
-        fpp_minus / denom_minus,
-        fpp_plus / denom_plus,
-        richardson_extrapolate(hs, q_minus),
-        richardson_extrapolate(hs, q_plus),
-        denom_minus,
-        denom_plus,
-    )
-    return [KinkReport(*row) for row in np.column_stack(columns).tolist()]
+    pred_minus, pred_plus = second_derivatives_top(y0, problem)
+    fd_minus, fd_plus = (richardson_extrapolate(hs, q) for q in (q_minus, q_plus))
+    denom_minus, denom_plus = (1.0 - delta * C * t for t in (fpp_minus, fpp_plus))
+    return KinkReport(y0, x0, fpp_minus, fpp_plus, pred_minus, pred_plus, fd_minus, fd_plus, denom_minus, denom_plus)
 
 
 def residual_infinity_laplacian(
@@ -165,9 +154,8 @@ def residual_infinity_laplacian(
 # -- exports -------------------------------------------------------------
 
 
-def write_report(path, reports: list[KinkReport], fmt: str) -> None:
+def write_report(path, report: KinkReport, fmt: str) -> None:
     """Write the "csv" or "structured" kink report to path through
-    ioutil.write_table, one row per report at fmt_real precision."""
-    values = np.array([astuple(r) for r in reports])
-    row = [(f.name, REAL) for f in fields(KinkReport)]
-    write_table(path, fmt, "kink_report", row, len(reports), lambda first, last: list(values[first:last].T))
+    ioutil.write_table, one row per kink at fmt_real precision."""
+    row = [(name, REAL) for name in KinkReport._fields]
+    write_table(path, fmt, "kink_report", row, report.y0.size, lambda first, last: [c[first:last] for c in report])

@@ -23,13 +23,13 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 
-class Kink(NamedTuple):
-    """Interior knot where the slope of f' jumps: the one-sided curvatures
-    of f disagree there."""
+class Kinks(NamedTuple):
+    """Interior knots where the slope of f' jumps, as columns in increasing
+    y0, with the one-sided curvatures of f there, which differ."""
 
-    y0: float
-    second_left: float
-    second_right: float
+    y0: np.ndarray
+    second_left: np.ndarray
+    second_right: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,14 +136,16 @@ class BoundarySpline:
         (the tails contribute 0)."""
         return float(np.max(np.abs(self._arrays[4])))
 
-    def kinks(self) -> list[Kink]:
+    def kinks(self) -> Kinks:
         """Interior knots where the slope of f' changes, in increasing order.
 
         Knots whose adjacent segments share one slope are not kinks.  The
         junctions with the constant tails are excluded by contract.
         """
-        seg = self._arrays[2].tolist()
-        return [Kink(self.knots[i][0], seg[i - 1], seg[i]) for i in range(1, len(seg)) if seg[i - 1] != seg[i]]
+        ts, seg = self._arrays[0], self._arrays[2]
+        # interior knot i + 1 joins segments i and i + 1
+        jump = seg[:-1] != seg[1:]
+        return Kinks(ts[1:-1][jump], seg[:-1][jump], seg[1:][jump])
 
 
 # -- module-level operation surface -------------------------------------

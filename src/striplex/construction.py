@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, ValidationError
 from .params import AdmissibleProblem, ProblemParams
 
 DEFAULT_TOL = 1e-12
@@ -44,8 +44,14 @@ def raise_first_bad_point(coords: dict, checks: tuple) -> None:
     per condition, in the order a point is checked: bad is a mask over the
     points, and message(i, point) the text for flat point i, with point
     mapping each coordinate name to its value there.  The coordinates and
-    masks broadcast to the points' shape.  Raises for the first bad point
-    in C order, naming it, with the first of its checks that fails."""
+    masks broadcast to the points' shape: coordinates that do not are
+    refused first, naming every shape.  Raises for the first bad point in C
+    order, naming it, with the first of its checks that fails."""
+    try:
+        np.broadcast_shapes(*(np.shape(a) for a in coords.values()))
+    except ValueError:
+        shapes = ", ".join(f"{name} of shape {np.shape(a)}" for name, a in coords.items())
+        raise ValidationError(f"coordinates do not broadcast together: {shapes}") from None
     if not any(mask.any() for mask, _, _ in checks):
         return
     arrays = np.broadcast_arrays(*coords.values(), *(mask for mask, _, _ in checks))
@@ -74,11 +80,12 @@ def require_strip_points(problem: ProblemParams, x, d, *extra, name: str = "x") 
     ))
 
 
-def require_finite_u(x: np.ndarray, d: np.ndarray, value: np.ndarray) -> None:
-    """DomainError naming the first point of (x, d) where the value of u
-    overflowed."""
+def require_finite_u(x: np.ndarray, d: np.ndarray, *values: np.ndarray) -> None:
+    """DomainError naming the first point of (x, d) where a value of u, or
+    of a bound on it, overflowed."""
+    finite = np.logical_and.reduce([np.isfinite(v) for v in values])
     raise_first_bad_point({"x": x, "d": d}, (
-        (~np.isfinite(value), DomainError, lambda i, p: f"u overflows the float range at x = {p['x']!r}"),
+        (~finite, DomainError, lambda i, p: f"u overflows the float range at x = {p['x']!r}"),
     ))
 
 
@@ -144,8 +151,8 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
     |Y - height*phi(f'(x+Y))| <= tol.
     """
     require_positive("tol", tol)
-    x, height = (a.astype(float) for a in np.broadcast_arrays(x, height))
     require_strip_points(problem, x, height)
+    x, height = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(x, height))
     spline = problem.spline
     L = problem.L
     q = problem.contraction_q

@@ -129,14 +129,6 @@ class FieldGrid:
     ds: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        if self.values.shape != (self.spec.nx, self.spec.nd):
-            raise ValidationError(
-                f"values shape {self.values.shape} != (nx, nd) = ({self.spec.nx}, {self.spec.nd})"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("grid contains non-finite values")
-
 
 @dataclass(frozen=True)
 class _Scan:
@@ -249,7 +241,7 @@ def brute_force_u(point: tuple, problem: ProblemParams, h_y: float) -> BruteResu
     every delta.
     """
     construction.require_positive("h_y", h_y)
-    x, d = (np.array(a, dtype=float) for a in np.broadcast_arrays(*point))
+    x, d = (np.asarray(a, dtype=float) for a in point)
     return _brute_force(x, d, problem, h_y, 1.0, None)
 
 
@@ -262,7 +254,8 @@ def _brute_force(
     narrow: BruteResult | None,
 ) -> BruteResult:
     """brute_force_u at window_factor, going on from narrow, a result over
-    the same points at a window factor no larger (None: a fresh scan)."""
+    the same points at a window factor no larger (None: a fresh scan).  x
+    and d need not be broadcast yet."""
     spline = problem.spline
     L = problem.L
     lip = problem.L_f + L
@@ -273,8 +266,12 @@ def _brute_force(
     construction.require_strip_points(problem, x, d, (
         ~(scan_size <= MAX_SCAN),
         ConfigurationError,
-        lambda i, p: _scan_message(scan_size.flat[i].item(), "brute-force scan"),
+        # scan_size has d's shape; i counts the broadcast points
+        lambda i, p: _scan_message(
+            np.broadcast_to(scan_size, np.broadcast(x, d).shape).flat[i].item(), "brute-force scan"
+        ),
     ))
+    x, d, radius = (np.array(a) for a in np.broadcast_arrays(x, d, radius))
     xs, ds, radius = x.ravel(), d.ravel(), radius.ravel()
     n = np.ceil(radius / h_y).astype(np.int64)
     # |best| + scale bounds the magnitude of every quantity met in
@@ -478,7 +475,7 @@ def mw_envelopes(
     if not samples <= MAX_SCAN:
         raise ConfigurationError(_scan_message(samples, "envelope scan"))
 
-    x, d = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(*point))
+    x, d = (np.asarray(a, dtype=float) for a in point)
     # in the order of a one-point call: strip, trimmed window
     construction.raise_first_bad_point({"x": x, "d": d}, (
         (~((0.0 < d) & (d < delta)), DomainError,
@@ -486,12 +483,8 @@ def mw_envelopes(
         (~((lo <= x) & (x <= hi)), DomainError,
          lambda i, p: f"point x={p['x']!r} outside the margin-trimmed window [{lo!r}, {hi!r}]"),
     ))
+    x, d = np.broadcast_arrays(x, d)
     xs, ds = x.ravel(), d.ravel()
-    # the magnitudes met in one sample's evaluation (see brute_force_u):
-    # positions within reach of 0, the terms of f, the cone term
-    reach = max(abs(spec.xmin), abs(spec.xmax)) + pad
-    t_far = max(abs(problem.spline.knots[0][0]), abs(problem.spline.knots[-1][0]))
-    scale = L * delta + lip * (np.abs(xs) + 2.0 * (reach + t_far))
 
     n0, step0, y0 = _arange(spec.xmin, spec.xmax + 0.5 * h, h)
     nt, stept, yt = _arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
@@ -518,12 +511,21 @@ def mw_envelopes(
 
     bottom = (n0, g_bottom, ds, lip * step0, problem.spline.slope_lipschitz * step0 * step0)
     top = (last - first, g_top, delta - ds, lip * (1.0 + q) * stept, math.inf)
-    low0, lowt = line_max(1.0, *bottom), line_max(1.0, *top)
-    high0, hight = -line_max(-1.0, *bottom), -line_max(-1.0, *top)
+    # near the ends of the float range the samples overflow; a non-finite
+    # envelope is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the magnitudes met in one sample's evaluation (see brute_force_u):
+        # positions within reach of 0, the terms of f, the cone term
+        reach = max(abs(spec.xmin), abs(spec.xmax)) + pad
+        t_far = max(abs(problem.spline.knots[0][0]), abs(problem.spline.knots[-1][0]))
+        scale = L * delta + lip * (np.abs(xs) + 2.0 * (reach + t_far))
+        low0, lowt = line_max(1.0, *bottom), line_max(1.0, *top)
+        high0, hight = -line_max(-1.0, *bottom), -line_max(-1.0, *top)
     # max and min as the builtins pick them: the first argument unless the
     # second is strictly beyond it
     low = np.where(lowt > low0, lowt, low0).reshape(x.shape)
     high = np.where(hight < high0, hight, high0).reshape(x.shape)
+    construction.require_finite_u(x, d, low, high)
     return low[()], high[()]
 
 
@@ -548,7 +550,8 @@ def grid_eval(
     tol: float = construction.DEFAULT_TOL,
 ) -> FieldGrid:
     """Fill the grid with the selected evaluator; deterministic.  tol drives
-    the closed-form contact solve."""
+    the closed-form contact solve, and is checked on every provenance."""
+    construction.require_positive("tol", tol)
     if provenance not in PROVENANCES:
         raise ConfigurationError(f"unknown provenance {provenance!r}; expected one of {PROVENANCES}")
     if provenance in ("mw_min", "mw_max"):

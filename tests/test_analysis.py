@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from striplex.analysis import (
+    KinkReport,
     curvature_transfer,
     kink_transfer_report,
     residual_infinity_laplacian,
@@ -86,9 +87,9 @@ class TestFdDerivativeTop:
 
 class TestKinkTransferReport:
     def test_vee_single_report(self, vee_problem):
-        reports = kink_transfer_report(vee_problem)
-        assert len(reports) == 1
-        r = reports[0]
+        report = kink_transfer_report(vee_problem)
+        assert all(column.shape == (1,) for column in report)
+        r = KinkReport(*(column[0] for column in report))
         assert r.y0 == 0.0
         assert r.x0 == 0.0
         assert (r.fpp_minus, r.fpp_plus) == (-0.5, 0.5)
@@ -113,8 +114,14 @@ class TestKinkTransferReport:
             left = (dn2 - 2.0 * dn1 + u0) / (h * h)
             assert abs(right - left) > 0.5
 
-    def test_linear_empty(self, linear_problem):
-        assert kink_transfer_report(linear_problem) == []
+    def test_linear_empty(self, linear_problem, monkeypatch):
+        # no kink: empty columns, and the oracle is never called
+        from striplex import oracle
+
+        monkeypatch.delattr(oracle, "brute_force_u")
+        report = kink_transfer_report(linear_problem)
+        assert report._fields == KinkReport._fields
+        assert all(column.shape == (0,) for column in report)
 
     def test_one_oracle_call_per_report(self, two_kink_problem, monkeypatch):
         # u' at x0 and x0 +- h for three h, each from two oracle points, for
@@ -133,23 +140,29 @@ class TestKinkTransferReport:
         assert sizes == [28]
 
     def test_two_kinks_sorted_and_order_preserving(self, two_kink_problem):
-        reports = kink_transfer_report(two_kink_problem)
-        assert [r.y0 for r in reports] == [0.0, 0.5]
-        for r in reports:
-            assert r.denom_minus >= 1.0 - two_kink_problem.contraction_q
-            assert r.denom_plus >= 1.0 - two_kink_problem.contraction_q
-            lhs = r.upp_plus_pred - r.upp_minus_pred
-            rhs = r.fpp_plus - r.fpp_minus
-            assert math.copysign(1.0, lhs) == math.copysign(1.0, rhs)
+        r = kink_transfer_report(two_kink_problem)
+        assert r.y0.tolist() == [0.0, 0.5]
+        assert np.all(r.denom_minus >= 1.0 - two_kink_problem.contraction_q)
+        assert np.all(r.denom_plus >= 1.0 - two_kink_problem.contraction_q)
+        lhs = r.upp_plus_pred - r.upp_minus_pred
+        rhs = r.fpp_plus - r.fpp_minus
+        # the curvature rises at the first kink and falls at the second
+        assert np.sign(rhs).tolist() == [1.0, -1.0]
+        assert np.array_equal(np.sign(lhs), np.sign(rhs))
+        # the predicted columns are the closed-form transfer, bit for bit
+        pred = second_derivatives_top(r.y0, two_kink_problem)
+        assert np.array_equal(r.upp_minus_pred, pred[0]) and np.array_equal(r.upp_plus_pred, pred[1])
+        assert np.array_equal(r.upp_minus_pred, r.fpp_minus / r.denom_minus)
+        assert np.array_equal(r.upp_plus_pred, r.fpp_plus / r.denom_plus)
 
     def test_exports(self, tmp_path, vee_problem):
         import json
 
         def text(fmt):
-            write_report(tmp_path / fmt, reports, fmt)
+            write_report(tmp_path / fmt, report, fmt)
             return (tmp_path / fmt).read_bytes().decode("utf-8")
 
-        reports = kink_transfer_report(vee_problem)
+        report = kink_transfer_report(vee_problem)
         lines = text("csv").strip().split("\n")
         assert lines[0].startswith("y0,x0,fpp_minus")
         assert len(lines) == 2

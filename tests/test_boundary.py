@@ -333,34 +333,43 @@ class TestConstants:
         assert abs(spline.value(y1) - spline.value(y2)) <= L_f * gap + 1e-9
 
 
+def columns(kinks):
+    return tuple(column.tolist() for column in kinks)
+
+
 class TestKinks:
     def test_vee_single_kink(self):
-        assert parse_spline(VEE_TEXT).kinks() == [(0.0, -0.5, 0.5)]
+        assert columns(parse_spline(VEE_TEXT).kinks()) == ([0.0], [-0.5], [0.5])
 
     def test_single_knot_none(self):
-        assert parse_spline("f0 0\nknot 0 0.25\n").kinks() == []
+        assert columns(parse_spline("f0 0\nknot 0 0.25\n").kinks()) == ([], [], [])
 
     def test_collinear_slopes_none(self):
         spline = BoundarySpline(f0=0.0, knots=((0.0, 0.0), (1.0, 0.5), (2.0, 1.0)))
-        assert spline.kinks() == []
+        assert columns(spline.kinks()) == ([], [], [])
 
     def test_two_kinks_sorted(self):
         spline = BoundarySpline(f0=0.0, knots=((-1.0, 0.5), (0.0, 0.0), (0.5, 0.25), (1.0, 0.25)))
         got = spline.kinks()
-        assert [k.y0 for k in got] == [0.0, 0.5]
-        assert got[0].second_left == -0.5 and got[0].second_right == 0.5
-        assert got[1].second_left == 0.5 and got[1].second_right == 0.0
+        assert got.y0.tolist() == [0.0, 0.5]
+        assert got.second_left.tolist() == [-0.5, 0.5]
+        assert got.second_right.tolist() == [0.5, 0.0]
 
     @given(splines())
     def test_one_sided_quotients_match_exactly(self, spline):
         ts = [t for t, _ in spline.knots]
-        for k in spline.kinks():
-            i = ts.index(k.y0)
+        kinks = spline.kinks()
+        for y0, second_left, second_right in zip(*columns(kinks)):
+            i = ts.index(y0)
             h = 0.25 * min(ts[i] - ts[i - 1], ts[i + 1] - ts[i])
-            right = (spline.derivative(k.y0 + h) - spline.derivative(k.y0)) / h
-            left = (spline.derivative(k.y0 - h) - spline.derivative(k.y0)) / (-h)
-            assert right == pytest.approx(k.second_right, abs=1e-9)
-            assert left == pytest.approx(k.second_left, abs=1e-9)
+            right = (spline.derivative(y0 + h) - spline.derivative(y0)) / h
+            left = (spline.derivative(y0 - h) - spline.derivative(y0)) / (-h)
+            assert right == pytest.approx(second_right, abs=1e-9)
+            assert left == pytest.approx(second_left, abs=1e-9)
+        # the columns are the one-sided curvatures where the two disagree
+        ys = np.array(ts[1:-1])
+        jump = spline.second_left(ys) != spline.second_right(ys)
+        assert columns(kinks) == columns((ys[jump], spline.second_left(ys[jump]), spline.second_right(ys[jump])))
 
 
 @given(splines(), st.integers(0, 10_000))

@@ -15,6 +15,7 @@ from striplex.construction import solve_contacts, u_interior
 from striplex.errors import NonConvergenceError
 from striplex.ioutil import REAL, fmt_real
 from striplex.oracle import GridSpec, grid_eval
+from striplex.params import admit
 
 from test_construction import sample_problem
 from test_oracle import fmt_rows
@@ -32,7 +33,7 @@ STANDARD = ["--spline", VEE, "--L", "2", "--delta", "0.1"]
 
 
 class TestParams:
-    def test_admitted(self, capsys):
+    def test_admitted(self, tmp_path, capsys):
         assert cli.main(["params", *STANDARD]) == 0
         out = capsys.readouterr().out
         for key in (
@@ -47,6 +48,13 @@ class TestParams:
         ):
             assert f"{key} = " in out
         assert "admitted = true" in out
+        # Lip(f') = 2 enters the variant constant squared, which puts it
+        # past 1 here: its bound is inf, and the problem is still admitted
+        steep = tmp_path / "steep.spline"
+        steep.write_text("f0 0\nknot -0.25 -0.5\nknot 0.25 0.5\n")
+        assert cli.main(["params", "--spline", str(steep), "--L", "2", "--delta-frac", "0.9"]) == 0
+        out = capsys.readouterr().out
+        assert "\nlip_Y_bound_variant = inf\n" in out and out.endswith("\nadmitted = true\n")
 
     def test_delta_frac_takes_half_the_cap(self, capsys):
         assert cli.main(["params", "--spline", VEE, "--L", "2", "--delta-frac", "0.5"]) == 0
@@ -195,6 +203,12 @@ class TestConstruct:
         assert cli.main(["construct", *STANDARD, "--nx", "0", "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+        # one height is too few for grid and verify, refused before any work
+        for argv in (["grid", "--out", str(out)], ["verify"]):
+            assert cli.main([*argv, *STANDARD, "--nd", "1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: need nd >= 2, got nd=1\n" and not captured.out
+            assert not out.exists()
 
     def test_non_finite_window_exit_1(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -250,6 +264,24 @@ class TestGrid:
         err = capsys.readouterr().err
         assert err.startswith("error: at grid point") and "boundary samples" in err
 
+    @pytest.mark.parametrize("provenance", oracle.PROVENANCES)
+    def test_overflowing_grid_names_the_point(self, tmp_path, capsys, provenance):
+        # f' reaches 1e10 a unit from 0, so u overflows this far out; every
+        # evaluator names the first such point, and no numpy warning (an
+        # error in this suite) escapes first.  The coarse --hy keeps the
+        # envelope scans short: their samples overflow, so nothing is pruned
+        spline = tmp_path / "steep.spline"
+        spline.write_text("f0 0\nknot -1 -1e10\nknot 1 1e10\n")
+        out = tmp_path / "g.csv"
+        argv = ["grid", "--spline", str(spline), "--L", "2e10", "--delta", "0.1", "--xmin=-1e299", "--xmax=1e299"]
+        argv += ["--hy", "1e296", "--nx", "3", "--nd", "2", "--provenance", provenance, "--out", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        # the envelope provenances sample strictly inside the strip
+        d = "0.03333333333333333" if provenance in ("mw_min", "mw_max") else "0.05"
+        assert captured.err == f"error: at grid point (x=-1e+299, d={d}): u overflows the float range at x = -1e+299\n"
+        assert not captured.out and not out.exists()
+
     @pytest.mark.parametrize(
         "spline, height, provenance, fmt, golden",
         [
@@ -273,15 +305,14 @@ class TestGrid:
     )
     def test_solver_flags_reach_the_closed_form_fill(self, tmp_path, capsys, flags):
         # the same tol makes construct exit 1; grid must not ignore a bad
-        # tol on the closed form or a bad h_y on any provenance, and verify
-        # refuses either before any check runs
+        # tol or a bad h_y on any provenance, and verify refuses either
+        # before any check runs
         out = tmp_path / "out.csv"
         grid = ["--nx", "3", "--nd", "2", "--out", str(out)]
         commands = [["verify", "--nx", "3", "--nd", "2"]]
+        commands += [["grid", "--provenance", provenance, *grid] for provenance in oracle.PROVENANCES]
         if flags[0] == "--tol":
-            commands += [["grid", *grid], ["construct", "--nx", "3", "--out", str(out)]]
-        else:
-            commands += [["grid", "--provenance", provenance, *grid] for provenance in oracle.PROVENANCES]
+            commands.append(["construct", "--nx", "3", "--out", str(out)])
         name = flags[0].lstrip("-").replace("hy", "h_y")
         for command in commands:
             assert cli.main([command[0], *STANDARD, *command[1:], *flags]) == 1, command
@@ -494,6 +525,27 @@ class TestVerify:
         assert code == 0
         assert "SKIP kink_transfer" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "spline, height, kinks, rel",
+        [
+            ("two_kinks", ["--delta", "0.1"], 2, "1.749e-04"),
+            ("two_kinks", ["--delta-frac", "0.5"], 2, "2.145e-04"),
+            ("zigzag40", ["--delta", "0.1"], 79, "1.778e-04"),
+            ("zigzag40", ["--delta-frac", "0.5"], 79, "2.569e-04"),
+        ],
+        ids=["two_kinks-delta0.1", "two_kinks-frac0.5", "zigzag40-delta0.1", "zigzag40-frac0.5"],
+    )
+    def test_kink_transfer_on_kinks_that_jump_both_ways(self, spline, height, kinks, rel):
+        # the curvature rises at some kinks of these profiles and falls at
+        # others, so both directions of the one-sided ordering are checked
+        path = str(REPO / "data" / "splines" / f"{spline}.spline")
+        args = cli.build_parser().parse_args(["verify", "--spline", path, "--L", "2", *height])
+        res = verify.check_kink_transfer(admit(cli._problem(args)))
+        assert (res.status, res.detail) == (
+            "PASS",
+            f"{kinks} kink(s); max relative |pred - measured| = {rel} (tol 1e-02); one-sided ordering preserved: True",
+        )
 
     def test_iteration_cap_reaches_every_contact_solve(self, capsys, monkeypatch):
         monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)

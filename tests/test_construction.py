@@ -17,7 +17,7 @@ from striplex.construction import (
     u_interior,
 )
 from striplex.boundary import BoundarySpline, parse_spline
-from striplex.errors import DomainError, NonConvergenceError, StriplexError
+from striplex.errors import DomainError, NonConvergenceError, StriplexError, ValidationError
 from striplex.params import ProblemParams, admit, delta_caps
 
 from test_boundary import SPLINE_FILES, splines
@@ -469,3 +469,20 @@ def test_entry_points_finite_or_package_error(vee_problem, x, height_frac):
             message = rf"^at grid point \([xy]={x!r}[,)].*: need finite [xy], got {x!r}$"
             with pytest.raises(StriplexError, match=message):
                 call()
+
+
+def test_coordinates_that_do_not_broadcast_are_refused(vee_problem):
+    # the shapes are checked before any point: the nan is not named
+    x, d = np.array([0.0, 0.1, math.nan]), np.full(2, 0.05)
+    spec = oracle.GridSpec(xmin=-2.0, xmax=2.0, nx=3, nd=2, h_y=1e-4)
+    calls = [
+        (lambda: solve_contacts(x, d, vee_problem), "x", "d"),
+        (lambda: contact_inverse(x, d, vee_problem), "y", "d"),
+        (lambda: oracle.brute_force_u((x, d), vee_problem, 1e-4), "x", "d"),
+        (lambda: oracle.mw_envelopes((x, d), vee_problem, spec), "x", "d"),
+        (lambda: segment_value(x, np.full(2, 0.5), vee_problem), "y", "t"),
+    ]
+    for call, first, second in calls:
+        message = rf"^coordinates do not broadcast together: {first} of shape \(3,\), {second} of shape \(2,\)$"
+        with pytest.raises(ValidationError, match=message):
+            call()
