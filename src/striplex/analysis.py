@@ -21,7 +21,7 @@ import numpy as np
 
 from . import construction, oracle
 from .errors import DomainError, ValidationError
-from .ioutil import REAL, write_table
+from .ioutil import write_table
 from .params import AdmissibleProblem
 
 DEFAULT_H_SCHEDULE = (1e-3, 5e-4, 2.5e-4)
@@ -157,5 +157,4 @@ def residual_infinity_laplacian(
 def write_report(path, report: KinkReport, fmt: str) -> None:
     """Write the "csv" or "structured" kink report to path through
     ioutil.write_table, one row per kink at fmt_real precision."""
-    row = [(name, REAL) for name in KinkReport._fields]
-    write_table(path, fmt, "kink_report", row, report.y0.size, lambda first, last: [c[first:last] for c in report])
+    write_table(path, fmt, "kink_report", KinkReport._fields, report.y0.size, lambda i, j: [c[i:j] for c in report])

@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, construction, oracle, verify
 from .boundary import parse_spline
 from .errors import AdmissibilityError, ConfigurationError, StriplexError, UsageError
-from .ioutil import REAL, fmt_real, write_table
+from .ioutil import fmt_real, write_table
 from .oracle import GridSpec
 from .params import ProblemParams, admit, delta_caps
 
@@ -124,8 +124,8 @@ def cmd_construct(args) -> int:
     xs = np.linspace(args.xmin, args.xmax, args.nx)
     sol = construction.solve_contacts(xs, problem.delta, problem, tol=args.tol)
     columns = [xs, sol.y, sol.Y, sol.value, problem.spline.derivative(sol.y)]
-    row = [(name, REAL) for name in ("x", "y", "Y", "u", "uprime")]
-    write_table(args.out, args.format, "top_line", row, args.nx, lambda first, last: [c[first:last] for c in columns])
+    fields = ("x", "y", "Y", "u", "uprime")
+    write_table(args.out, args.format, "top_line", fields, args.nx, lambda i, j: [c[i:j] for c in columns])
     return 0
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import construction
 from .errors import ConfigurationError, DomainError, ValidationError
-from .ioutil import REAL, write_table
+from .ioutil import format_reals, write_table
 from .params import AdmissibleProblem, ProblemParams
 
 PROVENANCES = ("closed_form", "brute_force", "mw_min", "mw_max")
@@ -50,8 +50,8 @@ _GOLDEN_MAX_ITER = 90
 # CLI defaults range over at most ~4.2e6 (mw_envelopes at h_y = 1e-6 on [-2, 2])
 MAX_SCAN = 10_000_000
 # most points one grid (nx*nd) or top line (nx) may hold, checked before
-# allocating; on vee at this cap `construct` peaks at 324 MB RSS (16.6 s)
-# and a 2048x2048 closed-form `grid` at 268 MB (6.5 s), 2-core host
+# allocating; on vee at this cap `construct` peaks at 236 MB RSS (8.5-9.0 s)
+# and a 2048x2048 closed-form `grid` at 236 MB (3.9-4.3 s), 2-core host
 MAX_POINTS = 2**22
 
 # the pruned scan of both oracles: stride refinement per level, and the
@@ -519,6 +519,15 @@ def mw_envelopes(
         reach = max(abs(spec.xmin), abs(spec.xmax)) + pad
         t_far = max(abs(problem.spline.knots[0][0]), abs(problem.spline.knots[-1][0]))
         scale = L * delta + lip * (np.abs(xs) + 2.0 * (reach + t_far))
+        # every scan's first level reads both ends of its line.  A bottom
+        # value g there that is not finite makes each point's low (g = +inf
+        # or nan) or high (g = -inf or nan) not finite, whatever its cone
+        # term, so the check below would name the first point: name it
+        # before any scan.  The top line's ends prove nothing: a nan sample
+        # there (inf - inf, when its cone term overflows too) drops out of
+        # the max and min below
+        if not np.isfinite(g_bottom(np.array([0, n0 - 1]))[0]).all():
+            construction.require_finite_u(x, d, np.full(x.shape, math.nan))
         low0, lowt = line_max(1.0, *bottom), line_max(1.0, *top)
         high0, hight = -line_max(-1.0, *bottom), -line_max(-1.0, *top)
     # max and min as the builtins pick them: the first argument unless the
@@ -574,13 +583,13 @@ def grid_eval(
 def write_grid(path, grid: FieldGrid, fmt: str) -> None:
     """Write the "csv" or "structured" export of grid to path through
     ioutil.write_table: rows x-major, each distinct x and d formatted once."""
-    xs, ds = (np.array([REAL % v for v in a.tolist()], dtype=object) for a in (grid.xs, grid.ds))
+    xs, ds = format_reals(grid.xs), format_reals(grid.ds)
 
     def columns(first: int, last: int) -> list:
-        i, j = np.divmod(np.arange(first, last), ds.size)
+        i, j = np.divmod(np.arange(first, last), len(ds))
         return [xs[i], ds[j], grid.values[i, j]]
 
     spec = grid.spec
     meta = (("xmin", spec.xmin), ("xmax", spec.xmax), ("nx", spec.nx), ("nd", spec.nd))
-    row = (("x", "%s"), ("d", "%s"), ("u", REAL))
-    write_table(path, fmt, "field_grid", row, grid.values.size, columns, (("provenance", grid.provenance),), meta)
+    constants = (("provenance", grid.provenance),)
+    write_table(path, fmt, "field_grid", ("x", "d", "u"), grid.values.size, columns, constants, meta)

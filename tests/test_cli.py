@@ -282,6 +282,30 @@ class TestGrid:
         assert captured.err == f"error: at grid point (x=-1e+299, d={d}): u overflows the float range at x = -1e+299\n"
         assert not captured.out and not out.exists()
 
+    @pytest.mark.parametrize("provenance", ["mw_min", "mw_max"])
+    def test_overflowing_envelope_fails_before_any_scan(self, tmp_path, capsys, monkeypatch, provenance):
+        # f is infinite at both ends of the bottom line, which every scan
+        # reads first, so no scan can end finite; at this --hy the scans
+        # would read ~2e6 samples each, nothing pruned
+        scans = []
+
+        def recording_scan(*args):
+            scans.append(args[1])
+            return scan(*args)
+
+        scan = oracle._scan_argmax
+        monkeypatch.setattr(oracle, "_scan_argmax", recording_scan)
+        spline = tmp_path / "steep.spline"
+        spline.write_text("f0 0\nknot -1 -1e10\nknot 1 1e10\n")
+        out = tmp_path / "g.csv"
+        argv = ["grid", "--spline", str(spline), "--L", "2e10", "--delta", "0.1", "--xmin=-1e299", "--xmax=1e299"]
+        argv += ["--hy", "1e293", "--nx", "3", "--nd", "2", "--provenance", provenance, "--out", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        message = "at grid point (x=-1e+299, d=0.03333333333333333): u overflows the float range at x = -1e+299"
+        assert captured.err == f"error: {message}\n"
+        assert scans == [] and not captured.out and not out.exists()
+
     @pytest.mark.parametrize(
         "spline, height, provenance, fmt, golden",
         [
