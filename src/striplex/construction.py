@@ -165,22 +165,31 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
     for first in range(0, x.size, _SOLVE_BLOCK):
         block = slice(first, first + _SOLVE_BLOCK)
         xb, hb = x[block], height[block]
-        # the block's still-iterating points: flat index, x, height and iterate
+        # the points the block still iterates: flat index, x, height and
+        # iterate, and which of them have not finished.  Finished points
+        # iterate on unrecorded until half of the points have finished,
+        # then the arrays are compacted to the running ones
         active, xa, ha, Ya = np.arange(first, first + xb.size), xb, hb, np.zeros(xb.size)
+        running = np.ones(xb.size, dtype=bool)
+        left = xb.size
         for k in range(1, cap + 1):
-            if not active.size:
+            if not left:
                 break
             # |f'| <= L_f < L everywhere (ProblemParams), so the square root is real
             slope = spline.derivative(xa + Ya)
             Y_next = ha * slope / np.sqrt(L * L - slope * slope)
-            done = np.abs(Y_next - Ya) <= threshold
-            finished = active[done]
-            Y[finished], iterations[finished] = Y_next[done], k
-            keep = ~done
-            active, xa, ha, Ya = active[keep], xa[keep], ha[keep], Y_next[keep]
-        if active.size:
+            done = np.flatnonzero(running & (np.abs(Y_next - Ya) <= threshold))
+            Y[active[done]], iterations[active[done]] = Y_next[done], k
+            running[done] = False
+            left -= done.size
+            Ya = Y_next
+            if 2 * left <= running.size:
+                keep = np.flatnonzero(running)
+                active, xa, ha, Ya, running = active[keep], xa[keep], ha[keep], Ya[keep], running[keep]
+        if left:
+            i = np.flatnonzero(running)[0]
             raise NonConvergenceError(
-                f"contact solve at (x={float(xa[0])!r}, height={float(ha[0])!r}) "
+                f"contact solve at (x={float(xa[i])!r}, height={float(ha[i])!r}) "
                 f"did not converge in {cap} iterations"
             )
         y[block] = xb + Y[block]

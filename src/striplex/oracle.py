@@ -4,21 +4,27 @@ Two oracles live here, both deliberately ignorant of the fixed-point
 construction, and both find their extrema with one pruned scan,
 _scan_argmax, whose result is that of a scan of every sample:
 
-* direct maximization of the cone envelope over a fine boundary grid,
-  refined by golden-section search (the objective is strictly concave on
-  the admissible search window, so the refinement is rigorous).  The grid
-  scan is pruned coarse to fine: the objective is (L_f + L)-Lipschitz in y
-  and its second derivative is at most Lip(f') (the cone term is concave),
-  so the Piyavskii-Shubert bound and a second-order bound drop every cell
-  of the grid whose samples all lie strictly below the best sample seen.
-  The scan therefore finds the same best sample as a scan of every grid
-  point, bit for bit, using only those two exact constants of the data: no
-  concavity of the objective, nothing from the construction;
+* direct maximization of the cone envelope g(y) = f(y) - L*sqrt(d^2 +
+  (x-y)^2) over a fine boundary grid, refined by golden-section search on
+  the bracket around the best sample.  The grid scan is pruned coarse to
+  fine: a Piyavskii-Shubert bound from the Lipschitz constant L_f + L and
+  a second-order bound drop every cell of the grid whose samples all lie
+  strictly below the best sample seen, so the scan finds the same best
+  sample as a scan of every grid point, bit for bit.  Why no cell that
+  could win is dropped depends on the height.  Below delta_touch, g is
+  strictly concave on |y - x| <= D*d, where the cone bends by more than
+  Lip(f'), and strictly monotone beyond d*phi(L_f) <= D*d/2, where the
+  cone is steeper than f; so its samples rise to one maximum and fall,
+  which both the scan and the refinement rest on.  From delta_touch on,
+  nothing keeps g unimodal, and the second-order bound uses the lower
+  bound -(Lip(f') + L/d) of g'', which holds at every height.  Nothing
+  comes from the construction;
 * minimal/maximal Lipschitz envelopes of the strip boundary data, whose
   coincidence pins u from both sides: extrema over samples of the two
-  boundary lines, computed where the scan reads them, with the same two
-  bounds on the evenly spaced bottom line and a first-order bound from the
-  y-spacing and q on the top line.
+  boundary lines, computed where the scan reads them.  On the evenly
+  spaced bottom line the samples of +-f minus the cone rise and fall for
+  the reasons above (the heights lie below delta < delta_touch); the top
+  line gets a first-order bound from the y-spacing and q.
 
 Grid fills and exports for both provenances are also defined here.
 """
@@ -55,7 +61,7 @@ MAX_SCAN = 10_000_000
 MAX_POINTS = 2**22
 
 # the pruned scan of both oracles: stride refinement per level, and the
-# fewest samples its first level takes.  Scans shorter than
+# fewest samples the first level of a fresh scan takes.  Scans shorter than
 # _REFINE*_MIN_COARSE = 64 samples start at stride 1, a full scan.  Measured
 # on the 257x17 vee grid at h_y = 1e-6 (2-core host), samples including the
 # refinement's: 8/8 takes ~0.5 M samples and ~0.1 s per grid, 16/16 ~0.85 M
@@ -133,17 +139,19 @@ class FieldGrid:
 @dataclass(frozen=True)
 class _Scan:
     """What BruteResult.widened needs to go on from a brute_force_u result:
-    the call's arguments and window factor, and per flat point the offset
-    k - n of the best grid sample (its y is x + h_y*offset) and whether
-    that sample lies strictly inside the window: then its refinement
-    bracket, the grid samples at offsets offset - 1 and offset + 1, is the
-    same at every wider window."""
+    the call's arguments and window factor, and per flat point the half
+    width n of its grid (offsets -n..n), the offset k - n of the best grid
+    sample (its y is x + h_y*offset), which np.argmax over the offsets
+    -n..n returns, and whether that sample lies strictly inside the window:
+    then its refinement bracket, the grid samples at offsets offset - 1 and
+    offset + 1, is the same at every wider window."""
 
     problem: ProblemParams
     h_y: float
     window_factor: float
     x: np.ndarray
     d: np.ndarray
+    half: np.ndarray
     offset: np.ndarray
     interior: np.ndarray
 
@@ -162,8 +170,11 @@ class BruteResult:
 
         The result is that of a scan of the whole wider window, which holds
         every grid position of this one.  The scan goes on from this result:
-        each point's scan starts at this result's best sample, which only
-        prunes more.  Where a point's best sample is this result's and lies
+        this result settled its own window, whose best sample beats every
+        other sample there or ties it at a higher index, so each point's
+        scan takes that one sample of the window and reads only the two
+        stretches of the wider window outside it (see _scan_argmax's known
+        range).  Where a point's best sample is this result's and lies
         inside this result's window, its bracket comes out bit-equal to this
         result's, and the refinement, a function of (x, d, bracket,
         problem), would repeat this one's, so the point keeps this result's
@@ -225,20 +236,23 @@ def brute_force_u(point: tuple, problem: ProblemParams, h_y: float) -> BruteResu
 
     The scan grid of a point is y_j = x + h_y*(j - n), j = 0..2n, covering
     the window |y - x| <= D*d + h_y (BruteResult.widened scans a wider
-    one).  The objective is (L_f + L)-Lipschitz in y, and its second
-    derivative is at most Lip(f') (the cone term is concave), so
-    _scan_argmax skips every stretch of the grid whose bound from those two
-    constants lies below the best sample seen: each skipped sample is
-    strictly below the maximum, and the index found is the one np.argmax
-    over all samples returns.  All points of a call go to one _scan_argmax.
+    one).  All points of a call go to one _scan_argmax, which skips every
+    stretch of the grid whose bound lies below the best sample seen: the
+    objective is (L_f + L)-Lipschitz in y, and the second-order bound takes
+    curv_step = Lip(f')*h_y^2 below delta_touch and (Lip(f') + L/d)*h_y^2
+    from it on.  The index found is the one np.argmax over all samples
+    returns: below delta_touch because the samples rise to one maximum and
+    fall (the objective is strictly concave on |y - x| <= D*d and strictly
+    monotone beyond d*phi(L_f) <= D*d/2), from it on because the objective's
+    second derivative is at least -(Lip(f') + L/d), as the bound needs.
     Golden-section refinement then runs on the brackets around those
     samples, all points at once.  bound is the worst-case scan error before
     refinement, from the Lipschitz constant.
 
     h_y is checked first, then every point before any scan starts; the
     first bad point in C order is named in the error.  problem need not be
-    admitted: the scan needs only D, L_f + L and Lip(f'), which hold at
-    every delta.
+    admitted: the scan needs only D, delta_touch, L_f + L and Lip(f'),
+    which are defined at every delta.
     """
     construction.require_positive("h_y", h_y)
     x, d = (np.asarray(a, dtype=float) for a in point)
@@ -286,11 +300,19 @@ def _brute_force(
         dp = ds[p]
         return spline.value(ys) - L * np.sqrt(dp * dp + (xs[p] - ys) ** 2)
 
-    start = 0 if narrow is None else narrow._scan.offset + n
+    known = None
+    if narrow is not None:
+        # narrow settled its own window, the offsets -m..m
+        m = narrow._scan.half
+        known = (n - m, narrow._scan.offset + n, n + m)
     # near the ends of the float range the samples, the brackets and the
     # objective overflow; a non-finite result is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        k, v_k = _scan_argmax(sample, 2 * n + 1, lip * h_y, spline.slope_lipschitz * h_y * h_y, scale, start)
+        # the second-order bound: below delta_touch the samples rise and
+        # fall, so any curv_step serves; from it on, the objective bends
+        # down by at most Lip(f') + L/d
+        bend = np.where(ds < problem.caps[0], 0.0, L / ds) + spline.slope_lipschitz
+        k, v_k = _scan_argmax(sample, 2 * n + 1, lip * h_y, bend * h_y * h_y, scale, known)
         offset = k - n
         lo, y_k, hi = (xs + h_y * (j - n) for j in (np.maximum(k - 1, 0), k, np.minimum(k + 1, 2 * n)))
         y_star, v_star = np.empty_like(y_k), np.empty_like(v_k)
@@ -313,7 +335,7 @@ def _brute_force(
         value=v_star[()],
         argmax_y=y_star[()],
         bound=0.5 * lip * h_y,
-        _scan=_Scan(problem, h_y, window_factor, x, d, offset, (0 < k) & (k < 2 * n)),
+        _scan=_Scan(problem, h_y, window_factor, x, d, n, offset, (0 < k) & (k < 2 * n)),
     )
 
 
@@ -321,93 +343,128 @@ def _scan_argmax(
     sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
     count: np.ndarray,
     lip_step: float,
-    curv_step: float,
+    curv_step: np.ndarray | float,
     scale: np.ndarray,
-    start: np.ndarray | int,
+    known: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(k, v_k) per point p: the first index of the largest of sample(p, j),
     j = 0..count[p]-1, which is what np.argmax over that point's full scan
     returns, without evaluating most of the scan; v_k is -inf at count 0.
     sample maps arrays of point numbers and indices to their samples
-    elementwise.  start holds one index per point in [0, count[p]-1]
-    (broadcast; 0 for a fresh scan), whose sample the first level also
-    takes: a start near the maximum only prunes more, and the result is
-    the same for any start.
+    elementwise.
 
-    sample(p, .) must change by at most lip_step per unit step of j, and
-    its second derivative in j must be at most curv_step (inf: no
-    second-order bound).  The points run in blocks of at most _BLOCK.  The
-    scan of each point runs as a tree, all trees of a block level by level
-    together: it starts at a coarse stride and refines by _REFINE per
-    level.  An index past the end evaluates sample(p, count[p]-1), which
-    keeps the extended scan lip_step-Lipschitz with the same first argmax,
-    so every cell of a level is one stride s wide.  Inside a cell every
-    sample is at most (v_a + v_b)/2 + lip_step*s/2 (Piyavskii-Shubert) and
-    at most max(v_a, v_b) + curv_step*s^2/8 (the second-order bound; the
-    padded samples equal v_b, so it holds for a cell past the end too).  A
-    cell whose smaller bound plus a rounding slack stays below the best
-    value seen at its point holds only samples strictly below the maximum
-    and is dropped.  The slack is 1e-12*(1 + |best| + scale[p]), where
-    |best| + scale[p] bounds the magnitude of every quantity in one sample's
-    evaluation: rounding errs by a few ulps of it, and 1e-12 is ~4500 ulps.
-    A non-finite best or bound prunes nothing.  Only the two constants
-    enter: no concavity of the objective and nothing from the construction.
-    Samples are computed exactly as a full scan computes them, so the
-    result is that scan's, bit for bit.  Short scans start at stride 1,
-    which is the full scan.
+    known is None, or per point a known range (lo, k0, hi) with
+    0 <= lo <= k0 <= hi <= count[p]-1 in which np.argmax of the samples
+    lo..hi is k0, as a narrower scan returns it: no sample of the range
+    beats sample k0 or ties it at a lower index.  The scan then takes
+    sample k0 and no other sample of the range.  (k0, k0, k0) is a start
+    index: its sample prunes from the first level on.
 
-    best follows the rules of the one-point scan: the first level's maximum,
-    start sample included (a nan propagates), then raised by each later
-    level's maximum when that is larger.  The start sample is a real
-    sample, so the cells dropped still lie strictly below the maximum.  The
-    index returned is np.argmax's over every sample taken, so a nan sample
-    wins.
+    The scan reads each stretch of indices left, the whole scan without a
+    known range and 0..lo-1 and hi+1..count[p]-1 with one, as a tree, all
+    trees of a block of at most _BLOCK points level by level together.  A
+    tree's first level takes every stride-th index from its stretch's
+    first, and each level refines the stride by _REFINE.  Without a known
+    range the first stride is the largest power of _REFINE at most
+    length/_MIN_COARSE, so a stretch shorter than _REFINE*_MIN_COARSE
+    starts at stride 1, which is its full scan.  With one, sample k0
+    already prunes, and each stretch starts as one cell: the stride is the
+    smallest power of _REFINE at least length - 1.  An index past a
+    stretch's end evaluates its last index, so every cell of a level is one
+    stride s wide, holds samples of one stretch only, and its bounds below
+    hold over the samples it really spans.
+
+    A cell is dropped, unsampled, when its bound plus a rounding slack stays
+    below the best sample seen at its point; a non-finite best or bound
+    drops nothing.  The bound is the smaller of (v_a + v_b)/2 +
+    lip_step*s/2 (Piyavskii-Shubert) and max(v_a, v_b) + curv_step*s^2/8
+    (curv_step a scalar or one value per point).  The slack is
+    1e-12*(1 + |best| + scale[p]), where |best| + scale[p] bounds the
+    magnitude of every quantity in one sample's evaluation: rounding errs by
+    a few ulps of it, and 1e-12 is ~4500 ulps.  A dropped cell holds only
+    samples strictly below the maximum, so the result is that of the full
+    scan, bit for bit (the samples are computed as it computes them), when
+    for each point
+
+    * sample(p, .) changes by at most lip_step per unit step of j, and
+    * either its second differences are at least -curv_step (then the
+      second-order bound holds in every cell; an upper bound on them gives
+      none), or, for any curv_step >= 0, its samples rise to their maximum
+      and then fall (up to rounding): then the cell that holds the maximum
+      has an end at or above every sample outside it, so its bound reaches
+      the best sample seen.
+
+    best starts at the maximum of the first level, sample k0 included (a
+    nan propagates), and is raised by each later level's maximum when that
+    is larger.  The index returned is np.argmax's over every sample taken,
+    so a nan sample wins.
     """
-    start = np.broadcast_to(start, count.shape)
-    if count.size > _BLOCK:
+    points = count.size
+    curv_step = np.broadcast_to(curv_step, count.shape)
+    if points > _BLOCK:
         # one block of points at a time, which keeps peak memory flat
-        blocks = (slice(first, first + _BLOCK) for first in range(0, count.size, _BLOCK))
+        blocks = (slice(first, first + _BLOCK) for first in range(0, points, _BLOCK))
         parts = [
-            _scan_argmax(lambda p, j, b=b: sample(b.start + p, j), count[b], lip_step, curv_step, scale[b], start[b])
+            _scan_argmax(
+                lambda p, j, b=b: sample(b.start + p, j),
+                count[b],
+                lip_step,
+                curv_step[b],
+                scale[b],
+                None if known is None else tuple(r[b] for r in known),
+            )
             for b in blocks
         ]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    points = count.size
     last = count - 1
-    stride = np.ones(points, dtype=np.int64)
-    grow = stride * _REFINE * _MIN_COARSE <= count
+    # the stretches: their point, first and last index
+    if known is None:
+        t_p, t_lo, t_hi = np.arange(points), np.zeros(points, dtype=np.int64), last
+    else:
+        lo, k0, hi = known
+        left, right = np.flatnonzero(lo > 0), np.flatnonzero(hi < last)
+        t_p = np.concatenate([left, right])
+        t_lo = np.concatenate([np.zeros(left.size, dtype=np.int64), hi[right] + 1])
+        t_hi = np.concatenate([lo[left] - 1, last[right]])
+    # the first stride: the smallest power of _REFINE above limit
+    length = t_hi - t_lo + 1
+    limit = length // (_REFINE * _MIN_COARSE) if known is None else length - 2
+    stride = np.ones(t_p.size, dtype=np.int64)
+    grow = stride <= limit
     while grow.any():
         stride[grow] *= _REFINE
-        grow = stride * _REFINE * _MIN_COARSE <= count
-    # first level: j = 0, stride, ..., up to the first multiple at or past last
-    width = -(-last // stride) + 1
-    p = np.repeat(np.arange(points), width)
-    j = (np.arange(p.size) - np.repeat(np.cumsum(width) - width, width)) * stride[p]
-    j = np.minimum(j, last[p])
-    # the start samples the first level does not take already, evaluated
-    # with it and after it, outside its cells
-    extra = np.flatnonzero((start % stride != 0) & (start != last))
-    p0, j0 = np.concatenate([p, extra]), np.concatenate([j, start[extra]])
+        grow = stride <= limit
+    # first level: every stride-th index of each stretch, up to the first at
+    # or past its end, clipped to it
+    width = -(-(t_hi - t_lo) // stride) + 1
+    t = np.repeat(np.arange(t_p.size), width)
+    j = t_lo[t] + (np.arange(t.size) - np.repeat(np.cumsum(width) - width, width)) * stride[t]
+    j = np.minimum(j, t_hi[t])
+    p = t_p[t]
+    # the known ranges' samples, evaluated with the first level and after it
+    p0, j0 = (p, j) if known is None else (np.concatenate([p, np.arange(points)]), np.concatenate([j, k0]))
     v0 = sample(p0, j0)
     seen = [(p0, j0, v0)]
     best = np.full(points, -math.inf)
     np.maximum.at(best, p0, v0)
     v = v0[: p.size]
-    # the cells between consecutive samples of one point, at strides above 1;
-    # clipping moved only a point's last sample, which starts no cell
-    cell = (p[:-1] == p[1:]) & (stride[p[:-1]] > 1)
-    cp, s, a, va, vb = p[:-1][cell], stride[p[:-1]][cell], j[:-1][cell], v[:-1][cell], v[1:][cell]
+    # the cells between consecutive samples of one stretch, at strides above
+    # 1; clipping moved only a stretch's last sample, which starts no cell
+    cell = (t[:-1] == t[1:]) & (stride[t[:-1]] > 1)
+    ct, s, a, va, vb = t[:-1][cell], stride[t[:-1]][cell], j[:-1][cell], v[:-1][cell], v[1:][cell]
     steps = np.arange(_REFINE)
-    while cp.size:
+    while ct.size:
+        cp = t_p[ct]
         with np.errstate(over="ignore", invalid="ignore"):
             slack = 1e-12 * (1.0 + np.abs(best) + scale)
-            bound = np.minimum(0.5 * (va + vb) + 0.5 * lip_step * s, np.maximum(va, vb) + curv_step * s * s / 8)
+            bound = np.minimum(0.5 * (va + vb) + 0.5 * lip_step * s, np.maximum(va, vb) + curv_step[cp] * s * s / 8)
             keep = ~((bound + slack[cp] < best[cp]) & np.isfinite(bound))
-        cp, s, a, va, vb = cp[keep], s[keep] // _REFINE, a[keep], va[keep], vb[keep]
+        ct, s, a, va, vb = ct[keep], s[keep] // _REFINE, a[keep], va[keep], vb[keep]
         # the _REFINE - 1 new indices inside each kept cell
         j = a[:, None] + s[:, None] * steps[1:]
-        p = np.repeat(cp, _REFINE - 1)
-        j_in = np.minimum(j.ravel(), last[p])
+        t = np.repeat(ct, _REFINE - 1)
+        p = t_p[t]
+        j_in = np.minimum(j.ravel(), t_hi[t])
         v = sample(p, j_in)
         seen.append((p, j_in, v))
         level = np.full(points, -math.inf)
@@ -415,9 +472,9 @@ def _scan_argmax(
         best = np.where(level > best, level, best)
         pv = np.column_stack([va, v.reshape(j.shape), vb])
         a = (a[:, None] + s[:, None] * steps).ravel()
-        cp, s, va, vb = np.repeat(cp, _REFINE), np.repeat(s, _REFINE), pv[:, :-1].ravel(), pv[:, 1:].ravel()
+        ct, s, va, vb = np.repeat(ct, _REFINE), np.repeat(s, _REFINE), pv[:, :-1].ravel(), pv[:, 1:].ravel()
         coarse = s > 1
-        cp, s, a, va, vb = cp[coarse], s[coarse], a[coarse], va[coarse], vb[coarse]
+        ct, s, a, va, vb = ct[coarse], s[coarse], a[coarse], va[coarse], vb[coarse]
     p, j, v = (np.concatenate(arrays) for arrays in zip(*seen))
     top = np.full(points, -math.inf)
     np.maximum.at(top, p, v)
@@ -456,10 +513,13 @@ def mw_envelopes(
     Each line takes two _scan_argmax runs, of +-g - L*hypot(x - pos,
     height); high is minus the second maximum, which is exact.  With dy the
     spacing np.arange steps by, a bottom-line sample moves by at most
-    (L_f + L)*dy per index and bends by at most Lip(f')*dy^2 for either sign
-    (the cone term is concave).  On the top line |dx/dy| <= 1 + q and
-    dg/dy = f'(y)*dx/dy, so a sample moves by at most (L_f + L)*(1 + q)*dy;
-    its x-spacing is uneven, so that line gets only this first-order bound.
+    (L_f + L)*dy per index.  Its height d lies below delta < delta_touch,
+    so for either sign the samples rise to one maximum and fall, as in
+    brute_force_u: that makes the scan exact with the second-order bound at
+    curv_step = Lip(f')*dy^2 (a bound on +-f's bending that the cone's
+    bending does not enter).  On the top line |dx/dy| <= 1 + q and dg/dy =
+    f'(y)*dx/dy, so a sample moves by at most (L_f + L)*(1 + q)*dy; its
+    x-spacing is uneven, so that line gets only this first-order bound.
     """
     delta = problem.delta
     L = problem.L
@@ -507,7 +567,7 @@ def mw_envelopes(
             g, pos = g_pos(j)
             return sign * g - L * np.hypot(xs[p] - pos, height[p])
 
-        return _scan_argmax(sample, np.full(xs.size, count), lip_step, curv_step, scale, 0)[1]
+        return _scan_argmax(sample, np.full(xs.size, count), lip_step, curv_step, scale)[1]
 
     bottom = (n0, g_bottom, ds, lip * step0, problem.spline.slope_lipschitz * step0 * step0)
     top = (last - first, g_top, delta - ds, lip * (1.0 + q) * stept, math.inf)

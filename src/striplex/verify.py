@@ -96,8 +96,9 @@ def check_oracle_equivalence(
 def check_localization(problem: AdmissibleProblem, spec: GridSpec, cache: dict) -> CheckResult:
     """Every brute-force argmax stays within D*d of x, and doubling the
     search window moves no value by more than 1e-12.  The 2x scan is the
-    cached 1x result widened (same bits as a fresh scan of the whole 2x
-    window)."""
+    cached 1x result widened: it takes the 1x window, which that result
+    settled, as known and reads only the annulus outside it, with the same
+    bits as a fresh scan of the whole 2x window."""
     xs, ds, brute = cache["xs"], cache["ds"], cache["brute"]
     # with D = 0 the scan window is just [x - h_y, x + h_y], so grant the
     # refinement that much play; for D > 0 the containment is strict

@@ -20,6 +20,7 @@ from striplex.oracle import (
     write_grid,
 )
 from striplex.params import ProblemParams, admit, delta_caps
+from striplex.verify import VerifyConfig
 
 from test_boundary import splines
 from test_construction import WORKED_INTERIOR_POINT, WORKED_INTERIOR_VALUE, WORKED_VALUE, WORKED_X
@@ -293,69 +294,137 @@ def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y,
             st.floats(1e-4, 0.2),  # frequency per index
             st.floats(-1e-3, 1e-3),  # slope per index
             st.floats(0.0, 6.3),  # phase
-            st.floats(0.0, 1.0),  # start index, as a share of the scan
+            st.floats(0.0, 1.0),  # known range's first index, as a share of the scan
+            st.floats(0.0, 1.0),  # its width, as a share of the indices past its first
         ),
         min_size=1,
         max_size=4,
     )
 )
-@example([(20_000, 1.0, 0.002, 0.0, 0.0, 0.0), (5_000, 2.0, 0.01, 1e-4, 1.0, 0.0), (40, 1.0, 0.1, 0.0, 0.0, 0.0)])
-# starts on and off the first level's stride, and at the last index
-@example([(20_000, 1.0, 0.002, 0.0, 0.0, 0.4), (5_000, 2.0, 0.01, 1e-4, 1.0, 1.0), (30_000, 3.0, 0.2, 0.0, 2.0, 0.5)])
+@example(
+    [(20_000, 1.0, 0.002, 0.0, 0.0, 0.0, 0.0), (5_000, 2.0, 0.01, 1e-4, 1.0, 0.0, 0.0), (40, 1.0, 0.1, 0.0, 0.0, 0.0, 0.0)]
+)
+# known ranges of one index, a start: on and off the first level's stride, and at the last index
+@example(
+    [(20_000, 1.0, 0.002, 0.0, 0.0, 0.4, 0.0), (5_000, 2.0, 0.01, 1e-4, 1.0, 1.0, 0.0), (30_000, 3.0, 0.2, 0.0, 2.0, 0.5, 0.0)]
+)
+# wide known ranges: inside the scan, from its first index, to its last, all of it
+@example(
+    [
+        (20_000, 1.0, 0.002, 0.0, 0.0, 0.25, 0.6),
+        (5_000, 2.0, 0.01, 1e-4, 1.0, 0.0, 0.3),
+        (30_000, 3.0, 0.2, 0.0, 2.0, 0.5, 1.0),
+        (40, 1.0, 0.1, 0.0, 0.0, 0.0, 1.0),
+    ]
+)
 @settings(max_examples=100, deadline=None)
 def test_scan_tree_needs_no_concavity(scans):
     # many local maxima: the cell bounds alone, from the first-difference
     # and second-derivative constants, must keep every sample that can win,
-    # from any start index
-    count, amp, freq, slope, phase, start_frac = (np.array(c) for c in zip(*scans))
-    start = np.floor(start_frac * (count - 1)).astype(np.int64)
+    # in a fresh scan and around any known range, of whose samples the scan
+    # takes only its argmax
+    count, amp, freq, slope, phase, lo_frac, width_frac = (np.array(c) for c in zip(*scans))
+    lo = np.floor(lo_frac * (count - 1)).astype(np.int64)
+    hi = lo + np.floor(width_frac * (count - 1 - lo)).astype(np.int64)
+    taken = []
 
     def sample(p, j):
+        taken.append((p, j))
         return amp[p] * np.sin(freq[p] * j + phase[p]) + slope[p] * j
 
+    full = [sample(np.full(n, p), np.arange(n)) for p, n in enumerate(count.tolist())]
+    k0 = lo + np.array([int(np.argmax(v[a : b + 1])) for v, a, b in zip(full, lo, hi)])
     lip_step = float(np.max(amp * freq + np.abs(slope)))
     curv_step = float(np.max(amp * freq * freq))
     # rounding in sin grows with its argument, up to freq*count + phase
     scale = amp * (1.0 + freq * count + phase) + np.abs(slope) * count
-    k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale, start)
-    for p, n in enumerate(count.tolist()):
-        full = sample(np.full(n, p), np.arange(n))
-        want = int(np.argmax(full))
-        assert (int(k[p]), v_k[p].hex()) == (want, full[want].hex())
+    for known in (None, (lo, k0, hi)):
+        taken.clear()
+        k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale, known)
+        for p, v in enumerate(full):
+            want = int(np.argmax(v))
+            assert (int(k[p]), v_k[p].hex()) == (want, v[want].hex())
+        if known is not None:
+            p, j = (np.concatenate(a) for a in zip(*taken))
+            in_range = (lo[p] <= j) & (j <= hi[p])
+            assert np.array_equal(j[in_range], k0[p[in_range]])
+
+
+def bump_and_parabola(p, j):
+    """-(j - 2000)^2 with a narrow bump of height 1 at 200 on top, the
+    maximum of two parabolas: its second differences are at least -200, and
+    far from the bump it lies well below the other parabola's top."""
+    return np.maximum(10.0 - 100.0 * (j - 200.3) ** 2, -((j - 2000.0) ** 2))
+
+
+@pytest.mark.parametrize(
+    "sample, curv_step, known, want",
+    [
+        # a concave sequence whose best sample sits in a first-level cell
+        # next to the start, then next to a known range
+        (lambda p, j: -((j - 500.3) ** 2), 2.0, (501, 501, 501), 500),
+        (lambda p, j: -((j - 500.3) ** 2), 2.0, (501, 501, 600), 500),
+        # the bump's cell has both ends far below the best sample seen: only
+        # max(v_a, v_b) + 200*s^2/8 keeps it (max(v_a, v_b) + 0 would not)
+        (bump_and_parabola, 200.0, None, 200),
+        (bump_and_parabola, 200.0, (1900, 2000, 2100), 200),
+    ],
+    ids=["concave_start", "concave_known_range", "bump_fresh", "bump_known_range"],
+)
+def test_second_order_bound_takes_the_lower_side_of_the_curvature(sample, curv_step, known, want):
+    # the second-order cell bound max(v_a, v_b) + curv_step*s^2/8 holds when
+    # the second differences are at least -curv_step
+    count = np.array([4097])
+    full = sample(np.zeros(4097, dtype=int), np.arange(4097))
+    # rounding slack as in the scan's pruning
+    scale = np.array([np.max(np.abs(full))])
+    assert int(np.argmax(full)) == want and np.min(np.diff(full, 2)) >= -curv_step - 1e-12 * (1.0 + 2.0 * scale[0])
+    lip_step = float(np.max(np.abs(np.diff(full))))
+    known = None if known is None else tuple(np.array([i]) for i in known)
+    k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale, known)
+    assert (int(k[0]), v_k[0].hex()) == (want, full[want].hex())
 
 
 @pytest.mark.parametrize("name", ["vee", "two_kinks", "zigzag40"])
 def test_scan_bounds_hold_on_the_full_sample_sequences(name, monkeypatch):
-    # the pruned scans are exact only while the lip_step and curv_step that
-    # the oracles hand to _scan_argmax bound every sample sequence's first
-    # and second differences; check them on every sample of every scan
+    # the pruned scans are exact only while lip_step bounds every sample
+    # sequence's first differences and, for its second-order bound, either
+    # -curv_step bounds the second differences from below or the samples
+    # rise to one maximum and fall; check that on every sample of every
+    # scan, below delta_touch and past it
     problem = admit(ProblemParams(L=2.0, delta=0.1, spline=SAMPLE_SPLINES[name]))
     calls = []
     scan = oracle._scan_argmax
 
-    def recording(sample, count, lip_step, curv_step, scale, start):
-        calls.append((sample, count, lip_step, curv_step, scale))
-        return scan(sample, count, lip_step, curv_step, scale, start)
+    def recording(sample, count, lip_step, curv_step, scale, known=None):
+        calls.append((sample, count, lip_step, np.broadcast_to(curv_step, count.shape), scale))
+        return scan(sample, count, lip_step, curv_step, scale, known)
 
     monkeypatch.setattr(oracle, "_scan_argmax", recording)
+    xs = np.linspace(-1.2, 1.2, 9)[:, None]
     ds = problem.delta * np.array([0.2, 0.8])[None, :]
-    brute_force_u((np.linspace(-1.2, 1.2, 9)[:, None], ds), problem, 1e-4).widened(2.0)
+    brute_force_u((xs, ds), problem, 1e-4).widened(2.0)
     if name != "two_kinks":
-        # far from x the cone bends less than f' may, so the second
-        # differences come near the brute-force curv_step = Lip(f')*h_y^2:
-        # on vee at h_y = 1e-3 their largest is -1.7e-5 at window factor 1,
-        # +2.0e-7 at 8 and +4.6e-7 at 16, against 5e-7
-        brute_force_u((np.linspace(-1.2, 1.2, 9)[:, None], ds), problem, 1e-3).widened(16.0)
+        # far from x the cone bends less than f' may; the samples still
+        # fall there, as the cone is steeper than f
+        brute_force_u((xs, ds), problem, 1e-3).widened(16.0)
+    # past the caps: the lower height lies below delta_touch, the upper one
+    # past it, where only the bound from Lip(f') + L/d holds
+    past = scan_problem(SAMPLE_SPLINES[name], 1.5)
+    touch = past.caps[0]
+    brute_force_u((xs, np.array([[0.5 * touch, 1.2 * touch]])), past, 1e-3).widened(2.0)
     mw_envelopes((np.linspace(-1.3, 1.3, 7)[:, None], ds), problem, envelope_spec(problem, h=1e-3))
     # each brute_force_u call and each widening scans once, mw_envelopes four times
-    assert len(calls) == (6 if name == "two_kinks" else 8)
+    assert len(calls) == (8 if name == "two_kinks" else 10)
     for sample, count, lip_step, curv_step, scale in calls:
         for p, n in enumerate(count.tolist()):
             v = sample(np.full(n, p), np.arange(n))
             # rounding slack as in the scan's pruning
             slack = 1e-12 * (1.0 + np.max(np.abs(v)) + scale[p])
             assert np.max(np.abs(np.diff(v))) <= lip_step + slack
-            assert np.max(np.diff(v, 2)) <= curv_step + slack
+            top = int(np.argmax(v))
+            rise_and_fall = np.all(np.diff(v[: top + 1]) >= -slack) and np.all(np.diff(v[top:]) <= slack)
+            assert rise_and_fall or np.min(np.diff(v, 2)) >= -curv_step[p] - slack
 
 
 def test_mesh_past_one_block_matches_one_point_calls(vee_problem):
@@ -382,17 +451,45 @@ def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
     assert sum(calls) < 0.0025 * full
 
 
+def test_acceptance_scans_read_a_pinned_number_of_samples(vee_problem, monkeypatch):
+    # the work of the oracle-equivalence scan and of localization's 2x scan
+    # on the acceptance grid (vee, 257x17, h_y = 1e-6), counted in boundary
+    # samples, scan and refinement: a regression in the scan's pruning
+    # fails here rather than hiding in wall-time noise.  Before the 2x scan
+    # took the 1x window as a known range it read 153,687
+    problem, spec = vee_problem, VerifyConfig().grid
+    calls = []
+    value = BoundarySpline.value
+
+    def counting(spline, y):
+        calls.append(np.size(y))
+        return value(spline, y)
+
+    monkeypatch.setattr(BoundarySpline, "value", counting)
+    brute = brute_force_u((spec.xs()[:, None], spec.heights(problem.delta)[None, :]), problem, spec.h_y)
+    assert sum(calls) == 501_159
+    calls.clear()
+    brute.widened(2.0)
+    assert sum(calls) <= 40_000
+
+
 def test_widened_goes_on_from_the_narrower_scan(vee_problem, monkeypatch):
     # both parts of the continuation, which the localization check's time
-    # rests on: each wider scan starts at the narrower best sample, and a
-    # bracket that comes out bit-equal is not refined again (on this grid,
-    # none is)
+    # rests on: each wider scan takes the narrower window as a known range,
+    # whose best sample is the only one of it read again, and a bracket
+    # that comes out bit-equal is not refined again (on this grid, none is)
     scans, refined = [], []
     scan, refine = oracle._scan_argmax, oracle.golden_section_max
 
-    def recording_scan(sample, count, lip_step, curv_step, scale, start):
-        k, v_k = scan(sample, count, lip_step, curv_step, scale, start)
-        scans.append((count, start, k))
+    def recording_scan(sample, count, lip_step, curv_step, scale, known=None):
+        taken = []
+
+        def recording(p, j):
+            taken.append((p, j))
+            return sample(p, j)
+
+        k, v_k = scan(recording, count, lip_step, curv_step, scale, known)
+        scans.append((count, known, k, *(np.concatenate(a) for a in zip(*taken))))
         return k, v_k
 
     def recording_refine(fn, lo, hi):
@@ -403,9 +500,12 @@ def test_widened_goes_on_from_the_narrower_scan(vee_problem, monkeypatch):
     monkeypatch.setattr(oracle, "golden_section_max", recording_refine)
     points = (np.linspace(-2.0, 2.0, 33)[:, None], vee_problem.delta * np.arange(1, 6)[None, :] / 5)
     brute_force_u(points, vee_problem, 1e-5).widened(2.0)
-    (count1, start1, k1), (count2, start2, _) = scans
-    assert np.all(start1 == 0)
-    assert np.array_equal(start2, k1 - count1 // 2 + count2 // 2)
+    (count1, known1, k1, _, _), (count2, (lo, k0, hi), _, p, j) = scans
+    n1, n2 = count1 // 2, count2 // 2
+    assert known1 is None
+    assert np.array_equal(lo, n2 - n1) and np.array_equal(k0, k1 - n1 + n2) and np.array_equal(hi, n2 + n1)
+    in_range = (lo[p] <= j) & (j <= hi[p])
+    assert np.array_equal(j[in_range], k0[p[in_range]])
     assert refined == [count1.size, 0]
 
 
