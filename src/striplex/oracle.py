@@ -60,17 +60,22 @@ MAX_SCAN = 10_000_000
 # and a 2048x2048 closed-form `grid` at 236 MB (3.9-4.3 s), 2-core host
 MAX_POINTS = 2**22
 
-# the pruned scan of both oracles: stride refinement per level, and the
-# fewest samples the first level of a fresh scan takes.  Scans shorter than
-# _REFINE*_MIN_COARSE = 64 samples start at stride 1, a full scan.  Measured
-# on the 257x17 vee grid at h_y = 1e-6 (2-core host), samples including the
-# refinement's: 8/8 takes ~0.5 M samples and ~0.1 s per grid, 16/16 ~0.85 M
-# and ~0.12-0.16 s, 16/256 ~6.5 M and ~1.2-1.6 s; 4/4 and 8/4 time the same
-# as 8/8 within the noise
-_REFINE = 8
-_MIN_COARSE = 8
-# most points whose scans _scan_argmax runs together
-_BLOCK = 256
+# the pruned scan of both oracles: stride refinement per level, the fewest
+# samples the first level of a fresh scan takes, and the most samples one
+# level takes at once.  Scans shorter than _REFINE*_MIN_COARSE = 16 samples
+# start at stride 1, a full scan.  Measured on the 257x17 vee grid at
+# h_y = 1e-6 (2-core host): its 1x scan reads 142,321 samples at 2/2,
+# 207,264 at 4/4 and 335,137 at 8/8 at every budget, and brute_force_u with
+# its 2x widening takes ~60-110 ms at each, the same within the noise.  At
+# 4/4 the budget trades time for memory.  Budgets of 2^12, 6144, 2^13 and
+# 2^14 samples take ~2, ~0.6, 0 and 0 ms more per call and widening (the
+# fastest of 40), and trace peaks of 1.3, 1.6, 1.8 and 2.4 MB in the
+# widening and of 1.4, 1.9, 2.3 and 3.9 MB on the default mw_min grid.
+# Blocks of 256 points that kept every sample traced 0.7 MB in the widening
+# and 1.6 MB in the 1x call, which 6144 keeps the widening below
+_REFINE = 4
+_MIN_COARSE = 4
+_BUDGET = 6144
 
 
 def require_window(xmin: float, xmax: float, nx: int) -> None:
@@ -142,9 +147,9 @@ class _Scan:
     the call's arguments and window factor, and per flat point the half
     width n of its grid (offsets -n..n), the offset k - n of the best grid
     sample (its y is x + h_y*offset), which np.argmax over the offsets
-    -n..n returns, and whether that sample lies strictly inside the window:
-    then its refinement bracket, the grid samples at offsets offset - 1 and
-    offset + 1, is the same at every wider window."""
+    -n..n returns, that sample's value v_k, and whether it lies strictly
+    inside the window: then its refinement bracket, the grid samples at
+    offsets offset - 1 and offset + 1, is the same at every wider window."""
 
     problem: ProblemParams
     h_y: float
@@ -153,6 +158,7 @@ class _Scan:
     d: np.ndarray
     half: np.ndarray
     offset: np.ndarray
+    v_k: np.ndarray
     interior: np.ndarray
 
 
@@ -172,9 +178,9 @@ class BruteResult:
         every grid position of this one.  The scan goes on from this result:
         this result settled its own window, whose best sample beats every
         other sample there or ties it at a higher index, so each point's
-        scan takes that one sample of the window and reads only the two
-        stretches of the wider window outside it (see _scan_argmax's known
-        range).  Where a point's best sample is this result's and lies
+        scan starts from that sample's index and value and reads only the
+        two stretches of the wider window outside it (see _scan_argmax's
+        known range).  Where a point's best sample is this result's and lies
         inside this result's window, its bracket comes out bit-equal to this
         result's, and the refinement, a function of (x, d, bracket,
         problem), would repeat this one's, so the point keeps this result's
@@ -302,9 +308,10 @@ def _brute_force(
 
     known = None
     if narrow is not None:
-        # narrow settled its own window, the offsets -m..m
+        # narrow settled its own window, the offsets -m..m, and holds its
+        # best sample's offset and value
         m = narrow._scan.half
-        known = (n - m, narrow._scan.offset + n, n + m)
+        known = (n - m, narrow._scan.offset + n, n + m, narrow._scan.v_k)
     # near the ends of the float range the samples, the brackets and the
     # objective overflow; a non-finite result is reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -335,7 +342,7 @@ def _brute_force(
         value=v_star[()],
         argmax_y=y_star[()],
         bound=0.5 * lip * h_y,
-        _scan=_Scan(problem, h_y, window_factor, x, d, n, offset, (0 < k) & (k < 2 * n)),
+        _scan=_Scan(problem, h_y, window_factor, x, d, n, offset, v_k, (0 < k) & (k < 2 * n)),
     )
 
 
@@ -353,26 +360,29 @@ def _scan_argmax(
     sample maps arrays of point numbers and indices to their samples
     elementwise.
 
-    known is None, or per point a known range (lo, k0, hi) with
+    known is None, or per point a known range (lo, k0, hi, v0) with
     0 <= lo <= k0 <= hi <= count[p]-1 in which np.argmax of the samples
-    lo..hi is k0, as a narrower scan returns it: no sample of the range
-    beats sample k0 or ties it at a lower index.  The scan then takes
-    sample k0 and no other sample of the range.  (k0, k0, k0) is a start
-    index: its sample prunes from the first level on.
+    lo..hi is k0, whose sample is v0, as a narrower scan returns them: no
+    sample of the range beats sample k0 or ties it at a lower index.  The
+    scan then reads no sample of the range; (k0, v0) prunes from the start.
 
     The scan reads each stretch of indices left, the whole scan without a
-    known range and 0..lo-1 and hi+1..count[p]-1 with one, as a tree, all
-    trees of a block of at most _BLOCK points level by level together.  A
+    known range and 0..lo-1 and hi+1..count[p]-1 with one, as a tree.  A
     tree's first level takes every stride-th index from its stretch's
     first, and each level refines the stride by _REFINE.  Without a known
     range the first stride is the largest power of _REFINE at most
     length/_MIN_COARSE, so a stretch shorter than _REFINE*_MIN_COARSE
-    starts at stride 1, which is its full scan.  With one, sample k0
-    already prunes, and each stretch starts as one cell: the stride is the
-    smallest power of _REFINE at least length - 1.  An index past a
-    stretch's end evaluates its last index, so every cell of a level is one
-    stride s wide, holds samples of one stretch only, and its bounds below
-    hold over the samples it really spans.
+    starts at stride 1, which is its full scan.  With one, each stretch
+    starts as one cell: the stride is the smallest power of _REFINE at
+    least length - 1.  An index past a stretch's end evaluates its last
+    index, so every cell of a level is one stride s wide, holds samples of
+    one stretch only, and its bounds below hold over the samples it really
+    spans.  The trees run level by level together: their first levels in
+    blocks of at most _BUDGET samples (or of one tree), each block to its
+    last level before the next.  A level that would take more than _BUDGET
+    samples is split into two halves of its cells, and the first half runs
+    to its last level before the second.  So the memory of a scan's levels
+    is set by _BUDGET, whatever the number of points.
 
     A cell is dropped, unsampled, when its bound plus a rounding slack stays
     below the best sample seen at its point; a non-finite best or bound
@@ -394,38 +404,114 @@ def _scan_argmax(
       has an end at or above every sample outside it, so its bound reaches
       the best sample seen.
 
-    best starts at the maximum of the first level, sample k0 included (a
-    nan propagates), and is raised by each later level's maximum when that
-    is larger.  The index returned is np.argmax's over every sample taken,
-    so a nan sample wins.
+    Neither argument depends on the refinement ratio, nor on the order in
+    which cells are refined.  Each level's samples are folded into a
+    running (v_k, k) per point by np.argmax's rule, so the result is
+    np.argmax's over every sample taken: the first index of the largest,
+    a nan winning (after which nothing of its point is dropped).  The best
+    sample seen is that running v_k.
     """
-    points = count.size
     curv_step = np.broadcast_to(curv_step, count.shape)
-    if points > _BLOCK:
-        # one block of points at a time, which keeps peak memory flat
-        blocks = (slice(first, first + _BLOCK) for first in range(0, points, _BLOCK))
-        parts = [
-            _scan_argmax(
-                lambda p, j, b=b: sample(b.start + p, j),
-                count[b],
-                lip_step,
-                curv_step[b],
-                scale[b],
-                None if known is None else tuple(r[b] for r in known),
-            )
-            for b in blocks
-        ]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    v_k = np.full(count.size, -math.inf)
+    k = np.full(count.size, np.iinfo(np.int64).max)
+    if known is not None:
+        _, k0, _, v0 = known
+        v_k[:], k[:] = v0, k0
+    t_p, t_lo, t_hi, stride = _trees(count, known)
+
+    def fold(p: np.ndarray, j: np.ndarray, v: np.ndarray) -> None:
+        # only a sample at or above its point's v_k, or a nan, can win
+        up = np.flatnonzero(~(v < v_k[p]))
+        if not up.size:
+            return
+        p, j, v = p[up], j[up], v[up]
+        # a level's samples of one point are contiguous, their indices in
+        # non-decreasing order, so a point's first hit has its least index
+        new = np.concatenate(([True], p[1:] != p[:-1]))
+        starts = np.flatnonzero(new)
+        top = np.maximum.reduceat(v, starts)
+        hit = (v == top[np.cumsum(new) - 1]) | np.isnan(v)
+        at = np.minimum.reduceat(np.where(hit, np.arange(v.size), v.size), starts)
+        pts, v_at, k_at = p[starts], v[at], j[at]
+        v_run, k_run = v_k[pts], k[pts]
+        win = np.where(
+            np.isnan(v_run),
+            np.isnan(v_at) & (k_at < k_run),
+            np.isnan(v_at) | (v_at > v_run) | ((v_at == v_run) & (k_at < k_run)),
+        )
+        v_k[pts[win]], k[pts[win]] = v_at[win], k_at[win]
+
+    # first level: every stride-th index of each stretch, up to the first at
+    # or past its end, clipped to it
+    width = -(-(t_hi - t_lo) // stride) + 1
+    ends = np.cumsum(width)
+
+    def first_level(first: int, stop: int) -> tuple:
+        # samples and folds the first level of trees first..stop-1, and
+        # returns its cells: between consecutive samples of one stretch, at
+        # strides above 1 (clipping moved only a stretch's last sample,
+        # which starts no cell)
+        w = width[first:stop]
+        t = np.repeat(np.arange(first, stop), w)
+        j = np.minimum(t_lo[t] + (np.arange(t.size) - np.repeat(np.cumsum(w) - w, w)) * stride[t], t_hi[t])
+        p = t_p[t]
+        v = sample(p, j)
+        fold(p, j, v)
+        s = stride[t[:-1]]
+        cell = (t[:-1] == t[1:]) & (s > 1)
+        return t[:-1][cell], s[cell], j[:-1][cell], v[:-1][cell], v[1:][cell]
+
+    steps = np.arange(_REFINE)
+    first = 0
+    while first < t_p.size:
+        stop = max(int(np.searchsorted(ends, ends[first] - width[first] + _BUDGET, "right")), first + 1)
+        todo = [first_level(first, stop)]
+        first = stop
+        while todo:
+            ct, s, a, va, vb = todo.pop()
+            cp = t_p[ct]
+            with np.errstate(over="ignore", invalid="ignore"):
+                slack = 1e-12 * (1.0 + np.abs(v_k[cp]) + scale[cp])
+                bound = np.minimum(0.5 * (va + vb) + 0.5 * lip_step * s, np.maximum(va, vb) + curv_step[cp] * s * s / 8)
+                keep = ~((bound + slack < v_k[cp]) & np.isfinite(bound))
+            ct, s, a, va, vb = ct[keep], s[keep], a[keep], va[keep], vb[keep]
+            if ct.size > 1 and ct.size * (_REFINE - 1) > _BUDGET:
+                half = ct.size // 2
+                cells = (ct, s, a, va, vb)
+                todo += [tuple(c[half:] for c in cells), tuple(c[:half] for c in cells)]
+                continue
+            if not ct.size:
+                continue
+            s = s // _REFINE
+            # the _REFINE - 1 new indices inside each kept cell
+            p = np.repeat(t_p[ct], _REFINE - 1)
+            j = np.minimum(a[:, None] + s[:, None] * steps[1:], t_hi[ct][:, None]).ravel()
+            v = sample(p, j)
+            fold(p, j, v)
+            # the cells of the next level, in the kept cells whose new
+            # stride leaves samples inside
+            coarse = s > 1
+            pv = np.column_stack([va[coarse], v.reshape(-1, _REFINE - 1)[coarse], vb[coarse]])
+            ct, s, a = ct[coarse], s[coarse], a[coarse]
+            a = (a[:, None] + s[:, None] * steps).ravel()
+            todo.append((np.repeat(ct, _REFINE), np.repeat(s, _REFINE), a, pv[:, :-1].ravel(), pv[:, 1:].ravel()))
+    return k, v_k
+
+
+def _trees(count: np.ndarray, known: tuple | None) -> tuple:
+    """The trees of _scan_argmax, point-major (a point's left stretch
+    first): their point, first and last index, and first stride."""
+    points = count.size
     last = count - 1
-    # the stretches: their point, first and last index
     if known is None:
         t_p, t_lo, t_hi = np.arange(points), np.zeros(points, dtype=np.int64), last
     else:
-        lo, k0, hi = known
-        left, right = np.flatnonzero(lo > 0), np.flatnonzero(hi < last)
-        t_p = np.concatenate([left, right])
-        t_lo = np.concatenate([np.zeros(left.size, dtype=np.int64), hi[right] + 1])
-        t_hi = np.concatenate([lo[left] - 1, last[right]])
+        lo, _, hi, _ = known
+        t_p = np.repeat(np.arange(points), 2)
+        t_lo = np.column_stack([np.zeros_like(lo), hi + 1]).ravel()
+        t_hi = np.column_stack([lo - 1, last]).ravel()
+    stretch = t_lo <= t_hi
+    t_p, t_lo, t_hi = t_p[stretch], t_lo[stretch], t_hi[stretch]
     # the first stride: the smallest power of _REFINE above limit
     length = t_hi - t_lo + 1
     limit = length // (_REFINE * _MIN_COARSE) if known is None else length - 2
@@ -434,58 +520,7 @@ def _scan_argmax(
     while grow.any():
         stride[grow] *= _REFINE
         grow = stride <= limit
-    # first level: every stride-th index of each stretch, up to the first at
-    # or past its end, clipped to it
-    width = -(-(t_hi - t_lo) // stride) + 1
-    t = np.repeat(np.arange(t_p.size), width)
-    j = t_lo[t] + (np.arange(t.size) - np.repeat(np.cumsum(width) - width, width)) * stride[t]
-    j = np.minimum(j, t_hi[t])
-    p = t_p[t]
-    # the known ranges' samples, evaluated with the first level and after it
-    p0, j0 = (p, j) if known is None else (np.concatenate([p, np.arange(points)]), np.concatenate([j, k0]))
-    v0 = sample(p0, j0)
-    seen = [(p0, j0, v0)]
-    best = np.full(points, -math.inf)
-    np.maximum.at(best, p0, v0)
-    v = v0[: p.size]
-    # the cells between consecutive samples of one stretch, at strides above
-    # 1; clipping moved only a stretch's last sample, which starts no cell
-    cell = (t[:-1] == t[1:]) & (stride[t[:-1]] > 1)
-    ct, s, a, va, vb = t[:-1][cell], stride[t[:-1]][cell], j[:-1][cell], v[:-1][cell], v[1:][cell]
-    steps = np.arange(_REFINE)
-    while ct.size:
-        cp = t_p[ct]
-        with np.errstate(over="ignore", invalid="ignore"):
-            slack = 1e-12 * (1.0 + np.abs(best) + scale)
-            bound = np.minimum(0.5 * (va + vb) + 0.5 * lip_step * s, np.maximum(va, vb) + curv_step[cp] * s * s / 8)
-            keep = ~((bound + slack[cp] < best[cp]) & np.isfinite(bound))
-        ct, s, a, va, vb = ct[keep], s[keep] // _REFINE, a[keep], va[keep], vb[keep]
-        # the _REFINE - 1 new indices inside each kept cell
-        j = a[:, None] + s[:, None] * steps[1:]
-        t = np.repeat(ct, _REFINE - 1)
-        p = t_p[t]
-        j_in = np.minimum(j.ravel(), t_hi[t])
-        v = sample(p, j_in)
-        seen.append((p, j_in, v))
-        level = np.full(points, -math.inf)
-        np.maximum.at(level, p, v)
-        best = np.where(level > best, level, best)
-        pv = np.column_stack([va, v.reshape(j.shape), vb])
-        a = (a[:, None] + s[:, None] * steps).ravel()
-        ct, s, va, vb = np.repeat(ct, _REFINE), np.repeat(s, _REFINE), pv[:, :-1].ravel(), pv[:, 1:].ravel()
-        coarse = s > 1
-        ct, s, a, va, vb = ct[coarse], s[coarse], a[coarse], va[coarse], vb[coarse]
-    p, j, v = (np.concatenate(arrays) for arrays in zip(*seen))
-    top = np.full(points, -math.inf)
-    np.maximum.at(top, p, v)
-    hit = (v == top[p]) | np.isnan(v)
-    k = np.full(points, np.iinfo(np.int64).max)
-    np.minimum.at(k, p[hit], j[hit])
-    # repeated samples of one index are equal, so v_k is well defined
-    first = hit & (j == k[p])
-    v_k = np.full(points, -math.inf)
-    v_k[p[first]] = v[first]
-    return k, v_k
+    return t_p, t_lo, t_hi, stride
 
 
 def mw_envelopes(

@@ -497,6 +497,15 @@ def test_envelope_grid_peak_memory_is_bounded(tmp_path, capsys):
     assert traced_peak_mb([*argv, "--out", str(tmp_path / "out.csv")]) <= 20.0
 
 
+def test_envelope_scan_memory_does_not_grow_with_points(tmp_path, capsys):
+    # 297 points, whose top-line scan levels take ~1,300 samples per point:
+    # the scans run in many blocks of samples.  44.1 MB when they ran in
+    # blocks of 256 points that kept every sample taken; ~1.3 MB with levels
+    # of at most oracle._BUDGET samples folded as they come
+    argv = ["grid", *STANDARD, "--provenance", "mw_min", "--nx", "33", "--nd", "9"]
+    assert traced_peak_mb([*argv, "--out", str(tmp_path / "out.csv")]) <= 44.0
+
+
 class TestReport:
     def test_vee_report_row(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
