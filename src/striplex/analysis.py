@@ -129,7 +129,9 @@ def residual_infinity_laplacian(
     (coordinates may be arrays).
 
     Off the contact segments of curvature jumps the residual decays at
-    O(h^2) once h is below the distance to the nearest such segment.
+    O(h^2) once h is below the distance to the nearest such segment.  A
+    difference that leaves the floats (h*h at 0, an overflow) raises
+    DomainError naming h.
     """
     construction.require_positive("h", h)
     x, d = (np.asarray(a, dtype=float) for a in point)
@@ -143,12 +145,16 @@ def residual_infinity_laplacian(
     u0, uxp, uxm, udp, udm, upp, upm, ump, umm = construction.u_interior(
         np.add.outer(ox * h, x), np.add.outer(od * h, d), problem, tol=tol
     )
-    ux = (uxp - uxm) / (2.0 * h)
-    ud = (udp - udm) / (2.0 * h)
-    uxx = (uxp - 2.0 * u0 + uxm) / (h * h)
-    udd = (udp - 2.0 * u0 + udm) / (h * h)
-    uxd = (upp - upm - ump + umm) / (4.0 * h * h)
-    return ux * ux * uxx + 2.0 * ux * ud * uxd + ud * ud * udd
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            ux = (uxp - uxm) / (2.0 * h)
+            ud = (udp - udm) / (2.0 * h)
+            uxx = (uxp - 2.0 * u0 + uxm) / (h * h)
+            udd = (udp - 2.0 * u0 + udm) / (h * h)
+            uxd = (upp - upm - ump + umm) / (4.0 * h * h)
+            return ux * ux * uxx + 2.0 * ux * ud * uxd + ud * ud * udd
+    except FloatingPointError as exc:
+        raise DomainError(f"residual at step h={h!r} leaves the floats ({exc})") from None
 
 
 # -- exports -------------------------------------------------------------

@@ -85,16 +85,6 @@ def _problem(args) -> ProblemParams:
     return ProblemParams(L=args.L, delta=delta, spline=spline)
 
 
-def _grid_spec(args) -> GridSpec:
-    return GridSpec(
-        xmin=args.xmin,
-        xmax=args.xmax,
-        nx=args.nx,
-        nd=args.nd,
-        h_y=args.hy,
-    )
-
-
 def cmd_params(args) -> int:
     params = _problem(args)
     touch, banach = params.caps
@@ -131,7 +121,8 @@ def cmd_construct(args) -> int:
 
 def cmd_grid(args) -> int:
     problem = admit(_problem(args))
-    grid = oracle.grid_eval(problem, _grid_spec(args), args.provenance, tol=args.tol)
+    spec = GridSpec(xmin=args.xmin, xmax=args.xmax, nx=args.nx, nd=args.nd, h_y=args.hy)
+    grid = oracle.grid_eval(problem, spec, args.provenance, tol=args.tol)
     oracle.write_grid(args.out, grid, args.format)
     return 0
 
@@ -145,8 +136,8 @@ def cmd_report(args) -> int:
 
 def cmd_verify(args) -> int:
     problem = admit(_problem(args))
-    config = verify.VerifyConfig(grid=_grid_spec(args), tol=args.tol)
-    results = verify.run_acceptance(problem, config)
+    spec = GridSpec(xmin=args.xmin, xmax=args.xmax, nx=args.nx, nd=args.nd, h_y=args.hy)
+    results = verify.run_acceptance(problem, verify.VerifyConfig(grid=spec, tol=args.tol))
     for res in results:
         print(f"{res.status} {res.name}: {res.detail}")
     failed = sum(r.failed for r in results)

@@ -120,12 +120,8 @@ class GridSpec:
             raise ConfigurationError(f"window [{self.xmin!r}, {self.xmax!r}] too narrow for margin {margin!r}")
         return lo, hi
 
-    def heights(self, delta: float, provenance: str = "closed_form") -> np.ndarray:
-        """Sample heights, top row at delta.  Envelope provenances shift
-        strictly inside the strip (their evaluator is undefined on the
-        boundary lines)."""
-        if provenance in ("mw_min", "mw_max"):
-            return delta * (np.arange(1, self.nd + 1) / (self.nd + 1))
+    def heights(self, delta: float) -> np.ndarray:
+        """Sample heights, top row at delta."""
         # divide first so the top height is exactly delta
         return delta * (np.arange(1, self.nd + 1) / self.nd)
 
@@ -659,10 +655,12 @@ def grid_eval(
     if provenance not in PROVENANCES:
         raise ConfigurationError(f"unknown provenance {provenance!r}; expected one of {PROVENANCES}")
     if provenance in ("mw_min", "mw_max"):
+        # the envelope evaluator is undefined on the boundary lines and
+        # needs the margin band: trimmed window, heights strictly inside
         xs = np.linspace(*spec.trimmed_window(problem), spec.nx)
+        ds = problem.delta * (np.arange(1, spec.nd + 1) / (spec.nd + 1))
     else:
-        xs = spec.xs()
-    ds = spec.heights(problem.delta, provenance)
+        xs, ds = spec.xs(), spec.heights(problem.delta)
     if provenance == "closed_form":
         values = construction.u_interior(xs[:, None], ds[None, :], problem, tol=tol)
     elif provenance == "brute_force":

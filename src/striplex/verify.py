@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -19,10 +18,6 @@ from . import analysis, construction, oracle
 from .boundary import BoundarySpline
 from .oracle import GridSpec
 from .params import AdmissibleProblem
-
-# evaluator used for the closed-form side of the oracle-equivalence check, on
-# the (x, d) mesh arrays; replaceable by tests as a negative control
-UEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # sample sizes of the checks, the envelope oracle's step and the seed of
 # every random draw
@@ -68,21 +63,17 @@ def _status(ok: bool) -> str:
 # -- individual checks ---------------------------------------------------
 
 
-def check_oracle_equivalence(
-    problem: AdmissibleProblem,
-    spec: GridSpec,
-    u_closed: UEvaluator,
-    cache: dict,
-) -> CheckResult:
+def check_oracle_equivalence(problem: AdmissibleProblem, config: VerifyConfig, grid: list) -> CheckResult:
     """Closed form vs brute force over the full grid; 1e-9 agreement and a
-    60 s single-threaded budget.  The brute grid goes into cache for reuse
-    before the closed form runs, so it survives a failing closed form."""
+    60 s single-threaded budget.  The brute-force result goes into grid
+    before the closed form runs, so localization has it either way."""
+    spec = config.grid
     xs = spec.xs()
     ds = spec.heights(problem.delta)
     t0 = time.perf_counter()
     brute = oracle.brute_force_u((xs[:, None], ds[None, :]), problem, spec.h_y)
-    cache.update(xs=xs, ds=ds, brute=brute)
-    closed = u_closed(xs[:, None], ds[None, :])
+    grid.append(brute)
+    closed = construction.u_interior(xs[:, None], ds[None, :], problem, tol=config.tol)
     elapsed = time.perf_counter() - t0
     max_diff = float(np.max(np.abs(closed - brute.value)))
     ok = max_diff <= 1e-9 and elapsed < 60.0
@@ -93,13 +84,18 @@ def check_oracle_equivalence(
     return CheckResult("oracle_equivalence", _status(ok), detail)
 
 
-def check_localization(problem: AdmissibleProblem, spec: GridSpec, cache: dict) -> CheckResult:
+def check_localization(problem: AdmissibleProblem, config: VerifyConfig, grid: list) -> CheckResult:
     """Every brute-force argmax stays within D*d of x, and doubling the
-    search window moves no value by more than 1e-12.  The 2x scan is the
-    cached 1x result widened: it takes the 1x window, which that result
-    settled, as known and reads only the annulus outside it, with the same
-    bits as a fresh scan of the whole 2x window."""
-    xs, ds, brute = cache["xs"], cache["ds"], cache["brute"]
+    search window moves no value by more than 1e-12; skips without the 1x
+    result that check_oracle_equivalence leaves in grid.  The 2x scan
+    widens that result: it takes the 1x window, which that result settled,
+    as known and reads only the annulus outside it, with the same bits as
+    a fresh scan of the whole 2x window."""
+    if not grid:
+        return CheckResult("localization", "SKIP", "no oracle grid available")
+    (brute,) = grid
+    spec = config.grid
+    xs, ds = spec.xs(), spec.heights(problem.delta)
     # with D = 0 the scan window is just [x - h_y, x + h_y], so grant the
     # refinement that much play; for D > 0 the containment is strict
     slack = spec.h_y if problem.D == 0.0 else 0.0
@@ -268,45 +264,49 @@ def check_lipschitz_quotient(problem: AdmissibleProblem, config: VerifyConfig) -
 
 def default_residual_probes(
     problem: AdmissibleProblem, h_max: float, tol: float = construction.DEFAULT_TOL
-) -> tuple[tuple[float, float], ...]:
-    """_N_PROBES probe points at mid-height, clear of every knot's contact
-    segment.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, d) arrays of _N_PROBES probe points at mid-height, clear of
+    every knot's contact segment.
 
     Prefers points whose contact neighborhood has nonzero boundary
     curvature: where f'' = 0 the residual is identically zero and only
     rounding noise would be measured."""
     spline = problem.spline
     ts = np.array([t for t, _ in spline.knots])
-    d = 0.5 * problem.delta
+    d = np.full(_N_PROBES, 0.5 * problem.delta)
     if len(ts) == 1 or ts[-1] - ts[0] <= 0.2:
-        center = ts[0]
-        xs = center + 0.3 * (np.arange(_N_PROBES) - 0.5 * (_N_PROBES - 1))
-        return tuple((float(x), d) for x in xs)
+        return ts[0] + 0.3 * (np.arange(_N_PROBES) - 0.5 * (_N_PROBES - 1)), d
     # x-positions of the knot segments at the probe height
     lines = ts + 0.5 * (construction.contact_inverse(ts, problem.delta, problem) - ts)
     clearance_min = max(5.0 * h_max, 0.02)
     cands = np.linspace(ts[0], ts[-1], 401)
     clear = cands[np.min(np.abs(cands[:, None] - lines), axis=1) >= clearance_min]
-    ys = construction.solve_contacts(clear, d, problem, tol=tol).y
+    ys = construction.solve_contacts(clear, d[0], problem, tol=tol).y
     good = clear[(spline.second_left(ys) != 0.0) | (spline.second_right(ys) != 0.0)]
     if len(good) < _N_PROBES:
         good = clear if len(clear) >= _N_PROBES else cands
-    idx = np.linspace(0, len(good) - 1, _N_PROBES).round().astype(int)
-    return tuple((float(good[i]), d) for i in idx)
+    return good[np.linspace(0, len(good) - 1, _N_PROBES).round().astype(int)], d
 
 
 def check_residual_refinement(problem: AdmissibleProblem, config: VerifyConfig) -> CheckResult:
     """The infinity-Laplacian residual decays by >= 1.5x per step halving at
-    probes off the kink segments (or sits at the rounding floor)."""
-    hs = (problem.delta / 10.0, problem.delta / 20.0, problem.delta / 40.0)
-    probes = default_residual_probes(problem, max(hs), tol=config.tol)
+    probes off the kink segments (or sits at the rounding floor).  Skips
+    where a step's square or its floor leaves the normal floats."""
+    hs = problem.delta / np.array([10.0, 20.0, 40.0])
     # rounding floor of the second-difference stencil: ~eps/h^2 times the
     # squared gradient scale; below it there is no decay left to measure
-    eps = np.finfo(float).eps
-    floors = np.array([4096.0 * eps * (1.0 + problem.L**2) / (h * h) for h in hs])
-    points = tuple(np.array(probes, dtype=float).T)
+    with np.errstate(over="ignore", divide="ignore"):
+        squares = hs * hs
+        floors = 4096.0 * np.finfo(float).eps * (1.0 + problem.L**2) / squares
+    tiny = np.finfo(float).tiny
+    normal = (tiny <= squares) & (squares < math.inf) & (tiny <= floors) & (floors < math.inf)
+    if not normal.all():
+        k = int(np.argmin(normal))
+        why = f"at step h = {hs[k]:.3e}, h^2 = {squares[k]:.3e} or its rounding floor {floors[k]:.3e}"
+        return CheckResult("residual_refinement", "SKIP", f"{why} is not a finite normal float")
+    points = default_residual_probes(problem, hs[0], tol=config.tol)
     # res[k, p]: residual at probe p with step hs[k]
-    res = np.abs([analysis.residual_infinity_laplacian(points, problem, h, tol=config.tol) for h in hs])
+    res = np.abs([analysis.residual_infinity_laplacian(points, problem, h, tol=config.tol) for h in hs.tolist()])
     measured = res[1:] > floors[1:, None]
     ratios = res[:-1][measured] / res[1:][measured]
     min_ratio = float(np.min(ratios)) if ratios.size else math.inf
@@ -316,7 +316,7 @@ def check_residual_refinement(problem: AdmissibleProblem, config: VerifyConfig) 
         _status(ok),
         f"min decay ratio per halving = "
         f"{'n/a (all at floor)' if min_ratio is math.inf else format(min_ratio, '.3f')} "
-        f"(need >= 1.5) over {len(probes)} probes, h = {tuple(float(h) for h in hs)}",
+        f"(need >= 1.5) over {_N_PROBES} probes, h = {tuple(hs.tolist())}",
     )
 
 
@@ -355,39 +355,28 @@ def check_degenerate_closed_forms(problem: AdmissibleProblem, config: VerifyConf
 # -- suite ---------------------------------------------------------------
 
 
-def run_acceptance(
-    problem: AdmissibleProblem,
-    config: VerifyConfig | None = None,
-    u_override: UEvaluator | None = None,
-) -> list[CheckResult]:
+def run_acceptance(problem: AdmissibleProblem, config: VerifyConfig | None = None) -> list[CheckResult]:
     """Run all checks in criterion order, isolating failures per check.
-
-    u_override replaces the closed-form evaluator inside the
-    oracle-equivalence check (negative-control hook for the test harness).
-    """
+    Each lambda looks its check up when called, so a check rebound on this
+    module (a tracer, a test) is the one that runs."""
     config = config or VerifyConfig()
-    spec = config.grid
-    u_closed = u_override or (lambda x, d: construction.u_interior(x, d, problem, tol=config.tol))
+    grid: list = []  # the 1x oracle result, from oracle_equivalence to localization
+    checks = (
+        ("oracle_equivalence", lambda: check_oracle_equivalence(problem, config, grid)),
+        ("localization", lambda: check_localization(problem, config, grid)),
+        ("fixed_point_contract", lambda: check_fixed_point(problem, config)),
+        ("gradient_identity", lambda: check_gradient_identity(problem, config)),
+        ("kink_transfer", lambda: check_kink_transfer(problem)),
+        ("envelope_coincidence", lambda: check_envelope_coincidence(problem, config)),
+        ("segment_affinity", lambda: check_segment_affinity(problem, config)),
+        ("lipschitz_quotient", lambda: check_lipschitz_quotient(problem, config)),
+        ("residual_refinement", lambda: check_residual_refinement(problem, config)),
+        ("degenerate_closed_forms", lambda: check_degenerate_closed_forms(problem, config)),
+    )
     results: list[CheckResult] = []
-
-    def guarded(name: str, fn):
+    for name, check in checks:
         try:
-            return fn()
+            results.append(check())
         except Exception as exc:  # keep the suite running; report the check as failed
-            return CheckResult(name, "FAIL", f"error: {exc}")
-
-    cache: dict = {}
-    results.append(guarded("oracle_equivalence", lambda: check_oracle_equivalence(problem, spec, u_closed, cache)))
-    if cache:
-        results.append(guarded("localization", lambda: check_localization(problem, spec, cache)))
-    else:
-        results.append(CheckResult("localization", "SKIP", "no oracle grid available"))
-    results.append(guarded("fixed_point_contract", lambda: check_fixed_point(problem, config)))
-    results.append(guarded("gradient_identity", lambda: check_gradient_identity(problem, config)))
-    results.append(guarded("kink_transfer", lambda: check_kink_transfer(problem)))
-    results.append(guarded("envelope_coincidence", lambda: check_envelope_coincidence(problem, config)))
-    results.append(guarded("segment_affinity", lambda: check_segment_affinity(problem, config)))
-    results.append(guarded("lipschitz_quotient", lambda: check_lipschitz_quotient(problem, config)))
-    results.append(guarded("residual_refinement", lambda: check_residual_refinement(problem, config)))
-    results.append(guarded("degenerate_closed_forms", lambda: check_degenerate_closed_forms(problem, config)))
+            results.append(CheckResult(name, "FAIL", f"error: {exc}"))
     return results

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from striplex import cli, construction, oracle, verify
+from striplex import analysis, cli, construction, oracle, verify
 from striplex.construction import solve_contacts, u_interior
-from striplex.errors import NonConvergenceError
+from striplex.errors import DomainError, NonConvergenceError
 from striplex.ioutil import REAL, fmt_real
 from striplex.oracle import GridSpec, grid_eval
-from striplex.params import admit
+from striplex.params import ProblemParams, admit
 
 from test_construction import sample_problem
 from test_oracle import fmt_rows
@@ -654,26 +654,54 @@ class TestVerify:
         )
         assert cli.main(["verify", *STANDARD, "--nx", "5", "--nd", "2"]) == 3
 
-    def test_raising_evaluator_keeps_localization(self, vee_problem):
-        def broken(x, d):
+    def test_raising_evaluator_keeps_localization(self, vee_problem, monkeypatch):
+        def broken(x, d, problem, tol=construction.DEFAULT_TOL):
             raise NonConvergenceError("injected")
 
+        monkeypatch.setattr(construction, "u_interior", broken)
         spec = GridSpec(xmin=-1.0, xmax=1.0, nx=5, nd=2, h_y=1e-5)
-        run = verify.run_acceptance(vee_problem, verify.VerifyConfig(grid=spec), u_override=broken)
+        run = verify.run_acceptance(vee_problem, verify.VerifyConfig(grid=spec))
         results = {r.name: r for r in run}
         assert results["oracle_equivalence"].status == "FAIL"
         assert results["oracle_equivalence"].detail == "error: injected"
         assert results["localization"].status == "PASS"
 
-    def test_corrupted_evaluator_fails_oracle_equivalence(self, vee_problem):
+    def test_corrupted_evaluator_fails_oracle_equivalence(self, vee_problem, monkeypatch):
         # small grid keeps the negative control cheap
-        spec = GridSpec(xmin=-1.0, xmax=1.0, nx=5, nd=2, h_y=1e-5)
-        corrupted = lambda x, d: u_interior(x, d, vee_problem) + 1e-6
-        res = verify.check_oracle_equivalence(vee_problem, spec, corrupted, {})
-        assert res.status == "FAIL"
-        honest = lambda x, d: u_interior(x, d, vee_problem)
-        res = verify.check_oracle_equivalence(vee_problem, spec, honest, {})
-        assert res.status == "PASS"
+        config = verify.VerifyConfig(grid=GridSpec(xmin=-1.0, xmax=1.0, nx=5, nd=2, h_y=1e-5))
+        assert verify.check_oracle_equivalence(vee_problem, config, []).status == "PASS"
+        monkeypatch.setattr(construction, "u_interior", lambda *args, **kwargs: u_interior(*args, **kwargs) + 1e-6)
+        assert verify.check_oracle_equivalence(vee_problem, config, []).status == "FAIL"
+
+    @pytest.mark.parametrize(
+        "L, delta, code, skip",
+        [
+            ("2", "1e-300", 0, "at step h = 1.000e-301, h^2 = 0.000e+00 or its rounding floor inf"),
+            # lipschitz_quotient fails here: its quotient meets its bound within rounding
+            ("1e100", "1e-100", 3, "at step h = 1.000e-101, h^2 = 1.000e-202 or its rounding floor inf"),
+        ],
+    )
+    def test_float_extremes_exit_cleanly(self, tmp_path, capsys, vee_spline, L, delta, code, skip):
+        # every command ends in a contract code with nothing on stderr and no
+        # RuntimeWarning (an error under this suite's filter); verify skips
+        # the residual check, whose steps' squares or floors leave the floats
+        problem = ["--spline", VEE, "--L", L, "--delta", delta]
+        out = ["--out", str(tmp_path / "out.csv")]
+        runs = [["params"], ["construct", "--nx", "5", *out], ["report", *out]]
+        runs += [["grid", "--nx", "5", "--nd", "2", "--hy", "1e-3", "--provenance", p, *out] for p in oracle.PROVENANCES]
+        for command in runs:
+            assert cli.main([*command, *problem]) == 0, command
+            assert capsys.readouterr().err == ""
+        assert cli.main(["verify", "--nx", "5", "--nd", "2", *problem]) == code
+        lines, err = capsys.readouterr()
+        assert err == ""
+        assert [line for line in lines.splitlines() if line.startswith("SKIP")] == [
+            f"SKIP residual_refinement: {skip} is not a finite normal float"
+        ]
+        # the residual itself raises at the check's first step
+        vee = admit(ProblemParams(L=float(L), delta=float(delta), spline=vee_spline))
+        with pytest.raises(DomainError, match=r"^residual at step h="):
+            analysis.residual_infinity_laplacian((0.0, 0.5 * vee.delta), vee, 0.1 * vee.delta)
 
 
 # window and step values of every kind: finite (a delta above 2.75 is

@@ -60,10 +60,12 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError, match="more than"):
             GridSpec(xmin=0.0, xmax=1.0, nx=2, nd=oracle.MAX_POINTS // 2 + 1, h_y=1e-6)
 
-    def test_heights_reach_delta_exactly(self):
-        spec = GridSpec(xmin=0.0, xmax=1.0, nx=4, nd=3, h_y=1e-6)
+    def test_heights_reach_delta_exactly(self, vee_problem):
+        spec = GridSpec(xmin=-2.0, xmax=2.0, nx=4, nd=3, h_y=1e-3)
         assert spec.heights(0.1)[-1] == 0.1
-        assert np.all(spec.heights(0.1, "mw_min") < 0.1)
+        assert grid_eval(vee_problem, spec, "closed_form").ds[-1] == 0.1
+        # the envelope evaluator is undefined on the top line: its rows stay strictly inside
+        assert np.all(grid_eval(vee_problem, spec, "mw_min").ds < 0.1)
 
 
 class TestBruteForce:
