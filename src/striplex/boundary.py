@@ -32,6 +32,47 @@ class Kinks(NamedTuple):
     second_right: np.ndarray
 
 
+class _Pieces(NamedTuple):
+    """f as one piece per interval between knots, tails included: row r
+    covers the interval between knots r - 1 and r, row 0 all of the line
+    left of the first knot and the last row all right of the last.  Each
+    row holds its reference knot t and f's value v, slope s, half
+    curvature h and curvature c there, so f(y) = v + s*dy + (h*dy)*dy with
+    dy = y - t.  A tail's reference is its own knot, and its h is -0.0:
+    (h*dy)*dy is then -0.0 at every finite dy, which leaves v + s*dy as it
+    is, signed zeros included.  keys are the knots as
+    searchsorted(keys, y, "right") reads them to find the row of y, the
+    first one moved up by one ulp so that the first knot itself stays on
+    the left tail."""
+
+    keys: np.ndarray
+    t: np.ndarray
+    v: np.ndarray
+    s: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
+
+
+def _pieces(f0: float, ts: list, ss: list) -> _Pieces:
+    """The piece table of the spline with f(ts[0]) = f0 and knots (ts, ss)."""
+    # slope of f' on each interior segment, and exact knot values of f
+    # (trapezoid rule is exact for a piecewise-linear integrand)
+    seg = [(ss[i + 1] - ss[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)]
+    vals = [f0]
+    for i in range(len(ts) - 1):
+        vals.append(vals[-1] + 0.5 * (ss[i] + ss[i + 1]) * (ts[i + 1] - ts[i]))
+    rows = [
+        (ts[0], vals[0], ss[0], -0.0, 0.0),
+        *((ts[i], vals[i], ss[i], 0.5 * seg[i], seg[i]) for i in range(len(seg))),
+        (ts[-1], vals[-1], ss[-1], -0.0, 0.0),
+    ]
+    keys = np.array([math.nextafter(ts[0], math.inf), *ts[1:]])
+    table = _Pieces(keys, *(np.array(column) for column in zip(*rows)))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class BoundarySpline:
     """C^{1,1} profile defined by f0 = f(t_first) and the knots of f'.
@@ -43,11 +84,10 @@ class BoundarySpline:
 
     f0: float
     knots: tuple[tuple[float, float], ...]
-    # derived, filled by __post_init__: knot abscissas, slopes, segment
-    # slopes of f' and knot values of f, and f'' on each of the len(knots)+1
-    # intervals between knots (the segment slopes, 0 on the two tails), as
-    # read-only arrays
-    _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # derived, filled by __post_init__: the knot abscissas and slopes, which
+    # np.interp reads, and the piece table of f (see _pieces)
+    _knots: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _table: _Pieces = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.knots) < 1:
@@ -67,60 +107,64 @@ class BoundarySpline:
                     f"t[{i}]={ts[i]!r} followed by t[{i + 1}]={ts[i + 1]!r}"
                 )
         object.__setattr__(self, "knots", tuple(zip(ts, ss)))
-        # slope of f' on each interior segment, and exact knot values of f
-        # (trapezoid rule is exact for a piecewise-linear integrand)
-        seg = [
-            (ss[i + 1] - ss[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)
-        ]
-        vals = [self.f0]
-        for i in range(len(ts) - 1):
-            vals.append(vals[-1] + 0.5 * (ss[i] + ss[i + 1]) * (ts[i + 1] - ts[i]))
-        curv = np.array([0.0, *seg, 0.0])
-        arrays = (np.array(ts), np.array(ss), curv[1:-1], np.array(vals), curv)
-        for a in arrays:
+        knots = (np.array(ts), np.array(ss))
+        for a in knots:
             a.flags.writeable = False
-        object.__setattr__(self, "_arrays", arrays)
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_table", _pieces(self.f0, ts, ss))
 
     # -- evaluation ----------------------------------------------------
 
     def value(self, y):
         """f(y), elementwise; a scalar y gives a numpy scalar."""
         y = np.asarray(y, dtype=float)
-        ts, ss, seg, vals, _ = self._arrays
-        # far outside the knot range dy*dy may overflow, and at y = +-inf meet
-        # a zero slope; np.where drops those.  A flat tail reads its end value
-        # at +-inf, its limit, where its formula gives 0*inf = nan
+        shape, y = y.shape, y.reshape(-1)
+        table = self._table
+        # far outside the knot range s*dy may overflow to +-inf; (h*dy)*dy
+        # is -0.0 on the tails, so it adds nothing there, but nan where dy
+        # is infinite
         with np.errstate(over="ignore", invalid="ignore"):
-            tails = [vals[j] + ss[j] * (y - ts[j]) for j in (0, -1)]
-            left, right = (np.where(np.isinf(y), vals[j], t) if ss[j] == 0 else t for j, t in zip((0, -1), tails))
-            if len(ts) == 1:
-                return left[()]
-            # the segment of y, the end segments extended over the tails
-            i = np.searchsorted(ts[1:-1], y, side="right")
-            dy = y - ts[i]
-            inner = vals[i] + ss[i] * dy + 0.5 * seg[i] * dy * dy
-        return np.where(y <= ts[0], left, np.where(y >= ts[-1], right, inner))[()]
+            i = np.searchsorted(table.keys, y, side="right")
+            dy = np.take(table.t, i)
+            np.subtract(y, dy, out=dy)
+            f = np.take(table.s, i)
+            f *= dy
+            f += np.take(table.v, i)
+            bend = np.take(table.h, i)
+            bend *= dy
+            bend *= dy
+            f += bend
+            nan = np.flatnonzero(np.isnan(f))
+            if nan.size:
+                # a tail reads v + s*dy where dy is infinite: +-inf where it
+                # slopes, and at y = +-inf, its limit, its end value where it
+                # is flat
+                j, yj, dj = i[nan], y[nan], dy[nan]
+                tail = (j == 0) | (j == table.t.size - 1)
+                line = np.where(np.isinf(yj) & (table.s[j] == 0.0), table.v[j], table.v[j] + table.s[j] * dj)
+                f[nan] = np.where(tail, line, f[nan])
+        return f.reshape(shape)[()]
 
     def derivative(self, y):
         """f'(y), elementwise; a scalar y gives a numpy scalar."""
         # f' is np.interp's interpolant, constant past the ends; its C loop
         # computes seg[j]*(y - ts[j]) + ss[j], and gives ss[j] at a knot hit
-        return np.interp(y, self._arrays[0], self._arrays[1])[()]
+        return np.interp(y, *self._knots)[()]
 
     def second_left(self, y):
         """One-sided curvature of f from the left, elementwise: slope of f'
         on the interval immediately left of y (0 on the constant tails, nan
         at nan); a scalar y gives a numpy scalar."""
-        ts, curv = self._arrays[0], self._arrays[4]
         # side="left" so an exact knot hit picks the incoming interval;
         # searchsorted puts nan past the last knot, onto the right tail's 0
-        return np.where(np.isnan(y), np.nan, curv[np.searchsorted(ts, y, side="left")])[()]
+        i = np.searchsorted(self._knots[0], y, side="left")
+        return np.where(np.isnan(y), np.nan, self._table.c[i])[()]
 
     def second_right(self, y):
         """One-sided curvature of f from the right, elementwise (0 on the
         constant tails, nan at nan)."""
-        ts, curv = self._arrays[0], self._arrays[4]
-        return np.where(np.isnan(y), np.nan, curv[np.searchsorted(ts, y, side="right")])[()]
+        i = np.searchsorted(self._knots[0], y, side="right")
+        return np.where(np.isnan(y), np.nan, self._table.c[i])[()]
 
     # -- exact constants -----------------------------------------------
 
@@ -134,7 +178,7 @@ class BoundarySpline:
     def slope_lipschitz(self) -> float:
         """Lip(f') — the largest |slope| of f' over the interior segments
         (the tails contribute 0)."""
-        return float(np.max(np.abs(self._arrays[4])))
+        return float(np.max(np.abs(self._table.c)))
 
     def kinks(self) -> Kinks:
         """Interior knots where the slope of f' changes, in increasing order.
@@ -142,10 +186,10 @@ class BoundarySpline:
         Knots whose adjacent segments share one slope are not kinks.  The
         junctions with the constant tails are excluded by contract.
         """
-        ts, seg = self._arrays[0], self._arrays[2]
-        # interior knot i + 1 joins segments i and i + 1
-        jump = seg[:-1] != seg[1:]
-        return Kinks(ts[1:-1][jump], seg[:-1][jump], seg[1:][jump])
+        # interior knot i joins the rows i and i + 1 of the piece table
+        c = self._table.c
+        jump = c[1:-2] != c[2:-1]
+        return Kinks(self._knots[0][1:-1][jump], c[1:-2][jump], c[2:-1][jump])
 
 
 # -- module-level operation surface -------------------------------------

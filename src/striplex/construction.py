@@ -90,11 +90,134 @@ def require_finite_u(x: np.ndarray, d: np.ndarray, *values: np.ndarray) -> None:
 
 
 def _libm(fn, *args) -> np.ndarray:
-    """fn from math applied elementwise over the broadcast args: np.hypot and
-    np.power round differently from the C library in rare cases."""
+    """fn from math applied elementwise over the broadcast args, one Python
+    call per element: phi_prime's math.pow, which np.power does not round
+    alike in rare cases, and hypot below _HYPOT_MAP elements."""
     args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
     flat = [a.ravel().tolist() for a in args]
     return np.fromiter(map(fn, *flat), float, args[0].size).reshape(args[0].shape)
+
+
+# hypot: below _HYPOT_MAP elements it maps math.hypot (~110 ns an element),
+# from there on it runs the kernel (~55 ufunc calls, ~40 us a call plus ~20 ns
+# an element); the two cross near 350-400 elements (2-core host, Python 3.11,
+# numpy 2.4).  The cut-off sits lower, so that grids of a few hundred points,
+# such as the tests' golden brute-force grid, take the kernel's path: at most
+# ~25 us more per call in between, over a handful of calls per `verify`.  The
+# kernel runs in equal chunks of at most _HYPOT_CHUNK elements, over nine work
+# rows of a chunk
+_HYPOT_MAP = 128
+_HYPOT_CHUNK = 8192
+# 2**27 + 1: x*_VELTKAMP splits x into two halves of 26 significant bits
+_VELTKAMP = 134217729.0
+
+
+def hypot(a, b) -> np.ndarray:
+    """math.hypot(a, b) elementwise over the broadcast arrays, bit for bit;
+    np.hypot rounds differently in rare cases.
+
+    The kernel repeats the IEEE operations of CPython 3.11's two-argument
+    math.hypot: both coordinates are scaled by the power of two 2**-e that
+    brings max(|a|, |b|) into [0.5, 1) (e from frexp), squared exactly by
+    Dekker's split product (Numer. Math. 18, 1971), summed onto 1.0 with
+    the rounding errors carried in two compensation terms, rooted, and
+    corrected by one differential step, h + (sum - h^2)/(2h), before the
+    scaling is undone.  Where max(|a|, |b|) is zero, subnormal below 2**-1024
+    (where the scale overflows), infinite or nan, the kernel yields nan, and
+    those elements take math.hypot."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    if a.size < _HYPOT_MAP:
+        return _libm(math.hypot, a, b)
+    shape = a.shape
+    a, b = a.reshape(-1), b.reshape(-1)
+    out = np.empty(a.size)
+    n = -(-a.size // -(-a.size // _HYPOT_CHUNK))
+    work, e = np.empty((9, n)), np.empty(n, dtype=np.intc)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for first in range(0, a.size, n):
+            k = min(n, a.size - first)
+            chunk = slice(first, first + k)
+            _hypot_kernel(a[chunk], b[chunk], out[chunk], work[:, :k], e[:k])
+    bad = np.flatnonzero(np.isnan(out))
+    if bad.size:
+        out[bad] = _libm(math.hypot, a[bad], b[bad])
+    return out.reshape(shape)
+
+
+def _hypot_kernel(a, b, out, work, e) -> None:
+    """The kernel of hypot over one chunk, into out; work holds nine rows of
+    the chunk's length and e one of C ints."""
+    # per coordinate (rows 0 and 1 of each pair): x, the scaled value, then
+    # its square's high part z; lo, its square's low part zz; hi and t scratch
+    x0, x1, lo0, lo1, hi0, hi1, t0, t1, scale = work
+    x, lo, hi, t = work[0:2], work[2:4], work[4:6], work[6:8]
+    np.abs(a, out=x0)
+    np.abs(b, out=x1)
+    # max(|a|, |b|) in hi0, and its frexp exponent e
+    np.maximum(x0, x1, out=hi0)
+    np.frexp(hi0, out=(scale, e))
+    np.negative(e, out=e)
+    np.ldexp(1.0, e, out=scale)
+    np.multiply(x, scale, out=x)
+    _exact_square(x, x, lo, hi, t)
+    # fast two-sums onto 1.0 of the first square (csum hi0, error t0) and
+    # then the second (csum hi1, error t1); the errors add up in frac1 (lo0,
+    # the squares' low parts) and frac2 (t0)
+    np.add(1.0, x0, out=hi0)
+    np.subtract(1.0, hi0, out=t0)
+    np.add(t0, x0, out=t0)
+    np.add(hi0, x1, out=hi1)
+    np.subtract(hi0, hi1, out=t1)
+    np.add(t1, x1, out=t1)
+    np.add(lo0, lo1, out=lo0)
+    np.add(t0, t1, out=t0)
+    csum, frac1, frac2 = hi1, lo0, t0
+    # h = sqrt(csum - 1 + (frac1 + frac2)), in x0
+    h = x0
+    np.subtract(csum, 1.0, out=h)
+    np.add(frac1, frac2, out=x1)
+    np.add(h, x1, out=h)
+    np.sqrt(h, out=h)
+    # the exact square zh + zzh of h, that of -h*h negated, leaves the sums:
+    # csum - zh in hi0, its error in csum
+    zh, zzh = x1, t1
+    _exact_square(h, zh, zzh, hi0, lo1)
+    np.subtract(csum, zh, out=hi0)
+    np.subtract(csum, hi0, out=csum)
+    np.subtract(csum, zh, out=csum)
+    np.subtract(frac1, zzh, out=frac1)
+    np.add(frac2, csum, out=frac2)
+    # h + (csum - 1 + (frac1 + frac2)) / (2h), then unscaled
+    np.subtract(hi0, 1.0, out=hi0)
+    np.add(frac1, frac2, out=frac1)
+    np.add(hi0, frac1, out=hi0)
+    np.multiply(h, 2.0, out=zzh)
+    np.divide(hi0, zzh, out=hi0)
+    np.add(h, hi0, out=h)
+    np.divide(h, scale, out=out)
+
+
+def _exact_square(x, z, zz, hi, lo) -> None:
+    """Dekker's exact product x*x = z + zz over work arrays of x's shape,
+    as CPython's dl_mul(x, x) computes it: z = fl(x*x) and zz its rounding
+    error.  z may be x; hi and lo are overwritten."""
+    t = zz
+    np.multiply(x, _VELTKAMP, out=t)
+    np.subtract(t, x, out=hi)
+    np.subtract(t, hi, out=hi)
+    np.subtract(x, hi, out=lo)
+    # p = hi*hi in t; q = hi*lo + lo*hi = 2*(hi*lo) exactly, in hi
+    np.multiply(hi, hi, out=t)
+    np.multiply(hi, lo, out=hi)
+    np.add(hi, hi, out=hi)
+    np.multiply(lo, lo, out=lo)
+    np.add(t, hi, out=z)
+    # zz = ((p - z) + q) + lo*lo
+    np.subtract(t, z, out=t)
+    np.add(t, hi, out=t)
+    np.add(t, lo, out=zz)
 
 
 def phi(t, L: float):
@@ -193,7 +316,7 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
                 f"did not converge in {cap} iterations"
             )
         y[block] = xb + Y[block]
-        value[block] = spline.value(y[block]) - L * _libm(math.hypot, hb, Y[block])
+        value[block] = spline.value(y[block]) - L * hypot(hb, Y[block])
     require_finite_u(x, height, value)
     # [()] turns a 0-d result into a numpy scalar
     return ContactSolution(*(a.reshape(shape)[()] for a in (Y, y, value, iterations)))
@@ -235,6 +358,6 @@ def segment_value(y, t, problem: AdmissibleProblem):
     raise_first_bad_point({"y": ys, "t": ts}, (outside,))
     delta = problem.delta
     x_top = contact_inverse(y, delta, problem)
-    length = _libm(math.hypot, delta, x_top - y)
+    length = hypot(delta, x_top - y)
     point = (y + t * (x_top - y), t * delta)
     return point, problem.spline.value(y) - problem.L * t * length

@@ -66,13 +66,14 @@ MAX_POINTS = 2**22
 # start at stride 1, a full scan.  Measured on the 257x17 vee grid at
 # h_y = 1e-6 (2-core host): its 1x scan reads 142,321 samples at 2/2,
 # 207,264 at 4/4 and 335,137 at 8/8 at every budget, and brute_force_u with
-# its 2x widening takes ~60-110 ms at each, the same within the noise.  At
-# 4/4 the budget trades time for memory.  Budgets of 2^12, 6144, 2^13 and
-# 2^14 samples take ~2, ~0.6, 0 and 0 ms more per call and widening (the
-# fastest of 40), and trace peaks of 1.3, 1.6, 1.8 and 2.4 MB in the
-# widening and of 1.4, 1.9, 2.3 and 3.9 MB on the default mw_min grid.
-# Blocks of 256 points that kept every sample traced 0.7 MB in the widening
-# and 1.6 MB in the 1x call, which 6144 keeps the widening below
+# its 2x widening takes ~45-90 ms at each as the host's load varies, 4/4 the
+# fastest in each of three rounds of 15 runs.  At 4/4 the budget trades time
+# for memory.  Budgets of 2^12, 6144, 2^13 and 2^14 samples take within
+# ~2 ms of each other per call and widening (the fastest of 40, quietest
+# round), and trace peaks of 1.3, 1.5, 1.7 and 2.2 MB in the widening and of
+# 1.7, 1.9, 2.4 and 4.0 MB on the default mw_min grid.  Blocks of 256 points
+# that kept every sample traced 0.7 MB in the widening and 1.6 MB in the 1x
+# call, which 6144 keeps the widening below
 _REFINE = 4
 _MIN_COARSE = 4
 _BUDGET = 6144
@@ -199,8 +200,8 @@ def golden_section_max(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[
     unimodality is marginal at the bracket edges.
     """
     a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
+    step = _INV_PHI * (b - a)
+    c, d = b - step, a + step
     fc, fd = fn(c), fn(d)
     first = fc >= fd
     best_y, best_v = np.where(first, c, d), np.where(first, fc, fd)
@@ -219,7 +220,8 @@ def golden_section_max(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[
             np.where(left, c, d),
             np.where(left, fc, fd),
         )
-        probe = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        step = _INV_PHI * (b - a)
+        probe = np.where(left, b - step, a + step)
         fp = fn(probe)
         c, fc = np.where(left, probe, c), np.where(left, fp, fc)
         d, fd = np.where(right, probe, d), np.where(right, fp, fd)
@@ -328,7 +330,7 @@ def _brute_force(
             y_star[~redo], v_star[~redo] = np.ravel(narrow.argmax_y)[~redo], np.ravel(narrow.value)[~redo]
         x_r, d_r = xs[redo], ds[redo]
         y_new, v_new = golden_section_max(
-            lambda y: spline.value(y) - L * construction._libm(math.hypot, d_r, x_r - y), lo[redo], hi[redo]
+            lambda y: spline.value(y) - L * construction.hypot(d_r, x_r - y), lo[redo], hi[redo]
         )
     worse = v_new < v_k[redo]
     y_star[redo], v_star[redo] = np.where(worse, y_k[redo], y_new), np.where(worse, v_k[redo], v_new)

@@ -311,6 +311,79 @@ def test_one_sided_curvatures_equal_scalar_formulas(spline, extra, frac):
         assert [v.hex() for v in one] == want
 
 
+# splines whose tails are flat or sloped, f0 = -0.0 with the first slope
+# flat, negative or positive, f = -0.0 at the last knot, knots far apart,
+# and a subnormal curvature
+EDGE_SPLINES = [
+    parse_spline(VEE_TEXT),
+    BoundarySpline(f0=0.0, knots=((-1.0, 0.0), (0.0, 0.5), (1.0, 0.0))),
+    BoundarySpline(f0=1.0, knots=((-1.0, 0.0), (1.0, 1.0))),
+    BoundarySpline(f0=-0.0, knots=((0.0, 0.0),)),
+    BoundarySpline(f0=-0.0, knots=((0.0, 0.0), (1.0, 1.0))),
+    BoundarySpline(f0=-0.0, knots=((0.0, -1.0), (1.0, 1.0))),
+    BoundarySpline(f0=-0.0, knots=((-0.0, 0.5), (1.0, -0.5))),
+    BoundarySpline(f0=-0.0, knots=((-2.0, -0.0), (-1.0, 0.0), (0.0, -0.0))),
+    # f = -0.0 at the last knot too: 0.5*(-5e-324 + 0.0) rounds to -0.0
+    BoundarySpline(f0=-0.0, knots=((-1.0, -5e-324), (0.0, 0.0))),
+    BoundarySpline(f0=0.0, knots=((-1e300, 1.0), (0.0, 0.0), (1e300, -1.0))),
+    BoundarySpline(f0=0.0, knots=((0.0, 0.0), (1.0, 5e-324), (2.0, 0.0))),
+]
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.asarray(values).ravel().tolist()]
+
+
+class TestPieceTableEdges:
+    """value at the float edges of its piece table, against the one-point
+    formulas: the tails at +-inf and at |y| = 1e300, every knot and its
+    float neighbours, and signed zeros."""
+
+    @pytest.mark.parametrize("spline", EDGE_SPLINES, ids=range(len(EDGE_SPLINES)))
+    def test_knots_and_their_neighbours(self, spline):
+        ts = np.array([t for t, _ in spline.knots])
+        ys = np.concatenate([ts, np.nextafter(ts, -math.inf), np.nextafter(ts, math.inf), [0.0, -0.0]])
+        want = [scalar_value(spline, y).hex() for y in ys.tolist()]
+        assert hexes(spline.value(ys)) == want
+        assert [spline.value(y).hex() for y in ys.tolist()] == want
+
+    @pytest.mark.parametrize("spline", EDGE_SPLINES, ids=range(len(EDGE_SPLINES)))
+    def test_tails_far_out_and_at_infinity(self, spline):
+        # far out s*dy may overflow, but (h*dy)*dy adds no nan; at +-inf a
+        # sloped tail reads +-inf, a flat one its knot value (-0.0 kept)
+        s_first, s_last = spline.knots[0][1], spline.knots[-1][1]
+        vals = knot_tables(spline)[3]
+        far = [-1e300, 1e300, -1.7e308, 1.7e308]
+        want = [scalar_value(spline, y).hex() for y in far]
+        assert not any(v == "nan" for v in want)
+        low = vals[0] if s_first == 0.0 else scalar_value(spline, -math.inf)
+        high = vals[-1] if s_last == 0.0 else scalar_value(spline, math.inf)
+        want += [low.hex(), high.hex()]
+        ys = np.array([*far, -math.inf, math.inf])
+        assert hexes(spline.value(ys)) == want
+        assert hexes(spline.value(ys.reshape(2, 3))) == want
+        assert [spline.value(y).hex() for y in ys.tolist()] == want
+
+    def test_negative_zero_on_a_flat_tail(self):
+        # f0 = -0.0 on a flat left tail: -0.0 + 0.0*dy keeps the sign left of
+        # the knot, and at the knot -0.0 + 0.0*0.0 = +0.0
+        spline = BoundarySpline(f0=-0.0, knots=((0.0, 0.0), (1.0, 1.0)))
+        assert hexes(spline.value(np.array([-1.0, -1e300, 0.0]))) == ["-0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"]
+        # with a negative first slope the knot itself reads -0.0 + -0.0
+        spline = BoundarySpline(f0=-0.0, knots=((0.0, -1.0), (1.0, 1.0)))
+        assert spline.value(0.0).hex() == "-0x0.0p+0"
+
+    def test_subnormal_curvature_is_stored_as_is(self):
+        # 0.5*f'' rounds a subnormal f'', so the one-sided curvatures and
+        # Lip(f') read f'' itself
+        spline = EDGE_SPLINES[-1]
+        assert spline.slope_lipschitz == 5e-324
+        ys = [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert hexes(spline.second_left(np.array(ys))) == [float(scalar_second_left(spline, y)).hex() for y in ys]
+        assert hexes(spline.second_right(np.array(ys))) == [float(scalar_second_right(spline, y)).hex() for y in ys]
+        assert columns(spline.kinks()) == ([1.0], [5e-324], [-5e-324])
+
+
 class TestConstants:
     def test_vee(self):
         spline = parse_spline(VEE_TEXT)

@@ -312,10 +312,12 @@ class TestGrid:
             ("two_kinks", ["--delta", "0.1"], "mw_min", "csv", "grid_mw_min_two_kinks.csv"),
             # q ~ 0.9: the top-line samples are spaced most unevenly in x
             ("zigzag40", ["--delta-frac", "0.9"], "mw_max", "structured", "grid_mw_max_zigzag40.json"),
+            # 165 points: the golden-section refinement evaluates hypot by its kernel
+            ("two_kinks", ["--delta", "0.1"], "brute_force", "csv", "grid_brute_force_two_kinks.csv"),
         ],
-        ids=["mw_min_two_kinks", "mw_max_zigzag40"],
+        ids=["mw_min_two_kinks", "mw_max_zigzag40", "brute_force_two_kinks"],
     )
-    def test_envelope_golden_file(self, tmp_path, capsys, spline, height, provenance, fmt, golden):
+    def test_grid_golden_file(self, tmp_path, capsys, spline, height, provenance, fmt, golden):
         out = tmp_path / "grid"
         path = str(REPO / "data" / "splines" / f"{spline}.spline")
         argv = ["grid", "--spline", path, "--L", "2", *height, "--provenance", provenance]

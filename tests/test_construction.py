@@ -66,6 +66,68 @@ class TestPhi:
             assert v == phi(float(t), 2.0)
 
 
+# construction.hypot repeats the IEEE operations of CPython 3.11's
+# math.hypot; these tests were checked bit for bit against math.hypot of
+# CPython 3.11.7
+TINY = 2.0**-1074
+HUGE = np.finfo(float).max
+HYPOT_EDGES = [
+    # zeros, signed
+    (0.0, 0.0), (-0.0, -0.0), (0.0, -3.0), (-2.5, 0.0),
+    # non-finite: inf beats nan
+    (math.inf, math.nan), (math.nan, -math.inf), (math.nan, math.nan), (math.nan, 0.0), (-math.inf, 1.0),
+    (math.inf, math.inf),
+    # larger argument subnormal: below 2**-1022 the kernel scales it by up to
+    # 2**1023; below 2**-1024 math.hypot takes it
+    (2.0**-1023, 2.0**-1030), (3.0 * 2.0**-1024, TINY), (2.0**-1024, 2.0**-1024), (2.0**-1022 - TINY, 1e-310),
+    (2.0**-1025, TINY), (TINY, TINY), (TINY, 0.0), (-TINY, 3 * TINY), (2.0**-1022, TINY),
+    # near the top of the range: scaled by 2**-1024, and overflowing
+    (HUGE, HUGE), (HUGE, 1.0), (HUGE / 2, HUGE / 2), (2.0**1023, 2.0**1023), (-HUGE, 2.0**1000), (1e308, 1e308),
+    # ratios past 2**-540: the smaller square is below the larger one's ulp
+    (1.0, 2.0**-541), (1.0, 2.0**-600), (2.0**-540, -1.0), (3.0, 2.0**-1000), (1e300, 1e-300),
+    # an exact result, and a near tie of the rounding
+    (3.0, 4.0), (0.1, 0.2), (1.0, 1.0),
+]
+
+
+def assert_hypot_is_math_hypot(pairs):
+    """construction.hypot over the pairs equals math.hypot in every bit,
+    on an array below the map cut-off and on one above it."""
+    size = len(pairs)
+    assert size < construction._HYPOT_MAP
+    long = pairs * (construction._HYPOT_MAP // size + 1)
+    for rows in (pairs, long):
+        a, b = np.array(rows, dtype=float).T
+        want = np.array([math.hypot(x, y) for x, y in rows])
+        got = construction.hypot(a, b)
+        assert got.shape == a.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestHypot:
+    def test_branch_edges(self):
+        pairs = [(x, y) for x, y in HYPOT_EDGES] + [(y, x) for x, y in HYPOT_EDGES]
+        assert_hypot_is_math_hypot(pairs)
+
+    @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_math_hypot(self, pairs):
+        # st.floats draws nan, +-inf, +-0 and subnormals
+        assert_hypot_is_math_hypot(pairs)
+
+    def test_chunks_and_broadcast(self):
+        # more than two chunks of the kernel, and a scalar against an array
+        rng = np.random.default_rng(7)
+        a = rng.uniform(0.0, 0.1, 2 * construction._HYPOT_CHUNK + 3)
+        b = rng.uniform(-1e-3, 1e-3, a.size)
+        want = np.array([math.hypot(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        assert construction.hypot(a, b).view(np.int64).tolist() == want.view(np.int64).tolist()
+        got = construction.hypot(0.1, b[:600].reshape(200, 3))
+        want = [math.hypot(0.1, y) for y in b[:600].tolist()]
+        assert got.shape == (200, 3)
+        assert got.ravel().view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
 class TestSolveContact:
     def test_constant_data(self, constant_problem):
         for x in (-3.0, 0.0, 11.5):
