@@ -10,6 +10,7 @@ fixed-point map, and the resulting Lipschitz bound for the contact offset.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .boundary import BoundarySpline
@@ -37,7 +38,13 @@ def delta_caps(L: float, L_f: float, lip_fprime: float) -> tuple[float, float]:
         return math.inf, math.inf
     D = window_radius(L, L_f)
     touch = L / (lip_fprime * (1.0 + D * D) ** 1.5)
-    banach = (L * L - L_f * L_f) ** 1.5 / (L * L * lip_fprime)
+    den = L * L * lip_fprime
+    if den >= sys.float_info.min:
+        banach = (L * L - L_f * L_f) ** 1.5 / den
+    else:
+        # a tiny Lip(f') takes L^2 * Lip(f') below the normal range, to 0 at
+        # worst: divide in two steps; a cap past the float range is +inf
+        banach = (L * L - L_f * L_f) ** 1.5 / (L * L) / lip_fprime
     return touch, banach
 
 

@@ -117,6 +117,8 @@ class TestAdmit:
     @example(BoundarySpline(f0=0.0, knots=((0.0, -0.5), (1.0, 0.5))), -150.0, 0.5, 0.5)
     # L_f just below the smallest L admitted
     @example(BoundarySpline(f0=0.0, knots=((0.0, -0.5), (1.0, 0.5))), -90.0, None, 0.5)
+    # L^2 * Lip(f') underflows to 0
+    @example(BoundarySpline(f0=0.0, knots=((0.0, 0.0), (1.0, 1.0))), -37.0, 4.3720090777736695e-215, 0.5)
     @settings(max_examples=150)
     def test_any_slope_gives_finite_constants_or_is_invalid(self, spline, log_L, share, frac):
         L = 10.0**log_L
