@@ -31,7 +31,6 @@ Grid fills and exports for both provenances are also defined here.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -63,20 +62,19 @@ MAX_POINTS = 2**22
 # the pruned scan of both oracles: stride refinement per level, the fewest
 # samples the first level of a fresh scan takes, and the most samples one
 # level takes at once.  Scans shorter than _REFINE*_MIN_COARSE = 16 samples
-# start at stride 1, a full scan.  Measured on the 257x17 vee grid at
-# h_y = 1e-6 (2-core host): its 1x scan reads 142,321 samples at 2/2,
-# 207,264 at 4/4 and 335,137 at 8/8 at every budget, and brute_force_u with
-# its 2x widening takes ~45-90 ms at each as the host's load varies, 4/4 the
-# fastest in each of three rounds of 15 runs.  At 4/4 the budget trades time
-# for memory.  Budgets of 2^12, 6144, 2^13 and 2^14 samples take within
-# ~2 ms of each other per call and widening (the fastest of 40, quietest
-# round), and trace peaks of 1.3, 1.5, 1.7 and 2.2 MB in the widening and of
-# 1.7, 1.9, 2.4 and 4.0 MB on the default mw_min grid.  Blocks of 256 points
-# that kept every sample traced 0.7 MB in the widening and 1.6 MB in the 1x
-# call, which 6144 keeps the widening below
+# start at stride 1, a full scan.  On the 257x17 vee grid at h_y = 1e-6 the
+# 1x scan reads 142,321 samples at 2/2, 207,264 at 4/4 and 335,137 at 8/8,
+# at every budget; 4/4 is as fast as 2/2 and faster than 8/8.  At 4/4 the
+# budget trades time for memory: brute_force_u with its 2x widening takes
+# 33.9, 32.5, 31.6 and 31.6 ms of CPU at 6144, 8192, 12288 and 16384
+# (medians of 60 alternating rounds in one process, 2-core host), the
+# widening the slowest at 16384 (2.5 against 2.1 ms at 6144), with trace
+# peaks of 1.5, 1.6, 1.9 and 2.2 MB in the widening and 1.9, 2.2, 3.1 and
+# 3.8 MB on the default mw_min grid; 32768 was no faster and took 7.0 MB
 _REFINE = 4
 _MIN_COARSE = 4
-_BUDGET = 6144
+_BUDGET = 16384
+_PROBES = 64  # indices _first_past probes per round
 
 
 def require_window(xmin: float, xmax: float, nx: int) -> None:
@@ -189,46 +187,51 @@ class BruteResult:
         return _brute_force(scan.x, scan.d, scan.problem, scan.h_y, window_factor, self)
 
 
-def golden_section_max(fn: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize a unimodal fn on every bracket [lo, hi] of the broadcast
-    arrays; returns (arg, value) arrays of that shape.
+def golden_section_max(fn: Callable[..., np.ndarray], lo, hi, args: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize a unimodal fn on every bracket [lo[i], hi[i]] of the 1-D
+    arrays lo and hi; returns (arg, value) arrays of their shape.
 
-    fn maps an array of that shape to its values elementwise.  Each bracket
-    stops on its own once b - a <= _GOLDEN_TOL (at most _GOLDEN_MAX_ITER
-    steps); later steps leave it unchanged.  Tracks the best evaluation
-    seen, so the result never falls below any probed point even if
-    unimodality is marginal at the bracket edges.
+    fn(y, *args) maps probes y, one per bracket, to their values
+    elementwise; args are the objective's per-bracket arrays.  A bracket
+    stops once b - a <= _GOLDEN_TOL (at most _GOLDEN_MAX_ITER steps) and
+    leaves the working arrays, its entries of args with it, so a call
+    without brackets takes no step.  Tracks the best evaluation seen, so
+    the result never falls below any probed point even if unimodality is
+    marginal at the bracket edges.
     """
-    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    step = _INV_PHI * (b - a)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    width = b - a
+    step = _INV_PHI * width
     c, d = b - step, a + step
-    fc, fd = fn(c), fn(d)
+    fc, fd = fn(c, *args), fn(d, *args)
     first = fc >= fd
     best_y, best_v = np.where(first, c, d), np.where(first, fc, fd)
-    for _ in range(_GOLDEN_MAX_ITER):
-        active = ~(b - a <= _GOLDEN_TOL)
-        if not active.any():
+    # each bracket's (a, b, best_y, best_v) as it stops
+    out, at, run = np.empty((4, a.size)), np.arange(a.size), args
+    for i in range(_GOLDEN_MAX_ITER + 1):
+        stops = np.ones(width.shape, dtype=bool) if i == _GOLDEN_MAX_ITER else width <= _GOLDEN_TOL
+        if stops.any():
+            out[:, at[stops]] = a[stops], b[stops], best_y[stops], best_v[stops]
+            going, state = ~stops, (a, b, c, d, fc, fd, best_y, best_v, at, *run)
+            a, b, c, d, fc, fd, best_y, best_v, at, *run = (v[going] for v in state)
+        if not at.size:
             break
-        # left: the maximum lies in [a, d]; the new probe is c.  right: in [c, b]
-        left = active & (fc >= fd)
-        right = active & ~left
-        a = np.where(right, c, a)
-        b = np.where(left, d, b)
-        c, fc, d, fd = (
-            np.where(right, d, c),
-            np.where(right, fd, fc),
-            np.where(left, c, d),
-            np.where(left, fc, fd),
-        )
-        step = _INV_PHI * (b - a)
+        # left: the maximum lies in [a, d], the inner probe c becomes d and
+        # the new probe is c; right: in [c, b], d becomes c, the new probe d
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        inner, f_inner = np.where(left, c, d), np.where(left, fc, fd)
+        width = b - a
+        step = _INV_PHI * width
         probe = np.where(left, b - step, a + step)
-        fp = fn(probe)
-        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
-        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
-        better = active & (fp > best_v)
+        fp = fn(probe, *run)
+        c, fc = np.where(left, probe, inner), np.where(left, fp, f_inner)
+        d, fd = np.where(left, inner, probe), np.where(left, f_inner, fp)
+        better = fp > best_v
         best_y, best_v = np.where(better, probe, best_y), np.where(better, fp, best_v)
+    a, b, best_y, best_v = out
     mid = 0.5 * (a + b)
-    fmid = fn(mid)
+    fmid = fn(mid, *args)
     better = fmid > best_v
     return np.where(better, mid, best_y), np.where(better, fmid, best_v)
 
@@ -298,11 +301,17 @@ def _brute_force(
     # float range it is inf, which prunes nothing
     with np.errstate(over="ignore"):
         scale = L * ds + lip * (np.abs(xs) + radius + t_far)
+    dd = ds * ds
 
     def sample(p: np.ndarray, j: np.ndarray) -> np.ndarray:
-        ys = xs[p] + h_y * (j - n[p])
-        dp = ds[p]
-        return spline.value(ys) - L * np.sqrt(dp * dp + (xs[p] - ys) ** 2)
+        # f(y) - L*sqrt(d*d + (x - y)**2) at y = x + h_y*(j - n), in place
+        x = xs[p]
+        ys = h_y * (j - n[p]) + x
+        cone = np.square(x - ys)
+        cone += dd[p]
+        v = spline.value(ys)
+        v -= np.multiply(np.sqrt(cone, out=cone), L, out=cone)
+        return v
 
     known = None
     if narrow is not None:
@@ -330,7 +339,7 @@ def _brute_force(
             y_star[~redo], v_star[~redo] = np.ravel(narrow.argmax_y)[~redo], np.ravel(narrow.value)[~redo]
         x_r, d_r = xs[redo], ds[redo]
         y_new, v_new = golden_section_max(
-            lambda y: spline.value(y) - L * construction.hypot(d_r, x_r - y), lo[redo], hi[redo]
+            lambda y, x, d: spline.value(y) - L * construction.hypot(d, x - y), lo[redo], hi[redo], (x_r, d_r)
         )
     worse = v_new < v_k[redo]
     y_star[redo], v_star[redo] = np.where(worse, y_k[redo], y_new), np.where(worse, v_k[redo], v_new)
@@ -383,11 +392,12 @@ def _scan_argmax(
     is set by _BUDGET, whatever the number of points.
 
     A cell is dropped, unsampled, when its bound plus a rounding slack stays
-    below the best sample seen at its point; a non-finite best or bound
-    drops nothing.  The bound is the smaller of (v_a + v_b)/2 +
-    lip_step*s/2 (Piyavskii-Shubert) and max(v_a, v_b) + curv_step*s^2/8
-    (curv_step a scalar or one value per point).  The slack is
-    1e-12*(1 + |best| + scale[p]), where |best| + scale[p] bounds the
+    below the best sample seen at its point as its level is folded (only
+    kept cells are made), or as the second half of a split level runs; a
+    non-finite best or bound drops nothing.  The bound is the smaller of
+    (v_a + v_b)/2 + lip_step*s/2 (Piyavskii-Shubert) and max(v_a, v_b) +
+    curv_step*s^2/8 (curv_step a scalar or one value per point).  The slack
+    is 1e-12*(1 + |best| + scale[p]), where |best| + scale[p] bounds the
     magnitude of every quantity in one sample's evaluation: rounding errs by
     a few ulps of it, and 1e-12 is ~4500 ulps.  A dropped cell holds only
     samples strictly below the maximum, so the result is that of the full
@@ -415,6 +425,8 @@ def _scan_argmax(
     if known is not None:
         _, k0, _, v0 = known
         v_k[:], k[:] = v0, k0
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = 1e-12 * (1.0 + np.abs(v_k) + scale)
     t_p, t_lo, t_hi, stride = _trees(count, known)
 
     def fold(p: np.ndarray, j: np.ndarray, v: np.ndarray) -> None:
@@ -422,22 +434,33 @@ def _scan_argmax(
         up = np.flatnonzero(~(v < v_k[p]))
         if not up.size:
             return
+        # a level's samples come point by point, in increasing point order,
+        # and by non-decreasing index, so a point's first sample at the top
+        # of its samples and v_k (nan if any is) is np.argmax's candidate
         p, j, v = p[up], j[up], v[up]
-        # a level's samples of one point are contiguous, their indices in
-        # non-decreasing order, so a point's first hit has its least index
-        new = np.concatenate(([True], p[1:] != p[:-1]))
-        starts = np.flatnonzero(new)
-        top = np.maximum.reduceat(v, starts)
-        hit = (v == top[np.cumsum(new) - 1]) | np.isnan(v)
-        at = np.minimum.reduceat(np.where(hit, np.arange(v.size), v.size), starts)
-        pts, v_at, k_at = p[starts], v[at], j[at]
-        v_run, k_run = v_k[pts], k[pts]
-        win = np.where(
-            np.isnan(v_run),
-            np.isnan(v_at) & (k_at < k_run),
-            np.isnan(v_at) | (v_at > v_run) | ((v_at == v_run) & (k_at < k_run)),
-        )
-        v_k[pts[win]], k[pts[win]] = v_at[win], k_at[win]
+        q = p - p[0]
+        top = v_k[p[0] : p[-1] + 1].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.maximum.at(top, q, v)
+            hit = np.flatnonzero((v == top[q]) | np.isnan(v))
+            at = hit[q[hit] != np.concatenate(([-1], q[hit[:-1]]))]
+            pts, v_at, k_at = p[at], v[at], j[at]
+            v_run, k_run = v_k[pts], k[pts]
+            win = np.where(
+                np.isnan(v_run),
+                np.isnan(v_at) & (k_at < k_run),
+                np.isnan(v_at) | (v_at > v_run) | ((v_at == v_run) & (k_at < k_run)),
+            )
+            pts, v_at = pts[win], v_at[win]
+            v_k[pts], k[pts] = v_at, k_at[win]
+            slack[pts] = 1e-12 * (1.0 + np.abs(v_at) + scale[pts])
+
+    def drop(p: np.ndarray, s: np.ndarray, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+        # whether the cells of stride s from v_a to v_b at points p
+        # (broadcast) stay below the best sample seen
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.minimum(0.5 * (va + vb) + 0.5 * lip_step * s, np.maximum(va, vb) + curv_step[p] * s * s / 8)
+            return (bound + slack[p] < v_k[p]) & np.isfinite(bound)
 
     # first level: every stride-th index of each stretch, up to the first at
     # or past its end, clipped to it
@@ -446,9 +469,9 @@ def _scan_argmax(
 
     def first_level(first: int, stop: int) -> tuple:
         # samples and folds the first level of trees first..stop-1, and
-        # returns its cells: between consecutive samples of one stretch, at
-        # strides above 1 (clipping moved only a stretch's last sample,
-        # which starts no cell)
+        # returns its kept cells: between consecutive samples of one
+        # stretch, at strides above 1 (clipping moved only a stretch's last
+        # sample, which starts no cell)
         w = width[first:stop]
         t = np.repeat(np.arange(first, stop), w)
         j = np.minimum(t_lo[t] + (np.arange(t.size) - np.repeat(np.cumsum(w) - w, w)) * stride[t], t_hi[t])
@@ -456,43 +479,50 @@ def _scan_argmax(
         v = sample(p, j)
         fold(p, j, v)
         s = stride[t[:-1]]
-        cell = (t[:-1] == t[1:]) & (s > 1)
-        return t[:-1][cell], s[cell], j[:-1][cell], v[:-1][cell], v[1:][cell]
+        cell = np.flatnonzero((t[:-1] == t[1:]) & (s > 1) & ~drop(p[:-1], s, v[:-1], v[1:]))
+        return np.stack([p[cell], t_hi[t[cell]], s[cell], j[cell]]), np.stack([v[cell], v[cell + 1]])
 
-    steps = np.arange(_REFINE)
+    steps = np.arange(1, _REFINE)[:, None]
     first = 0
     while first < t_p.size:
         stop = max(int(np.searchsorted(ends, ends[first] - width[first] + _BUDGET, "right")), first + 1)
-        todo = [first_level(first, stop)]
+        # kept cells, one column each: (point, last index of its stretch,
+        # stride, first index) and (v_a, v_b), and whether v_k may have risen
+        todo = [(*first_level(first, stop), False)]
         first = stop
         while todo:
-            ct, s, a, va, vb = todo.pop()
-            cp = t_p[ct]
-            with np.errstate(over="ignore", invalid="ignore"):
-                slack = 1e-12 * (1.0 + np.abs(v_k[cp]) + scale[cp])
-                bound = np.minimum(0.5 * (va + vb) + 0.5 * lip_step * s, np.maximum(va, vb) + curv_step[cp] * s * s / 8)
-                keep = ~((bound + slack < v_k[cp]) & np.isfinite(bound))
-            ct, s, a, va, vb = ct[keep], s[keep], a[keep], va[keep], vb[keep]
-            if ct.size > 1 and ct.size * (_REFINE - 1) > _BUDGET:
-                half = ct.size // 2
-                cells = (ct, s, a, va, vb)
-                todo += [tuple(c[half:] for c in cells), tuple(c[:half] for c in cells)]
+            cells, vals, stale = todo.pop()
+            if stale:
+                keep = ~drop(cells[0], cells[2], vals[0], vals[1])
+                cells, vals = cells[:, keep], vals[:, keep]
+            size = cells.shape[1]
+            if size > 1 and size * (_REFINE - 1) > _BUDGET:
+                half = size // 2
+                todo += [(cells[:, half:], vals[:, half:], True), (cells[:, :half], vals[:, :half], False)]
                 continue
-            if not ct.size:
+            if not size:
                 continue
+            # the _REFINE - 1 new indices inside each cell, cell by cell
+            p, hi, s, a = cells
             s = s // _REFINE
-            # the _REFINE - 1 new indices inside each kept cell
-            p = np.repeat(t_p[ct], _REFINE - 1)
-            j = np.minimum(a[:, None] + s[:, None] * steps[1:], t_hi[ct][:, None]).ravel()
-            v = sample(p, j)
-            fold(p, j, v)
-            # the cells of the next level, in the kept cells whose new
-            # stride leaves samples inside
-            coarse = s > 1
-            pv = np.column_stack([va[coarse], v.reshape(-1, _REFINE - 1)[coarse], vb[coarse]])
-            ct, s, a = ct[coarse], s[coarse], a[coarse]
-            a = (a[:, None] + s[:, None] * steps).ravel()
-            todo.append((np.repeat(ct, _REFINE), np.repeat(s, _REFINE), a, pv[:, :-1].ravel(), pv[:, 1:].ravel()))
+            j = np.empty((size, _REFINE - 1), dtype=np.int64)
+            j[...] = np.minimum(a + s * steps, hi).T
+            p_new, j = np.repeat(p, _REFINE - 1), j.ravel()
+            v = sample(p_new, j)
+            fold(p_new, j, v)
+            # each cell's samples v_a..v_b as a column, and of its _REFINE
+            # subcells those the new stride leaves samples inside and whose
+            # bound reaches the best sample, cell by cell
+            row = np.empty((_REFINE + 1, size))
+            row[0], row[1:-1], row[-1] = vals[0], v.reshape(size, -1).T, vals[1]
+            keep = np.empty((size, _REFINE), dtype=bool)
+            keep.T[...] = (s > 1) & ~drop(p, s, row[:-1], row[1:])
+            cell, sub = np.divmod(np.flatnonzero(keep), _REFINE)
+            if cell.size:
+                cells = cells.take(cell, axis=1)
+                cells[2] //= _REFINE
+                cells[3] += cells[2] * sub
+                todo.append((cells, np.take(row, sub * size + cell + [[0], [size]]), False))
     return k, v_k
 
 
@@ -513,12 +543,10 @@ def _trees(count: np.ndarray, known: tuple | None) -> tuple:
     # the first stride: the smallest power of _REFINE above limit
     length = t_hi - t_lo + 1
     limit = length // (_REFINE * _MIN_COARSE) if known is None else length - 2
-    stride = np.ones(t_p.size, dtype=np.int64)
-    grow = stride <= limit
-    while grow.any():
-        stride[grow] *= _REFINE
-        grow = stride <= limit
-    return t_p, t_lo, t_hi, stride
+    powers = [1]
+    while powers[-1] <= limit.max(initial=0):
+        powers.append(powers[-1] * _REFINE)
+    return t_p, t_lo, t_hi, np.array(powers)[np.searchsorted(powers, limit, "right")]
 
 
 def mw_envelopes(
@@ -542,7 +570,7 @@ def mw_envelopes(
     positions, each computed where a scan reads it: on the bottom line at
     y_j from xmin to xmax, on the top line at x(y_j) for contact points y_j
     from xmin - pad to xmax + pad, kept where x(y_j) lies in [xmin, xmax].
-    x(y) is increasing, so the kept indices are one run, found by bisection.
+    x(y) is increasing, so the kept indices are one run, found by search.
     Each line takes two _scan_argmax runs, of +-g - L*hypot(x - pos,
     height); high is minus the second maximum, which is exact.  With dy the
     spacing np.arange steps by, a bottom-line sample moves by at most
@@ -585,8 +613,8 @@ def mw_envelopes(
     def x_top(j):
         return construction.contact_inverse(yt(j), delta, problem)
 
-    first = bisect.bisect_left(range(nt), spec.xmin, key=x_top)
-    last = bisect.bisect_right(range(nt), spec.xmax, first, key=x_top)
+    first = _first_past(lambda j: ~(x_top(j) < spec.xmin), 0, nt)
+    last = _first_past(lambda j: spec.xmax < x_top(j), first, nt)
 
     def g_bottom(j: np.ndarray) -> tuple:
         y = y0(j)
@@ -629,6 +657,18 @@ def mw_envelopes(
     high = np.where(hight < high0, hight, high0).reshape(x.shape)
     construction.require_finite_u(x, d, low, high)
     return low[()], high[()]
+
+
+def _first_past(past: Callable[[np.ndarray], np.ndarray], lo: int, hi: int) -> int:
+    """The first j in lo..hi-1 at which past(j) holds, hi if none, for past
+    false up to some j and true from there (bisect's answer), probing up to
+    _PROBES indices in one array per round."""
+    while lo < hi:
+        m = min(hi - lo, _PROBES)
+        j = lo + np.arange(1, m + 1) * (hi - lo) // (m + 1)
+        i = int(np.argmax(np.append(past(j), True)))
+        lo, hi = (int(j[i - 1]) + 1 if i else lo), (int(j[i]) if i < m else hi)
+    return lo
 
 
 def _arange(start: float, stop: float, step: float) -> tuple:

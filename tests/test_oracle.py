@@ -1,3 +1,4 @@
+import bisect
 import math
 from pathlib import Path
 
@@ -202,6 +203,46 @@ def scalar_golden_section_max(fn, lo, hi, tol=1e-13, max_iter=90):
     if fmid > best_v:
         best_y, best_v = mid, fmid
     return best_y, best_v
+
+
+def test_refinement_matches_one_bracket_search(vee_problem):
+    # brackets leave the working arrays at different steps: zero width,
+    # already below the stopping width, h, 2h and 1e-3 wide, and one whose
+    # objective is nan; each keeps the bits of the one-bracket search
+    spline, L = vee_problem.spline, vee_problem.L
+    x = np.array([0.3, -0.7, 0.03, 1.1, -1.6, math.nan])
+    d = np.array([0.05, 0.1, 0.02, 0.07, 0.1, 0.05])
+    width = np.array([0.0, 0.5e-13, 1e-6, 2e-6, 1e-3, 2e-6])
+    lo = np.where(np.isnan(x), 0.2, x) - 0.5 * width
+    hi = lo + width
+    sizes = []
+
+    def objective(y, x, d):
+        sizes.append(y.size)
+        return spline.value(y) - L * construction.hypot(d, x - y)
+
+    y_star, v_star = oracle.golden_section_max(objective, lo, hi, (x, d))
+    for i in range(x.size):
+        want = scalar_golden_section_max(lambda y: spline.value(y) - L * math.hypot(d[i], x[i] - y), lo[i], hi[i])
+        assert (y_star[i].hex(), v_star[i].hex()) == tuple(float(w).hex() for w in want), i
+    # two first probes of every bracket, steps over those still running
+    # (the first two never step), and the midpoints of all
+    steps = sizes[2:-1]
+    assert sizes[:2] == [6, 6] and sizes[-1] == 6
+    assert steps[0] == 4 and steps == sorted(steps, reverse=True) and len(set(steps)) == 3 and min(steps) == 1
+
+
+def test_refinement_without_brackets_takes_no_step():
+    sizes = []
+
+    def objective(y, x):
+        sizes.append(y.size)
+        return -((y - x) ** 2)
+
+    y_star, v_star = oracle.golden_section_max(objective, np.zeros(0), np.zeros(0), (np.zeros(0),))
+    assert y_star.shape == v_star.shape == (0,) and y_star.dtype == v_star.dtype == float
+    # the two first probes and the midpoints, all empty
+    assert sizes == [0, 0, 0]
 
 
 def full_scan_brute_force_u(point, problem, h_y, window_factor=1.0):
@@ -509,6 +550,25 @@ def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
     brute_force_u((0.3, 0.1), vee_problem, 1e-6).widened(2.0)
     full = 2 * math.ceil((2.0 * vee_problem.D * 0.1 + 1e-6) / 1e-6) + 1
     assert sum(calls) < 0.0025 * full
+    # the 1x scan of the acceptance grid prunes exactly as much as when each
+    # level's cells were made whole and bounded when they ran
+    monkeypatch.setattr(BoundarySpline, "value", value)
+    scan, taken = oracle._scan_argmax, []
+
+    def counting_scan(sample, *args):
+        return scan(lambda p, j: taken.append(p.size) or sample(p, j), *args)
+
+    monkeypatch.setattr(oracle, "_scan_argmax", counting_scan)
+    spec = VerifyConfig().grid
+    brute_force_u((spec.xs()[:, None], spec.heights(vee_problem.delta)[None, :]), vee_problem, spec.h_y)
+    assert sum(taken) == 207_264
+    # so do envelope scans whose levels split in many halves, each bounded
+    # again when it runs (11,244 samples without that)
+    monkeypatch.setattr(oracle, "_BUDGET", 64)
+    taken.clear()
+    points = (np.linspace(-1.4, 1.4, 9)[:, None], np.array([[0.02, 0.05, 0.09]]))
+    mw_envelopes(points, vee_problem, GridSpec(xmin=-2.0, xmax=2.0, nx=2, nd=2, h_y=1e-4))
+    assert sum(taken) == 11_241
 
 
 def test_acceptance_scans_read_a_pinned_number_of_samples(vee_problem, monkeypatch):
@@ -555,9 +615,9 @@ def test_widened_goes_on_from_the_narrower_scan(vee_problem, monkeypatch):
         scans.append((count, known, k, v_k, *(np.concatenate(a) for a in zip(*taken))))
         return k, v_k
 
-    def recording_refine(fn, lo, hi):
+    def recording_refine(fn, lo, hi, args=()):
         refined.append(np.size(lo))
-        return refine(fn, lo, hi)
+        return refine(fn, lo, hi, args)
 
     monkeypatch.setattr(oracle, "_scan_argmax", recording_scan)
     monkeypatch.setattr(oracle, "golden_section_max", recording_refine)
@@ -650,6 +710,46 @@ def test_positions_match_np_arange(start, step, steps):
     assert [v.hex() for v in at(np.arange(size)).tolist()] == [v.hex() for v in want.tolist()]
     if size > 1:
         assert spacing == want[1] - want[0]
+
+
+def top_line(problem, spec):
+    """(nt, x_top) of mw_envelopes: the top line's contact-point count and
+    its abscissa at contact-point index j."""
+    ystep = spec.h_y / (1.0 + problem.contraction_q)
+    pad = problem.D * problem.delta + spec.h_y
+    nt, _, yt = oracle._arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
+    return nt, lambda j: construction.contact_inverse(yt(j), problem.delta, problem)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_SPLINES))
+def test_kept_run_is_what_bisection_finds(name):
+    # the top line's kept run, x_top in [xmin, xmax], found by the k-ary
+    # search as bisect finds it: on the line's own window, windows ending
+    # exactly at samples, windows between two samples (an empty run), and
+    # windows past either end of the line
+    problem = envelope_problem(SAMPLE_SPLINES[name], 0.5)
+    for h in (1e-3, 1.0):
+        spec = GridSpec(xmin=-2.0, xmax=2.0, nx=2, nd=2, h_y=h)
+        nt, x_top = top_line(problem, spec)
+        xs = x_top(np.arange(nt))
+        mid = nt // 2
+        windows = [
+            (spec.xmin, spec.xmax),
+            (xs[1], xs[nt - 2]),
+            (float(np.nextafter(xs[mid], math.inf)), float(np.nextafter(xs[mid + 1], -math.inf))),
+            (xs[0] - 1.0, xs[mid]),
+            (xs[mid], xs[-1] + 1.0),
+            (xs[0] - 1.0, xs[-1] + 1.0),
+            (xs[-1] + 1.0, xs[-1] + 2.0),
+        ]
+        for xmin, xmax in windows:
+            first = oracle._first_past(lambda j: ~(x_top(j) < xmin), 0, nt)
+            last = oracle._first_past(lambda j: xmax < x_top(j), first, nt)
+            want_first = bisect.bisect_left(range(nt), xmin, key=x_top)
+            assert (first, last) == (want_first, bisect.bisect_right(range(nt), xmax, want_first, key=x_top))
+        # an empty run where the window falls between two samples
+        assert oracle._first_past(lambda j: ~(x_top(j) < windows[2][0]), 0, nt) == mid + 1
+        assert oracle._first_past(lambda j: windows[2][1] < x_top(j), mid + 1, nt) == mid + 1
 
 
 class TestEnvelopes:
