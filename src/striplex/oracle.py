@@ -21,10 +21,16 @@ _scan_argmax, whose result is that of a scan of every sample:
   comes from the construction;
 * minimal/maximal Lipschitz envelopes of the strip boundary data, whose
   coincidence pins u from both sides: extrema over samples of the two
-  boundary lines, computed where the scan reads them.  On the evenly
-  spaced bottom line the samples of +-f minus the cone rise and fall for
-  the reasons above (the heights lie below delta < delta_touch); the top
-  line gets a first-order bound from the y-spacing and q.
+  boundary lines, computed where the scan reads them, one scan per line
+  for both extrema.  On the evenly spaced bottom line the samples of +-f
+  minus the cone rise and fall for the reasons above (the heights lie
+  below delta < delta_touch).  On the top line, sampled at evenly spaced
+  contact points y, the samples of +-u minus the cone rise and fall
+  wherever the point lies a height h below the line with q_h + q < 1,
+  q_h = h*phi'(L_f)*Lip(f'), that is h < delta_banach - delta: their slope
+  in y is X'(y) > 0 times a function that can vanish only where the
+  cone's slope is at most L_f, and falls there.  Points farther below
+  keep the first-order bound from the y-spacing and q alone.
 
 Grid fills and exports for both provenances are also defined here.
 """
@@ -32,7 +38,9 @@ Grid fills and exports for both provenances are also defined here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -568,24 +576,47 @@ def mw_envelopes(
     scan size and then every point are checked before any scan; the first
     bad point in C order is named.  The samples sit at np.arange's
     positions, each computed where a scan reads it: on the bottom line at
-    y_j from xmin to xmax, on the top line at x(y_j) for contact points y_j
-    from xmin - pad to xmax + pad, kept where x(y_j) lies in [xmin, xmax].
-    x(y) is increasing, so the kept indices are one run, found by search.
-    Each line takes two _scan_argmax runs, of +-g - L*hypot(x - pos,
-    height); high is minus the second maximum, which is exact.  With dy the
-    spacing np.arange steps by, a bottom-line sample moves by at most
-    (L_f + L)*dy per index.  Its height d lies below delta < delta_touch,
-    so for either sign the samples rise to one maximum and fall, as in
-    brute_force_u: that makes the scan exact with the second-order bound at
-    curv_step = Lip(f')*dy^2 (a bound on +-f's bending that the cone's
-    bending does not enter).  On the top line |dx/dy| <= 1 + q and dg/dy =
-    f'(y)*dx/dy, so a sample moves by at most (L_f + L)*(1 + q)*dy; its
-    x-spacing is uneven, so that line gets only this first-order bound.
+    y_j from xmin to xmax, on the top line at X(y_j) for contact points y_j
+    from xmin - pad to xmax + pad, kept where X(y_j) lies in [xmin, xmax].
+    X(y) = y - delta*phi(f'(y)) is increasing, so the kept indices are one
+    run, found by search.  A top-line sample's u and X come from one f'(y)
+    and one root sqrt(L^2 - f'(y)^2), with the IEEE operations of
+    construction.u_at_contact and contact_inverse; the contact points are
+    checked once, at the line's ends.
+
+    Each line takes one _scan_argmax run over 2n points for n points: the
+    first n maximize g - L*hypot(x - pos, height), the last n -g - L*hypot(
+    x - pos, height), and high is minus their maximum, which is exact.
+    With dy the spacing np.arange steps by, a bottom-line sample moves by
+    at most (L_f + L)*dy per index.  Its height d lies below delta <
+    delta_touch, so for either sign the samples rise to one maximum and
+    fall, as in brute_force_u: that makes the scan exact with the
+    second-order bound at curv_step = Lip(f')*dy^2 (a bound on +-f's
+    bending that the cone's bending does not enter).
+
+    On the top line a sample is s(y) = +-u_top(y) - L*hypot(x - X(y), h)
+    at the height h = delta - d above the point, and u_top' = f'*X', so
+    s'(y) = X'(y)*G(y) with G = +-f'(y) + c(x - X(y)) and c(w) =
+    L*w/sqrt(w^2 + h^2).  X' = 1 - delta*phi'(f')*f'' lies in [1 - q,
+    1 + q], so a sample moves by at most (L_f + L)*(1 + q)*dy per index.
+    The second-order bound comes from the shape of s.  c(x - X(y)) falls
+    as y grows, so the y where |c| <= L_f form one interval; before it c >
+    L_f >= |f'| and G > 0, after it G < 0.  Inside it c' = 1/(h*phi'(c))
+    >= 1/(h*phi'(L_f)), so dG/dy <= Lip(f') - (1 - q)/(h*phi'(L_f)), which
+    is negative when q_h + q < 1 with q_h = h*phi'(L_f)*Lip(f'), that is
+    h < delta_banach - delta.  Then G changes sign at most once, from + to
+    -, and the samples rise to one maximum and fall, so the scan is exact
+    at curv_step = 0 (see _scan_argmax).  Points past the condition keep
+    curv_step = inf, the first-order bound alone: there the samples may
+    have several local maxima.  The condition is decided in exact
+    arithmetic on the height the samples use (_rise_and_fall_height), so
+    rounding cannot move a point to the curv_step = 0 side.
     """
     delta = problem.delta
     L = problem.L
     lip = problem.L_f + L
     q = problem.contraction_q
+    spline = problem.spline
     h = spec.h_y
     lo, hi = spec.trimmed_window(problem)
     # top line sampled through the contact parameterization; dx/dy is within
@@ -609,37 +640,51 @@ def mw_envelopes(
 
     n0, step0, y0 = _arange(spec.xmin, spec.xmax + 0.5 * h, h)
     nt, stept, yt = _arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
+    # the contact points rise from the line's first to its last, so these
+    # two stand for every one a search or a scan reads
+    construction.require_strip_points(problem, yt(np.array([0, nt - 1])), delta, name="y")
 
-    def x_top(j):
-        return construction.contact_inverse(yt(j), delta, problem)
+    def contact(j: np.ndarray) -> tuple:
+        # the contact points y = yt(j), the root u_at_contact divides by,
+        # and X(y) as contact_inverse computes it
+        y = yt(j)
+        slope = spline.derivative(y)
+        root = np.sqrt(L * L - slope * slope)
+        return y, root, y - delta * (slope / root)
 
-    first = _first_past(lambda j: ~(x_top(j) < spec.xmin), 0, nt)
-    last = _first_past(lambda j: spec.xmax < x_top(j), first, nt)
+    first = _first_past(lambda j: ~(contact(j)[2] < spec.xmin), 0, nt)
+    last = _first_past(lambda j: spec.xmax < contact(j)[2], first, nt)
 
     def g_bottom(j: np.ndarray) -> tuple:
         y = y0(j)
-        return problem.spline.value(y), y
+        return spline.value(y), y
 
     def g_top(j: np.ndarray) -> tuple:
-        return construction.u_at_contact(yt(first + j), problem), x_top(first + j)
+        y, root, pos = contact(first + j)
+        return spline.value(y) - delta * L * L / root, pos
 
-    def line_max(sign: float, count: int, g_pos, height: np.ndarray, lip_step: float, curv_step: float):
+    # scan point i < n takes +g at flat point i, scan point n + i takes -g
+    sign, x2 = np.repeat([1.0, -1.0], xs.size), np.tile(xs, 2)
+
+    def line_max(count: int, g_pos, height: np.ndarray, lip_step: float, curv_step) -> np.ndarray:
         def sample(p: np.ndarray, j: np.ndarray) -> np.ndarray:
             g, pos = g_pos(j)
-            return sign * g - L * np.hypot(xs[p] - pos, height[p])
+            return sign[p] * g - L * np.hypot(x2[p] - pos, height[p])
 
-        return _scan_argmax(sample, np.full(xs.size, count), lip_step, curv_step, scale)[1]
+        return _scan_argmax(sample, np.full(x2.size, count), lip_step, curv_step, scale)[1]
 
-    bottom = (n0, g_bottom, ds, lip * step0, problem.spline.slope_lipschitz * step0 * step0)
-    top = (last - first, g_top, delta - ds, lip * (1.0 + q) * stept, math.inf)
+    top_h = np.tile(delta - ds, 2)
+    bottom = (n0, g_bottom, np.tile(ds, 2), lip * step0, spline.slope_lipschitz * step0 * step0)
+    top_curv = np.where(top_h <= _rise_and_fall_height(problem), 0.0, math.inf)
+    top = (last - first, g_top, top_h, lip * (1.0 + q) * stept, top_curv)
     # near the ends of the float range the samples overflow; a non-finite
     # envelope is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         # the magnitudes met in one sample's evaluation (see brute_force_u):
         # positions within reach of 0, the terms of f, the cone term
         reach = max(abs(spec.xmin), abs(spec.xmax)) + pad
-        t_far = max(abs(problem.spline.knots[0][0]), abs(problem.spline.knots[-1][0]))
-        scale = L * delta + lip * (np.abs(xs) + 2.0 * (reach + t_far))
+        t_far = max(abs(spline.knots[0][0]), abs(spline.knots[-1][0]))
+        scale = L * delta + lip * (np.abs(x2) + 2.0 * (reach + t_far))
         # every scan's first level reads both ends of its line.  A bottom
         # value g there that is not finite makes each point's low (g = +inf
         # or nan) or high (g = -inf or nan) not finite, whatever its cone
@@ -649,14 +694,36 @@ def mw_envelopes(
         # the max and min below
         if not np.isfinite(g_bottom(np.array([0, n0 - 1]))[0]).all():
             construction.require_finite_u(x, d, np.full(x.shape, math.nan))
-        low0, lowt = line_max(1.0, *bottom), line_max(1.0, *top)
-        high0, hight = -line_max(-1.0, *bottom), -line_max(-1.0, *top)
+        (low0, high0), (lowt, hight) = (line_max(*line).reshape(2, -1) for line in (bottom, top))
+        high0, hight = -high0, -hight
     # max and min as the builtins pick them: the first argument unless the
     # second is strictly beyond it
     low = np.where(lowt > low0, lowt, low0).reshape(x.shape)
     high = np.where(hight < high0, hight, high0).reshape(x.shape)
     construction.require_finite_u(x, d, low, high)
     return low[()], high[()]
+
+
+def _rise_and_fall_height(problem: AdmissibleProblem) -> float:
+    """A height H such that every height h in (0, H] has q_h + q < 1, that
+    is (h + delta)*phi'(L_f)*Lip(f') < 1, in exact arithmetic (H <= 0 if
+    none is found, inf where Lip(f') = 0): the top-line condition of
+    mw_envelopes.  The test (h + delta)*L^2*Lip(f') < (L^2 - L_f^2)^(3/2)
+    is taken squared in rationals, from the float delta_banach - delta
+    down by a relative step that doubles until it holds."""
+    lip = problem.spline.slope_lipschitz
+    if lip == 0.0:
+        return math.inf
+    L2 = Fraction(problem.L) ** 2
+    room = (L2 - Fraction(problem.L_f) ** 2) ** 3
+
+    def holds(h: float) -> bool:
+        return ((Fraction(h) + Fraction(problem.delta)) * L2 * Fraction(lip)) ** 2 < room
+
+    h, cut = min(problem.caps[1] - problem.delta, sys.float_info.max), 2.0**-52
+    while h > 0.0 and not holds(h):
+        h, cut = h - h * cut, 2.0 * cut
+    return h
 
 
 def _first_past(past: Callable[[np.ndarray], np.ndarray], lo: int, hi: int) -> int:

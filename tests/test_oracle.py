@@ -1,5 +1,7 @@
 import bisect
 import math
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -512,9 +514,19 @@ def test_scan_bounds_hold_on_the_full_sample_sequences(name, monkeypatch):
     past = scan_problem(SAMPLE_SPLINES[name], 1.5)
     touch = past.caps[0]
     brute_force_u((xs, np.array([[0.5 * touch, 1.2 * touch]])), past, 1e-3).widened(2.0)
-    mw_envelopes((np.linspace(-1.3, 1.3, 7)[:, None], ds), problem, envelope_spec(problem, h=1e-3))
-    # each brute_force_u call and each widening scans once, mw_envelopes four times
-    assert len(calls) == (8 if name == "two_kinks" else 10)
+    envelope_xs = np.linspace(-1.3, 1.3, 7)[:, None]
+    mw_envelopes((envelope_xs, ds), problem, envelope_spec(problem, h=1e-3))
+    if name == "zigzag40":
+        # at 0.9 of the cap, delta_banach - delta ~ 0.11*delta: the top-line
+        # samples rise and fall at the two upper heights (h = delta - d <=
+        # 0.1*delta) and need not at the two lower ones, which keep the
+        # first-order bound alone
+        steep = envelope_problem(SAMPLE_SPLINES[name], 0.9)
+        heights = steep.delta * np.array([[0.02, 0.3, 0.9, 0.99]])
+        mw_envelopes((envelope_xs, heights), steep, envelope_spec(steep, h=1e-3))
+    # each brute_force_u call, each widening and each envelope line scans once
+    assert len(calls) == {"vee": 8, "two_kinks": 6, "zigzag40": 10}[name]
+    first_order_only = []
     for sample, count, lip_step, curv_step, scale in calls:
         for p, n in enumerate(count.tolist()):
             v = sample(np.full(n, p), np.arange(n))
@@ -524,6 +536,15 @@ def test_scan_bounds_hold_on_the_full_sample_sequences(name, monkeypatch):
             top = int(np.argmax(v))
             rise_and_fall = np.all(np.diff(v[: top + 1]) >= -slack) and np.all(np.diff(v[top:]) <= slack)
             assert rise_and_fall or np.min(np.diff(v, 2)) >= -curv_step[p] - slack
+            if curv_step[p] == math.inf:
+                first_order_only.append(rise_and_fall)
+    # the negative control: only past the top-line condition does a point
+    # keep curv_step = inf, and there some sequences have several maxima,
+    # so a scan that gave them curv_step = 0 would fail the check above
+    if name == "zigzag40":
+        assert first_order_only and not all(first_order_only)
+    else:
+        assert not first_order_only
 
 
 def test_mesh_past_one_block_matches_one_point_calls(vee_problem, monkeypatch):
@@ -556,19 +577,35 @@ def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
     scan, taken = oracle._scan_argmax, []
 
     def counting_scan(sample, *args):
-        return scan(lambda p, j: taken.append(p.size) or sample(p, j), *args)
+        # the samples each scan call reads
+        taken.append(0)
+
+        def counted(p, j):
+            taken[-1] += p.size
+            return sample(p, j)
+
+        return scan(counted, *args)
 
     monkeypatch.setattr(oracle, "_scan_argmax", counting_scan)
     spec = VerifyConfig().grid
     brute_force_u((spec.xs()[:, None], spec.heights(vee_problem.delta)[None, :]), vee_problem, spec.h_y)
-    assert sum(taken) == 207_264
-    # so do envelope scans whose levels split in many halves, each bounded
-    # again when it runs (11,244 samples without that)
+    assert taken == [207_264]
+    # an envelope call, bottom line then top line: every top-line point lies
+    # inside the condition of mw_envelopes, where the scan takes curv_step
+    # = 0 (8,703 top-line samples with the first-order bound alone)
     monkeypatch.setattr(oracle, "_BUDGET", 64)
     taken.clear()
     points = (np.linspace(-1.4, 1.4, 9)[:, None], np.array([[0.02, 0.05, 0.09]]))
     mw_envelopes(points, vee_problem, GridSpec(xmin=-2.0, xmax=2.0, nx=2, nd=2, h_y=1e-4))
-    assert sum(taken) == 11_241
+    assert taken == [2_544, 2_592]
+    # envelope scans whose levels split in many halves, each bounded again
+    # when it runs (18,309 top-line samples without that): half of the
+    # top-line points lie past the condition
+    taken.clear()
+    steep = envelope_problem(SAMPLE_SPLINES["zigzag40"], 0.9)
+    points = (np.linspace(-1.3, 1.3, 7)[:, None], steep.delta * np.array([[0.02, 0.3, 0.9, 0.99]]))
+    mw_envelopes(points, steep, GridSpec(xmin=-2.0, xmax=2.0, nx=2, nd=2, h_y=1e-3))
+    assert taken == [2_386, 18_300]
 
 
 def test_acceptance_scans_read_a_pinned_number_of_samples(vee_problem, monkeypatch):
@@ -692,6 +729,38 @@ def test_envelope_scans_match_pointwise_loop(spline, delta_frac, log_h, x_fracs,
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert [v.hex() for v in g.ravel().tolist()] == [v.hex() for v in w.ravel().tolist()]
+
+
+@given(
+    st.floats(1e-3, 1e3),
+    st.one_of(st.floats(0.0, 0.99), st.sampled_from([1.0 - 1e-8, 1.0 - 1e-12, 1.0 - 2.0**-48])),
+    st.floats(1e-3, 10.0),
+    st.floats(0.01, 0.999),
+)
+@example(2.0, 0.0, 1.0, 0.5)  # Lip(f') = 0: every height
+# the float delta_banach - delta lies 17 ulps above the real one
+@example(271.1641035366959, 0.9797339132168305, 1.0, 0.5)
+# a subnormal Lip(f'): delta_banach overflows to inf
+@example(1.0, 5e-324, 1.0, 0.5)
+@settings(max_examples=200, deadline=None)
+def test_top_line_condition_holds_in_exact_arithmetic(L, ratio, width, delta_frac):
+    # every height up to _rise_and_fall_height has (h + delta)*phi'(L_f)*
+    # Lip(f') < 1 as a real number, also where L^2 - L_f^2 cancels; away
+    # from that it reaches delta_banach - delta up to rounding, which the
+    # cancellation of L^2 - L_f^2 grows to tens of ulps near L_f/L = 0.99
+    spline = BoundarySpline(f0=0.0, knots=((0.0, -ratio * L), (width, ratio * L)))
+    cap = min(delta_caps(L, spline.max_slope, spline.slope_lipschitz))
+    problem = admit(ProblemParams(L=L, delta=delta_frac * (cap if math.isfinite(cap) else 1.0), spline=spline))
+    height = oracle._rise_and_fall_height(problem)
+    lip = spline.slope_lipschitz
+    if lip == 0.0:
+        assert height == math.inf
+        return
+    L2, Lf2 = Fraction(L) ** 2, Fraction(spline.max_slope) ** 2
+    if height > 0.0:
+        assert ((Fraction(height) + Fraction(problem.delta)) * L2 * Fraction(lip)) ** 2 < (L2 - Lf2) ** 3
+    if ratio <= 0.99:
+        assert height >= min(problem.caps[1] - problem.delta, sys.float_info.max) * (1.0 - 1e-12)
 
 
 @given(st.floats(-1e3, 1e3), st.floats(1e-7, 1.0), st.floats(-2.0, 2000.0))
