@@ -18,27 +18,53 @@ WIDTH = 24
 _REAL_PADDED = f"%-{WIDTH}.{SIGNIFICANT_DIGITS}g"
 # rows write_table lays out per block.  On a 65537x5 `construct` export
 # (2-core host) blocks of 4096 peak at 1.9 MB of numpy allocations
-# (tracemalloc); 2048 take 0.9 MB and ~1.3x the time, 8192 3.7 MB and ~0.9x
+# (tracemalloc); 2048 take 0.9 MB and ~1.15x the time, 8192 3.7 MB and ~0.97x
 _FMT_BLOCK = 4096
 
 # %.17g writes |v| in [1e-4, 1e15) in fixed notation from the 17-digit
-# integer T = round(|v|*10^p), p = 16 - floor(log10|v|) in [1, 21]; there
-# |v|*10^p = M*5^p/2^s with M < 2^53, 5^p < 2^49 and s in [1, 63]
+# integer T = round(|v|*10^p), p = 16 - k in [1, 21] for the decimal
+# exponent k of |v|
 _FAST_MIN, _FAST_MAX = 1e-4, 1e15
-_POW5 = np.array([5**p for p in range(22)], dtype=np.uint64)
-# the text is built as 24 bytes in three uint64 words, byte j of the text in
-# byte j % 8 (little-endian) of word j // 8; _KEEP[w][c] is the part of word
-# w that keeps the first c bytes of the text
-_KEEP = [
-    np.array([(1 << 8 * min(max(c - 8 * w, 0), 8)) - 1 for c in range(WIDTH + 1)], dtype=np.uint64) for w in range(3)
-]
-# uint64 operands: numpy computes uint64 mixed with int64 in float64
-_U = {c: np.uint64(c) for c in (0, 1, 8, 10, 16, 20, 32, 56, 64, 100, 103, 10486, 10**4, 10**8, 10**16, 10**17)}
-_LOW32, _LANES7, _LANES4 = np.uint64(0xFFFFFFFF), np.uint64(0x0000007F0000007F), np.uint64(0x000F000F000F000F)
-# a byte repeated through a word
-_REP = {c: np.uint64(int.from_bytes(bytes([c]) * 8, "little")) for c in (0x7F, 0x80, 0x30, 0x2E, 0xFF)}
-# the gap of a value below 1: "0." and then zeros
-_ZERO_POINT = np.uint64(int.from_bytes(b"0.000000", "little"))
+_ALL = np.uint64(2**64 - 1)
+
+
+def _split(x):
+    """Veltkamp's split of the float64 x into hi + lo, each of at most 26
+    significant bits, so that products of the halves are exact."""
+    c = x * (2.0**27 + 1)
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# 10^p for p in [0, 21] (exact: 5^p < 2^53), split
+_P10_HI, _P10_LO = _split(np.cumprod(np.r_[1.0, np.full(21, 10.0)]))
+# _DIGITS4[g]: the four ASCII digits of g < 10^4, the first in the low
+# byte; _COUNT4[g]: 2^(c-1) for the count c of them through the last
+# nonzero one, 0 for g = 0; both over the grid of the four digits
+_d = np.ix_(*[np.arange(10)] * 4)
+_DIGITS4 = (0x30303030 + sum(d << 8 * i for i, d in enumerate(_d))).astype("<u4").ravel()
+_count = np.maximum(np.maximum(_d[0] > 0, 2 * (_d[1] > 0)), np.maximum(3 * (_d[2] > 0), 4 * (_d[3] > 0)))
+_COUNT4 = ((1 << _count) >> 1).astype(np.uint8).ravel()
+# the text's layout by class j = k + 4 + 19*s (k in [-4, 14], s = 1 when
+# negative): _POINT, the bit of the digits where '.' goes in (128: none,
+# below 1); _LAST, the bits the 17th digit moves up for it; _SHIFT, the
+# bits of the head before the digits; _HEAD, the head: '-' when negative,
+# then "0." and zeros below 1
+_k, _s = np.tile(np.arange(-4, 15), 2), np.repeat([0, 1], 19)
+_q, _head = np.maximum(_k + 1, 0), _s + (_k < 0) * (1 - _k)
+_POINT = np.where(_k >= 0, 8 * _q, 128).astype(np.uint64)
+_LAST = np.where(_k >= 0, 8, 0).astype(np.uint64)
+_SHIFT = (8 * _head).astype(np.uint64)
+_HEAD = np.where(_s, np.uint64(0x3030302E302D), np.uint64(0x3030302E30)) & ~(_ALL << _SHIFT)
+# _TEXT[w][j*18 + c]: the bytes of word w that hold the text of class j
+# with c significant digits, where the point and the fraction are kept
+# only for c > q, the count of integer digits
+_c = np.arange(18)
+_length = _head[:, None] + np.where(_c > _q[:, None], _c + (_k >= 0)[:, None], _q[:, None])
+_TEXT = [~(_ALL << (8 * np.clip(_length - 8 * w, 0, 8)).astype(np.uint64)).ravel() for w in range(3)]
+for _t in (_P10_HI, _P10_LO, _DIGITS4, _COUNT4, _POINT, _LAST, _SHIFT, _HEAD, *_TEXT):
+    _t.flags.writeable = False
+del _d, _count, _k, _s, _q, _head, _c, _length, _t
 
 
 def fmt_real(v: float) -> str:
@@ -52,20 +78,17 @@ def format_reals(values) -> np.ndarray:
     flattened float array.
 
     Zeros and the values that %.17g writes in fixed notation with at most 15
-    integer digits, 1e-4 <= |v| < 1e15, are formatted with integer
+    integer digits, 1e-4 <= |v| < 1e15, are formatted with float and integer
     arithmetic, all at once (_fixed_words); every other value (nan, +-inf,
     subnormals, 0 < |v| < 1e-4, |v| >= 1e15) goes through REAL in one
     template application.  Both give the bytes of fmt_real."""
     v = np.asarray(values, dtype=float).ravel()
     a = np.abs(v)
-    neg = np.signbit(v)
     fixed = (a >= _FAST_MIN) & (a < _FAST_MAX)
     zero = a == 0.0
-    # every value outside the fixed range goes in as 1.0 and is replaced below
-    words = _fixed_words(np.where(fixed, a, 1.0), neg)
-    # a zero's digit "1", at byte 0 or after the '-', becomes "0"
-    words[0] -= zero.astype(np.uint64) << (neg.astype(np.uint64) * _U[8])
-    out = np.stack(words, axis=1).astype("<u8", copy=False).view(np.uint8)
+    # every value outside the fixed range goes in as 1.0, a zero's digit 1
+    # becomes 0, and the rest are replaced below
+    out = _fixed_words(np.where(fixed, a, 1.0), np.signbit(v), zero).view(np.uint8)
     rest = np.flatnonzero(~(fixed | zero))
     if rest.size:
         text = (_REAL_PADDED * rest.size) % tuple(v[rest].tolist())
@@ -74,114 +97,91 @@ def format_reals(values) -> np.ndarray:
     return out
 
 
-def _fixed_words(a: np.ndarray, neg: np.ndarray) -> list:
-    """The three text words of the 1-D reals a in [1e-4, 1e15), negative
-    where neg: %g's fixed notation of their 17 significant digits.
+def _fixed_words(a: np.ndarray, neg: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """The (n, 3) uint64 words of the text of the 1-D reals a in [1e-4,
+    1e15), negative where neg, with the lead digit 0 where zero: byte i of
+    the text in byte i % 8 (little-endian) of word i // 8.
 
-    That is the integer digits, then '.' and the fraction without trailing
-    zeros (no '.' when nothing is left of it); below 1, "0." and zeros
-    before all the digits.  The digits D (17 bytes) split at byte q, the
-    count of integer digits (0 below 1), and the part past q moves up by the
-    gap, the bytes of '.' or of "0.0.." (fill), word by word; so does the
-    whole text by one byte for the '-' of a negative value."""
+    %g's fixed notation is the integer digits, then '.' and the fraction
+    through its last nonzero digit (no '.' when nothing is left of it);
+    below 1, "0." and zeros before all the digits.  So the 17 digits D
+    split at the point into L and H, and Y = L | '.' | H moves up past the
+    head; the bytes past the text are cleared.  numpy gives 0 for a uint64
+    shift by 64 bits or more: a point at bit 128 leaves D whole, and a
+    shift by 0 carries nothing into the next word."""
     T, k = _decimal(a)
-    digits, significant = _digit_words(T)
-    q = np.maximum(k + 1, 0)
-    gap = np.maximum(1 - k, 1)
-    # the '.' and the fraction go when no significant digit lies past q
-    length = np.maximum(significant + gap * (significant > q), q)
-    fill = [_select(k < 0, _ZERO_POINT, _REP[0x2E]), _REP[0x2E], _REP[0x2E]]
-    bits = (8 * gap).astype(np.uint64)
-    words, up, minus = [], _U[0], np.uint64(ord("-"))
-    for keep, d, f in zip(_KEEP, digits, fill):
-        below = keep[q]
-        high = d & ~below
-        text = ((d & below) | (f & keep[q + gap] & ~below) | (high << bits) | up) & keep[length]
-        up = high >> (_U[64] - bits)
-        words.append(_select(neg, (text << _U[8]) | minus, text))
-        minus = text >> _U[56]
-    return words
+    (D0, D1, D2), sig = _digits(T, zero)
+    j = k + np.where(neg, 23, 4)
+    point = _POINT[j]
+    L0, L1 = D0 & ~(_ALL << point), D1 & (_ALL >> (128 - point))
+    H0, H1 = D0 ^ L0, D1 ^ L1
+    Y0 = L0 | (H0 << 8) | (0x2E << point)
+    Y1 = L1 | (H1 << 8) | (H0 >> 56) | ((0x2E << 56) >> (120 - point))
+    Y2 = (D2 << _LAST[j]) | (H1 >> 56)
+    shift, keep = _SHIFT[j], j * 18 + sig
+    out = np.empty((a.size, 3), dtype="<u8")
+    np.bitwise_and((Y0 << shift) | _HEAD[j], _TEXT[0][keep], out=out[:, 0])
+    np.bitwise_and((Y1 << shift) | (Y0 >> (64 - shift)), _TEXT[1][keep], out=out[:, 1])
+    np.bitwise_and((Y2 << shift) | (Y1 >> (64 - shift)), _TEXT[2][keep], out=out[:, 2])
+    return out
 
 
-def _digit_words(T: np.ndarray) -> tuple[list, np.ndarray]:
-    """The 17 ASCII digits of T (10^16 <= T < 10^17) as three text words,
-    and how many of them are significant: through the last nonzero one."""
-    # T = lead | hi8 | lo8 (1 + 8 + 8 digits)
-    lead = T // _U[10**16]
-    hi8 = (T - lead * _U[10**16]) // _U[10**8]
-    lo8 = T - T // _U[10**8] * _U[10**8]
-    hi, lo = _eight_digits(hi8), _eight_digits(lo8)
-    digits = [lead | (hi << _U[8]), (hi >> _U[56]) | (lo << _U[8]), lo >> _U[56]]
-    # the 0x80 bit flags each nonzero digit's byte; np.frexp gives the bit
-    # length of the flags, exactly (at most 8 bits set)
-    used = [np.frexp(((d + _REP[0x7F]) & _REP[0x80]).astype(float))[1] // 8 for d in digits]
-    significant = np.max([(u > 0) * (8 * w + u) for w, u in enumerate(used)], axis=0)
-    return [d | (_REP[0x30] & keep[17]) for d, keep in zip(digits, _KEEP)], significant
-
-
-def _select(flag: np.ndarray, yes, no) -> np.ndarray:
-    """np.where(flag, yes, no) for uint64 words, by bit masks."""
-    pick = flag.astype(np.uint64) * _REP[0xFF]
-    return no ^ ((yes ^ no) & pick)
+def _digits(T: np.ndarray, zero: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The 17 ASCII digits of T (10^16 <= T < 10^17) as three words, the
+    first 0 where zero, and the count of significant ones, through the last
+    nonzero digit.  T is a lead digit and four 4-digit groups; their digits
+    gathered read as two uint64 words, their count codes as two uint16 C0,
+    C1, and the bit length b = 8i + c of C1*2^16 + C0, for the last nonzero
+    group i (0-3) with c digits, gives the count 1 + 4i + c (1 for b = 0)."""
+    # the 8 digits after the lead digit, and the last 8
+    half = np.empty((2, T.size), dtype=np.uint32)
+    top = T // 10**8
+    np.subtract(T, top * 10**8, out=half[1], casting="unsafe")
+    half[0] = top
+    lead = half[0] // np.uint32(10**8)
+    half[0] -= lead * np.uint32(10**8)
+    groups = np.empty((2, T.size, 2), dtype=np.int64)
+    groups[:, :, 0] = high = half // np.uint32(10**4)
+    np.subtract(half, high * np.uint32(10**4), out=groups[:, :, 1])
+    E0, E1 = np.take(_DIGITS4, groups).view("<u8").reshape(2, -1)
+    C0, C1 = np.take(_COUNT4, groups).view("<u2").reshape(2, -1)
+    b = np.frexp(C1 * 65536.0 + C0)[1]
+    lead -= zero
+    D0 = (lead | np.uint32(0x30)).astype(np.uint64) | (E0 << 8)
+    return (D0, (E0 >> 56) | (E1 << 8), E1 >> 56), 1 + b - 4 * (b >> 3)
 
 
 def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T, k) for the 1-D reals a in [1e-4, 1e15): 10^16 <= T < 10^17 and
     a = T*10^(k - 16) rounded half to even, which is how %.17g rounds.
 
-    a = M*2^E exactly (np.frexp), and with p = 16 - k, T = round(M*5^p /
-    2^s) for s = -(E + p).  k starts from floor(log10 a); where the
-    truncated T falls outside [10^16, 10^17) that estimate was one off, and
-    those values are redone with k -+ 1.  Rounding never lifts T to 10^17:
-    that needs a within 5e-18 (half a unit of the 17th digit) of 10^(k+1)
-    relatively, and the doubles below the powers of ten in range lie more
-    than 2^-54 below them."""
-    m, e = np.frexp(a)
-    M = (m * 2.0**53).astype(np.uint64)
-    E = e.astype(np.int64) - 53
+    k starts from floor(log10 a); where T falls outside [10^16, 10^17) that
+    estimate was one off, and those values are redone with k -+ 1.  T is
+    rounded, not truncated, but that moves no T across a bound: from below
+    10^16 (or 10^17) to it needs a within 5e-17 relatively below a power of
+    ten, and the doubles below the powers of ten in range lie more than
+    2^-54 below them."""
     k = np.floor(np.log10(a)).astype(np.int64)
-    T, off = _scaled(M, E, k)
-    redo = np.flatnonzero(off)
+    T = _scaled(a, k)
+    redo = np.flatnonzero((T - 10**16).view(np.uint64) >= np.uint64(9 * 10**16))
     if redo.size:
-        k[redo] -= off[redo]
-        T[redo], _ = _scaled(M[redo], E[redo], k[redo])
+        k[redo] -= np.where(T[redo] < 10**16, 1, -1)
+        T[redo] = _scaled(a[redo], k[redo])
     return T, k
 
 
-def _scaled(M: np.ndarray, E: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, off): T = M*2^E*10^(16 - k) rounded half to even, and off = +1
-    where the truncated T is below 10^16 (k too large), -1 where it is at
-    least 10^17 (k too small), else 0."""
+def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round(a*10^p) half to even, p = 16 - k, where it is at least 2^53.
+
+    hi = fl(a*10^p) and lo, its error from Dekker's exact product of the
+    split halves, give a*10^p = hi + lo exactly; at 2^53 and above hi is an
+    even integer, so hi + rint(lo) rounds the sum half to even."""
     p = 16 - k
-    s = (-(E + p)).astype(np.uint64)
-    F = _POW5[p]
-    # N = M*F = hi*2^64 + lo from the 32-bit limbs of M (< 2^53) and F (< 2^49)
-    ml, mh, fl, fh = M & _LOW32, M >> _U[32], F & _LOW32, F >> _U[32]
-    low = ml * fl
-    mid = ml * fh + mh * fl
-    carry = (low >> _U[32]) + (mid & _LOW32)
-    lo = (low & _LOW32) | (carry << _U[32])
-    hi = mh * fh + (mid >> _U[32]) + (carry >> _U[32])
-    # T = floor(N / 2^s); s in [1, 63], so the remainder lies in lo
-    T = (hi << (_U[64] - s)) | (lo >> s)
-    rem = lo & ((_U[1] << s) - _U[1])
-    half = _U[1] << (s - _U[1])
-    off = (T < _U[10**16]).astype(np.int64) - (T >= _U[10**17])
-    T += (rem > half) | ((rem == half) & (T & _U[1]).astype(bool))
-    return T, off
-
-
-def _eight_digits(x: np.ndarray) -> np.ndarray:
-    """The decimal digits (values 0-9, not ASCII) of x < 10^8, eight bytes
-    per word, the first digit in the low byte: split into 4-digit lanes of
-    32 bits, then 2-digit lanes of 16 bits, then bytes, each lane divided by
-    a multiply and shift that is exact on its range."""
-    t = x // _U[10**4]
-    v = t | ((x - t * _U[10**4]) << _U[32])
-    t = ((v * _U[10486]) >> _U[20]) & _LANES7
-    v = t | ((v - t * _U[100]) << _U[16])
-    t = ((v * _U[103]) >> _U[10]) & _LANES4
-    return t | ((v - t * _U[10]) << _U[8])
+    ph, pl = _P10_HI[p], _P10_LO[p]
+    hi = a * (ph + pl)
+    ah, al = _split(a)
+    lo = al * pl - (((hi - ah * ph) - al * ph) - ah * pl)
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
 def write_table(path: str | Path, fmt: str, kind: str, fields, size: int, columns, constants=(), meta=()) -> None:
