@@ -15,7 +15,7 @@ from striplex.construction import solve_contacts, u_interior
 from striplex.errors import DomainError, NonConvergenceError
 from striplex.ioutil import REAL, fmt_real
 from striplex.oracle import GridSpec, grid_eval
-from striplex.params import ProblemParams, admit
+from striplex.params import AdmissibleProblem, ProblemParams, admit
 
 from test_construction import sample_problem
 from test_oracle import fmt_rows
@@ -550,6 +550,20 @@ class TestReport:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("spline", ["vee", "two_kinks", "zigzag40"])
+    @pytest.mark.parametrize("frac", ["0.1", "0.9"])
+    def test_golden_transcript(self, capsys, spline, frac):
+        # every PASS/FAIL line with its measured values, byte for byte; only
+        # the wall time of oracle_equivalence is masked.  The FAIL lines are
+        # pinned as they stand: at 0.9 the envelope margin outgrows the
+        # default window on vee and two_kinks, and residual_refinement fails
+        # on two_kinks at 0.9 and on zigzag40 at both heights
+        path = str(REPO / "data" / "splines" / f"{spline}.spline")
+        code = cli.main(["verify", "--spline", path, "--L", "2", "--delta-frac", frac])
+        out = re.sub(r"elapsed \d+\.\d s", "elapsed N.N s", capsys.readouterr().out)
+        assert out.encode() == (GOLDEN.parent / f"verify_{spline}_{frac}.txt").read_bytes()
+        assert code == (0 if ", 0 failed," in out else 3)
+
     def test_no_kink_profile_skips_and_passes(self, tmp_path, capsys):
         spline = tmp_path / "zero.spline"
         spline.write_text("f0 0\nknot 0 0\n")
@@ -649,6 +663,30 @@ class TestVerify:
             "boundary samples, more than 10000000; raise h_y",
             "SKIP localization: no oracle grid available",
         ]
+
+    def test_window_that_misses_the_maximum_fails_both_oracle_checks(self, vee_problem, monkeypatch):
+        # the negative control: at a quarter of D the scan window misses the
+        # maximum near the kink, and the 2x window still misses it there
+        radius = AdmissibleProblem.D.fget
+        monkeypatch.setattr(AdmissibleProblem, "D", property(lambda problem: 0.25 * radius(problem)))
+        config, grid = verify.VerifyConfig(), []
+        equivalence = verify.check_oracle_equivalence(vee_problem, config, grid)
+        localization = verify.check_localization(vee_problem, config, grid)
+        assert equivalence.status == localization.status == "FAIL"
+        assert equivalence.detail.startswith("max|closed - brute| = 1.454e-03 (tol 1e-09) over 257x17 grid, ")
+        assert localization.detail == (
+            "max(|argmax - x| - D*d) = 1.980e-06 (<= 0); max value change under 2x window = 1.454e-03 (tol 1e-12)"
+        )
+
+    def test_localization_with_no_window_radius(self, constant_problem):
+        # D = 0: every scan window is [x - h_y, x + h_y], its own 2x window
+        config, grid = verify.VerifyConfig(), []
+        assert verify.check_oracle_equivalence(constant_problem, config, grid).status == "PASS"
+        localization = verify.check_localization(constant_problem, config, grid)
+        assert (localization.status, localization.detail) == (
+            "PASS",
+            "max(|argmax - x| - D*d) = -9.993e-07 (<= 0); max value change under 2x window = 0.000e+00 (tol 1e-12)",
+        )
 
     def test_failure_maps_to_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(
