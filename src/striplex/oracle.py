@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -73,12 +73,11 @@ MAX_POINTS = 2**22
 # start at stride 1, a full scan.  On the 257x17 vee grid at h_y = 1e-6 the
 # 1x scan reads 142,321 samples at 2/2, 207,264 at 4/4 and 335,137 at 8/8,
 # at every budget; 4/4 is as fast as 2/2 and faster than 8/8.  At 4/4 the
-# budget trades time for memory: brute_force_u with its 2x widening takes
-# 33.9, 32.5, 31.6 and 31.6 ms of CPU at 6144, 8192, 12288 and 16384
-# (medians of 60 alternating rounds in one process, 2-core host), the
-# widening the slowest at 16384 (2.5 against 2.1 ms at 6144), with trace
-# peaks of 1.5, 1.6, 1.9 and 2.2 MB in the widening and 1.9, 2.2, 3.1 and
-# 3.8 MB on the default mw_min grid; 32768 was no faster and took 7.0 MB
+# budget trades time for memory: brute_force_u over that grid's 2x window
+# takes 25.8, 24.4, 24.2 and 23.6 ms of CPU at 6144, 8192, 12288 and 16384
+# (medians of 30 alternating rounds in one process, 2-core host), with
+# trace peaks of 1.6, 1.6, 1.9 and 2.3 MB, and of 1.9, 2.2, 3.1 and 3.8 MB
+# on the default mw_min grid; 32768 was no faster and took 7.0 MB
 _REFINE = 4
 _MIN_COARSE = 4
 _BUDGET = 16384
@@ -145,54 +144,10 @@ class FieldGrid:
 
 
 @dataclass(frozen=True)
-class _Scan:
-    """What BruteResult.widened needs to go on from a brute_force_u result:
-    the call's arguments and window factor, and per flat point the half
-    width n of its grid (offsets -n..n), the offset k - n of the best grid
-    sample (its y is x + h_y*offset), which np.argmax over the offsets
-    -n..n returns, that sample's value v_k, and whether it lies strictly
-    inside the window: then its refinement bracket, the grid samples at
-    offsets offset - 1 and offset + 1, is the same at every wider window."""
-
-    problem: ProblemParams
-    h_y: float
-    window_factor: float
-    x: np.ndarray
-    d: np.ndarray
-    half: np.ndarray
-    offset: np.ndarray
-    v_k: np.ndarray
-    interior: np.ndarray
-
-
-@dataclass(frozen=True)
 class BruteResult:
     value: float
     argmax_y: float
     bound: float
-    _scan: _Scan = field(repr=False, compare=False)
-
-    def widened(self, window_factor: float) -> BruteResult:
-        """The result over the same points, problem and h_y with the window
-        |y - x| <= window_factor*D*d + h_y; window_factor is finite and at
-        least this result's (1 for brute_force_u's).
-
-        The result is that of a scan of the whole wider window, which holds
-        every grid position of this one.  The scan goes on from this result:
-        this result settled its own window, whose best sample beats every
-        other sample there or ties it at a higher index, so each point's
-        scan starts from that sample's index and value and reads only the
-        two stretches of the wider window outside it (see _scan_argmax's
-        known range).  Where a point's best sample is this result's and lies
-        inside this result's window, its bracket comes out bit-equal to this
-        result's, and the refinement, a function of (x, d, bracket,
-        problem), would repeat this one's, so the point keeps this result's
-        value and argmax_y.
-        """
-        scan = self._scan
-        if not (math.isfinite(window_factor) and window_factor >= scan.window_factor):
-            raise DomainError(f"need a finite window_factor >= {scan.window_factor!r}, got {window_factor!r}")
-        return _brute_force(scan.x, scan.d, scan.problem, scan.h_y, window_factor, self)
 
 
 def golden_section_max(fn: Callable[..., np.ndarray], lo, hi, args: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
@@ -244,14 +199,15 @@ def golden_section_max(fn: Callable[..., np.ndarray], lo, hi, args: tuple = ()) 
     return np.where(better, mid, best_y), np.where(better, fmid, best_v)
 
 
-def brute_force_u(point: tuple, problem: ProblemParams, h_y: float) -> BruteResult:
+def brute_force_u(point: tuple, problem: ProblemParams, h_y: float, window_factor: float = 1.0) -> BruteResult:
     """Maximize f(y) - L*sqrt(d^2 + (x-y)^2) by grid scan plus refinement
     at every point of the broadcast (x, d) arrays; value and argmax_y are
     arrays of that shape, numpy scalars for a scalar point.
 
     The scan grid of a point is y_j = x + h_y*(j - n), j = 0..2n, covering
-    the window |y - x| <= D*d + h_y (BruteResult.widened scans a wider
-    one).  All points of a call go to one _scan_argmax, which skips every
+    the window |y - x| <= window_factor*D*d + h_y, for a finite
+    window_factor of at least 1 (below 1 the window may miss the maximum).
+    All points of a call go to one _scan_argmax, which skips every
     stretch of the grid whose bound lies below the best sample seen: the
     objective is (L_f + L)-Lipschitz in y, and the second-order bound takes
     curv_step = Lip(f')*h_y^2 below delta_touch and (Lip(f') + L/d)*h_y^2
@@ -264,27 +220,15 @@ def brute_force_u(point: tuple, problem: ProblemParams, h_y: float) -> BruteResu
     samples, all points at once.  bound is the worst-case scan error before
     refinement, from the Lipschitz constant.
 
-    h_y is checked first, then every point before any scan starts; the
-    first bad point in C order is named in the error.  problem need not be
-    admitted: the scan needs only D, delta_touch, L_f + L and Lip(f'),
-    which are defined at every delta.
+    h_y and window_factor are checked first, then every point before any
+    scan starts; the first bad point in C order is named in the error.
+    problem need not be admitted: the scan needs only D, delta_touch,
+    L_f + L and Lip(f'), which are defined at every delta.
     """
     construction.require_positive("h_y", h_y)
+    if not (math.isfinite(window_factor) and window_factor >= 1.0):
+        raise DomainError(f"need a finite window_factor >= 1.0, got {window_factor!r}")
     x, d = (np.asarray(a, dtype=float) for a in point)
-    return _brute_force(x, d, problem, h_y, 1.0, None)
-
-
-def _brute_force(
-    x: np.ndarray,
-    d: np.ndarray,
-    problem: ProblemParams,
-    h_y: float,
-    window_factor: float,
-    narrow: BruteResult | None,
-) -> BruteResult:
-    """brute_force_u at window_factor, going on from narrow, a result over
-    the same points at a window factor no larger (None: a fresh scan).  x
-    and d need not be broadcast yet."""
     spline = problem.spline
     L = problem.L
     lip = problem.L_f + L
@@ -321,12 +265,6 @@ def _brute_force(
         v -= np.multiply(np.sqrt(cone, out=cone), L, out=cone)
         return v
 
-    known = None
-    if narrow is not None:
-        # narrow settled its own window, the offsets -m..m, and holds its
-        # best sample's offset and value
-        m = narrow._scan.half
-        known = (n - m, narrow._scan.offset + n, n + m, narrow._scan.v_k)
     # near the ends of the float range the samples, the brackets and the
     # objective overflow; a non-finite result is reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -334,31 +272,15 @@ def _brute_force(
         # fall, so any curv_step serves; from it on, the objective bends
         # down by at most Lip(f') + L/d
         bend = np.where(ds < problem.caps[0], 0.0, L / ds) + spline.slope_lipschitz
-        k, v_k = _scan_argmax(sample, 2 * n + 1, lip * h_y, bend * h_y * h_y, scale, known)
-        offset = k - n
+        k, v_k = _scan_argmax(sample, 2 * n + 1, lip * h_y, bend * h_y * h_y, scale)
         lo, y_k, hi = (xs + h_y * (j - n) for j in (np.maximum(k - 1, 0), k, np.minimum(k + 1, 2 * n)))
-        y_star, v_star = np.empty_like(y_k), np.empty_like(v_k)
-        redo = np.ones(xs.size, dtype=bool)
-        if narrow is not None:
-            # narrow's refinement stands where it ran on the same bracket
-            # around the same sample
-            scan = narrow._scan
-            redo = ~((offset == scan.offset) & scan.interior)
-            y_star[~redo], v_star[~redo] = np.ravel(narrow.argmax_y)[~redo], np.ravel(narrow.value)[~redo]
-        x_r, d_r = xs[redo], ds[redo]
-        y_new, v_new = golden_section_max(
-            lambda y, x, d: spline.value(y) - L * construction.hypot(d, x - y), lo[redo], hi[redo], (x_r, d_r)
+        y_star, v_star = golden_section_max(
+            lambda y, x, d: spline.value(y) - L * construction.hypot(d, x - y), lo, hi, (xs, ds)
         )
-    worse = v_new < v_k[redo]
-    y_star[redo], v_star[redo] = np.where(worse, y_k[redo], y_new), np.where(worse, v_k[redo], v_new)
-    y_star, v_star = y_star.reshape(x.shape), v_star.reshape(x.shape)
+    worse = v_star < v_k
+    y_star, v_star = np.where(worse, y_k, y_star).reshape(x.shape), np.where(worse, v_k, v_star).reshape(x.shape)
     construction.require_finite_u(x, d, v_star)
-    return BruteResult(
-        value=v_star[()],
-        argmax_y=y_star[()],
-        bound=0.5 * lip * h_y,
-        _scan=_Scan(problem, h_y, window_factor, x, d, n, offset, v_k, (0 < k) & (k < 2 * n)),
-    )
+    return BruteResult(value=v_star[()], argmax_y=y_star[()], bound=0.5 * lip * h_y)
 
 
 def _scan_argmax(
@@ -367,7 +289,6 @@ def _scan_argmax(
     lip_step: float,
     curv_step: np.ndarray | float,
     scale: np.ndarray,
-    known: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(k, v_k) per point p: the first index of the largest of sample(p, j),
     j = 0..count[p]-1, which is what np.argmax over that point's full scan
@@ -375,24 +296,14 @@ def _scan_argmax(
     sample maps arrays of point numbers and indices to their samples
     elementwise.
 
-    known is None, or per point a known range (lo, k0, hi, v0) with
-    0 <= lo <= k0 <= hi <= count[p]-1 in which np.argmax of the samples
-    lo..hi is k0, whose sample is v0, as a narrower scan returns them: no
-    sample of the range beats sample k0 or ties it at a lower index.  The
-    scan then reads no sample of the range; (k0, v0) prunes from the start.
-
-    The scan reads each stretch of indices left, the whole scan without a
-    known range and 0..lo-1 and hi+1..count[p]-1 with one, as a tree.  A
-    tree's first level takes every stride-th index from its stretch's
-    first, and each level refines the stride by _REFINE.  Without a known
-    range the first stride is the largest power of _REFINE at most
-    length/_MIN_COARSE, so a stretch shorter than _REFINE*_MIN_COARSE
-    starts at stride 1, which is its full scan.  With one, each stretch
-    starts as one cell: the stride is the smallest power of _REFINE at
-    least length - 1.  An index past a stretch's end evaluates its last
-    index, so every cell of a level is one stride s wide, holds samples of
-    one stretch only, and its bounds below hold over the samples it really
-    spans.  The trees run level by level together: their first levels in
+    The scan reads each point's indices as a tree.  A tree's first level
+    takes every stride-th index from 0, and each level refines the stride
+    by _REFINE.  The first stride is the largest power of _REFINE at most
+    count[p]/_MIN_COARSE, so a scan shorter than _REFINE*_MIN_COARSE starts
+    at stride 1, which is its full scan.  An index past a scan's end
+    evaluates its last index, so every cell of a level is one stride s
+    wide, and its bounds below hold over the samples it really spans.  The
+    trees run level by level together: their first levels in
     blocks of at most _BUDGET samples (or of one tree), each block to its
     last level before the next.  A level that would take more than _BUDGET
     samples is split into two halves of its cells, and the first half runs
@@ -430,12 +341,17 @@ def _scan_argmax(
     curv_step = np.broadcast_to(curv_step, count.shape)
     v_k = np.full(count.size, -math.inf)
     k = np.full(count.size, np.iinfo(np.int64).max)
-    if known is not None:
-        _, k0, _, v0 = known
-        v_k[:], k[:] = v0, k0
     with np.errstate(over="ignore", invalid="ignore"):
         slack = 1e-12 * (1.0 + np.abs(v_k) + scale)
-    t_p, t_lo, t_hi, stride = _trees(count, known)
+    # one tree per point with samples: its point, last index and first
+    # stride, the smallest power of _REFINE above limit
+    t_p = np.flatnonzero(count > 0)
+    t_hi = count[t_p] - 1
+    limit = count[t_p] // (_REFINE * _MIN_COARSE)
+    powers = [1]
+    while powers[-1] <= limit.max(initial=0):
+        powers.append(powers[-1] * _REFINE)
+    stride = np.array(powers)[np.searchsorted(powers, limit, "right")]
 
     def fold(p: np.ndarray, j: np.ndarray, v: np.ndarray) -> None:
         # only a sample at or above its point's v_k, or a nan, can win
@@ -470,19 +386,19 @@ def _scan_argmax(
             bound = np.minimum(0.5 * (va + vb) + 0.5 * lip_step * s, np.maximum(va, vb) + curv_step[p] * s * s / 8)
             return (bound + slack[p] < v_k[p]) & np.isfinite(bound)
 
-    # first level: every stride-th index of each stretch, up to the first at
-    # or past its end, clipped to it
-    width = -(-(t_hi - t_lo) // stride) + 1
+    # first level: every stride-th index of each tree, up to the first at or
+    # past its end, clipped to it
+    width = -(-t_hi // stride) + 1
     ends = np.cumsum(width)
 
     def first_level(first: int, stop: int) -> tuple:
         # samples and folds the first level of trees first..stop-1, and
-        # returns its kept cells: between consecutive samples of one
-        # stretch, at strides above 1 (clipping moved only a stretch's last
-        # sample, which starts no cell)
+        # returns its kept cells: between consecutive samples of one tree,
+        # at strides above 1 (clipping moved only a tree's last sample,
+        # which starts no cell)
         w = width[first:stop]
         t = np.repeat(np.arange(first, stop), w)
-        j = np.minimum(t_lo[t] + (np.arange(t.size) - np.repeat(np.cumsum(w) - w, w)) * stride[t], t_hi[t])
+        j = np.minimum((np.arange(t.size) - np.repeat(np.cumsum(w) - w, w)) * stride[t], t_hi[t])
         p = t_p[t]
         v = sample(p, j)
         fold(p, j, v)
@@ -494,7 +410,7 @@ def _scan_argmax(
     first = 0
     while first < t_p.size:
         stop = max(int(np.searchsorted(ends, ends[first] - width[first] + _BUDGET, "right")), first + 1)
-        # kept cells, one column each: (point, last index of its stretch,
+        # kept cells, one column each: (point, last index of its tree,
         # stride, first index) and (v_a, v_b), and whether v_k may have risen
         todo = [(*first_level(first, stop), False)]
         first = stop
@@ -532,29 +448,6 @@ def _scan_argmax(
                 cells[3] += cells[2] * sub
                 todo.append((cells, np.take(row, sub * size + cell + [[0], [size]]), False))
     return k, v_k
-
-
-def _trees(count: np.ndarray, known: tuple | None) -> tuple:
-    """The trees of _scan_argmax, point-major (a point's left stretch
-    first): their point, first and last index, and first stride."""
-    points = count.size
-    last = count - 1
-    if known is None:
-        t_p, t_lo, t_hi = np.arange(points), np.zeros(points, dtype=np.int64), last
-    else:
-        lo, _, hi, _ = known
-        t_p = np.repeat(np.arange(points), 2)
-        t_lo = np.column_stack([np.zeros_like(lo), hi + 1]).ravel()
-        t_hi = np.column_stack([lo - 1, last]).ravel()
-    stretch = t_lo <= t_hi
-    t_p, t_lo, t_hi = t_p[stretch], t_lo[stretch], t_hi[stretch]
-    # the first stride: the smallest power of _REFINE above limit
-    length = t_hi - t_lo + 1
-    limit = length // (_REFINE * _MIN_COARSE) if known is None else length - 2
-    powers = [1]
-    while powers[-1] <= limit.max(initial=0):
-        powers.append(powers[-1] * _REFINE)
-    return t_p, t_lo, t_hi, np.array(powers)[np.searchsorted(powers, limit, "right")]
 
 
 def mw_envelopes(

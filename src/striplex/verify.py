@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analysis, construction, oracle
 from .boundary import BoundarySpline
+from .errors import StriplexError
 from .oracle import GridSpec
 from .params import AdmissibleProblem
 
@@ -65,42 +66,75 @@ def _status(ok: bool) -> str:
 
 def check_oracle_equivalence(problem: AdmissibleProblem, config: VerifyConfig, grid: list) -> CheckResult:
     """Closed form vs brute force over the full grid; 1e-9 agreement and a
-    60 s single-threaded budget.  The brute-force result goes into grid
-    before the closed form runs, so localization has it either way."""
+    60 s single-threaded budget.
+
+    One brute-force call over the 2x window |y - x| <= 2*D*d + h_y serves
+    localization too: grid receives the 1x value and argmax and the 2x
+    result before the closed form runs, so localization has them either
+    way.  The 1x result is read off the 2x one.  Both windows sample y = x
+    + h_y*j at the same offsets j, and the 1x window holds the offsets
+    -n..n.  Where the 2x argmax lies strictly between the 1x samples at
+    offsets 1 - n and n - 1 (in exact arithmetic, wherever |argmax - x| <
+    D*d, so at every point whose argmax lies at least 2*h_y inside D*d),
+    it lies in the bracket of the 2x best sample, so that sample and both
+    its bracket neighbours are 1x samples,
+    np.argmax picks it on the 1x grid too, and the refinement, elementwise
+    in (x, d, bracket), returns the same bits.  Only the other points take
+    a 1x call: none on the standard runs, all of them when D = 0.  If the
+    2x call raises, as where only the 2x window is past the scan cap, one
+    1x call covers the grid and grid keeps the 2x error for localization."""
     spec = config.grid
-    xs = spec.xs()
-    ds = spec.heights(problem.delta)
+    h_y = spec.h_y
+    xs = spec.xs()[:, None]
+    ds = spec.heights(problem.delta)[None, :]
     t0 = time.perf_counter()
-    brute = oracle.brute_force_u((xs[:, None], ds[None, :]), problem, spec.h_y)
-    grid.append(brute)
-    closed = construction.u_interior(xs[:, None], ds[None, :], problem, tol=config.tol)
+    try:
+        wide = oracle.brute_force_u((xs, ds), problem, h_y, window_factor=2.0)
+    except StriplexError as exc:
+        wide = exc
+        brute = oracle.brute_force_u((xs, ds), problem, h_y)
+        value, argmax_y = brute.value, brute.argmax_y
+    else:
+        value, argmax_y = wide.value.copy(), wide.argmax_y.copy()
+        # the 1x samples at offsets -(n - 1) and n - 1, placed as the scan
+        # places them
+        n = np.ceil((problem.D * ds + h_y) / h_y)
+        redo = ~((h_y * (1.0 - n) + xs < argmax_y) & (argmax_y < h_y * (n - 1.0) + xs))
+        if redo.any():
+            x_r, d_r = (a[redo] for a in np.broadcast_arrays(xs, ds))
+            brute = oracle.brute_force_u((x_r, d_r), problem, h_y)
+            value[redo], argmax_y[redo] = brute.value, brute.argmax_y
+    grid.append((value, argmax_y, wide))
+    closed = construction.u_interior(xs, ds, problem, tol=config.tol)
     elapsed = time.perf_counter() - t0
-    max_diff = float(np.max(np.abs(closed - brute.value)))
+    max_diff = float(np.max(np.abs(closed - value)))
     ok = max_diff <= 1e-9 and elapsed < 60.0
     detail = (
-        f"max|closed - brute| = {max_diff:.3e} (tol 1e-09) over {len(xs)}x{len(ds)} grid, "
-        f"h_y = {spec.h_y:g}, elapsed {elapsed:.1f} s (budget 60 s)"
+        f"max|closed - brute| = {max_diff:.3e} (tol 1e-09) over {xs.size}x{ds.size} grid, "
+        f"h_y = {h_y:g}, elapsed {elapsed:.1f} s (budget 60 s)"
     )
     return CheckResult("oracle_equivalence", _status(ok), detail)
 
 
 def check_localization(problem: AdmissibleProblem, config: VerifyConfig, grid: list) -> CheckResult:
     """Every brute-force argmax stays within D*d of x, and doubling the
-    search window moves no value by more than 1e-12; skips without the 1x
-    result that check_oracle_equivalence leaves in grid.  The 2x scan
-    widens that result: it takes the 1x window, which that result settled,
-    as known and reads only the annulus outside it, with the same bits as
-    a fresh scan of the whole 2x window."""
+    search window moves no value by more than 1e-12; skips without the
+    results check_oracle_equivalence leaves in grid, and raises the error
+    of its 2x call if that call failed.  Its 1x value and argmax are bit
+    for bit those of a 1x call (see check_oracle_equivalence), so a point
+    whose 1x result is read off the 2x one shows no change."""
     if not grid:
         return CheckResult("localization", "SKIP", "no oracle grid available")
-    (brute,) = grid
+    ((value, argmax_y, wide),) = grid
     spec = config.grid
     xs, ds = spec.xs(), spec.heights(problem.delta)
     # with D = 0 the scan window is just [x - h_y, x + h_y], so grant the
     # refinement that much play; for D > 0 the containment is strict
     slack = spec.h_y if problem.D == 0.0 else 0.0
-    excess = float(np.max(np.abs(brute.argmax_y - xs[:, None]) - problem.D * ds[None, :] - slack))
-    max_change = float(np.max(np.abs(brute.widened(2.0).value - brute.value)))
+    excess = float(np.max(np.abs(argmax_y - xs[:, None]) - problem.D * ds[None, :] - slack))
+    if isinstance(wide, StriplexError):
+        raise wide
+    max_change = float(np.max(np.abs(wide.value - value)))
     ok = excess <= 0.0 and max_change <= 1e-12
     return CheckResult(
         "localization",
@@ -360,7 +394,7 @@ def run_acceptance(problem: AdmissibleProblem, config: VerifyConfig | None = Non
     Each lambda looks its check up when called, so a check rebound on this
     module (a tracer, a test) is the one that runs."""
     config = config or VerifyConfig()
-    grid: list = []  # the 1x oracle result, from oracle_equivalence to localization
+    grid: list = []  # the 1x and 2x oracle results, from oracle_equivalence to localization
     checks = (
         ("oracle_equivalence", lambda: check_oracle_equivalence(problem, config, grid)),
         ("localization", lambda: check_localization(problem, config, grid)),

@@ -678,6 +678,21 @@ class TestVerify:
             "max(|argmax - x| - D*d) = 1.980e-06 (<= 0); max value change under 2x window = 1.454e-03 (tol 1e-12)"
         )
 
+    def test_localization_reads_1x_bits_at_the_window_edge(self, linear_problem, monkeypatch):
+        # the linear profile's maximizer lies d/sqrt(3) from x, and at this
+        # D the 1x window ends within about a sample of it, so at some
+        # heights the 2x best sample or its bracket lies outside the 1x
+        # window.  Those points must take the 1x call, so localization
+        # gets a 1x call's bits where they differ from the 2x call's
+        monkeypatch.setattr(AdmissibleProblem, "D", property(lambda problem: 1.0 / math.sqrt(3.0) - 1e-4))
+        spec = GridSpec(xmin=-1.0, xmax=1.0, nx=3, nd=64, h_y=1e-5)
+        grid = []
+        verify.check_oracle_equivalence(linear_problem, verify.VerifyConfig(grid=spec), grid)
+        ((value, argmax_y, wide),) = grid
+        brute = oracle.brute_force_u((spec.xs()[:, None], spec.heights(0.1)[None, :]), linear_problem, spec.h_y)
+        assert (value.tobytes(), argmax_y.tobytes()) == (brute.value.tobytes(), brute.argmax_y.tobytes())
+        assert (wide.argmax_y != argmax_y).any()
+
     def test_localization_with_no_window_radius(self, constant_problem):
         # D = 0: every scan window is [x - h_y, x + h_y], its own 2x window
         config, grid = verify.VerifyConfig(), []

@@ -514,7 +514,7 @@ def test_entry_points_finite_or_package_error(vee_problem, x, height_frac):
         "solve_contacts": lambda: solve_contacts(np.array([0.0, x]), d, vee_problem).value,
         "u_interior": lambda: u_interior(x, d, vee_problem),
         "brute_force_u": lambda: oracle.brute_force_u((x, d), vee_problem, 1e-4).value,
-        "BruteResult.widened": lambda: oracle.brute_force_u((x, d), vee_problem, 1e-4).widened(2.0).value,
+        "brute_force_u, 2x window": lambda: oracle.brute_force_u((x, d), vee_problem, 1e-4, window_factor=2.0).value,
         "contact_inverse": lambda: contact_inverse(x, d, vee_problem),
         "contact_inverse at array heights": lambda: contact_inverse(
             np.array([0.1, x]), np.array([0.5 * d, d]), vee_problem

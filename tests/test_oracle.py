@@ -95,7 +95,7 @@ class TestBruteForce:
     def test_window_widening_changes_nothing(self, vee_problem):
         for x, d in ((0.03, 0.1), (-1.2, 0.04), (0.6, 0.07)):
             base = brute_force_u((x, d), vee_problem, 1e-6)
-            wide = base.widened(2.0)
+            wide = brute_force_u((x, d), vee_problem, 1e-6, window_factor=2.0)
             assert abs(wide.value - base.value) <= 1e-12
 
     def test_monotone_in_data(self, vee_problem):
@@ -138,21 +138,13 @@ class TestBruteForce:
         # below 1 the window misses the maximum; negative or non-finite it
         # has no size
         with pytest.raises(DomainError, match=f"window_factor >= 1.0, got {factor!r}"):
-            brute_force_u((0.3, 0.05), vee_problem, 1e-4).widened(factor)
+            brute_force_u((0.3, 0.05), vee_problem, 1e-4, window_factor=factor)
 
     def test_overflow_raises_the_package_error(self):
         # the samples overflow at x = 1e308; no RuntimeWarning may escape
         problem = admit(ProblemParams(L=2.0, delta=0.1, spline=BoundarySpline(f0=0.0, knots=((0.0, 1.9),))))
         with pytest.raises(DomainError, match="u overflows the float range at x = 1e[+]308"):
             brute_force_u((1e308, 0.05), problem, 1e-4)
-
-    def test_widened_never_narrows_and_keeps_its_own_factor(self, vee_problem):
-        xs, ds = np.array([-0.3, 0.2]), np.array([0.05, 0.1])
-        wide = brute_force_u((xs, ds), vee_problem, 1e-4).widened(1.5)
-        with pytest.raises(DomainError, match="window_factor >= 1.5, got 1.0"):
-            wide.widened(1.0)
-        same = wide.widened(1.5)
-        assert same.value.tobytes() == wide.value.tobytes() and same.argmax_y.tobytes() == wide.argmax_y.tobytes()
 
     def test_scalar_point_gives_numpy_scalars(self, vee_problem):
         res = brute_force_u((0.3, 0.05), vee_problem, 1e-5)
@@ -307,16 +299,16 @@ def scan_problem(spline, delta_frac):
 @settings(max_examples=200, deadline=None)
 def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y, window_factor):
     # every sample the pruned scan drops is strictly below the best one, so
-    # it finds the full scan's argmax; the batched refinement runs each
-    # bracket as the one-point search does, and widened goes on from the 1x
-    # result with the bits of a fresh scan, so a mesh call and one-point
-    # calls, as returned and widened, agree with the full scan of their
-    # window bit for bit at every point, admitted or not
+    # it finds the full scan's argmax, and the batched refinement runs each
+    # bracket as the one-point search does: a mesh call and one-point calls
+    # agree with the full scan of their window bit for bit at every point,
+    # admitted or not
     problem = scan_problem(spline, delta_frac)
     xs, ds = np.array(xs), np.array(d_fracs) * problem.delta
     h_y = 10.0**log_h_y
-    mesh = brute_force_u((xs[:, None], ds[None, :]), problem, h_y)
-    wide = mesh.widened(window_factor)
+    point = (xs[:, None], ds[None, :])
+    mesh = brute_force_u(point, problem, h_y)
+    wide = brute_force_u(point, problem, h_y, window_factor=window_factor)
     assert mesh.value.shape == mesh.argmax_y.shape == wide.value.shape == wide.argmax_y.shape == (len(xs), len(ds))
 
     def bits(value, argmax_y, bound):
@@ -324,11 +316,22 @@ def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y,
 
     for i, x in enumerate(xs.tolist()):
         for j, d in enumerate(ds.tolist()):
-            one = brute_force_u((x, d), problem, h_y)
-            for factor, grid, alone in ((1.0, mesh, one), (window_factor, wide, one.widened(window_factor))):
+            for factor, grid in ((1.0, mesh), (window_factor, wide)):
                 want = bits(*full_scan_brute_force_u((x, d), problem, h_y, factor))
+                alone = brute_force_u((x, d), problem, h_y, window_factor=factor)
                 assert bits(grid.value[i, j], grid.argmax_y[i, j], grid.bound) == want, factor
                 assert bits(alone.value, alone.argmax_y, alone.bound) == want, factor
+    # the premise of localization's reading of the 1x result off the 2x
+    # one: where the 2x argmax lies strictly between the 1x samples at
+    # offsets 1 - n and n - 1, the two calls give the same bits.  That
+    # takes in every point whose 2x argmax lies at least 2*h_y inside D*d
+    double = wide if window_factor == 2.0 else brute_force_u(point, problem, h_y, window_factor=2.0)
+    (x, d), y = point, double.argmax_y
+    n = np.ceil((problem.D * d + h_y) / h_y)
+    settled = (h_y * (1.0 - n) + x < y) & (y < h_y * (n - 1.0) + x)
+    assert np.all(settled | ~(np.abs(y - x) <= problem.D * d - 2.0 * h_y))
+    for a, b in ((mesh.value, double.value), (mesh.argmax_y, double.argmax_y)):
+        assert a[settled].tobytes() == b[settled].tobytes()
 
 
 @given(
@@ -339,60 +342,31 @@ def test_pruned_scan_matches_full_scan(spline, delta_frac, xs, d_fracs, log_h_y,
             st.floats(1e-4, 0.2),  # frequency per index
             st.floats(-1e-3, 1e-3),  # slope per index
             st.floats(0.0, 6.3),  # phase
-            st.floats(0.0, 1.0),  # known range's first index, as a share of the scan
-            st.floats(0.0, 1.0),  # its width, as a share of the indices past its first
         ),
         min_size=1,
         max_size=4,
     )
 )
-@example(
-    [(20_000, 1.0, 0.002, 0.0, 0.0, 0.0, 0.0), (5_000, 2.0, 0.01, 1e-4, 1.0, 0.0, 0.0), (40, 1.0, 0.1, 0.0, 0.0, 0.0, 0.0)]
-)
-# known ranges of one index, a start: on and off the first level's stride, and at the last index
-@example(
-    [(20_000, 1.0, 0.002, 0.0, 0.0, 0.4, 0.0), (5_000, 2.0, 0.01, 1e-4, 1.0, 1.0, 0.0), (30_000, 3.0, 0.2, 0.0, 2.0, 0.5, 0.0)]
-)
-# wide known ranges: inside the scan, from its first index, to its last, all of it
-@example(
-    [
-        (20_000, 1.0, 0.002, 0.0, 0.0, 0.25, 0.6),
-        (5_000, 2.0, 0.01, 1e-4, 1.0, 0.0, 0.3),
-        (30_000, 3.0, 0.2, 0.0, 2.0, 0.5, 1.0),
-        (40, 1.0, 0.1, 0.0, 0.0, 0.0, 1.0),
-    ]
-)
+@example([(20_000, 1.0, 0.002, 0.0, 0.0), (5_000, 2.0, 0.01, 1e-4, 1.0), (40, 1.0, 0.1, 0.0, 0.0)])
+@example([(30_000, 3.0, 0.2, 0.0, 2.0), (1, 1.0, 0.1, 0.0, 0.0)])
 @settings(max_examples=100, deadline=None)
 def test_scan_tree_needs_no_concavity(scans):
     # many local maxima: the cell bounds alone, from the first-difference
-    # and second-derivative constants, must keep every sample that can win,
-    # in a fresh scan and around any known range, of whose samples the scan
-    # reads none
-    count, amp, freq, slope, phase, lo_frac, width_frac = (np.array(c) for c in zip(*scans))
-    lo = np.floor(lo_frac * (count - 1)).astype(np.int64)
-    hi = lo + np.floor(width_frac * (count - 1 - lo)).astype(np.int64)
-    taken = []
+    # and second-derivative constants, must keep every sample that can win
+    count, amp, freq, slope, phase = (np.array(c) for c in zip(*scans))
 
     def sample(p, j):
-        taken.append((p, j))
         return amp[p] * np.sin(freq[p] * j + phase[p]) + slope[p] * j
 
     full = [sample(np.full(n, p), np.arange(n)) for p, n in enumerate(count.tolist())]
-    k0 = lo + np.array([int(np.argmax(v[a : b + 1])) for v, a, b in zip(full, lo, hi)])
-    v0 = np.array([v[i] for v, i in zip(full, k0)])
     lip_step = float(np.max(amp * freq + np.abs(slope)))
     curv_step = float(np.max(amp * freq * freq))
     # rounding in sin grows with its argument, up to freq*count + phase
     scale = amp * (1.0 + freq * count + phase) + np.abs(slope) * count
-    for known in (None, (lo, k0, hi, v0)):
-        taken.clear()
-        k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale, known)
-        for p, v in enumerate(full):
-            want = int(np.argmax(v))
-            assert (int(k[p]), v_k[p].hex()) == (want, v[want].hex())
-        if known is not None:
-            for p, j in taken:
-                assert not ((lo[p] <= j) & (j <= hi[p])).any()
+    k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale)
+    for p, v in enumerate(full):
+        want = int(np.argmax(v))
+        assert (int(k[p]), v_k[p].hex()) == (want, v[want].hex())
 
 
 def bump_and_parabola(p, j):
@@ -403,20 +377,18 @@ def bump_and_parabola(p, j):
 
 
 @pytest.mark.parametrize(
-    "sample, curv_step, known, want",
+    "sample, curv_step, want",
     [
         # a concave sequence whose best sample sits in a first-level cell
-        # next to the start, then next to a known range
-        (lambda p, j: -((j - 500.3) ** 2), 2.0, (501, 501, 501), 500),
-        (lambda p, j: -((j - 500.3) ** 2), 2.0, (501, 501, 600), 500),
+        # next to the start
+        (lambda p, j: -((j - 500.3) ** 2), 2.0, 500),
         # the bump's cell has both ends far below the best sample seen: only
         # max(v_a, v_b) + 200*s^2/8 keeps it (max(v_a, v_b) + 0 would not)
-        (bump_and_parabola, 200.0, None, 200),
-        (bump_and_parabola, 200.0, (1900, 2000, 2100), 200),
+        (bump_and_parabola, 200.0, 200),
     ],
-    ids=["concave_start", "concave_known_range", "bump_fresh", "bump_known_range"],
+    ids=["concave_start", "bump_fresh"],
 )
-def test_second_order_bound_takes_the_lower_side_of_the_curvature(sample, curv_step, known, want):
+def test_second_order_bound_takes_the_lower_side_of_the_curvature(sample, curv_step, want):
     # the second-order cell bound max(v_a, v_b) + curv_step*s^2/8 holds when
     # the second differences are at least -curv_step
     count = np.array([4097])
@@ -425,8 +397,7 @@ def test_second_order_bound_takes_the_lower_side_of_the_curvature(sample, curv_s
     scale = np.array([np.max(np.abs(full))])
     assert int(np.argmax(full)) == want and np.min(np.diff(full, 2)) >= -curv_step - 1e-12 * (1.0 + 2.0 * scale[0])
     lip_step = float(np.max(np.abs(np.diff(full))))
-    known = None if known is None else (*(np.array([i]) for i in known), full[known[1:2]])
-    k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale, known)
+    k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale)
     assert (int(k[0]), v_k[0].hex()) == (want, full[want].hex())
 
 
@@ -473,17 +444,6 @@ def test_scan_argmax_is_np_argmax_at_any_ratio_and_budget(refine, monkeypatch):
         else:
             assert v_k[p] == -math.inf
     assert len(sizes) > 100 and max(sizes) <= max(8, refine * oracle._MIN_COARSE + 1)
-    # the same from a known range of every point with samples
-    full, count = full[:4] + full[5:], np.delete(count, 4)
-    data, offset = np.concatenate(full), np.cumsum(count) - count
-    lo, hi = count // 3, count // 2
-    k0 = lo + np.array([int(np.argmax(v[a : b + 1])) for v, a, b in zip(full, lo, hi)])
-    v0 = np.array([v[i] for v, i in zip(full, k0)])
-    curv_step, scale = np.delete(curv_step, 4), np.delete(scale, 4)
-    k, v_k = _scan_argmax(sample, count, lip_step, curv_step, scale, (lo, k0, hi, v0))
-    for p, v in enumerate(full):
-        want = int(np.argmax(v))
-        assert (int(k[p]), v_k[p].hex()) == (want, v[want].hex()), p
 
 
 @pytest.mark.parametrize("name", ["vee", "two_kinks", "zigzag40"])
@@ -497,23 +457,26 @@ def test_scan_bounds_hold_on_the_full_sample_sequences(name, monkeypatch):
     calls = []
     scan = oracle._scan_argmax
 
-    def recording(sample, count, lip_step, curv_step, scale, known=None):
+    def recording(sample, count, lip_step, curv_step, scale):
         calls.append((sample, count, lip_step, np.broadcast_to(curv_step, count.shape), scale))
-        return scan(sample, count, lip_step, curv_step, scale, known)
+        return scan(sample, count, lip_step, curv_step, scale)
 
     monkeypatch.setattr(oracle, "_scan_argmax", recording)
     xs = np.linspace(-1.2, 1.2, 9)[:, None]
     ds = problem.delta * np.array([0.2, 0.8])[None, :]
-    brute_force_u((xs, ds), problem, 1e-4).widened(2.0)
+    for factor in (1.0, 2.0):
+        brute_force_u((xs, ds), problem, 1e-4, window_factor=factor)
     if name != "two_kinks":
         # far from x the cone bends less than f' may; the samples still
         # fall there, as the cone is steeper than f
-        brute_force_u((xs, ds), problem, 1e-3).widened(16.0)
+        for factor in (1.0, 16.0):
+            brute_force_u((xs, ds), problem, 1e-3, window_factor=factor)
     # past the caps: the lower height lies below delta_touch, the upper one
     # past it, where only the bound from Lip(f') + L/d holds
     past = scan_problem(SAMPLE_SPLINES[name], 1.5)
     touch = past.caps[0]
-    brute_force_u((xs, np.array([[0.5 * touch, 1.2 * touch]])), past, 1e-3).widened(2.0)
+    for factor in (1.0, 2.0):
+        brute_force_u((xs, np.array([[0.5 * touch, 1.2 * touch]])), past, 1e-3, window_factor=factor)
     envelope_xs = np.linspace(-1.3, 1.3, 7)[:, None]
     mw_envelopes((envelope_xs, ds), problem, envelope_spec(problem, h=1e-3))
     if name == "zigzag40":
@@ -524,7 +487,7 @@ def test_scan_bounds_hold_on_the_full_sample_sequences(name, monkeypatch):
         steep = envelope_problem(SAMPLE_SPLINES[name], 0.9)
         heights = steep.delta * np.array([[0.02, 0.3, 0.9, 0.99]])
         mw_envelopes((envelope_xs, heights), steep, envelope_spec(steep, h=1e-3))
-    # each brute_force_u call, each widening and each envelope line scans once
+    # each brute_force_u call and each envelope line scans once
     assert len(calls) == {"vee": 8, "two_kinks": 6, "zigzag40": 10}[name]
     first_order_only = []
     for sample, count, lip_step, curv_step, scale in calls:
@@ -568,7 +531,7 @@ def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
         return value(spline, y)
 
     monkeypatch.setattr(BoundarySpline, "value", counting)
-    brute_force_u((0.3, 0.1), vee_problem, 1e-6).widened(2.0)
+    brute_force_u((0.3, 0.1), vee_problem, 1e-6, window_factor=2.0)
     full = 2 * math.ceil((2.0 * vee_problem.D * 0.1 + 1e-6) / 1e-6) + 1
     assert sum(calls) < 0.0025 * full
     # the 1x scan of the acceptance grid prunes exactly as much as when each
@@ -609,13 +572,13 @@ def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
 
 
 def test_acceptance_scans_read_a_pinned_number_of_samples(vee_problem, monkeypatch):
-    # the work of the oracle-equivalence scan and of localization's 2x scan
-    # on the acceptance grid (vee, 257x17, h_y = 1e-6), counted in boundary
-    # samples, scan and refinement: a regression in the scan's pruning
-    # fails here rather than hiding in wall-time noise.  The 1x scan read
-    # 501,159 when it refined 8-ary; the 2x scan read 153,687 before it took
-    # the 1x window as a known range, and 22,762 while it read the 1x best
-    # sample again (17,476 now)
+    # the work of the acceptance run's one oracle call, the 2x scan that
+    # oracle_equivalence and localization share, on the acceptance grid
+    # (vee, 257x17, h_y = 1e-6), counted in boundary samples, scan and
+    # refinement: a regression in the scan's pruning fails here rather than
+    # hiding in wall-time noise.  The pruning drops the 2x window's outer
+    # annulus at its first level, so it reads barely more than the 1x scan
+    # (373,286; 501,159 when it refined 8-ary)
     problem, spec = vee_problem, VerifyConfig().grid
     calls = []
     value = BoundarySpline.value
@@ -625,48 +588,12 @@ def test_acceptance_scans_read_a_pinned_number_of_samples(vee_problem, monkeypat
         return value(spline, y)
 
     monkeypatch.setattr(BoundarySpline, "value", counting)
-    brute = brute_force_u((spec.xs()[:, None], spec.heights(problem.delta)[None, :]), problem, spec.h_y)
+    point = (spec.xs()[:, None], spec.heights(problem.delta)[None, :])
+    brute_force_u(point, problem, spec.h_y)
     assert sum(calls) == 373_286
     calls.clear()
-    brute.widened(2.0)
-    assert sum(calls) <= 20_000
-
-
-def test_widened_goes_on_from_the_narrower_scan(vee_problem, monkeypatch):
-    # both parts of the continuation, which the localization check's time
-    # rests on: each wider scan takes the narrower window as a known range,
-    # with its best sample's index and value, and reads no sample of it,
-    # and a bracket that comes out bit-equal is not refined again (on this
-    # grid, none is)
-    scans, refined = [], []
-    scan, refine = oracle._scan_argmax, oracle.golden_section_max
-
-    def recording_scan(sample, count, lip_step, curv_step, scale, known=None):
-        taken = []
-
-        def recording(p, j):
-            taken.append((p, j))
-            return sample(p, j)
-
-        k, v_k = scan(recording, count, lip_step, curv_step, scale, known)
-        scans.append((count, known, k, v_k, *(np.concatenate(a) for a in zip(*taken))))
-        return k, v_k
-
-    def recording_refine(fn, lo, hi, args=()):
-        refined.append(np.size(lo))
-        return refine(fn, lo, hi, args)
-
-    monkeypatch.setattr(oracle, "_scan_argmax", recording_scan)
-    monkeypatch.setattr(oracle, "golden_section_max", recording_refine)
-    points = (np.linspace(-2.0, 2.0, 33)[:, None], vee_problem.delta * np.arange(1, 6)[None, :] / 5)
-    brute_force_u(points, vee_problem, 1e-5).widened(2.0)
-    (count1, known1, k1, v1, _, _), (count2, (lo, k0, hi, v0), _, _, p, j) = scans
-    n1, n2 = count1 // 2, count2 // 2
-    assert known1 is None
-    assert np.array_equal(lo, n2 - n1) and np.array_equal(k0, k1 - n1 + n2) and np.array_equal(hi, n2 + n1)
-    assert v0.tobytes() == v1.tobytes()
-    assert not ((lo[p] <= j) & (j <= hi[p])).any()
-    assert refined == [count1.size, 0]
+    brute_force_u(point, problem, spec.h_y, window_factor=2.0)
+    assert sum(calls) == 389_271
 
 
 def pointwise_mw_envelopes(point, problem, spec):
