@@ -40,10 +40,10 @@ class _Pieces(NamedTuple):
     curvature h and curvature c there, so f(y) = v + s*dy + (h*dy)*dy with
     dy = y - t.  A tail's reference is its own knot, and its h is -0.0:
     (h*dy)*dy is then -0.0 at every finite dy, which leaves v + s*dy as it
-    is, signed zeros included.  keys are the knots as
-    searchsorted(keys, y, "right") reads them to find the row of y, the
-    first one moved up by one ulp so that the first knot itself stays on
-    the left tail."""
+    is, signed zeros included.  Row r >= 1 references knot r - 1, so t[1:]
+    and s[1:] are the knots and their slopes, f' as np.interp reads it.
+    keys are the knots as searchsorted(keys, y, "right") reads them to find
+    the row of y, the first moved up by one ulp to keep it on the left tail."""
 
     keys: np.ndarray
     t: np.ndarray
@@ -84,9 +84,7 @@ class BoundarySpline:
 
     f0: float
     knots: tuple[tuple[float, float], ...]
-    # derived, filled by __post_init__: the knot abscissas and slopes, which
-    # np.interp reads, and the piece table of f (see _pieces)
-    _knots: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    # derived, filled by __post_init__: the piece table of f (see _pieces)
     _table: _Pieces = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,10 +105,6 @@ class BoundarySpline:
                     f"t[{i}]={ts[i]!r} followed by t[{i + 1}]={ts[i + 1]!r}"
                 )
         object.__setattr__(self, "knots", tuple(zip(ts, ss)))
-        knots = (np.array(ts), np.array(ss))
-        for a in knots:
-            a.flags.writeable = False
-        object.__setattr__(self, "_knots", knots)
         object.__setattr__(self, "_table", _pieces(self.f0, ts, ss))
 
     # -- evaluation ----------------------------------------------------
@@ -149,7 +143,7 @@ class BoundarySpline:
         """f'(y), elementwise; a scalar y gives a numpy scalar."""
         # f' is np.interp's interpolant, constant past the ends; its C loop
         # computes seg[j]*(y - ts[j]) + ss[j], and gives ss[j] at a knot hit
-        return np.interp(y, *self._knots)[()]
+        return np.interp(y, self._table.t[1:], self._table.s[1:])[()]
 
     def second_left(self, y):
         """One-sided curvature of f from the left, elementwise: slope of f'
@@ -157,13 +151,13 @@ class BoundarySpline:
         at nan); a scalar y gives a numpy scalar."""
         # side="left" so an exact knot hit picks the incoming interval;
         # searchsorted puts nan past the last knot, onto the right tail's 0
-        i = np.searchsorted(self._knots[0], y, side="left")
+        i = np.searchsorted(self._table.t[1:], y, side="left")
         return np.where(np.isnan(y), np.nan, self._table.c[i])[()]
 
     def second_right(self, y):
         """One-sided curvature of f from the right, elementwise (0 on the
         constant tails, nan at nan)."""
-        i = np.searchsorted(self._knots[0], y, side="right")
+        i = np.searchsorted(self._table.t[1:], y, side="right")
         return np.where(np.isnan(y), np.nan, self._table.c[i])[()]
 
     # -- exact constants -----------------------------------------------
@@ -187,9 +181,9 @@ class BoundarySpline:
         junctions with the constant tails are excluded by contract.
         """
         # interior knot i joins the rows i and i + 1 of the piece table
-        c = self._table.c
+        t, c = self._table.t, self._table.c
         jump = c[1:-2] != c[2:-1]
-        return Kinks(self._knots[0][1:-1][jump], c[1:-2][jump], c[2:-1][jump])
+        return Kinks(t[2:-1][jump], c[1:-2][jump], c[2:-1][jump])
 
 
 # -- module-level operation surface -------------------------------------

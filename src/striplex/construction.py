@@ -22,12 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, ValidationError
+from .errors import ConfigurationError, DomainError, NonConvergenceError, ValidationError
 from .params import AdmissibleProblem, ProblemParams
 
 DEFAULT_TOL = 1e-12
 # points per block of solve_contacts, run in C order: bounds its temporaries to a few MB
 _SOLVE_BLOCK = 1 << 14
+# most fixed-point steps solve_contacts may run (its cap times its blocks),
+# checked before the first: ~240 us a step on a full block, so ~25 s at most
+# (zigzag40, 2-core host); a MAX_POINTS grid at q ~ 0.8 may take 29,952
+MAX_SOLVE_STEPS = 100_000
 
 
 def require_positive(name: str, value: float) -> None:
@@ -220,20 +224,20 @@ def _exact_square(x, z, zz, hi, lo) -> None:
     np.add(t, lo, out=zz)
 
 
-def phi(t, L: float):
-    """t / sqrt(L^2 - t^2) on |t| < L, elementwise."""
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) >= L):
-        raise DomainError(f"phi requires |t| < L everywhere, L={L!r}")
-    return t / np.sqrt(L * L - t * t)
-
-
 def phi_prime(t, L: float):
     """L^2 / (L^2 - t^2)^(3/2) on |t| < L, elementwise."""
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) >= L):
         raise DomainError(f"phi_prime requires |t| < L everywhere, L={L!r}")
     return L * L / _libm(math.pow, L * L - t * t, 1.5)
+
+
+def _slope_and_root(y, problem: ProblemParams) -> tuple:
+    """(f'(y), sqrt(L^2 - f'(y)^2)) at contact points y, elementwise; the
+    root is real, as |f'| <= L_f < L (ProblemParams)."""
+    L = problem.L
+    slope = problem.spline.derivative(y)
+    return slope, np.sqrt(L * L - slope * slope)
 
 
 @dataclass(frozen=True)
@@ -276,11 +280,12 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
     require_positive("tol", tol)
     require_strip_points(problem, x, height)
     x, height = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(x, height))
-    spline = problem.spline
-    L = problem.L
     q = problem.contraction_q
     threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
     cap = _iteration_cap(problem, threshold)
+    steps = cap * -(-x.size // _SOLVE_BLOCK)
+    if not steps <= MAX_SOLVE_STEPS:
+        raise ConfigurationError(f"contact solve may need {steps} steps at q = {q!r}, more than {MAX_SOLVE_STEPS}")
     shape = x.shape
     x, height = x.ravel(), height.ravel()
     Y, y, value = (np.empty(x.size) for _ in range(3))
@@ -298,9 +303,8 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
         for k in range(1, cap + 1):
             if not left:
                 break
-            # |f'| <= L_f < L everywhere (ProblemParams), so the square root is real
-            slope = spline.derivative(xa + Ya)
-            Y_next = ha * slope / np.sqrt(L * L - slope * slope)
+            slope, root = _slope_and_root(xa + Ya, problem)
+            Y_next = ha * slope / root
             done = np.flatnonzero(running & (np.abs(Y_next - Ya) <= threshold))
             Y[active[done]], iterations[active[done]] = Y_next[done], k
             running[done] = False
@@ -316,7 +320,7 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
                 f"did not converge in {cap} iterations"
             )
         y[block] = xb + Y[block]
-        value[block] = spline.value(y[block]) - L * hypot(hb, Y[block])
+        value[block] = problem.spline.value(y[block]) - problem.L * hypot(hb, Y[block])
     require_finite_u(x, height, value)
     # [()] turns a 0-d result into a numpy scalar
     return ContactSolution(*(a.reshape(shape)[()] for a in (Y, y, value, iterations)))
@@ -327,7 +331,8 @@ def contact_inverse(y, height, problem: AdmissibleProblem):
     point at the given height is y.  Strictly increasing for admitted
     problems; elementwise over finite y and the broadcast height."""
     require_strip_points(problem, y, height, name="y")
-    return y - height * phi(problem.spline.derivative(y), problem.L)
+    slope, root = _slope_and_root(y, problem)
+    return y - height * (slope / root)
 
 
 def u_at_contact(y, problem: AdmissibleProblem):
@@ -335,8 +340,7 @@ def u_at_contact(y, problem: AdmissibleProblem):
     f(y) - delta * L^2 / sqrt(L^2 - f'(y)^2), elementwise over finite y."""
     require_strip_points(problem, y, problem.delta, name="y")
     L = problem.L
-    slope = problem.spline.derivative(y)
-    return problem.spline.value(y) - problem.delta * L * L / np.sqrt(L * L - slope * slope)
+    return problem.spline.value(y) - problem.delta * L * L / _slope_and_root(y, problem)[1]
 
 
 def u_interior(x, d, problem: AdmissibleProblem, tol: float = DEFAULT_TOL):

@@ -473,9 +473,9 @@ def mw_envelopes(
     from xmin - pad to xmax + pad, kept where X(y_j) lies in [xmin, xmax].
     X(y) = y - delta*phi(f'(y)) is increasing, so the kept indices are one
     run, found by search.  A top-line sample's u and X come from one f'(y)
-    and one root sqrt(L^2 - f'(y)^2), with the IEEE operations of
-    construction.u_at_contact and contact_inverse; the contact points are
-    checked once, at the line's ends.
+    and one root sqrt(L^2 - f'(y)^2), from the helper that construction's
+    u_at_contact and contact_inverse use, with their IEEE operations; the
+    contact points are checked once, at the line's ends.
 
     Each line takes one _scan_argmax run over 2n points for n points: the
     first n maximize g - L*hypot(x - pos, height), the last n -g - L*hypot(
@@ -541,8 +541,7 @@ def mw_envelopes(
         # the contact points y = yt(j), the root u_at_contact divides by,
         # and X(y) as contact_inverse computes it
         y = yt(j)
-        slope = spline.derivative(y)
-        root = np.sqrt(L * L - slope * slope)
+        slope, root = construction._slope_and_root(y, problem)
         return y, root, y - delta * (slope / root)
 
     first = _first_past(lambda j: ~(contact(j)[2] < spec.xmin), 0, nt)

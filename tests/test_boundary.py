@@ -384,6 +384,29 @@ class TestPieceTableEdges:
         assert columns(spline.kinks()) == ([1.0], [5e-324], [-5e-324])
 
 
+@given(splines())
+@settings(max_examples=200)
+def test_knot_lookups_equal_np_over_the_knots(spline):
+    # derivative, the one-sided curvatures and kinks() read the knots off
+    # the piece table; at every knot, its float neighbours, +-inf and nan
+    # they give the bits of np.interp and np.searchsorted over arrays built
+    # from spline.knots, with the curvature 0 on both tails
+    ts, ss = (np.array(column) for column in zip(*spline.knots))
+    curvature = np.array([0.0, *knot_tables(spline)[2], 0.0])
+    ys = np.concatenate([ts, np.nextafter(ts, -math.inf), np.nextafter(ts, math.inf), [-math.inf, math.inf, math.nan]])
+
+    def second(y, side):
+        return np.where(np.isnan(y), np.nan, curvature[np.searchsorted(ts, y, side=side)])
+
+    assert hexes(spline.derivative(ys)) == hexes(np.interp(ys, ts, ss))
+    assert hexes(spline.second_left(ys)) == hexes(second(ys, "left"))
+    assert hexes(spline.second_right(ys)) == hexes(second(ys, "right"))
+    inner = ts[1:-1]
+    left, right = second(inner, "left"), second(inner, "right")
+    jump = left != right
+    assert [hexes(column) for column in spline.kinks()] == [hexes(inner[jump]), hexes(left[jump]), hexes(right[jump])]
+
+
 class TestConstants:
     def test_vee(self):
         spline = parse_spline(VEE_TEXT)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -175,6 +176,20 @@ class TestConstruct:
         argv = ["construct", "--spline", ZIGZAG, "--L", "2", "--delta-frac", "0.9", "--nx", "513", "--out", str(out)]
         assert cli.main(argv) == 0
         assert len(out.read_text().splitlines()) == 514
+
+    def test_stalling_solve_fails_before_its_first_step(self, tmp_path, capsys):
+        # at q = 0.99999 the iteration cap is 3,060,614 steps, past the work
+        # bound, so the solve is refused up front instead of running ~67 s
+        out = tmp_path / "c.csv"
+        argv = ["construct", "--spline", ZIGZAG, "--L", "20", "--delta-frac", "0.99999", "--nx", "65"]
+        t0 = time.perf_counter()
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: contact solve may need 3060614 steps at q = 0.99998")
+        assert err.endswith(f", more than {construction.MAX_SOLVE_STEPS}\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_max_iter_is_an_unknown_flag(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -641,9 +656,9 @@ class TestVerify:
         assert "FAIL envelope_coincidence: error: window [-2.0, 2.0] too narrow for margin 7.327498473437818" in lines
 
     def test_checks_keep_their_own_oracle_calls(self, capsys):
-        # localization goes on from the oracle_equivalence scan, but each
-        # check keeps its own call and its own error: at this h_y only the
-        # 2x window is past the scan cap
+        # at this h_y only the 2x window is past the scan cap: oracle_equivalence
+        # falls back to one 1x call and passes, and localization raises the
+        # stored 2x error
         assert cli.main(["verify", *STANDARD, "--nx", "5", "--nd", "2", "--hy", "1.5e-8"]) == 3
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("PASS oracle_equivalence: ")
@@ -654,8 +669,8 @@ class TestVerify:
         assert lines[-1] == "verify: 9 passed, 1 failed, 0 skipped"
 
     def test_oracle_scan_past_the_cap_skips_localization(self, vee_problem):
-        # localization goes on from the oracle_equivalence grid, so without
-        # one it has nothing to measure
+        # here the 1x fallback call of oracle_equivalence fails too, so it
+        # leaves no results and localization SKIPs
         config = verify.VerifyConfig(grid=GridSpec(xmin=-1.0, xmax=1.0, nx=2, nd=2, h_y=1e-8))
         results = verify.run_acceptance(vee_problem, config)
         assert [f"{r.status} {r.name}: {r.detail}" for r in results[:2]] == [

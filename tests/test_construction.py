@@ -9,7 +9,6 @@ from striplex import construction, oracle
 from striplex.analysis import second_derivatives_top
 from striplex.construction import (
     contact_inverse,
-    phi,
     phi_prime,
     segment_value,
     solve_contacts,
@@ -41,11 +40,7 @@ def contact_residual(x, height, Y, problem):
 
 class TestPhi:
     def test_zero(self):
-        assert phi(0.0, 5.0) == 0.0
         assert phi_prime(0.0, 2.0) == 0.5
-
-    def test_symmetric_point(self):
-        assert phi(math.sqrt(2.0), 2.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_kink_slope_curvature(self):
         # phi'(0) = 1/L is the transfer constant at a flat-slope kink
@@ -53,17 +48,9 @@ class TestPhi:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            phi(2.0, 2.0)
-        with pytest.raises(DomainError):
             phi_prime(-2.5, 2.0)
         with pytest.raises(DomainError):
-            phi(np.array([0.0, 2.0]), 2.0)
-
-    def test_vectorized(self):
-        ts = np.linspace(-1.5, 1.5, 11)
-        out = phi(ts, 2.0)
-        for t, v in zip(ts, out):
-            assert v == phi(float(t), 2.0)
+            phi_prime(np.array([0.0, 2.0]), 2.0)
 
 
 # construction.hypot repeats the IEEE operations of CPython 3.11's
