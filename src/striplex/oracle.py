@@ -7,7 +7,8 @@ _scan_argmax, whose result is that of a scan of every sample:
 * direct maximization of the cone envelope g(y) = f(y) - L*sqrt(d^2 +
   (x-y)^2) over a fine boundary grid, refined by golden-section search on
   the bracket around the best sample.  The grid scan is pruned coarse to
-  fine: a Piyavskii-Shubert bound from the Lipschitz constant L_f + L and
+  fine, from one root cell per point that spans the point's whole grid:
+  a Piyavskii-Shubert bound from the Lipschitz constant L_f + L and
   a second-order bound drop every cell of the grid whose samples all lie
   strictly below the best sample seen, so the scan finds the same best
   sample as a scan of every grid point, bit for bit.  Why no cell that
@@ -67,19 +68,18 @@ MAX_SCAN = 10_000_000
 # and a 2048x2048 closed-form `grid` at 236 MB (3.9-4.3 s), 2-core host
 MAX_POINTS = 2**22
 
-# the pruned scan of both oracles: stride refinement per level, the fewest
-# samples the first level of a fresh scan takes, and the most samples one
-# level takes at once.  Scans shorter than _REFINE*_MIN_COARSE = 16 samples
-# start at stride 1, a full scan.  On the 257x17 vee grid at h_y = 1e-6 the
-# 1x scan reads 142,321 samples at 2/2, 207,264 at 4/4 and 335,137 at 8/8,
-# at every budget; 4/4 is as fast as 2/2 and faster than 8/8.  At 4/4 the
-# budget trades time for memory: brute_force_u over that grid's 2x window
-# takes 25.8, 24.4, 24.2 and 23.6 ms of CPU at 6144, 8192, 12288 and 16384
-# (medians of 30 alternating rounds in one process, 2-core host), with
-# trace peaks of 1.6, 1.6, 1.9 and 2.3 MB, and of 1.9, 2.2, 3.1 and 3.8 MB
-# on the default mw_min grid; 32768 was no faster and took 7.0 MB
+# the pruned scan of both oracles: stride refinement per level, and the
+# most samples one level takes at once (root cells come in chunks of
+# _BUDGET // 2 points, two samples each).  On the 257x17 vee grid at h_y =
+# 1e-6 the 1x scan reads 144,377 samples at ratio 2, 213,695 at 4 and
+# 327,476 at 8 (each within 35 of that at budgets 6144 to 32768), in 24.3,
+# 24.4 and 27.9 ms of CPU.  At ratio 4 the budget trades time for memory:
+# brute_force_u over that grid's 2x window takes 26.2, 25.4, 24.4 and 23.9
+# ms of CPU at 6144, 8192, 12288 and 16384 (medians of 30 alternating
+# rounds in one process, 2-core host), with trace peaks of 1.6, 1.7, 1.8
+# and 2.5 MB, and of 1.9, 2.2, 2.7 and 3.3 MB on the default mw_min grid;
+# 32768 was no faster and took 3.6 and 4.9 MB
 _REFINE = 4
-_MIN_COARSE = 4
 _BUDGET = 16384
 _PROBES = 64  # indices _first_past probes per round
 
@@ -296,19 +296,19 @@ def _scan_argmax(
     sample maps arrays of point numbers and indices to their samples
     elementwise.
 
-    The scan reads each point's indices as a tree.  A tree's first level
-    takes every stride-th index from 0, and each level refines the stride
-    by _REFINE.  The first stride is the largest power of _REFINE at most
-    count[p]/_MIN_COARSE, so a scan shorter than _REFINE*_MIN_COARSE starts
-    at stride 1, which is its full scan.  An index past a scan's end
+    The scan reads each point's indices as a tree.  Its root cell spans
+    indices 0 to S, the smallest power of _REFINE at or above the last
+    index, and its two samples are index 0 and the last index.  Each level
+    refines a kept cell's stride by _REFINE, sampling the _REFINE - 1
+    indices inside it, down to stride 1.  An index past a scan's end
     evaluates its last index, so every cell of a level is one stride s
     wide, and its bounds below hold over the samples it really spans.  The
-    trees run level by level together: their first levels in
-    blocks of at most _BUDGET samples (or of one tree), each block to its
-    last level before the next.  A level that would take more than _BUDGET
-    samples is split into two halves of its cells, and the first half runs
-    to its last level before the second.  So the memory of a scan's levels
-    is set by _BUDGET, whatever the number of points.
+    trees run level by level together: their roots in chunks of
+    _BUDGET // 2 points, each chunk to its last level before the next.  A
+    level that would take more than _BUDGET samples is split into two
+    halves of its cells, and the first half runs to its last level before
+    the second.  So the memory of a scan's levels is set by _BUDGET,
+    whatever the number of points.
 
     A cell is dropped, unsampled, when its bound plus a rounding slack stays
     below the best sample seen at its point as its level is folded (only
@@ -332,26 +332,24 @@ def _scan_argmax(
       the best sample seen.
 
     Neither argument depends on the refinement ratio, nor on the order in
-    which cells are refined.  Each level's samples are folded into a
-    running (v_k, k) per point by np.argmax's rule, so the result is
-    np.argmax's over every sample taken: the first index of the largest,
-    a nan winning (after which nothing of its point is dropped).  The best
-    sample seen is that running v_k.
+    which cells are refined.  Each level's samples (the roots' among them)
+    are folded into a running (v_k, k) per point by np.argmax's rule, so
+    the result is np.argmax's over every sample taken: the first index of
+    the largest, a nan winning (after which nothing of its point is
+    dropped).  The best sample seen is that running v_k.
     """
     curv_step = np.broadcast_to(curv_step, count.shape)
     v_k = np.full(count.size, -math.inf)
     k = np.full(count.size, np.iinfo(np.int64).max)
     with np.errstate(over="ignore", invalid="ignore"):
         slack = 1e-12 * (1.0 + np.abs(v_k) + scale)
-    # one tree per point with samples: its point, last index and first
-    # stride, the smallest power of _REFINE above limit
+    # one tree per point with samples: its point, last index and root
+    # stride, the smallest power of _REFINE at or above the last index
     t_p = np.flatnonzero(count > 0)
     t_hi = count[t_p] - 1
-    limit = count[t_p] // (_REFINE * _MIN_COARSE)
-    powers = [1]
-    while powers[-1] <= limit.max(initial=0):
-        powers.append(powers[-1] * _REFINE)
-    stride = np.array(powers)[np.searchsorted(powers, limit, "right")]
+    t_s = np.ones_like(t_hi)
+    while (short := t_s < t_hi).any():
+        t_s[short] *= _REFINE
 
     def fold(p: np.ndarray, j: np.ndarray, v: np.ndarray) -> None:
         # only a sample at or above its point's v_k, or a nan, can win
@@ -386,34 +384,20 @@ def _scan_argmax(
             bound = np.minimum(0.5 * (va + vb) + 0.5 * lip_step * s, np.maximum(va, vb) + curv_step[p] * s * s / 8)
             return (bound + slack[p] < v_k[p]) & np.isfinite(bound)
 
-    # first level: every stride-th index of each tree, up to the first at or
-    # past its end, clipped to it
-    width = -(-t_hi // stride) + 1
-    ends = np.cumsum(width)
-
-    def first_level(first: int, stop: int) -> tuple:
-        # samples and folds the first level of trees first..stop-1, and
-        # returns its kept cells: between consecutive samples of one tree,
-        # at strides above 1 (clipping moved only a tree's last sample,
-        # which starts no cell)
-        w = width[first:stop]
-        t = np.repeat(np.arange(first, stop), w)
-        j = np.minimum((np.arange(t.size) - np.repeat(np.cumsum(w) - w, w)) * stride[t], t_hi[t])
-        p = t_p[t]
-        v = sample(p, j)
-        fold(p, j, v)
-        s = stride[t[:-1]]
-        cell = np.flatnonzero((t[:-1] == t[1:]) & (s > 1) & ~drop(p[:-1], s, v[:-1], v[1:]))
-        return np.stack([p[cell], t_hi[t[cell]], s[cell], j[cell]]), np.stack([v[cell], v[cell + 1]])
-
     steps = np.arange(1, _REFINE)[:, None]
-    first = 0
-    while first < t_p.size:
-        stop = max(int(np.searchsorted(ends, ends[first] - width[first] + _BUDGET, "right")), first + 1)
+    for first in range(0, t_p.size, _BUDGET // 2):
+        # the root cells of the next _BUDGET // 2 trees: index 0 and the last
+        # index sampled and folded, and the roots kept at strides above 1
+        p, hi, s = (a[first : first + _BUDGET // 2] for a in (t_p, t_hi, t_s))
+        zero = np.zeros_like(hi)
+        p_new, j = np.repeat(p, 2), np.stack([zero, hi], axis=1).ravel()
+        v = sample(p_new, j)
+        fold(p_new, j, v)
+        vals = v.reshape(-1, 2).T
+        keep = (s > 1) & ~drop(p, s, vals[0], vals[1])
         # kept cells, one column each: (point, last index of its tree,
         # stride, first index) and (v_a, v_b), and whether v_k may have risen
-        todo = [(*first_level(first, stop), False)]
-        first = stop
+        todo = [(np.stack([p, hi, s, zero])[:, keep], vals[:, keep], False)]
         while todo:
             cells, vals, stale = todo.pop()
             if stale:
@@ -577,7 +561,7 @@ def mw_envelopes(
         reach = max(abs(spec.xmin), abs(spec.xmax)) + pad
         t_far = max(abs(spline.knots[0][0]), abs(spline.knots[-1][0]))
         scale = L * delta + lip * (np.abs(x2) + 2.0 * (reach + t_far))
-        # every scan's first level reads both ends of its line.  A bottom
+        # every scan's root cells read both ends of its line.  A bottom
         # value g there that is not finite makes each point's low (g = +inf
         # or nan) or high (g = -inf or nan) not finite, whatever its cone
         # term, so the check below would name the first point: name it

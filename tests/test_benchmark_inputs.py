@@ -25,7 +25,7 @@ def load_workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["verify_vee", "field_zigzag"])
+@pytest.mark.parametrize("name", ["verify_vee", "field_zigzag", "oracle_coarse"])
 def test_workload_passes_its_checks(name, tmp_path, capsys, monkeypatch):
     plan = load_workloads(monkeypatch).WORKLOADS[name](REPO, tmp_path, 1)
     for argv in plan.argvs:

@@ -40,11 +40,12 @@ def contact_residual(x, height, Y, problem):
 
 class TestPhi:
     def test_zero(self):
+        # phi'(0) = 1/L is the transfer constant at a flat-slope kink
         assert phi_prime(0.0, 2.0) == 0.5
 
     def test_kink_slope_curvature(self):
-        # phi'(0) = 1/L is the transfer constant at a flat-slope kink
-        assert phi_prime(0.0, 2.0) == pytest.approx(1.0 / 2.0, abs=1e-16)
+        # phi'(t) = L^2/(L^2 - t^2)^(3/2)
+        assert phi_prime(1.0, 2.0) == pytest.approx(4.0 / (3.0 * math.sqrt(3.0)), rel=1e-16)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

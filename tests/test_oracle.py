@@ -288,7 +288,7 @@ def scan_problem(spline, delta_frac):
 # Lip(f') = 0: the second-order cell bound is max(v_a, v_b)
 @example(SAMPLE_SPLINES["ramp"], 0.5, [0.2, -1e5], [1.0], -6.0, 2.0)
 @example(BoundarySpline(f0=0.5, knots=((0.3, -0.8),)), 0.5, [2.5], [0.4, 1.0], -5.0, 1.0)
-# heights whose scans start at strides 1, 64 and 4096: one mesh, three tree depths
+# heights whose root cells span 4^3, 4^6 and 4^9 indices: one mesh, three tree depths
 @example(SAMPLE_SPLINES["vee"], 0.5, [-0.4, 0.03], [0.0005, 0.01, 1.0], -6.0, 1.0)
 # past the caps, unadmitted: the scan reads no constant that needs admission.
 # vee at delta ~ 3.02 lies between delta_touch and delta_banach; two_kinks at
@@ -379,8 +379,8 @@ def bump_and_parabola(p, j):
 @pytest.mark.parametrize(
     "sample, curv_step, want",
     [
-        # a concave sequence whose best sample sits in a first-level cell
-        # next to the start
+        # a concave sequence whose best sample sits in the root's first
+        # subcell, next to the start
         (lambda p, j: -((j - 500.3) ** 2), 2.0, 500),
         # the bump's cell has both ends far below the best sample seen: only
         # max(v_a, v_b) + 200*s^2/8 keeps it (max(v_a, v_b) + 0 would not)
@@ -404,23 +404,27 @@ def test_second_order_bound_takes_the_lower_side_of_the_curvature(sample, curv_s
 def argmax_cases():
     """Sample sequences whose np.argmax a pruned scan can miss only by
     breaking its rule: exact ties met on different levels, a tie of -0.0
-    and 0.0, nan samples and a point without samples."""
+    and 0.0, nan samples, a point without samples, and scans on each side
+    of a power of 4 whose last two samples tie."""
     j = np.arange(3000.0)
     plateau = np.minimum(1.0 - ((j - 1500.0) / 1000.0) ** 2, 0.75)  # 0.75 on 1000..2000
-    # 0.0 on 520..1000, -0.0 before 700: a first level at a stride of 256 or
-    # 512 meets 0.0 at 768 first
+    # 0.0 on 520..1000, -0.0 before 700: at ratios 2 and 4 the scan meets
+    # 0.0 at 768, at stride 256, before any -0.0 (at stride 128 or 64)
     zeros = np.minimum(1.0 - ((j - 760.0) / 240.0) ** 2, 0.0)
     zeros[(zeros == 0.0) & (j < 700.0)] = -0.0
     nans = np.full(3000, 0.5)
     nans[[2345, 1234]] = math.nan
-    return [plateau, zeros, nans, np.full(50, math.nan), np.zeros(0), -((j - 2222.7) ** 2) / 1e6]
+    # the root cell reads the last sample first, the tied one before it later
+    ends = [np.minimum(np.arange(n), n - 2.0) / 100.0 for n in (1, 2, 3, 16, 17, 18)]
+    return [plateau, zeros, nans, np.full(50, math.nan), np.zeros(0), -((j - 2222.7) ** 2) / 1e6, *ends]
 
 
 @pytest.mark.parametrize("refine", [2, 4, 8])
 def test_scan_argmax_is_np_argmax_at_any_ratio_and_budget(refine, monkeypatch):
     # the result does not depend on the refinement ratio, nor on how levels
-    # are split into blocks: with a budget of 8 samples a call runs in many
-    # blocks, and each level's samples fold into np.argmax's (k, v_k)
+    # are split into blocks: with a budget of 8 samples a call runs its root
+    # cells in chunks of 4 points and its levels in many blocks, and each
+    # level's samples fold into np.argmax's (k, v_k)
     monkeypatch.setattr(oracle, "_REFINE", refine)
     monkeypatch.setattr(oracle, "_BUDGET", 8)
     full = argmax_cases()
@@ -443,7 +447,7 @@ def test_scan_argmax_is_np_argmax_at_any_ratio_and_budget(refine, monkeypatch):
             assert (int(k[p]), v_k[p].hex()) == (want, v[want].hex()), p
         else:
             assert v_k[p] == -math.inf
-    assert len(sizes) > 100 and max(sizes) <= max(8, refine * oracle._MIN_COARSE + 1)
+    assert len(sizes) > 100 and max(sizes) <= 8
 
 
 @pytest.mark.parametrize("name", ["vee", "two_kinks", "zigzag40"])
@@ -511,8 +515,8 @@ def test_scan_bounds_hold_on_the_full_sample_sequences(name, monkeypatch):
 
 
 def test_mesh_past_one_block_matches_one_point_calls(vee_problem, monkeypatch):
-    # 260 points: at a budget of 512 samples the scan runs their first
-    # levels in several blocks, so every point is checked
+    # 260 points: at a budget of 512 samples the scan takes their root
+    # cells in two chunks and splits their levels, so every point is checked
     monkeypatch.setattr(oracle, "_BUDGET", 512)
     xs, ds = np.broadcast_arrays(np.linspace(-1.0, 1.0, 20)[:, None], np.linspace(0.01, 0.1, 13)[None, :])
     mesh = brute_force_u((xs, ds), vee_problem, 1e-4)
@@ -552,23 +556,23 @@ def test_pruned_scan_evaluates_a_small_share(vee_problem, monkeypatch):
     monkeypatch.setattr(oracle, "_scan_argmax", counting_scan)
     spec = VerifyConfig().grid
     brute_force_u((spec.xs()[:, None], spec.heights(vee_problem.delta)[None, :]), vee_problem, spec.h_y)
-    assert taken == [207_264]
+    assert taken == [213_695]
     # an envelope call, bottom line then top line: every top-line point lies
     # inside the condition of mw_envelopes, where the scan takes curv_step
-    # = 0 (8,703 top-line samples with the first-order bound alone)
+    # = 0 (8,748 top-line samples with the first-order bound alone)
     monkeypatch.setattr(oracle, "_BUDGET", 64)
     taken.clear()
     points = (np.linspace(-1.4, 1.4, 9)[:, None], np.array([[0.02, 0.05, 0.09]]))
     mw_envelopes(points, vee_problem, GridSpec(xmin=-2.0, xmax=2.0, nx=2, nd=2, h_y=1e-4))
-    assert taken == [2_544, 2_592]
+    assert taken == [2_541, 2_508]
     # envelope scans whose levels split in many halves, each bounded again
-    # when it runs (18,309 top-line samples without that): half of the
+    # when it runs (19,219 top-line samples without that): half of the
     # top-line points lie past the condition
     taken.clear()
     steep = envelope_problem(SAMPLE_SPLINES["zigzag40"], 0.9)
     points = (np.linspace(-1.3, 1.3, 7)[:, None], steep.delta * np.array([[0.02, 0.3, 0.9, 0.99]]))
     mw_envelopes(points, steep, GridSpec(xmin=-2.0, xmax=2.0, nx=2, nd=2, h_y=1e-3))
-    assert taken == [2_386, 18_300]
+    assert taken == [2_065, 19_207]
 
 
 def test_acceptance_scans_read_a_pinned_number_of_samples(vee_problem, monkeypatch):
@@ -577,8 +581,8 @@ def test_acceptance_scans_read_a_pinned_number_of_samples(vee_problem, monkeypat
     # (vee, 257x17, h_y = 1e-6), counted in boundary samples, scan and
     # refinement: a regression in the scan's pruning fails here rather than
     # hiding in wall-time noise.  The pruning drops the 2x window's outer
-    # annulus at its first level, so it reads barely more than the 1x scan
-    # (373,286; 501,159 when it refined 8-ary)
+    # annulus on its coarsest levels, so it reads barely more than the 1x
+    # scan (379,717)
     problem, spec = vee_problem, VerifyConfig().grid
     calls = []
     value = BoundarySpline.value
@@ -590,10 +594,10 @@ def test_acceptance_scans_read_a_pinned_number_of_samples(vee_problem, monkeypat
     monkeypatch.setattr(BoundarySpline, "value", counting)
     point = (spec.xs()[:, None], spec.heights(problem.delta)[None, :])
     brute_force_u(point, problem, spec.h_y)
-    assert sum(calls) == 373_286
+    assert sum(calls) == 379_717
     calls.clear()
     brute_force_u(point, problem, spec.h_y, window_factor=2.0)
-    assert sum(calls) == 389_271
+    assert sum(calls) == 389_029
 
 
 def pointwise_mw_envelopes(point, problem, spec):
