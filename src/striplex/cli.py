@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     window.add_argument("--tol", type=float, default=construction.DEFAULT_TOL)
     sampling = _Parser(add_help=False)
     sampling.add_argument("--nd", type=int, default=defaults.nd)
-    sampling.add_argument("--hy", type=float, default=defaults.h_y, help="oracle maximization step")
+    sampling.add_argument("--hy", type=float, default=defaults.h_y, help="brute-force oracle scan step")
     output = _Parser(add_help=False)
     output.add_argument("--out", required=True, metavar="PATH", help="output file")
     output.add_argument("--format", choices=("csv", "structured"), default="csv")

@@ -1,13 +1,13 @@
-"""Independent brute-force evaluators used as ground truth.
+"""Independent evaluators of u used as ground truth.
 
 Two oracles live here, both deliberately ignorant of the fixed-point
-construction, and both find their extrema with one pruned scan,
-_scan_argmax, whose result is that of a scan of every sample:
+contact solve:
 
 * direct maximization of the cone envelope g(y) = f(y) - L*sqrt(d^2 +
   (x-y)^2) over a fine boundary grid, refined by golden-section search on
-  the bracket around the best sample.  The grid scan is pruned coarse to
-  fine, from one root cell per point that spans the point's whole grid:
+  the bracket around the best sample.  One pruned scan, _scan_argmax,
+  whose result is that of a scan of every sample, reads the grid coarse
+  to fine, from one root cell per point that spans the point's whole grid:
   a Piyavskii-Shubert bound from the Lipschitz constant L_f + L and
   a second-order bound drop every cell of the grid whose samples all lie
   strictly below the best sample seen, so the scan finds the same best
@@ -19,35 +19,29 @@ _scan_argmax, whose result is that of a scan of every sample:
   which both the scan and the refinement rest on.  From delta_touch on,
   nothing keeps g unimodal, and the second-order bound uses the lower
   bound -(Lip(f') + L/d) of g'', which holds at every height.  Nothing
-  comes from the construction;
-* minimal/maximal Lipschitz envelopes of the strip boundary data, whose
-  coincidence pins u from both sides: extrema over samples of the two
-  boundary lines, computed where the scan reads them, one scan per line
-  for both extrema.  On the evenly spaced bottom line the samples of +-f
-  minus the cone rise and fall for the reasons above (the heights lie
-  below delta < delta_touch).  On the top line, sampled at evenly spaced
-  contact points y, the samples of +-u minus the cone rise and fall
-  wherever the point lies a height h below the line with q_h + q < 1,
-  q_h = h*phi'(L_f)*Lip(f'), that is h < delta_banach - delta: their slope
-  in y is X'(y) > 0 times a function that can vanish only where the
-  cone's slope is at most L_f, and falls there.  Points farther below
-  keep the first-order bound from the y-spacing and q alone.
+  comes from the construction, nor any assumption on f beyond its
+  constants;
+* minimal/maximal Lipschitz (McShane-Whitney) envelopes of the strip
+  boundary data, whose coincidence pins u from both sides: each is an
+  extremum over the two boundary lines of terms whose critical points
+  are the roots of y - x = k*phi(f'(y)), one signed height k per term.
+  mw_envelopes evaluates the terms at every root _contact_roots finds, so
+  it is exact up to rounding; it leans on f being piecewise quadratic and
+  on the top line's X' >= 1 - q > 0, where the scan leans on neither.
 
-Grid fills and exports for both provenances are also defined here.
+Grid fills and exports for all four provenances are also defined here.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from . import construction
-from .errors import ConfigurationError, DomainError, ValidationError
+from .errors import ConfigurationError, DomainError, NonConvergenceError, ValidationError
 from .ioutil import format_reals, write_table
 from .params import AdmissibleProblem, ProblemParams
 
@@ -59,9 +53,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-13
 _GOLDEN_MAX_ITER = 90
 
-# most boundary samples one oracle scan may range over, checked before any
-# scan starts; no scan holds its samples in one array, so it bounds time.  The
-# CLI defaults range over at most ~4.2e6 (mw_envelopes at h_y = 1e-6 on [-2, 2])
+# most boundary samples one brute-force scan may range over, and most
+# (point, piece) pairs one envelope call may solve, checked before any scan or
+# solve starts; neither is held in one array, so it bounds time.  At the CLI
+# defaults the 2x scan on vee at --delta-frac 0.9 ranges over ~5.3e6 samples,
+# and a 257x17 envelope grid takes ~1.8e4 to ~3.5e4 pairs
 MAX_SCAN = 10_000_000
 # most points one grid (nx*nd) or top line (nx) may hold, checked before
 # allocating; on vee at this cap `construct` peaks at 236 MB RSS (8.5-9.0 s)
@@ -77,11 +73,12 @@ MAX_POINTS = 2**22
 # brute_force_u over that grid's 2x window takes 26.2, 25.4, 24.4 and 23.9
 # ms of CPU at 6144, 8192, 12288 and 16384 (medians of 30 alternating
 # rounds in one process, 2-core host), with trace peaks of 1.6, 1.7, 1.8
-# and 2.5 MB, and of 1.9, 2.2, 2.7 and 3.3 MB on the default mw_min grid;
-# 32768 was no faster and took 3.6 and 4.9 MB
+# and 2.5 MB; 32768 was no faster and took 3.6 MB.  mw_envelopes solves its
+# roots in blocks of about _BUDGET Newton seeds: on the default vee mw_min
+# grid the trace peaks at 4.6 MB, against 12.6 MB with blocks 4x as large,
+# in the same ~49 ms of CPU (medians of 15 alternating rounds)
 _REFINE = 4
 _BUDGET = 16384
-_PROBES = 64  # indices _first_past probes per round
 
 
 def require_window(xmin: float, xmax: float, nx: int) -> None:
@@ -96,7 +93,8 @@ def require_window(xmin: float, xmax: float, nx: int) -> None:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling window on the strip plus the oracle step size."""
+    """Sampling window on the strip plus the brute-force oracle's scan
+    step, which the envelope oracle does not use."""
 
     xmin: float
     xmax: float
@@ -118,8 +116,8 @@ class GridSpec:
 
     def trimmed_window(self, problem: AdmissibleProblem) -> tuple[float, float]:
         """[xmin + margin, xmax - margin] with margin = 10*D*delta, where the
-        envelope evaluation points live: the outer band anchors the envelope
-        cones.  The one place that sets the margin."""
+        envelope grids and envelope_coincidence place their points.  The one
+        place that sets the margin."""
         margin = 10.0 * problem.D * problem.delta
         lo, hi = self.xmin + margin, self.xmax - margin
         if lo >= hi:
@@ -240,8 +238,8 @@ def brute_force_u(point: tuple, problem: ProblemParams, h_y: float, window_facto
         ~(scan_size <= MAX_SCAN),
         ConfigurationError,
         # scan_size has d's shape; i counts the broadcast points
-        lambda i, p: _scan_message(
-            np.broadcast_to(scan_size, np.broadcast(x, d).shape).flat[i].item(), "brute-force scan"
+        lambda i, p: "brute-force scan needs {:.3g} boundary samples, more than {}; raise h_y".format(
+            np.broadcast_to(scan_size, np.broadcast(x, d).shape).flat[i].item(), MAX_SCAN
         ),
     ))
     x, d, radius = (np.array(a) for a in np.broadcast_arrays(x, d, radius))
@@ -434,198 +432,147 @@ def _scan_argmax(
     return k, v_k
 
 
-def mw_envelopes(
-    point: tuple,
-    problem: AdmissibleProblem,
-    spec: GridSpec,
-) -> tuple:
+def mw_envelopes(point: tuple, problem: AdmissibleProblem) -> tuple:
     """(low, high) Lipschitz envelopes of the strip boundary data at every
     point of the broadcast (x, d) arrays; numpy scalars for a scalar point.
 
-    low  = max over sampled boundary points q of g(q) - L*|point - q|,
-    high = min over sampled boundary points q of g(q) + L*|point - q|,
-    with g = f on the bottom line and the closed-form u on the top line.
-    Sampling and truncation only widen the bracket, so low <= u <= high
-    holds pointwise; the bracket tightens at rate (L_f + L) * h_y.
+    low  = sup over boundary points q of g(q) - L*|point - q|,
+    high = inf over boundary points q of g(q) + L*|point - q|,
+    with g = f on the bottom line and the closed-form u on the top line:
+    the minimal and maximal McShane-Whitney extensions of the boundary
+    data, so low <= u <= high, and both equal u.
 
-    Points must lie strictly inside the strip and inside
-    spec.trimmed_window(problem), whose margin band anchors the cones.  The
-    scan size and then every point are checked before any scan; the first
-    bad point in C order is named.  The samples sit at np.arange's
-    positions, each computed where a scan reads it: on the bottom line at
-    y_j from xmin to xmax, on the top line at X(y_j) for contact points y_j
-    from xmin - pad to xmax + pad, kept where X(y_j) lies in [xmin, xmax].
-    X(y) = y - delta*phi(f'(y)) is increasing, so the kept indices are one
-    run, found by search.  A top-line sample's u and X come from one f'(y)
-    and one root sqrt(L^2 - f'(y)^2), from the helper that construction's
-    u_at_contact and contact_inverse use, with their IEEE operations; the
-    contact points are checked once, at the line's ends.
+    Each is an extremum of two terms, one per line, and each extremum is a
+    critical point: as L > L_f, the terms maximized tend to -inf as |y|
+    grows, those minimized to +inf.  The top line is read by its contact
+    points y, at X(y) = contact_inverse(y, delta) with u = u_at_contact(y);
+    X' >= 1 - q > 0, so y runs over the whole line and a top term's slope
+    in y is X' times its slope in X.  So each term's slope vanishes exactly
+    where y - x = k*phi(f'(y)), phi(t) = t/sqrt(L^2 - t^2), at one signed
+    height k per term:
 
-    Each line takes one _scan_argmax run over 2n points for n points: the
-    first n maximize g - L*hypot(x - pos, height), the last n -g - L*hypot(
-    x - pos, height), and high is minus their maximum, which is exact.
-    With dy the spacing np.arange steps by, a bottom-line sample moves by
-    at most (L_f + L)*dy per index.  Its height d lies below delta <
-    delta_touch, so for either sign the samples rise to one maximum and
-    fall, as in brute_force_u: that makes the scan exact with the
-    second-order bound at curv_step = Lip(f')*dy^2 (a bound on +-f's
-    bending that the cone's bending does not enter).
+        term           extremum  k
+        bottom, low    max       d
+        bottom, high   min       -d
+        top, high      min       d
+        top, low       max       2*delta - d
 
-    On the top line a sample is s(y) = +-u_top(y) - L*hypot(x - X(y), h)
-    at the height h = delta - d above the point, and u_top' = f'*X', so
-    s'(y) = X'(y)*G(y) with G = +-f'(y) + c(x - X(y)) and c(w) =
-    L*w/sqrt(w^2 + h^2).  X' = 1 - delta*phi'(f')*f'' lies in [1 - q,
-    1 + q], so a sample moves by at most (L_f + L)*(1 + q)*dy per index.
-    The second-order bound comes from the shape of s.  c(x - X(y)) falls
-    as y grows, so the y where |c| <= L_f form one interval; before it c >
-    L_f >= |f'| and G > 0, after it G < 0.  Inside it c' = 1/(h*phi'(c))
-    >= 1/(h*phi'(L_f)), so dG/dy <= Lip(f') - (1 - q)/(h*phi'(L_f)), which
-    is negative when q_h + q < 1 with q_h = h*phi'(L_f)*Lip(f'), that is
-    h < delta_banach - delta.  Then G changes sign at most once, from + to
-    -, and the samples rise to one maximum and fall, so the scan is exact
-    at curv_step = 0 (see _scan_argmax).  Points past the condition keep
-    curv_step = inf, the first-order bound alone: there the samples may
-    have several local maxima.  The condition is decided in exact
-    arithmetic on the height the samples use (_rise_and_fall_height), so
-    rounding cannot move a point to the curv_step = 0 side.
+    Each term is evaluated at every root _contact_roots finds, so the
+    envelopes are exact up to the rounding of those evaluations.  The
+    trade-off: this oracle leans on f being piecewise quadratic, which
+    every BoundarySpline is, and on X' >= 1 - q > 0, which admission gives;
+    brute_force_u stays the oracle that needs neither.
+
+    Points must have a finite x and lie strictly inside the strip, and the
+    envelopes must be finite: DomainError names the first bad point.
     """
-    delta = problem.delta
-    L = problem.L
-    lip = problem.L_f + L
-    q = problem.contraction_q
-    spline = problem.spline
-    h = spec.h_y
-    lo, hi = spec.trimmed_window(problem)
-    # top line sampled through the contact parameterization; dx/dy is within
-    # [1-q, 1+q] of 1, so a y-step of h/(1+q) keeps the x-spacing below h
-    ystep = h / (1.0 + q)
-    pad = problem.D * delta + h
-    samples = (spec.xmax - spec.xmin + 2.0 * pad) / ystep + 1.0
-    if not samples <= MAX_SCAN:
-        raise ConfigurationError(_scan_message(samples, "envelope scan"))
-
+    delta, L = problem.delta, problem.L
     x, d = (np.asarray(a, dtype=float) for a in point)
-    # in the order of a one-point call: strip, trimmed window
-    construction.raise_first_bad_point({"x": x, "d": d}, (
-        (~((0.0 < d) & (d < delta)), DomainError,
-         lambda i, p: f"point must lie strictly inside the strip, got d={p['d']!r}"),
-        (~((lo <= x) & (x <= hi)), DomainError,
-         lambda i, p: f"point x={p['x']!r} outside the margin-trimmed window [{lo!r}, {hi!r}]"),
+    construction.require_strip_points(problem, x, d, (
+        ~(d < delta), DomainError, lambda i, p: f"point must lie strictly inside the strip, got d={p['d']!r}",
     ))
     x, d = np.broadcast_arrays(x, d)
-    xs, ds = x.ravel(), d.ravel()
-
-    n0, step0, y0 = _arange(spec.xmin, spec.xmax + 0.5 * h, h)
-    nt, stept, yt = _arange(spec.xmin - pad, spec.xmax + pad + 0.5 * ystep, ystep)
-    # the contact points rise from the line's first to its last, so these
-    # two stand for every one a search or a scan reads
-    construction.require_strip_points(problem, yt(np.array([0, nt - 1])), delta, name="y")
-
-    def contact(j: np.ndarray) -> tuple:
-        # the contact points y = yt(j), the root u_at_contact divides by,
-        # and X(y) as contact_inverse computes it
-        y = yt(j)
-        slope, root = construction._slope_and_root(y, problem)
-        return y, root, y - delta * (slope / root)
-
-    first = _first_past(lambda j: ~(contact(j)[2] < spec.xmin), 0, nt)
-    last = _first_past(lambda j: spec.xmax < contact(j)[2], first, nt)
-
-    def g_bottom(j: np.ndarray) -> tuple:
-        y = y0(j)
-        return spline.value(y), y
-
-    def g_top(j: np.ndarray) -> tuple:
-        y, root, pos = contact(first + j)
-        return spline.value(y) - delta * L * L / root, pos
-
-    # scan point i < n takes +g at flat point i, scan point n + i takes -g
-    sign, x2 = np.repeat([1.0, -1.0], xs.size), np.tile(xs, 2)
-
-    def line_max(count: int, g_pos, height: np.ndarray, lip_step: float, curv_step) -> np.ndarray:
-        def sample(p: np.ndarray, j: np.ndarray) -> np.ndarray:
-            g, pos = g_pos(j)
-            return sign[p] * g - L * np.hypot(x2[p] - pos, height[p])
-
-        return _scan_argmax(sample, np.full(x2.size, count), lip_step, curv_step, scale)[1]
-
-    top_h = np.tile(delta - ds, 2)
-    bottom = (n0, g_bottom, np.tile(ds, 2), lip * step0, spline.slope_lipschitz * step0 * step0)
-    top_curv = np.where(top_h <= _rise_and_fall_height(problem), 0.0, math.inf)
-    top = (last - first, g_top, top_h, lip * (1.0 + q) * stept, top_curv)
-    # near the ends of the float range the samples overflow; a non-finite
-    # envelope is reported below
+    n, dd = x.size, d.ravel()
+    # the terms in the table's order: item j*n + i is point i of term j,
+    # every extremum taken as a max (the terms minimized are negated)
+    xs, sign = np.tile(x.ravel(), 4), np.repeat([1.0, -1.0, -1.0, 1.0], n)
+    height = np.concatenate([dd, dd, delta - dd, delta - dd])
+    best = np.full(4 * n, -math.inf)
+    # far out the terms overflow; a non-finite envelope is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        # the magnitudes met in one sample's evaluation (see brute_force_u):
-        # positions within reach of 0, the terms of f, the cone term
-        reach = max(abs(spec.xmin), abs(spec.xmax)) + pad
-        t_far = max(abs(spline.knots[0][0]), abs(spline.knots[-1][0]))
-        scale = L * delta + lip * (np.abs(x2) + 2.0 * (reach + t_far))
-        # every scan's root cells read both ends of its line.  A bottom
-        # value g there that is not finite makes each point's low (g = +inf
-        # or nan) or high (g = -inf or nan) not finite, whatever its cone
-        # term, so the check below would name the first point: name it
-        # before any scan.  The top line's ends prove nothing: a nan sample
-        # there (inf - inf, when its cone term overflows too) drops out of
-        # the max and min below
-        if not np.isfinite(g_bottom(np.array([0, n0 - 1]))[0]).all():
-            construction.require_finite_u(x, d, np.full(x.shape, math.nan))
-        (low0, high0), (lowt, hight) = (line_max(*line).reshape(2, -1) for line in (bottom, top))
-        high0, hight = -high0, -hight
-    # max and min as the builtins pick them: the first argument unless the
-    # second is strictly beyond it
-    low = np.where(lowt > low0, lowt, low0).reshape(x.shape)
-    high = np.where(hight < high0, hight, high0).reshape(x.shape)
+        for i, y in _contact_roots(xs, np.concatenate([dd, -dd, dd, 2.0 * delta - dd]), problem):
+            top = i >= 2 * n
+            # the boundary point's value g and abscissa
+            g, at = problem.spline.value(y), y.copy()
+            g[top] = construction.u_at_contact(y[top], problem)
+            at[top] = construction.contact_inverse(y[top], delta, problem)
+            np.maximum.at(best, i, sign[i] * g - L * np.hypot(xs[i] - at, height[i]))
+        low0, high0, hight, lowt = best.reshape(4, n)
+        low, high = (v.reshape(x.shape) for v in (np.maximum(low0, lowt), -np.maximum(high0, hight)))
     construction.require_finite_u(x, d, low, high)
     return low[()], high[()]
 
 
-def _rise_and_fall_height(problem: AdmissibleProblem) -> float:
-    """A height H such that every height h in (0, H] has q_h + q < 1, that
-    is (h + delta)*phi'(L_f)*Lip(f') < 1, in exact arithmetic (H <= 0 if
-    none is found, inf where Lip(f') = 0): the top-line condition of
-    mw_envelopes.  The test (h + delta)*L^2*Lip(f') < (L^2 - L_f^2)^(3/2)
-    is taken squared in rationals, from the float delta_banach - delta
-    down by a relative step that doubles until it holds."""
-    lip = problem.spline.slope_lipschitz
-    if lip == 0.0:
-        return math.inf
-    L2 = Fraction(problem.L) ** 2
-    room = (L2 - Fraction(problem.L_f) ** 2) ** 3
+def _contact_roots(x: np.ndarray, k: np.ndarray, problem: AdmissibleProblem):
+    """Yield (i, y) block by block: the roots y of y - x[i] = k[i]*phi(f'(y))
+    over the 1-D arrays x and k, each with the index i of its point; a root
+    may come twice.
 
-    def holds(h: float) -> bool:
-        return ((Fraction(h) + Fraction(problem.delta)) * L2 * Fraction(lip)) ** 2 < room
+    As |phi(f')| <= phi(L_f), every root lies within reach = |k|*phi(L_f)
+    of x, so only the piece-table rows that meet that reach are read.  The
+    (point, row) pairs are counted first, and more than MAX_SCAN raise
+    ConfigurationError before any is solved.  Blocks of about _BUDGET // 4
+    pairs, cut between points, then seed about _BUDGET Newton runs each, so
+    memory does not grow with the number of points.
 
-    h, cut = min(problem.caps[1] - problem.delta, sys.float_info.max), 2.0**-52
-    while h > 0.0 and not holds(h):
-        h, cut = h - h * cut, 2.0 * cut
-    return h
+    On a row with f'' = c = 0, a tail or a flat piece of slope s, the root
+    is y = x + k*phi(s).  On a curved row, S = f'(y) = alpha + c*(y - x),
+    alpha the row's slope extended to x, and squaring S - alpha = c*k*phi(S)
+    gives the monic quartic
 
+        (S - alpha)^2 (L^2 - S^2) - c^2 k^2 S^2 = 0,
 
-def _first_past(past: Callable[[np.ndarray], np.ndarray], lo: int, hi: int) -> int:
-    """The first j in lo..hi-1 at which past(j) holds, hi if none, for past
-    false up to some j and true from there (bisect's answer), probing up to
-    _PROBES indices in one array per round."""
-    while lo < hi:
-        m = min(hi - lo, _PROBES)
-        j = lo + np.arange(1, m + 1) * (hi - lo) // (m + 1)
-        i = int(np.argmax(np.append(past(j), True)))
-        lo, hi = (int(j[i - 1]) + 1 if i else lo), (int(j[i]) if i < m else hi)
-    return lo
+    solved in S/L, where its coefficients stay finite for any L, by the
+    eigenvalues of batched 4x4 companion matrices.  All four real parts
+    seed y = x + (S - alpha)/c, with no cut-off on the imaginary part, so a
+    near-double root at a fold, which rounding can split into a complex
+    pair, still seeds.  Each seed (x itself on a flat row) takes three
+    Newton steps on the unsquared equation F(y) = y - x - k*phi(f'(y)),
+    each clipped to its row, and is kept where |F| <= 1e-12*(|x| + reach),
+    ~4500 ulps of the quantities met: this drops the roots of S - alpha =
+    -c*k*phi(S) that squaring adds.  A quartic with a non-finite
+    coefficient raises DomainError naming the point, and eigenvalues that
+    do not converge raise NonConvergenceError.
+    """
+    table = problem.spline._table
+    L, L_f = problem.L, problem.L_f
+    # far out these overflow; the checks below catch every such value
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        reach = np.abs(k) * (L_f / math.sqrt(L * L - L_f * L_f))
+        first = np.searchsorted(table.keys, x - reach, side="right")
+        count = np.searchsorted(table.keys, x + reach, side="right") - first + 1
+    ends = np.cumsum(count)
+    pairs = int(ends[-1]) if x.size else 0
+    if not pairs <= MAX_SCAN:
+        raise ConfigurationError(f"envelope roots need {pairs} (point, piece) pairs, more than {MAX_SCAN}")
+    cuts = np.unique(np.searchsorted(ends, np.arange(_BUDGET // 4, pairs, _BUDGET // 4)))
+    edges = np.concatenate([[-math.inf], table.t[1:], [math.inf]])
+    for block in map(slice, [0, *cuts], [*cuts, x.size]):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            i = np.repeat(np.arange(x.size)[block], count[block])
+            row = np.arange(i.size) - np.repeat(np.cumsum(count[block]) - count[block] - first[block], count[block])
+            xp, kp, rp, c, t, s = x[i], k[i], reach[i], table.c[row], table.t[row], table.s[row]
+            lo, hi = edges[row], edges[row + 1]
+            curved = np.flatnonzero(c)
+            xc, kc, cc = xp[curved], kp[curved], c[curved]
+            alpha = s[curved] + cc * (xc - t[curved])
+            a, m = alpha / L, cc * kc / L
+            coef = np.stack([-2.0 * a, a * a - 1.0 + m * m, 2.0 * a, -a * a], axis=1)
+            construction.raise_first_bad_point({"x": xc, "k": kc}, (
+                (~np.isfinite(coef).all(axis=1), DomainError, lambda j, p: "the contact-root quartic overflows"),
+            ))
+            companion = np.tile(np.eye(4, k=-1), (curved.size, 1, 1))
+            companion[:, 0] = -coef
+            try:
+                S = L * np.linalg.eigvals(companion).real
+            except np.linalg.LinAlgError:
+                raise NonConvergenceError("the contact-root quartic's eigenvalues did not converge") from None
+            pair = np.concatenate([np.arange(i.size), np.repeat(curved, 4)])
+            y = np.concatenate([xp, (xc[:, None] + (S - alpha[:, None]) / cc[:, None]).ravel()])
+            xp, kp, rp, c, t, s, lo, hi = (v[pair] for v in (xp, kp, rp, c, t, s, lo, hi))
 
+            def residual(y: np.ndarray) -> tuple:
+                slope = s + c * (y - t)
+                root = np.sqrt(L * L - slope * slope)
+                return y - xp - kp * (slope / root), root
 
-def _arange(start: float, stop: float, step: float) -> tuple:
-    """(size, spacing, at) of np.arange(start, stop, step) without the
-    array: np.arange takes ceil((stop - start)/step) elements, spaced by
-    (start + step) - start rather than step, and at(j) computes its element
-    j as it does, elementwise over integer j: start at j = 0 (a start of
-    -0.0 keeps its sign), start + j*spacing past it."""
-    spacing = (start + step) - start
-    return max(math.ceil((stop - start) / step), 0), spacing, lambda j: np.where(j > 0, start + j * spacing, start)
-
-
-def _scan_message(points: float, what: str) -> str:
-    return f"{what} needs {points:.3g} boundary samples, more than {MAX_SCAN}; raise h_y"
+            y = np.clip(y, lo, hi)
+            for _ in range(3):
+                F, root = residual(y)
+                step = F / (1.0 - kp * c * (L * L / (root * root * root)))
+                y = np.clip(np.where(np.isfinite(step), y - step, y), lo, hi)
+            keep = np.flatnonzero(np.abs(residual(y)[0]) <= 1e-12 * (np.abs(xp) + rp))
+        yield i[pair[keep]], y[keep]
 
 
 def grid_eval(
@@ -651,7 +598,7 @@ def grid_eval(
     elif provenance == "brute_force":
         values = brute_force_u((xs[:, None], ds[None, :]), problem, spec.h_y).value
     else:
-        values = mw_envelopes((xs[:, None], ds[None, :]), problem, spec)[0 if provenance == "mw_min" else 1]
+        values = mw_envelopes((xs[:, None], ds[None, :]), problem)[0 if provenance == "mw_min" else 1]
     return FieldGrid(spec=spec, provenance=provenance, xs=xs, ds=ds, values=values)
 
 

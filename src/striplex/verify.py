@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,9 @@ from .errors import StriplexError
 from .oracle import GridSpec
 from .params import AdmissibleProblem
 
-# sample sizes of the checks, the envelope oracle's step and the seed of
-# every random draw
+# sample sizes of the checks, the boundary step whose sampling bound
+# 5*(L_f + L)*_ENVELOPE_H the envelope gap is held to, and the seed of every
+# random draw
 _N_RANDOM = 100
 _N_PAIRS = 10_000
 _N_ENVELOPE_POINTS = 50
@@ -236,14 +237,13 @@ def check_kink_transfer(problem: AdmissibleProblem) -> CheckResult:
 
 def check_envelope_coincidence(problem: AdmissibleProblem, config: VerifyConfig) -> CheckResult:
     """Min/max Lipschitz envelopes of the boundary data bracket u and pinch
-    to it at the sampling rate."""
+    to it, within the bound of a boundary sampled at step _ENVELOPE_H."""
     rng = np.random.default_rng(_SEED + 2)
-    env_spec = replace(config.grid, h_y=_ENVELOPE_H)
     gap_tol = 5.0 * (problem.L_f + problem.L) * _ENVELOPE_H
-    lo, hi = env_spec.trimmed_window(problem)
+    lo, hi = config.grid.trimmed_window(problem)
     # one (x, d) pair per row, drawn x first as one-at-a-time draws would
     xs, ds = rng.uniform([lo, 0.1 * problem.delta], [hi, 0.9 * problem.delta], (_N_ENVELOPE_POINTS, 2)).T
-    low, high = oracle.mw_envelopes((xs, ds), problem, env_spec)
+    low, high = oracle.mw_envelopes((xs, ds), problem)
     u = construction.u_interior(xs, ds, problem, tol=config.tol)
     max_gap = max(0.0, float(np.max(high - low)))
     # 1e-12 float guard on inequalities that hold exactly in real arithmetic

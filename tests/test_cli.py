@@ -19,7 +19,7 @@ from striplex.oracle import GridSpec, grid_eval
 from striplex.params import AdmissibleProblem, ProblemParams, admit
 
 from test_construction import sample_problem
-from test_oracle import fmt_rows
+from test_oracle import fmt_rows, rounding
 
 REPO = Path(__file__).resolve().parent.parent
 VEE = str(REPO / "data" / "splines" / "vee.spline")
@@ -284,7 +284,7 @@ class TestGrid:
         # f' reaches 1e10 a unit from 0, so u overflows this far out; every
         # evaluator names the first such point, and no numpy warning (an
         # error in this suite) escapes first.  The coarse --hy keeps the
-        # envelope scans short: their samples overflow, so nothing is pruned
+        # brute-force scan short: its samples overflow, so nothing is pruned
         spline = tmp_path / "steep.spline"
         spline.write_text("f0 0\nknot -1 -1e10\nknot 1 1e10\n")
         out = tmp_path / "g.csv"
@@ -299,9 +299,9 @@ class TestGrid:
 
     @pytest.mark.parametrize("provenance", ["mw_min", "mw_max"])
     def test_overflowing_envelope_fails_before_any_scan(self, tmp_path, capsys, monkeypatch, provenance):
-        # f is infinite at both ends of the bottom line, which every scan
-        # reads first, so no scan can end finite; at this --hy the scans
-        # would read ~2e6 samples each, nothing pruned
+        # f overflows at the contact roots of the window's ends, so those
+        # envelopes cannot be finite; the envelopes take no scan, whatever
+        # --hy, and the first such point is named
         scans = []
 
         def recording_scan(*args):
@@ -320,6 +320,25 @@ class TestGrid:
         message = "at grid point (x=-1e+299, d=0.03333333333333333): u overflows the float range at x = -1e+299"
         assert captured.err == f"error: {message}\n"
         assert scans == [] and not captured.out and not out.exists()
+
+    def test_envelope_grid_near_the_cap_takes_no_scan(self, tmp_path, capsys, monkeypatch):
+        # the default 257x17 mw_max grid on zigzag40 at --delta-frac 0.9
+        # took 10-11 s when the envelopes scanned sampled boundary lines:
+        # 15 of its 17 rows lay where the top-line samples need not rise
+        # and fall.  Its values now come from the contact roots alone, each
+        # u within rounding
+        def no_scan(*args):
+            raise AssertionError("the envelope oracle ran a scan")
+
+        monkeypatch.setattr(oracle, "_scan_argmax", no_scan)
+        out = tmp_path / "g.csv"
+        argv = ["grid", "--spline", ZIGZAG, "--L", "2", "--delta-frac", "0.9", "--provenance", "mw_max"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        x, d, u = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(0, 1, 2), unpack=True)
+        assert x.size == 257 * 17
+        problem = sample_problem("zigzag40", 0.9)
+        want = u_interior(x, d, problem)
+        assert np.all(np.abs(u - want) <= rounding(want, problem))
 
     @pytest.mark.parametrize(
         "spline, height, provenance, fmt, golden",
@@ -507,18 +526,19 @@ def test_export_peak_memory_is_bounded(tmp_path, capsys, sizes, bound_mb):
 
 
 def test_envelope_grid_peak_memory_is_bounded(tmp_path, capsys):
-    # the envelope oracle at the default h_y = 1e-6 ranges over ~4e6 samples
-    # per boundary line: 163.5 MB with every sample in whole-window arrays,
-    # 4.2 MB with each computed where a scan reads it
+    # the bound stands from when the envelopes scanned ~4e6 samples per
+    # boundary line (163.5 MB in whole-window arrays, 4.2 MB computed where
+    # a scan read them); the contact roots of these 27 points read ~110
+    # (point, piece) pairs
     argv = ["grid", *STANDARD, "--provenance", "mw_min", "--nx", "9", "--nd", "3"]
     assert traced_peak_mb([*argv, "--out", str(tmp_path / "out.csv")]) <= 20.0
 
 
 def test_envelope_scan_memory_does_not_grow_with_points(tmp_path, capsys):
-    # 297 points, whose top-line scan levels take ~1,300 samples per point:
-    # the scans run in many blocks of samples.  44.1 MB when they ran in
-    # blocks of 256 points that kept every sample taken; ~1.3 MB with levels
-    # of at most oracle._BUDGET samples folded as they come
+    # 297 points: the bound stands from when the envelope scans ran in
+    # blocks of 256 points that kept every sample taken (44.1 MB); the
+    # contact roots are solved in blocks of about oracle._BUDGET // 4
+    # (point, piece) pairs, whatever the number of points
     argv = ["grid", *STANDARD, "--provenance", "mw_min", "--nx", "33", "--nd", "9"]
     assert traced_peak_mb([*argv, "--out", str(tmp_path / "out.csv")]) <= 44.0
 

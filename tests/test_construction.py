@@ -524,12 +524,11 @@ def test_entry_points_finite_or_package_error(vee_problem, x, height_frac):
 def test_coordinates_that_do_not_broadcast_are_refused(vee_problem):
     # the shapes are checked before any point: the nan is not named
     x, d = np.array([0.0, 0.1, math.nan]), np.full(2, 0.05)
-    spec = oracle.GridSpec(xmin=-2.0, xmax=2.0, nx=3, nd=2, h_y=1e-4)
     calls = [
         (lambda: solve_contacts(x, d, vee_problem), "x", "d"),
         (lambda: contact_inverse(x, d, vee_problem), "y", "d"),
         (lambda: oracle.brute_force_u((x, d), vee_problem, 1e-4), "x", "d"),
-        (lambda: oracle.mw_envelopes((x, d), vee_problem, spec), "x", "d"),
+        (lambda: oracle.mw_envelopes((x, d), vee_problem), "x", "d"),
         (lambda: segment_value(x, np.full(2, 0.5), vee_problem), "y", "t"),
     ]
     for call, first, second in calls:
