@@ -6,13 +6,16 @@ through the scalar fixed-point equation
     Y = d * phi(f'(x + Y)),      phi(t) = t / sqrt(L^2 - t^2),
 
 and substituting into u = f(x + Y) - L * sqrt(d^2 + Y^2).  For admitted
-problems the iteration map is a global contraction with factor
-q = delta * phi_prime_max * Lip(f'), so plain fixed-point iteration from
-Y = 0 with the a-posteriori stopping rule |Y_{k+1} - Y_k| <= tol*(1-q)/q
-guarantees both |Y - Y*| <= tol and residual <= tol, and the contraction
-bounds how many steps the rule can take (_iteration_cap).  Heights d < delta
-use the same equation with d in place of delta: the admissibility caps only
-tighten as the height grows, so admissibility at delta covers every d below.
+problems the map is a global contraction with factor q = delta *
+phi_prime_max * Lip(f'), so G(y) = y - x - d*phi(f'(y)) increases with
+G' >= 1 - q.  f' is piecewise linear, so the solve finds each contact's
+spline piece by bisection over the knots' images, solves G = 0 there by a
+Newton iteration whose step count is capped up front (_newton_cap), and
+certifies the result with one step of the map under the a-posteriori rule
+|Y - Y_N| <= tol*(1-q)/q, which guarantees |Y - Y*| <= tol.  Heights d <
+delta use the same equation with d in place of delta: the admissibility
+caps only tighten as the height grows, so admissibility at delta covers
+every d below.
 """
 
 from __future__ import annotations
@@ -22,16 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NonConvergenceError, ValidationError
+from .errors import DomainError, NonConvergenceError, ValidationError
 from .params import AdmissibleProblem, ProblemParams
 
 DEFAULT_TOL = 1e-12
 # points per block of solve_contacts, run in C order: bounds its temporaries to a few MB
 _SOLVE_BLOCK = 1 << 14
-# most fixed-point steps solve_contacts may run (its cap times its blocks),
-# checked before the first: ~240 us a step on a full block, so ~25 s at most
-# (zigzag40, 2-core host); a MAX_POINTS grid at q ~ 0.8 may take 29,952
-MAX_SOLVE_STEPS = 100_000
 
 
 def require_positive(name: str, value: float) -> None:
@@ -248,82 +247,170 @@ class ContactSolution:
     Y: float
     y: float
     value: float
-    iterations: int
 
 
-def _iteration_cap(problem: AdmissibleProblem, threshold: float) -> int:
-    """Iterations after which the stopping rule |Y_k - Y_(k-1)| <= threshold
-    of solve_contacts has held at every point in exact arithmetic.
+def _newton_constant(L: float, L_f: float, q: float) -> float:
+    """C with |F''|/(2*F') <= C over |S| <= L_f, for F(S) = S - alpha -
+    k*phi(S) on any piece, k = height*c: as |k|*phi'(S) <= q, F' >= 1 - q
+    and |F''| = |k|*phi'(S)*3|S|/(L^2 - S^2) <= q*3*L_f/(L^2 - L_f^2).  A
+    Newton step from an error e in S leaves at most C*e^2."""
+    return 1.5 * q * L_f / ((1.0 - q) * (L * L - L_f * L_f))
 
-    From Y_0 = 0 the first step |Y_1| is at most Ymax = delta * phi(L_f),
-    and step k is at most q^(k-1) * Ymax.  The cap asks for half the
-    threshold, which leaves room for the rounding of the float iteration;
-    the threshold is floored at the smallest subnormal, so the cap stays
-    finite when a tiny tol underflows the threshold to 0."""
-    L, L_f = problem.L, problem.L_f
-    y_max = problem.delta * L_f / math.sqrt(L * L - L_f * L_f)
-    threshold = max(threshold, math.ulp(0.0))
-    if y_max <= 0.5 * threshold:
+
+def _newton_cap(problem: AdmissibleProblem, threshold: float) -> int:
+    """Newton steps after which every point of solve_contacts has met its
+    stopping rule in exact arithmetic.
+
+    On a piece S = f'(y) is affine in y, and Newton's iterate is the same
+    in S as in y; the clip keeps every iterate on the piece, so |S| <= L_f
+    and each step leaves at most C*e^2 of an error e (_newton_constant).
+    From an error of at most the piece's slope range 2*L_f, k steps leave
+    (in y) at most width * rho^(2^k - 1), rho = 2*L_f*C = 3*q*L_f^2 / ((1 -
+    q)*(L^2 - L_f^2)).  For admitted problems rho < 2/3: delta < delta_touch
+    bounds q by ((1 - a^2)/(1 + a^2)^2)^(3/2), a = L_f/L.  The cap asks for
+    an error that makes |G| <= (1 + q)*error at most half the threshold,
+    leaving room for rounding, plus the step that sees it.  Every piece is
+    at most 2*max|t| wide; the threshold is floored at the smallest
+    subnormal, so the cap stays finite when a tiny tol underflows it to 0:
+    it is at most 13."""
+    L, L_f, q = problem.L, problem.L_f, problem.contraction_q
+    rho = 2.0 * L_f * _newton_constant(L, L_f, q)
+    if rho == 0.0:
         return 1
-    return 1 + math.ceil((math.log(threshold) - math.log(2.0 * y_max)) / math.log(problem.contraction_q))
+    knots = problem.spline.knots
+    log_width = math.log(2.0) + math.log(max(abs(knots[0][0]), abs(knots[-1][0])))
+    log_ratio = math.log(max(threshold, math.ulp(0.0))) - math.log(2.0 * (1.0 + q)) - log_width
+    if log_ratio >= 0.0:
+        return 1
+    return 1 + math.ceil(math.log2(1.0 + log_ratio / math.log(rho)))
 
 
 def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_TOL) -> ContactSolution:
     """Solve Y = height * phi(f'(x + Y)) at every point of the broadcast
     (x, height) arrays and evaluate u there.
 
-    A point leaves the iteration as soon as its own step meets the
-    a-posteriori threshold, so it takes exactly the iterations it would
-    take alone.  Every returned iterate satisfies |Y - Y*| <= tol and
-    |Y - height*phi(f'(x+Y))| <= tol.
+    Each point's contact y = x + Y is the root of G(y) = y - x -
+    height*phi(f'(y)), which increases with G' >= 1 - q.  A bisection over
+    the knots finds the piece that holds it (_locate), a Newton iteration
+    on that piece's own f' solves it (_newton), and one step of the
+    fixed-point map certifies it: Y = height*f'(x + Y_N)/sqrt(L^2 - f'^2)
+    is returned only where |Y - Y_N| <= tol*(1 - q)/q, which by the
+    contraction gives |Y - Y*| <= tol; any other point raises
+    NonConvergenceError, naming it.  Every step is elementwise and each
+    point leaves the iteration on its own step, so a point gets the same
+    bits in any batch as alone.
     """
     require_positive("tol", tol)
     require_strip_points(problem, x, height)
     x, height = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(x, height))
     q = problem.contraction_q
     threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
-    cap = _iteration_cap(problem, threshold)
-    steps = cap * -(-x.size // _SOLVE_BLOCK)
-    if not steps <= MAX_SOLVE_STEPS:
-        raise ConfigurationError(f"contact solve may need {steps} steps at q = {q!r}, more than {MAX_SOLVE_STEPS}")
+    cap = _newton_cap(problem, threshold)
+    C = _newton_constant(problem.L, problem.L_f, q)
+    t, s, root = _knot_roots(problem)
+    phi = s / root
     shape = x.shape
     x, height = x.ravel(), height.ravel()
     Y, y, value = (np.empty(x.size) for _ in range(3))
-    iterations = np.empty(x.size, dtype=int)
     for first in range(0, x.size, _SOLVE_BLOCK):
         block = slice(first, first + _SOLVE_BLOCK)
         xb, hb = x[block], height[block]
-        # the points the block still iterates: flat index, x, height and
-        # iterate, and which of them have not finished.  Finished points
-        # iterate on unrecorded until half of the points have finished,
-        # then the arrays are compacted to the running ones
-        active, xa, ha, Ya = np.arange(first, first + xb.size), xb, hb, np.zeros(xb.size)
-        running = np.ones(xb.size, dtype=bool)
-        left = xb.size
-        for k in range(1, cap + 1):
-            if not left:
-                break
-            slope, root = _slope_and_root(xa + Ya, problem)
-            Y_next = ha * slope / root
-            done = np.flatnonzero(running & (np.abs(Y_next - Ya) <= threshold))
-            Y[active[done]], iterations[active[done]] = Y_next[done], k
-            running[done] = False
-            left -= done.size
-            Ya = Y_next
-            if 2 * left <= running.size:
-                keep = np.flatnonzero(running)
-                active, xa, ha, Ya, running = active[keep], xa[keep], ha[keep], Ya[keep], running[keep]
-        if left:
-            i = np.flatnonzero(running)[0]
+        Y_N = _newton(xb, hb, _locate(xb, hb, t, phi), problem, threshold, C, cap)
+        slope, root = _slope_and_root(xb + Y_N, problem)
+        Yb = hb * slope / root
+        bad = np.flatnonzero(~(np.abs(Yb - Y_N) <= threshold))
+        if bad.size:
+            i = bad[0]
             raise NonConvergenceError(
-                f"contact solve at (x={float(xa[i])!r}, height={float(ha[i])!r}) "
-                f"did not converge in {cap} iterations"
+                f"contact solve at (x={float(xb[i])!r}, height={float(hb[i])!r}) did not converge in "
+                f"{cap} Newton steps: |Y - Y_N| = {float(abs(Yb[i] - Y_N[i])):.3e} > tol*(1-q)/q = {threshold:.3e}"
             )
-        y[block] = xb + Y[block]
-        value[block] = problem.spline.value(y[block]) - problem.L * hypot(hb, Y[block])
+        Y[block] = Yb
+        y[block] = xb + Yb
+        value[block] = problem.spline.value(y[block]) - problem.L * hypot(hb, Yb)
     require_finite_u(x, height, value)
     # [()] turns a 0-d result into a numpy scalar
-    return ContactSolution(*(a.reshape(shape)[()] for a in (Y, y, value, iterations)))
+    return ContactSolution(*(a.reshape(shape)[()] for a in (Y, y, value)))
+
+
+def _knot_roots(problem: AdmissibleProblem) -> tuple:
+    """The knots t_j and slopes s_j of f', with sqrt(L^2 - s_j^2) as
+    _slope_and_root takes it."""
+    table, L = problem.spline._table, problem.L
+    s = table.s[1:]
+    return table.t[1:], s, np.sqrt(L * L - s * s)
+
+
+def _locate(x, height, t, phi) -> np.ndarray:
+    """The piece-table row of each point's contact: the number r of the K
+    knots whose images X_j = t_j - height*phi_j, phi_j = phi(s_j), lie at
+    or below x, found by bisection in ceil(log2(K + 1)) steps.  X_j
+    increases with j, as G(t_j) = X_j - x does; wherever rounding breaks
+    that, the search still ends at a sign change of the computed images:
+    r = 0 or X_(r-1) <= x, and r = K or x < X_r."""
+    bits = t.size.bit_length()
+    # knot r - 1 at index r, and past the last knot images at +inf, so
+    # every trial row reads a knot
+    pad = (1 << bits) - t.size
+    t = np.concatenate([[0.0], t, np.full(pad, math.inf)])
+    phi = np.concatenate([[0.0], phi, np.zeros(pad)])
+    row = np.zeros(x.size, dtype=np.intp)
+    for bit in reversed(range(bits)):
+        # row + 2^bit is taken if its last knot images at or below x
+        trial = row + (1 << bit)
+        row = np.where(t[trial] - height * phi[trial] <= x, trial, row)
+    return row
+
+
+def _newton(x, height, row, problem: AdmissibleProblem, threshold: float, C: float, cap: int) -> np.ndarray:
+    """Y_N per point: Newton's iterate for the root of G on its row, where
+    f' = s + c*(y - t_a) between knots a and b.
+
+    A tail row is flat, and its Y = height*s/sqrt(L^2 - s^2) is exact.  On
+    a knot piece the start is the secant between the knots' images: with
+    g_j = G(t_j) = X_j - x, Y_a + g_a/(g_a - g_b)*(Y_b - Y_a), where Y_j =
+    t_j - X_j.  Each step is clipped to the piece and to the sign bracket
+    of G seen so far.  A point stops after a step delta with |delta| <=
+    threshold, or whose C*delta^2 (C of _newton_constant, times |c| in y)
+    is below the rounding of the piece's offsets, |t_a - x| and |t_b - x|,
+    so that the next step would not change Y; or after cap steps."""
+    table, L = problem.spline._table, problem.L
+    t, s_knot, root = _knot_roots(problem)
+    # a tail row reads one knot at both ends
+    a, b = np.maximum(row - 1, 0), np.minimum(row, t.size - 1)
+    Y = height * s_knot[a] / root[a]
+    p = np.flatnonzero(a != b)
+    if not p.size:
+        return Y
+    # per knot-piece point: its height, row slope and curvature, offset
+    # base = t_a - x (so y - t_a = Y - base), bracket [lo, hi] and iterate
+    a, b, h, r = a[p], b[p], height[p], row[p]
+    s, c = table.s[r], table.c[r]
+    base = lo = t[a] - x[p]
+    hi = t[b] - x[p]
+    Y_a, Y_b = Y[p], h * s_knot[b] / root[b]
+    g_a, g_b = lo - Y_a, hi - Y_b
+    # fmax and fmin put a nan (0/0 where rounding leaves g_a = g_b) on the bracket
+    with np.errstate(invalid="ignore", divide="ignore"):
+        Yp = np.fmin(np.fmax(Y_a + g_a / (g_a - g_b) * (Y_b - Y_a), lo), hi)
+    k = h * c * (L * L)
+    with np.errstate(divide="ignore"):
+        rounding = 2.0**-53 * np.maximum(np.abs(lo), np.abs(hi))
+        settled = np.maximum(threshold * threshold, rounding / (1.21 * C * np.abs(c)))
+    going = np.ones(p.size, dtype=bool)
+    for _ in range(cap):
+        S = c * (Yp - base) + s
+        root_S = np.sqrt(L * L - S * S)
+        G = Yp - h * S / root_S
+        lo = np.where(G < 0.0, Yp, lo)
+        hi = np.where(G > 0.0, Yp, hi)
+        step = np.where(going, G / (1.0 - k / (root_S * root_S * root_S)), 0.0)
+        Yp = np.fmin(np.fmax(Yp - step, lo), hi)
+        going &= ~(step * step <= settled)
+        if not going.any():
+            break
+    Y[p] = Yp
+    return Y
 
 
 def contact_inverse(y, height, problem: AdmissibleProblem):

@@ -69,7 +69,8 @@ MAX_POINTS = 2**22
 # _BUDGET // 2 points, two samples each).  On the 257x17 vee grid at h_y =
 # 1e-6 the 1x scan reads 144,377 samples at ratio 2, 213,695 at 4 and
 # 327,476 at 8 (each within 35 of that at budgets 6144 to 32768), in 24.3,
-# 24.4 and 27.9 ms of CPU.  At ratio 4 the budget trades time for memory:
+# 24.4 and 27.9 ms of CPU, when it still re-read indices past a scan's end
+# (201,529 at 4 without).  At ratio 4 the budget trades time for memory:
 # brute_force_u over that grid's 2x window takes 26.2, 25.4, 24.4 and 23.9
 # ms of CPU at 6144, 8192, 12288 and 16384 (medians of 30 alternating
 # rounds in one process, 2-core host), with trace peaks of 1.6, 1.7, 1.8
@@ -299,8 +300,9 @@ def _scan_argmax(
     index, and its two samples are index 0 and the last index.  Each level
     refines a kept cell's stride by _REFINE, sampling the _REFINE - 1
     indices inside it, down to stride 1.  An index past a scan's end
-    evaluates its last index, so every cell of a level is one stride s
-    wide, and its bounds below hold over the samples it really spans.  The
+    stands for its last index, whose sample the root took and which is not
+    sampled again, so every cell of a level is one stride s wide, and its
+    bounds below hold over the samples it really spans.  The
     trees run level by level together: their roots in chunks of
     _BUDGET // 2 points, each chunk to its last level before the next.  A
     level that would take more than _BUDGET samples is split into two
@@ -408,19 +410,32 @@ def _scan_argmax(
                 continue
             if not size:
                 continue
-            # the _REFINE - 1 new indices inside each cell, cell by cell
+            # the _REFINE - 1 new indices inside each cell, cell by cell; an
+            # index at or past its scan's last, which the root sampled, is
+            # not sampled again and reads the cell's v_b, that sample (such
+            # indices come at a straddling cell's end, and most levels have
+            # none)
             p, hi, s, a = cells
             s = s // _REFINE
             j = np.empty((size, _REFINE - 1), dtype=np.int64)
-            j[...] = np.minimum(a + s * steps, hi).T
-            p_new, j = np.repeat(p, _REFINE - 1), j.ravel()
-            v = sample(p_new, j)
+            j[...] = (a + s * steps).T
+            p_new = np.repeat(p, _REFINE - 1)
+            if (j[:, -1] < hi).all():
+                j = j.ravel()
+                v = sample(p_new, j)
+                inner = v.reshape(size, -1)
+            else:
+                new = j < hi[:, None]
+                p_new, j = p_new[new.ravel()], j[new]
+                v = sample(p_new, j)
+                inner = np.repeat(vals[1][:, None], _REFINE - 1, axis=1)
+                inner[new] = v
             fold(p_new, j, v)
             # each cell's samples v_a..v_b as a column, and of its _REFINE
             # subcells those the new stride leaves samples inside and whose
             # bound reaches the best sample, cell by cell
             row = np.empty((_REFINE + 1, size))
-            row[0], row[1:-1], row[-1] = vals[0], v.reshape(size, -1).T, vals[1]
+            row[0], row[1:-1], row[-1] = vals[0], inner.T, vals[1]
             keep = np.empty((size, _REFINE), dtype=bool)
             keep.T[...] = (s > 1) & ~drop(p, s, row[:-1], row[1:])
             cell, sub = np.divmod(np.flatnonzero(keep), _REFINE)

@@ -146,35 +146,56 @@ def check_localization(problem: AdmissibleProblem, config: VerifyConfig, grid: l
 
 
 def check_fixed_point(problem: AdmissibleProblem, config: VerifyConfig) -> CheckResult:
-    """Residuals at tol, contact round trip, iteration counts versus the
-    contraction budget."""
+    """Residuals at tol, contact round trip, and the contraction's
+    iteration count versus its budget: the fixed-point map, run here from
+    Y = 0 at the same points, must meet the a-posteriori rule |Y_k -
+    Y_(k-1)| <= tol*(1-q)/q within ceil(log(tol)/log(q)) + 2 steps.  Skips
+    where that threshold lies below 4 ulps of the largest offset
+    delta*phi(L_f), which the float iteration cannot resolve."""
     rng = np.random.default_rng(_SEED)
-    delta = problem.delta
-    grid = config.grid
-    xs = rng.uniform(grid.xmin, grid.xmax, _N_RANDOM)
-    # each x is solved at the top line and at one random lower height
-    heights = np.stack([np.full_like(xs, delta), rng.uniform(0.1 * delta, delta, _N_RANDOM)], axis=1)
-    sol = construction.solve_contacts(xs[:, None], heights, problem, tol=config.tol)
-    # the residual of each returned Y, computed here rather than by the solver
-    L = problem.L
-    slope = problem.spline.derivative(xs[:, None] + sol.Y)
-    worst_residual = float(np.max(np.abs(sol.Y - heights * slope / np.sqrt(L * L - slope * slope))))
-    worst_iters = int(np.max(sol.iterations))
+    delta, L, L_f = problem.delta, problem.L, problem.L_f
     q = problem.contraction_q
+    threshold = config.tol * (1.0 - q) / q if q > 0.0 else math.inf
+    y_max = delta * L_f / math.sqrt(L * L - L_f * L_f)
+    if threshold < 4.0 * math.ulp(y_max):
+        return CheckResult(
+            "fixed_point_contract",
+            "SKIP",
+            f"stopping threshold tol*(1-q)/q = {threshold:.3e} lies below 4 ulps of max|Y| = {y_max:.3e}",
+        )
+    grid = config.grid
+    xs = rng.uniform(grid.xmin, grid.xmax, _N_RANDOM)[:, None]
+    # each x is solved at the top line and at one random lower height
+    heights = np.stack([np.full(_N_RANDOM, delta), rng.uniform(0.1 * delta, delta, _N_RANDOM)], axis=1)
+    sol = construction.solve_contacts(xs, heights, problem, tol=config.tol)
+    # the residual of each returned Y, computed here rather than by the solver
+    slope = problem.spline.derivative(xs + sol.Y)
+    worst_residual = float(np.max(np.abs(sol.Y - heights * slope / np.sqrt(L * L - slope * slope))))
     iter_budget = math.ceil(math.log(config.tol) / math.log(q)) + 2 if 0.0 < q < 1.0 else 2
+    # the steps of the map until the last point meets the rule
+    Y, running, worst_iters = np.zeros(heights.shape), np.ones(heights.shape, dtype=bool), None
+    for k in range(1, iter_budget + 1):
+        slope = problem.spline.derivative(xs + Y)
+        Y_next = heights * slope / np.sqrt(L * L - slope * slope)
+        running &= ~(np.abs(Y_next - Y) <= threshold)
+        Y = Y_next
+        if not running.any():
+            worst_iters = k
+            break
     half = 0.75 * 0.5 * (grid.xmax - grid.xmin)
     mid = 0.5 * (grid.xmin + grid.xmax)
     ys = rng.uniform(mid - half, mid + half, _N_RANDOM)
     x_back = construction.contact_inverse(ys, delta, problem)
     sol = construction.solve_contacts(x_back, delta, problem, tol=config.tol)
     worst_roundtrip = float(np.max(np.abs(sol.y - ys)))
-    ok = worst_residual <= config.tol and worst_roundtrip <= 1e-10 and worst_iters <= iter_budget
+    ok = worst_residual <= config.tol and worst_roundtrip <= 1e-10 and worst_iters is not None
+    iterations = f"= {worst_iters}" if worst_iters is not None else f"> {iter_budget}"
     return CheckResult(
         "fixed_point_contract",
         _status(ok),
         f"max residual = {worst_residual:.3e} (tol {config.tol:g}); "
         f"max |y(x(y)) - y| = {worst_roundtrip:.3e} (tol 1e-10); "
-        f"max iterations = {worst_iters} (budget {iter_budget})",
+        f"max iterations {iterations} (budget {iter_budget})",
     )
 
 

@@ -25,8 +25,8 @@ REPO = Path(__file__).resolve().parent.parent
 VEE = str(REPO / "data" / "splines" / "vee.spline")
 CONSTANT = str(REPO / "data" / "splines" / "constant.spline")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "construct_standard.csv"
-# N = 40 zigzag of scripts/kink_density_demo.py at q ~ 0.80: 1 to 114
-# fixed-point iterations per point, so it pins the batched solve's masking
+# N = 40 zigzag of scripts/kink_density_demo.py at q ~ 0.80: 79 kinks, so
+# it pins the solve's piece location and its per-point Newton exits
 ZIGZAG = str(REPO / "data" / "splines" / "zigzag40.spline")
 GOLDEN_ZIGZAG = Path(__file__).resolve().parent / "golden" / "construct_zigzag.csv"
 
@@ -170,24 +170,27 @@ class TestConstruct:
         assert out.read_bytes() == GOLDEN_ZIGZAG.read_bytes()
 
     def test_zigzag_near_the_banach_cap(self, tmp_path, capsys):
-        # at q ~ 0.90 some points need 248 iterations, more than a fixed cap
-        # of 200 allowed; the cap derived from q lets every point converge
+        # at q ~ 0.90 the fixed-point map needs up to 248 steps from Y = 0;
+        # the located Newton solve certifies every point
         out = tmp_path / "zigzag.csv"
         argv = ["construct", "--spline", ZIGZAG, "--L", "2", "--delta-frac", "0.9", "--nx", "513", "--out", str(out)]
         assert cli.main(argv) == 0
         assert len(out.read_text().splitlines()) == 514
 
     def test_stalling_solve_fails_before_its_first_step(self, tmp_path, capsys):
-        # at q = 0.99999 the iteration cap is 3,060,614 steps, past the work
-        # bound, so the solve is refused up front instead of running ~67 s
+        # at q = 0.99999 the contraction rule's threshold tol*(1-q)/q =
+        # 1.2e-17 lies below the float resolution of Y at some points, which
+        # the fixed-point map from Y = 0 chased for 3,060,614 steps; the
+        # Newton cap is derived before the first step, so the certificate
+        # refuses the first such point within seconds and nothing is written
         out = tmp_path / "c.csv"
         argv = ["construct", "--spline", ZIGZAG, "--L", "20", "--delta-frac", "0.99999", "--nx", "65"]
         t0 = time.perf_counter()
         assert cli.main([*argv, "--out", str(out)]) == 1
         assert time.perf_counter() - t0 < 5.0
         err = capsys.readouterr().err
-        assert err.startswith("error: contact solve may need 3060614 steps at q = 0.99998")
-        assert err.endswith(f", more than {construction.MAX_SOLVE_STEPS}\n")
+        assert err.startswith("error: contact solve at (x=-0.9375, height=39.99950625104722) did not converge in ")
+        assert err.endswith(" > tol*(1-q)/q = 1.176e-17\n")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -206,7 +209,7 @@ class TestConstruct:
     def test_zero_stopping_threshold_reaches_the_solve(self, tmp_path, capsys):
         # the @example of the exit-code property below: at delta = 2.5,
         # q ~ 0.68 > 0.5, so tol = 5e-324 underflows the stopping threshold
-        # to 0 and the solve runs out of iterations (not out of flags)
+        # to 0, which the certificate refuses (not the flags)
         out = tmp_path / "c.csv"
         argv = ["construct", "--spline", VEE, "--L", "2", "--delta", "2.5", "--nx", "5", "--tol", "5e-324"]
         assert cli.main([*argv, "--out", str(out)]) == 1
@@ -447,12 +450,13 @@ class TestStreamedExports:
         ids=["construct", "grid"],
     )
     def test_failed_solve_leaves_the_file_untouched(self, tmp_path, capsys, monkeypatch, command, sizes):
-        monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)
+        # with no Newton step the secant start goes to the certificate
+        monkeypatch.setattr(construction, "_newton_cap", lambda problem, threshold: 0)
         out = tmp_path / "out.csv"
         out.write_text("kept\n")
         argv = [command, *ZIGZAG_WINDOW, *sizes, "--out", str(out)]
         assert cli.main(argv) == 1
-        assert "did not converge in 1 iterations" in capsys.readouterr().err
+        assert "did not converge in 0 Newton steps" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
 
 
@@ -632,12 +636,13 @@ class TestVerify:
         )
 
     def test_iteration_cap_reaches_every_contact_solve(self, capsys, monkeypatch):
-        monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)
+        # with no Newton step the secant start goes to the certificate
+        monkeypatch.setattr(construction, "_newton_cap", lambda problem, threshold: 0)
         assert cli.main(["verify", *STANDARD, "--nx", "5", "--nd", "2"]) == 3
         lines = capsys.readouterr().out.splitlines()[:-1]
         status = {line.split()[1].rstrip(":"): line.split()[0] for line in lines}
-        # the degenerate profiles have q = 0, so one iteration solves them
-        # exactly; kink_transfer measures through the oracle and the
+        # the degenerate profiles have q = 0, so the certificate accepts any
+        # start; kink_transfer measures through the oracle and the
         # contact map's closed-form inverse and solves no contacts
         passing = {"degenerate_closed_forms", "kink_transfer"}
         # localization needs only the oracle grid, which is built first
@@ -645,7 +650,19 @@ class TestVerify:
         assert {name for name, s in status.items() if s == "PASS"} == passing
         for line in lines:
             if line.startswith("FAIL"):
-                assert "did not converge in 1 iterations" in line
+                assert "did not converge in 0 Newton steps" in line
+
+    def test_fixed_point_contract_skips_below_the_float_resolution(self, capsys, vee_problem):
+        # at tol = 1e-20 the rule's threshold tol*(1-q)/q = 3.5e-19 lies
+        # below 4 ulps of the largest offset delta*phi(L_f) = 0.0258, where
+        # no float iteration can meet it: the check skips, naming both,
+        # and never passes; at tol = 1e-15 it runs and passes
+        detail = "stopping threshold tol*(1-q)/q = 3.531e-19 lies below 4 ulps of max|Y| = 2.582e-02"
+        res = verify.check_fixed_point(vee_problem, verify.VerifyConfig(tol=1e-20))
+        assert (res.status, res.detail) == ("SKIP", detail)
+        assert verify.check_fixed_point(vee_problem, verify.VerifyConfig(tol=1e-15)).status == "PASS"
+        cli.main(["verify", *STANDARD, "--nx", "5", "--nd", "2", "--tol", "1e-20"])
+        assert f"SKIP fixed_point_contract: {detail}" in capsys.readouterr().out.splitlines()
 
     def test_window_within_the_kink_margin_skips_gradient_identity(self, capsys, vee_problem):
         # every draw from this window lies within 1e-4 of vee's kink at 0, so
@@ -659,8 +676,8 @@ class TestVerify:
         assert f"SKIP gradient_identity: {res.detail}" in capsys.readouterr().out.splitlines()
 
     def test_zigzag_near_the_banach_cap(self, capsys):
-        # the four checks whose contact solves need more than 200 iterations
-        # at q ~ 0.90 (248 at most)
+        # the four checks whose contact solves needed more than 200
+        # fixed-point steps at q ~ 0.90 (248 at most)
         cli.main(["verify", "--spline", ZIGZAG, "--L", "2", "--delta-frac", "0.9"])
         lines = capsys.readouterr().out.splitlines()
         status = {line.split()[1].rstrip(":"): line.split()[0] for line in lines[:-1]}

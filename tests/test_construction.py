@@ -21,6 +21,8 @@ from striplex.params import ProblemParams, admit, delta_caps
 
 from test_boundary import SPLINE_FILES, splines
 
+ZIGZAG40 = parse_spline(next(path for path in SPLINE_FILES if path.stem == "zigzag40").read_text(encoding="utf-8"))
+
 # frozen oracle values for the vee profile at L=2, delta=0.1: grid scan at
 # h_y=1e-7 plus golden-section refinement, cross-checked bit-identical with
 # the closed form
@@ -122,7 +124,6 @@ class TestSolveContact:
             sol = solve_contacts(x, 0.07, constant_problem)
             assert sol.Y == 0.0
             assert sol.value == pytest.approx(1.0 - 2.0 * 0.07, abs=1e-15)
-            assert sol.iterations == 1
             assert contact_residual(x, 0.07, sol.Y, constant_problem) == 0.0
 
     def test_linear_data(self, linear_problem):
@@ -156,8 +157,10 @@ class TestSolveContact:
             solve_contacts(0.7, 0.1, vee_problem, tol=0.0)
         with pytest.raises(DomainError, match="tol must be finite and > 0, got nan"):
             solve_contacts(0.7, 0.1, vee_problem, tol=math.nan)
-        monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)
-        with pytest.raises(NonConvergenceError, match="did not converge in 1 iterations"):
+        # with no Newton step the secant start goes to the certificate, which
+        # refuses it on vee's curved piece
+        monkeypatch.setattr(construction, "_newton_cap", lambda problem, threshold: 0)
+        with pytest.raises(NonConvergenceError, match="did not converge in 0 Newton steps"):
             solve_contacts(0.7, 0.1, vee_problem)
 
 
@@ -341,9 +344,9 @@ def test_solver_contract_on_random_problems(spline, x, height_frac):
 
 
 def reference_solve(x: float, height: float, problem, tol: float = 1e-12, max_iter: int = 200):
-    """The scalar fixed-point loop the batched solve replaced: one point,
-    Python floats, scalar spline lookups.  Returns (Y, y, value,
-    iterations)."""
+    """The scalar fixed-point loop from Y = 0 that the located Newton solve
+    replaced: one point, Python floats, scalar spline lookups.  Returns (Y,
+    y, value, iterations)."""
     spline, L, q = problem.spline, problem.L, problem.contraction_q
     threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
     Y = 0.0
@@ -360,6 +363,22 @@ def reference_solve(x: float, height: float, problem, tol: float = 1e-12, max_it
     return Y, y, spline.value(y) - L * math.hypot(height, Y), iterations
 
 
+def contraction_residual(x, height, Y, problem):
+    """|T(Y) - Y| for the map T(Y) = height*phi(f'(x + Y)), computed as the
+    solve's certificate computes it."""
+    slope, root = construction._slope_and_root(x + Y, problem)
+    return np.abs(height * slope / root - Y)
+
+
+def assert_solution_near_reference(got, ref, problem, tol: float = 1e-12):
+    """Y and y within 2*tol of the fixed-point reference's (each within tol
+    of the exact root), and u within (L_f + L)*2*tol, the slope of u in y."""
+    Y, y, value = (np.asarray(getattr(got, name)) for name in ("Y", "y", "value"))
+    assert np.all(np.abs(Y - ref[0]) <= 2.0 * tol)
+    assert np.all(np.abs(y - ref[1]) <= 2.0 * tol + np.spacing(np.abs(ref[1])))
+    assert np.all(np.abs(value - ref[2]) <= 2.0 * tol * (problem.L_f + problem.L) + 4.0 * np.spacing(np.abs(ref[2])))
+
+
 @given(
     splines(),
     st.lists(st.tuples(st.floats(-3, 3), st.floats(0.01, 1.0)), min_size=1, max_size=20),
@@ -367,9 +386,9 @@ def reference_solve(x: float, height: float, problem, tol: float = 1e-12, max_it
 )
 @settings(max_examples=100, deadline=None)
 def test_batched_solve_matches_pointwise(spline, points, delta_frac):
-    # masking: each point of a batch takes exactly the iterations it takes
-    # alone, so every field agrees bit for bit with the one-point solve and
-    # with the scalar reference loop
+    # each point leaves the Newton iteration on its own step, so every field
+    # of a batch agrees bit for bit with the one-point solve, and within
+    # 2*tol with the scalar fixed-point reference loop
     L = 1.5 * spline.max_slope + 1.0
     cap = min(delta_caps(L, spline.max_slope, spline.slope_lipschitz))
     delta = delta_frac * cap if math.isfinite(cap) else 0.5
@@ -377,18 +396,63 @@ def test_batched_solve_matches_pointwise(spline, points, delta_frac):
     xs = np.array([x for x, _ in points])
     hs = np.array([frac * delta for _, frac in points])
     batch = solve_contacts(xs, hs, problem)
-    names = ("Y", "y", "value", "iterations")
     for k, (x, h) in enumerate(zip(xs.tolist(), hs.tolist())):
         alone = solve_contacts(x, h, problem)
-        for name, ref in zip(names, reference_solve(x, h, problem)):
-            got = float(getattr(batch, name)[k]).hex()
-            assert got == float(getattr(alone, name)).hex() == float(ref).hex(), name
+        for name in ("Y", "y", "value"):
+            assert float(getattr(batch, name)[k]).hex() == float(getattr(alone, name)).hex(), name
+        assert_solution_near_reference(alone, reference_solve(x, h, problem), problem)
+
+
+def knot_image_points(problem, heights):
+    """Each knot's image X_j = t_j - d*phi(s_j) at each height, as the solve
+    computes it, with its two float neighbours, and one point in each tail
+    past the outer images: (x, d) as flat arrays."""
+    t, s, root = construction._knot_roots(problem)
+    d = np.asarray(heights, dtype=float)[:, None]
+    images = t - d * (s / root)
+    x = np.stack([np.nextafter(images, -np.inf), images, np.nextafter(images, np.inf)], axis=-1)
+    x = np.concatenate([x.reshape(d.size, -1), images[:, :1] - 1.0, images[:, -1:] + 1.0], axis=1)
+    return np.broadcast_arrays(x.ravel(), np.repeat(d.ravel(), x.shape[1]))
+
+
+@given(splines(), st.sampled_from([1.5, 4.0, 40.0]), st.floats(0.05, 0.99), st.floats(0.05, 1.0))
+# zigzag40 at L = 2 and delta-frac 0.99: q ~ 0.99
+@example(ZIGZAG40, 2.0 / ZIGZAG40.max_slope, 0.99, 0.5)
+@settings(max_examples=100, deadline=None)
+def test_located_newton_solve_on_random_problems(spline, slope_factor, delta_frac, height_frac):
+    # at knot images and their float neighbours, where the contact sits on
+    # a knot and the located row is either of its pieces, and in both
+    # tails, up to q ~ 0.99: the solve returns Y within 2*tol of the
+    # fixed-point reference loop, the contraction rule holds at it, and a
+    # batch is its one-point solves bit for bit.  Where tol*(1-q)/q lies
+    # below a few ulps of the largest |Y|, the certificate may refuse a
+    # point instead, but never returns a wrong one
+    L = slope_factor * max(spline.max_slope, 0.1)
+    cap = min(delta_caps(L, spline.max_slope, spline.slope_lipschitz))
+    delta = delta_frac * cap if math.isfinite(cap) else 0.5
+    problem = admit(ProblemParams(L=L, delta=delta, spline=spline))
+    tol, q = 1e-12, problem.contraction_q
+    threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
+    y_max = delta * spline.max_slope / math.sqrt(L * L - spline.max_slope**2)
+    x, d = knot_image_points(problem, [delta, height_frac * delta])
+    try:
+        batch = solve_contacts(x, d, problem, tol=tol)
+    except NonConvergenceError:
+        assert threshold < 16.0 * math.ulp(y_max)
+        return
+    assert np.all(contraction_residual(x, d, batch.Y, problem) <= threshold)
+    ref = unblocked_solve(x, d, problem, tol=tol, max_iter=20_000)
+    assert_solution_near_reference(batch, ref, problem, tol)
+    for k in range(x.size):
+        alone = solve_contacts(x[k], d[k], problem, tol=tol)
+        for name in ("Y", "y", "value"):
+            assert getattr(batch, name)[k].tobytes() == getattr(alone, name).tobytes(), name
 
 
 def unblocked_solve(x, height, problem, tol: float = 1e-12, max_iter: int = 200):
-    """The masked fixed-point loop over every point at once, as it ran before
-    solve_contacts went through its points in blocks.  Returns the four
-    ContactSolution fields in order."""
+    """The masked fixed-point loop from Y = 0 over every point at once, as
+    the solve ran before it went through its points in blocks and located
+    their pieces.  Returns (Y, y, value, iterations)."""
     x, height = (a.astype(float) for a in np.broadcast_arrays(x, height))
     spline, L, q = problem.spline, problem.L, problem.contraction_q
     threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
@@ -423,67 +487,95 @@ def sample_problem(name: str, delta_frac: float = 0.8):
 
 
 @pytest.mark.parametrize("name", ["vee", "two_kinks", "zigzag40"])
-def test_blocked_solve_equals_unblocked_loop(name):
+def test_blocked_solve_equals_unblocked_loop(name, monkeypatch):
     # solve_contacts runs its points in blocks of _SOLVE_BLOCK; every field
-    # must be the one the loop over all points at once gives, bit for bit,
-    # for a line at one height and for an (x, d) mesh, both over 3 blocks
+    # must be the one a single block over all points gives, bit for bit,
+    # and within 2*tol of the fixed-point loop over all points at once, for
+    # a line at one height and for an (x, d) mesh, both over 3 blocks
     problem = sample_problem(name)
     size = 3 * construction._SOLVE_BLOCK + 17
     xs = np.linspace(-2.0, 2.0, size)
     mesh = (np.linspace(-2.0, 2.0, size // 32 + 1)[:, None], problem.delta * np.linspace(0.05, 1.0, 32)[None, :])
-    names = ("Y", "y", "value", "iterations")
     for point in ((xs, problem.delta), mesh):
         got = solve_contacts(*point, problem)
-        for name, ref in zip(names, unblocked_solve(*point, problem)):
-            field = getattr(got, name)
-            assert field.dtype == ref.dtype and field.shape == ref.shape, name
-            assert field.tobytes() == ref.tobytes(), name
+        with monkeypatch.context() as patch:
+            patch.setattr(construction, "_SOLVE_BLOCK", 4 * size)
+            whole = solve_contacts(*point, problem)
+        for field in ("Y", "y", "value"):
+            assert getattr(got, field).shape == np.broadcast_shapes(*(np.shape(a) for a in point)), field
+            assert getattr(got, field).tobytes() == getattr(whole, field).tobytes(), field
+        assert_solution_near_reference(got, unblocked_solve(*point, problem), problem)
 
 
 @pytest.mark.parametrize("name", ["vee", "two_kinks", "zigzag40"])
-def test_derived_iteration_cap_never_binds(name):
-    # the cap derived from q stops no point that a cap far above it lets
-    # converge: every field is the one the unblocked loop gives with 100
-    # times the cap, bit for bit, up to q ~ 0.9 on zigzag40
+def test_derived_iteration_cap_never_binds(name, monkeypatch):
+    # the Newton cap derived from q stops no point that a cap far above it
+    # lets converge: every field is the one the solve gives with 100 times
+    # the cap, bit for bit, up to q ~ 0.9 on zigzag40
     rng = np.random.default_rng(len(name))
-    names = ("Y", "y", "value", "iterations")
+    newton_cap = construction._newton_cap
     for delta_frac in (0.05, 0.3, 0.6, 0.9):
         problem = sample_problem(name, delta_frac)
-        # a quarter of the points on the top line, where the most iterations
-        # are needed, the rest at heights in (0, delta]
+        # a quarter of the points on the top line, the rest at heights in
+        # (0, delta]
         xs = rng.uniform(-3.0, 3.0, 2000)
         heights = problem.delta * np.concatenate([np.ones(500), 1.0 - rng.uniform(0.0, 1.0, 1500)])
-        q = problem.contraction_q
         for tol in (1e-10, 1e-12, 1e-14):
-            cap = construction._iteration_cap(problem, tol * (1.0 - q) / q)
             got = solve_contacts(xs, heights, problem, tol=tol)
-            assert int(np.max(got.iterations)) <= cap
-            for field, ref in zip(names, unblocked_solve(xs, heights, problem, tol=tol, max_iter=100 * cap)):
-                assert getattr(got, field).tobytes() == ref.tobytes(), (delta_frac, tol, field)
+            with monkeypatch.context() as patch:
+                patch.setattr(construction, "_newton_cap", lambda problem, threshold: 100 * newton_cap(problem, threshold))
+                far = solve_contacts(xs, heights, problem, tol=tol)
+            for field in ("Y", "y", "value"):
+                assert getattr(got, field).tobytes() == getattr(far, field).tobytes(), (delta_frac, tol, field)
 
 
 def test_underflowing_threshold_keeps_the_cap_finite():
     # at q > 0.5 a tol of 5e-324 underflows the stopping threshold to 0,
-    # which the float iteration at this point never meets
+    # which the certificate at this point never meets
     problem = sample_problem("vee", 0.9)
     with pytest.raises(NonConvergenceError, match="did not converge in"):
         solve_contacts(-1.5, problem.delta, problem, tol=5e-324)
 
 
 def test_nonconvergence_names_the_first_point_in_a_later_block(monkeypatch):
-    # zigzag40's tails are flat, so x = -3 converges in one iteration; the
-    # first point that does not sits in the second block, a later one in the
-    # third
-    monkeypatch.setattr(construction, "_iteration_cap", lambda problem, threshold: 1)
+    # zigzag40's tails are flat, so x = -3 is solved exactly with no Newton
+    # step; the first point that is not sits in the second block, a later
+    # one in the third
+    monkeypatch.setattr(construction, "_newton_cap", lambda problem, threshold: 0)
     problem = sample_problem("zigzag40")
     block = construction._SOLVE_BLOCK
     xs = np.full(3 * block, -3.0)
     xs[block + 7], xs[2 * block + 3] = 0.3125, 0.6125
     with pytest.raises(NonConvergenceError) as err:
         solve_contacts(xs, problem.delta, problem)
-    assert str(err.value) == (
-        f"contact solve at (x=0.3125, height={problem.delta!r}) did not converge in 1 iterations"
+    assert str(err.value).startswith(
+        f"contact solve at (x=0.3125, height={problem.delta!r}) did not converge in 0 Newton steps: |Y - Y_N| = "
     )
+
+
+@pytest.mark.parametrize("name", ["vee", "two_kinks", "zigzag40"])
+def test_newton_stays_in_its_piece_and_the_certificate_refuses_a_wrong_one(name, monkeypatch):
+    # given the piece next to the one that holds a contact, Newton's clip
+    # keeps every iterate in that piece, where the piece's f' is the
+    # boundary's, so the root of its linear f' continued past the piece is
+    # never taken; the certificate then refuses the point
+    problem = sample_problem(name, 0.9)
+    xs = np.linspace(-0.9, 0.9, 37)
+    heights = np.full(xs.size, problem.delta)
+    t, s, root = construction._knot_roots(problem)
+    row = construction._locate(xs, heights, t, s / root)
+    # a knot piece next to the located one (a tail's Y is not iterated)
+    wrong = np.where(row + 1 < t.size, row + 1, row - 1)
+    assert np.all(wrong >= 1)
+    q = problem.contraction_q
+    threshold = 1e-12 * (1.0 - q) / q
+    C = construction._newton_constant(problem.L, problem.L_f, q)
+    Y_N = construction._newton(xs, heights, wrong, problem, threshold, C, construction._newton_cap(problem, threshold))
+    assert np.all((t[wrong - 1] - xs <= Y_N) & (Y_N <= t[wrong] - xs))
+    locate = construction._locate
+    monkeypatch.setattr(construction, "_locate", lambda *args: np.maximum(locate(*args) - 1, 0))
+    with pytest.raises(NonConvergenceError, match="did not converge in"):
+        solve_contacts(xs, problem.delta, problem)
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
