@@ -249,11 +249,12 @@ class ContactSolution:
     value: float
 
 
-def _newton_constant(L: float, L_f: float, q: float) -> float:
+def _newton_constant(problem: AdmissibleProblem) -> float:
     """C with |F''|/(2*F') <= C over |S| <= L_f, for F(S) = S - alpha -
     k*phi(S) on any piece, k = height*c: as |k|*phi'(S) <= q, F' >= 1 - q
     and |F''| = |k|*phi'(S)*3|S|/(L^2 - S^2) <= q*3*L_f/(L^2 - L_f^2).  A
     Newton step from an error e in S leaves at most C*e^2."""
+    L, L_f, q = problem.L, problem.L_f, problem.contraction_q
     return 1.5 * q * L_f / ((1.0 - q) * (L * L - L_f * L_f))
 
 
@@ -273,8 +274,8 @@ def _newton_cap(problem: AdmissibleProblem, threshold: float) -> int:
     at most 2*max|t| wide; the threshold is floored at the smallest
     subnormal, so the cap stays finite when a tiny tol underflows it to 0:
     it is at most 13."""
-    L, L_f, q = problem.L, problem.L_f, problem.contraction_q
-    rho = 2.0 * L_f * _newton_constant(L, L_f, q)
+    L_f, q = problem.L_f, problem.contraction_q
+    rho = 2.0 * L_f * _newton_constant(problem)
     if rho == 0.0:
         return 1
     knots = problem.spline.knots
@@ -306,7 +307,6 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
     q = problem.contraction_q
     threshold = tol * (1.0 - q) / q if q > 0.0 else math.inf
     cap = _newton_cap(problem, threshold)
-    C = _newton_constant(problem.L, problem.L_f, q)
     t, s, root = _knot_roots(problem)
     phi = s / root
     shape = x.shape
@@ -315,7 +315,7 @@ def solve_contacts(x, height, problem: AdmissibleProblem, tol: float = DEFAULT_T
     for first in range(0, x.size, _SOLVE_BLOCK):
         block = slice(first, first + _SOLVE_BLOCK)
         xb, hb = x[block], height[block]
-        Y_N = _newton(xb, hb, _locate(xb, hb, t, phi), problem, threshold, C, cap)
+        Y_N = _newton(xb, hb, _locate(xb, hb, t, phi), problem, threshold, cap)
         slope, root = _slope_and_root(xb + Y_N, problem)
         Yb = hb * slope / root
         bad = np.flatnonzero(~(np.abs(Yb - Y_N) <= threshold))
@@ -362,7 +362,7 @@ def _locate(x, height, t, phi) -> np.ndarray:
     return row
 
 
-def _newton(x, height, row, problem: AdmissibleProblem, threshold: float, C: float, cap: int) -> np.ndarray:
+def _newton(x, height, row, problem: AdmissibleProblem, threshold: float, cap: int) -> np.ndarray:
     """Y_N per point: Newton's iterate for the root of G on its row, where
     f' = s + c*(y - t_a) between knots a and b.
 
@@ -374,7 +374,7 @@ def _newton(x, height, row, problem: AdmissibleProblem, threshold: float, C: flo
     threshold, or whose C*delta^2 (C of _newton_constant, times |c| in y)
     is below the rounding of the piece's offsets, |t_a - x| and |t_b - x|,
     so that the next step would not change Y; or after cap steps."""
-    table, L = problem.spline._table, problem.L
+    table, L, C = problem.spline._table, problem.L, _newton_constant(problem)
     t, s_knot, root = _knot_roots(problem)
     # a tail row reads one knot at both ends
     a, b = np.maximum(row - 1, 0), np.minimum(row, t.size - 1)
@@ -394,6 +394,7 @@ def _newton(x, height, row, problem: AdmissibleProblem, threshold: float, C: flo
     with np.errstate(invalid="ignore", divide="ignore"):
         Yp = np.fmin(np.fmax(Y_a + g_a / (g_a - g_b) * (Y_b - Y_a), lo), hi)
     k = h * c * (L * L)
+    # 1.21 = 1.1^2 lets the error before a step exceed the step by 10 %
     with np.errstate(divide="ignore"):
         rounding = 2.0**-53 * np.maximum(np.abs(lo), np.abs(hi))
         settled = np.maximum(threshold * threshold, rounding / (1.21 * C * np.abs(c)))

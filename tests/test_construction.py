@@ -569,8 +569,7 @@ def test_newton_stays_in_its_piece_and_the_certificate_refuses_a_wrong_one(name,
     assert np.all(wrong >= 1)
     q = problem.contraction_q
     threshold = 1e-12 * (1.0 - q) / q
-    C = construction._newton_constant(problem.L, problem.L_f, q)
-    Y_N = construction._newton(xs, heights, wrong, problem, threshold, C, construction._newton_cap(problem, threshold))
+    Y_N = construction._newton(xs, heights, wrong, problem, threshold, construction._newton_cap(problem, threshold))
     assert np.all((t[wrong - 1] - xs <= Y_N) & (Y_N <= t[wrong] - xs))
     locate = construction._locate
     monkeypatch.setattr(construction, "_locate", lambda *args: np.maximum(locate(*args) - 1, 0))
