@@ -25,9 +25,14 @@ contact solve:
   boundary data, whose coincidence pins u from both sides: each is an
   extremum over the two boundary lines of terms whose critical points
   are the roots of y - x = k*phi(f'(y)), one signed height k per term.
-  mw_envelopes evaluates the terms at every root _contact_roots finds, so
-  it is exact up to rounding; it leans on f being piecewise quadratic and
-  on the top line's X' >= 1 - q > 0, where the scan leans on neither.
+  _contact_roots isolates each root in a bracket found in closed form: the
+  turning points of the equation cut each spline piece into at most three
+  pieces on which it is monotone, and a sign change on one of them is
+  solved by halvings and Newton steps counted before the first.
+  mw_envelopes evaluates the terms at every such root and at the turning
+  points, so it is exact up to rounding; it leans on f being piecewise
+  quadratic and on the top line's X' >= 1 - q > 0, where the scan leans
+  on neither.
 
 Grid fills and exports for all four provenances are also defined here.
 """
@@ -41,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import construction
-from .errors import ConfigurationError, DomainError, NonConvergenceError, ValidationError
+from .errors import ConfigurationError, DomainError, ValidationError
 from .ioutil import format_reals, write_table
 from .params import AdmissibleProblem, ProblemParams
 
@@ -57,7 +62,8 @@ _GOLDEN_MAX_ITER = 90
 # (point, piece) pairs one envelope call may solve, checked before any scan or
 # solve starts; neither is held in one array, so it bounds time.  At the CLI
 # defaults the 2x scan on vee at --delta-frac 0.9 ranges over ~5.3e6 samples,
-# and a 257x17 envelope grid takes ~1.8e4 to ~3.5e4 pairs
+# and a 257x17 envelope grid on [-2, 2] takes ~1.9e4 (vee, zigzag40 at
+# --delta-frac 0.1) to ~3.1e4 pairs (zigzag40 at 0.99)
 MAX_SCAN = 10_000_000
 # most points one grid (nx*nd) or top line (nx) may hold, checked before
 # allocating; on vee at this cap `construct` peaks at 236 MB RSS (8.5-9.0 s)
@@ -74,10 +80,10 @@ MAX_POINTS = 2**22
 # brute_force_u over that grid's 2x window takes 26.2, 25.4, 24.4 and 23.9
 # ms of CPU at 6144, 8192, 12288 and 16384 (medians of 30 alternating
 # rounds in one process, 2-core host), with trace peaks of 1.6, 1.7, 1.8
-# and 2.5 MB; 32768 was no faster and took 3.6 MB.  mw_envelopes solves its
-# roots in blocks of about _BUDGET Newton seeds: on the default vee mw_min
-# grid the trace peaks at 4.6 MB, against 12.6 MB with blocks 4x as large,
-# in the same ~49 ms of CPU (medians of 15 alternating rounds)
+# and 2.5 MB; 32768 was no faster and took 3.6 MB.  mw_envelopes brackets
+# its roots in blocks of about _BUDGET // 4 (point, piece) pairs: on the
+# default vee mw_min grid the trace peaks at 3.0 MB, against 7.4 MB with
+# blocks 4x as large, in 12-14 ms of CPU either way (medians of 15 rounds)
 _REFINE = 4
 _BUDGET = 16384
 
@@ -472,11 +478,12 @@ def mw_envelopes(point: tuple, problem: AdmissibleProblem) -> tuple:
         top, high      min       d
         top, low       max       2*delta - d
 
-    Each term is evaluated at every root _contact_roots finds, so the
-    envelopes are exact up to the rounding of those evaluations.  The
-    trade-off: this oracle leans on f being piecewise quadratic, which
-    every BoundarySpline is, and on X' >= 1 - q > 0, which admission gives;
-    brute_force_u stays the oracle that needs neither.
+    Each term is evaluated at every root _contact_roots isolates, and at
+    the turning points between them, so the envelopes are exact up to the
+    rounding of those evaluations.  The trade-off: this oracle leans on f
+    being piecewise quadratic, which every BoundarySpline is, and on X' >=
+    1 - q > 0, which admission gives; brute_force_u stays the oracle that
+    needs neither.
 
     Points must have a finite x and lie strictly inside the strip, and the
     envelopes must be finite: DomainError names the first bad point.
@@ -495,7 +502,7 @@ def mw_envelopes(point: tuple, problem: AdmissibleProblem) -> tuple:
     best = np.full(4 * n, -math.inf)
     # far out the terms overflow; a non-finite envelope is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, y in _contact_roots(xs, np.concatenate([dd, -dd, dd, 2.0 * delta - dd]), problem):
+        for i, y, _ in _contact_roots(xs, np.concatenate([dd, -dd, dd, 2.0 * delta - dd]), problem):
             top = i >= 2 * n
             # the boundary point's value g and abscissa
             g, at = problem.spline.value(y), y.copy()
@@ -509,85 +516,180 @@ def mw_envelopes(point: tuple, problem: AdmissibleProblem) -> tuple:
 
 
 def _contact_roots(x: np.ndarray, k: np.ndarray, problem: AdmissibleProblem):
-    """Yield (i, y) block by block: the roots y of y - x[i] = k[i]*phi(f'(y))
-    over the 1-D arrays x and k, each with the index i of its point; a root
-    may come twice.
+    """Yield (i, y, root) block by block: the roots y of G(y) = y - x[i] -
+    k[i]*phi(f'(y)) over the 1-D arrays x and k, each once and with the
+    index i of its point and root True; then, with root False, the turning
+    points of G inside the rows, where mw_envelopes evaluates its terms as
+    well.
 
     As |phi(f')| <= phi(L_f), every root lies within reach = |k|*phi(L_f)
-    of x, so only the piece-table rows that meet that reach are read.  The
-    (point, row) pairs are counted first, and more than MAX_SCAN raise
-    ConfigurationError before any is solved.  Blocks of about _BUDGET // 4
-    pairs, cut between points, then seed about _BUDGET Newton runs each, so
-    memory does not grow with the number of points.
+    of x, so only the piece-table rows that meet that reach, widened past
+    the rounding of reach and of x +- reach, are read; a knot outside it
+    has a G of the sign of its side.  The (point, row) pairs are counted
+    first, and more than MAX_SCAN raise ConfigurationError before any is
+    solved.  Blocks of about _BUDGET // 4 pairs, cut between points, keep
+    memory from growing with the number of points.
 
-    On a row with f'' = c = 0, a tail or a flat piece of slope s, the root
-    is y = x + k*phi(s).  On a curved row, S = f'(y) = alpha + c*(y - x),
-    alpha the row's slope extended to x, and squaring S - alpha = c*k*phi(S)
-    gives the monic quartic
+    Each row holds the half-open interval [t_a, t_b) between its knots,
+    unbounded on the tails, and G at a knot is taken from the knot's own
+    slope, so the two rows that share a knot read one value there.  An
+    interval [a, b) on which G is monotone holds a root where G(a) = 0 or
+    where G(a) and G(b) differ in sign (_holds_root), so a root at a knot
+    comes from the row on its right only.  On a flat row (f'' = c = 0: a
+    tail, or a piece of constant slope s) G increases, and its root is y =
+    x + k*phi(s).  On a curved row S = f'(y) is affine in y, G(y) = H(S)/c
+    with H(S) = S - alpha - c*k*phi(S), alpha the row's slope extended to
+    x, and H'(S) = 1 - c*k*phi'(S), where phi'(S) = L^2/(L^2 - S^2)^(3/2) is
+    even and grows with |S| from 1/L.  So G is monotone on the row where
+    c*k <= 0 or c*k >= L; in between, H' vanishes at S = +-S_c only,
 
-        (S - alpha)^2 (L^2 - S^2) - c^2 k^2 S^2 = 0,
+        S_c = L*sqrt(1 - (c*k/L)^(2/3)),   0 < S_c < L,
 
-    solved in S/L, where its coefficients stay finite for any L, by the
-    eigenvalues of batched 4x4 companion matrices.  All four real parts
-    seed y = x + (S - alpha)/c, with no cut-off on the imaginary part, so a
-    near-double root at a fold, which rounding can split into a complex
-    pair, still seeds.  Each seed (x itself on a flat row) takes three
-    Newton steps on the unsquared equation F(y) = y - x - k*phi(f'(y)),
-    each clipped to its row, and is kept where |F| <= 1e-12*(|x| + reach),
-    ~4500 ulps of the quantities met: this drops the roots of S - alpha =
-    -c*k*phi(S) that squaring adds.  A quartic with a non-finite
-    coefficient raises DomainError naming the point, and eigenvalues that
-    do not converge raise NonConvergenceError.
+    and the turning points y = t + (+-S_c - s)/c, clipped to the row, cut
+    it into at most three monotone pieces, each solved where its ends
+    differ in sign (_bracketed_root).  So each (point, row) yields at most
+    three roots.  A root where G keeps its sign is a double root, an
+    inflection of the terms and not an extremum; two simple roots that
+    rounding hides lie either side of a turning point, where the terms are
+    evaluated too.
+    S_c, from c*k in (0, L), and the turning points, clipped to the row,
+    cannot overflow; G at a knot, or a flat row's root, can, and raises
+    DomainError naming the point.
     """
     table = problem.spline._table
     L, L_f = problem.L, problem.L_f
+    knots = table.t[1:]
     # far out these overflow; the checks below catch every such value
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        reach = np.abs(k) * (L_f / math.sqrt(L * L - L_f * L_f))
-        first = np.searchsorted(table.keys, x - reach, side="right")
-        count = np.searchsorted(table.keys, x + reach, side="right") - first + 1
+        reach = np.abs(k) * (L_f / math.sqrt(L * L - L_f * L_f) * (1.0 + 2.0**-48))
+        first = np.searchsorted(knots, np.nextafter(x - reach, -math.inf), side="right")
+        count = np.searchsorted(knots, np.nextafter(x + reach, math.inf), side="right") - first + 1
     ends = np.cumsum(count)
     pairs = int(ends[-1]) if x.size else 0
     if not pairs <= MAX_SCAN:
         raise ConfigurationError(f"envelope roots need {pairs} (point, piece) pairs, more than {MAX_SCAN}")
     cuts = np.unique(np.searchsorted(ends, np.arange(_BUDGET // 4, pairs, _BUDGET // 4)))
-    edges = np.concatenate([[-math.inf], table.t[1:], [math.inf]])
+    # row r runs from edges[r] to edges[r + 1], and phi_s[r] is phi of its
+    # slope at edges[r], of its constant slope on a tail; phi_e is phi_s at
+    # the knots, and 0.0 past them, which puts G at -inf and +inf there
+    edges = np.concatenate([[-math.inf], knots, [math.inf]])
+    phi_s = table.s / np.sqrt(L * L - table.s * table.s)
+    phi_e = np.concatenate([[0.0], phi_s[1:], [0.0]])
     for block in map(slice, [0, *cuts], [*cuts, x.size]):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             i = np.repeat(np.arange(x.size)[block], count[block])
             row = np.arange(i.size) - np.repeat(np.cumsum(count[block]) - count[block] - first[block], count[block])
-            xp, kp, rp, c, t, s = x[i], k[i], reach[i], table.c[row], table.t[row], table.s[row]
+            xr, kr, t, s, c = x[i], k[i], table.t[row], table.s[row], table.c[row]
             lo, hi = edges[row], edges[row + 1]
-            curved = np.flatnonzero(c)
-            xc, kc, cc = xp[curved], kp[curved], c[curved]
-            alpha = s[curved] + cc * (xc - t[curved])
-            a, m = alpha / L, cc * kc / L
-            coef = np.stack([-2.0 * a, a * a - 1.0 + m * m, 2.0 * a, -a * a], axis=1)
-            construction.raise_first_bad_point({"x": xc, "k": kc}, (
-                (~np.isfinite(coef).all(axis=1), DomainError, lambda j, p: "the contact-root quartic overflows"),
+            g_lo, g_hi = lo - xr - kr * phi_e[row], hi - xr - kr * phi_e[row + 1]
+
+            # each row's piece bounds: its own ends and, between them, its
+            # turning points, both at its left end where it has none
+            bounds, g = np.stack([lo, lo, lo, hi]), np.stack([g_lo, g_lo, g_lo, g_hi])
+            turns = np.flatnonzero((0.0 < c * kr) & (c * kr < L))
+            if turns.size:
+                S_c = L * np.sqrt(1.0 - np.cbrt(np.square(c[turns] * kr[turns] / L)))
+                y_c = t[turns] + (np.array([[-1.0], [1.0]]) * S_c - s[turns]) / c[turns]
+                y_c = np.clip(np.sort(y_c, axis=0), lo[turns], hi[turns])
+                bounds[1:3, turns] = y_c
+                g_c = _contact_G(y_c, *(v[turns] for v in (xr, kr, t, s, c)), L)[0]
+                g[1:3, turns] = np.where(y_c == lo[turns], g_lo[turns], np.where(y_c == hi[turns], g_hi[turns], g_c))
+            j, col = np.nonzero((bounds[:-1] < bounds[1:]) & _holds_root(g[:-1], g[1:]))
+            a, b, g_a = bounds[j, col], bounds[j + 1, col], g[j, col]
+            # a root at a piece's start is that end; on a flat row G
+            # increases, and its root is x + k*phi(s)
+            flat = (c[col] == 0.0) & (g_a != 0.0)
+            y = np.where(flat, xr[col] + kr[col] * phi_s[row[col]], a)
+            overflow = np.zeros(i.size, dtype=bool)
+            overflow[col] = ~np.isfinite(y)
+            construction.raise_first_bad_point({"x": xr, "k": kr}, (
+                (
+                    (np.isfinite(lo) & ~np.isfinite(g_lo)) | (np.isfinite(hi) & ~np.isfinite(g_hi)),
+                    DomainError,
+                    lambda n, p: "the contact equation overflows at a knot",
+                ),
+                (overflow, DomainError, lambda n, p: "the contact root overflows"),
             ))
-            companion = np.tile(np.eye(4, k=-1), (curved.size, 1, 1))
-            companion[:, 0] = -coef
-            try:
-                S = L * np.linalg.eigvals(companion).real
-            except np.linalg.LinAlgError:
-                raise NonConvergenceError("the contact-root quartic's eigenvalues did not converge") from None
-            pair = np.concatenate([np.arange(i.size), np.repeat(curved, 4)])
-            y = np.concatenate([xp, (xc[:, None] + (S - alpha[:, None]) / cc[:, None]).ravel()])
-            xp, kp, rp, c, t, s, lo, hi = (v[pair] for v in (xp, kp, rp, c, t, s, lo, hi))
+            y[flat] = np.clip(y[flat], a[flat], np.nextafter(b[flat], -math.inf))
+            cut = np.flatnonzero((c[col] != 0.0) & (g_a != 0.0))
+            at = col[cut]
+            piece = tuple(v[at] for v in (xr, kr, t, s, c))
+            # Newton's error constant is bounded where G' keeps its sign over
+            # the whole row: on the rows without turning points
+            inner = (lo < bounds[1:3]) & (bounds[1:3] < hi)
+            C = np.where(inner.any(axis=0)[at], math.inf, _contact_newton_constant(a[cut], b[cut], *piece[1:], L))
+            y[cut] = _bracketed_root(lambda m: _contact_G(m, *piece, L), a[cut], b[cut], g_a[cut] < 0.0, C)
+            turn = np.nonzero(inner)[1]
+            y = np.concatenate([y, bounds[1:3][inner]])
+        yield np.concatenate([i[col], i[turn]]), y, np.arange(y.size) < col.size
 
-            def residual(y: np.ndarray) -> tuple:
-                slope = s + c * (y - t)
-                root = np.sqrt(L * L - slope * slope)
-                return y - xp - kp * (slope / root), root
 
-            y = np.clip(y, lo, hi)
-            for _ in range(3):
-                F, root = residual(y)
-                step = F / (1.0 - kp * c * (L * L / (root * root * root)))
-                y = np.clip(np.where(np.isfinite(step), y - step, y), lo, hi)
-            keep = np.flatnonzero(np.abs(residual(y)[0]) <= 1e-12 * (np.abs(xp) + rp))
-        yield i[pair[keep]], y[keep]
+def _holds_root(g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
+    """Where an interval [a, b) on which G is monotone, with G(a) = g_a and
+    G(b) = g_b, holds a root: where G(a) = 0 or G changes sign.  A root at
+    b belongs to the interval that starts there."""
+    return (g_a == 0.0) | ((g_a < 0.0) & (g_b > 0.0)) | ((g_a > 0.0) & (g_b < 0.0))
+
+
+def _contact_G(y, x, k, t, s, c, L: float) -> tuple:
+    """G(y) = y - x - k*phi(f'(y)) and its slope G' = 1 - k*c*phi'(f'(y)),
+    elementwise, on rows where f' = s + c*(y - t)."""
+    slope = s + c * (y - t)
+    root = np.sqrt(L * L - slope * slope)
+    return y - x - k * (slope / root), 1.0 - k * c * (L * L / (root * root * root))
+
+
+def _contact_newton_constant(a, b, k, t, s, c, L: float) -> np.ndarray:
+    """C >= |G''|/(2|G'|) over [a, b], on rows where f' = s + c*(y - t)
+    and G' keeps its sign, elementwise; inf where that bound is not finite.
+    G'' = -k*c^2*phi''(S), and phi' and |phi''| = 3|S|*phi'(S)/(L^2 - S^2)
+    grow with |S|, so |G''| is most at the largest |S| on [a, b], and |G'| =
+    |1 - k*c*phi'(S)| least at one end of its |S| range."""
+    S_a, S_b = s + c * (a - t), s + c * (b - t)
+    S_max = np.maximum(np.abs(S_a), np.abs(S_b))
+    S_min = np.where(S_a * S_b > 0.0, np.minimum(np.abs(S_a), np.abs(S_b)), 0.0)
+    phi1_max, phi1_min = (L * L / (L * L - S * S) ** 1.5 for S in (S_max, S_min))
+    bend = np.abs(k * c * c) * (3.0 * S_max * phi1_max / (L * L - S_max * S_max))
+    least = np.minimum(np.abs(1.0 - k * c * phi1_min), np.abs(1.0 - k * c * phi1_max))
+    return np.nan_to_num(bend / (2.0 * least), nan=math.inf)
+
+
+def _bracketed_root(F: Callable, a: np.ndarray, b: np.ndarray, below: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """A root of G in each finite bracket [a, b) of a sign change, G(a) < 0
+    where below and G(a) > 0 elsewhere, on a piece where G is monotone;
+    F(y) gives G and G', and C bounds |G''|/(2|G'|) on the piece, so that a
+    Newton step from an error e leaves at most C*e^2.
+
+    Each bracket takes its own count of steps, derived before the first,
+    so that it gets the same bits in any batch.  The resolution is res =
+    2**-52*max(|a|, |b|), at which G rounds y - t and y - x; bisection
+    reaches it in ceil(log2((b - a)/res)) <= 53 halvings.  Fewer halvings,
+    m, leave a width w with rho = C*w <= 1/2, from where Newton's error
+    falls to w*rho^(2^n - 1) after n steps, as construction._newton_cap
+    counts them: m halvings, then n Newton steps, at least one.  Each step
+    is kept in the sign bracket seen so far, which a Newton step's bound
+    allows; a bracket whose C is inf is halved to res, then polished by one
+    Newton step.  The result lies in [a, b)."""
+    lo, hi = a, np.nextafter(b, -math.inf)
+    w = b - a
+    res = 2.0**-52 * np.maximum(np.abs(a), np.abs(b))
+    halvings = np.ceil(np.log2(w / res))
+    m = np.clip(np.ceil(np.log2(2.0 * C * w)), 0.0, np.maximum(halvings, 0.0))
+    w_m = np.ldexp(w, -m.astype(int))
+    n = np.ceil(np.log2(1.0 + np.log(res / w_m) / np.log(C * w_m)))
+    # fmax puts n at one where rho = 0, or w_m <= res, or m reached res
+    n = np.fmax(np.where(m < halvings, n, 1.0), 1.0)
+    # G is read at the midpoint first, which is the first halving if m > 0
+    y, evaluations = a + 0.5 * w, np.maximum(m, 1.0) + n - 1.0
+    for step in range(int(evaluations.max(initial=0.0))):
+        g, slope = F(y)
+        going = step < evaluations
+        left = going & ((g < 0.0) == below)
+        a, b = np.where(left, y, a), np.where(going & ~left, y, b)
+        newton = y - g / slope
+        newton = np.where(np.isfinite(newton), np.clip(newton, a, b), a + 0.5 * (b - a))
+        y = np.where(going, np.where(step + 1 < m, a + 0.5 * (b - a), newton), y)
+    return np.clip(y, lo, hi)
 
 
 def grid_eval(

@@ -532,8 +532,9 @@ def test_export_peak_memory_is_bounded(tmp_path, capsys, sizes, bound_mb):
 def test_envelope_grid_peak_memory_is_bounded(tmp_path, capsys):
     # the bound stands from when the envelopes scanned ~4e6 samples per
     # boundary line (163.5 MB in whole-window arrays, 4.2 MB computed where
-    # a scan read them); the contact roots of these 27 points read ~110
-    # (point, piece) pairs
+    # a scan read them); the contact roots of these 27 points read 120
+    # (point, piece) pairs, and the run peaks at ~1.3 MB when it runs first
+    # in its process, at ~0.1 MB after
     argv = ["grid", *STANDARD, "--provenance", "mw_min", "--nx", "9", "--nd", "3"]
     assert traced_peak_mb([*argv, "--out", str(tmp_path / "out.csv")]) <= 20.0
 
@@ -541,10 +542,38 @@ def test_envelope_grid_peak_memory_is_bounded(tmp_path, capsys):
 def test_envelope_scan_memory_does_not_grow_with_points(tmp_path, capsys):
     # 297 points: the bound stands from when the envelope scans ran in
     # blocks of 256 points that kept every sample taken (44.1 MB); the
-    # contact roots are solved in blocks of about oracle._BUDGET // 4
-    # (point, piece) pairs, whatever the number of points
+    # contact roots are bracketed in blocks of about oracle._BUDGET // 4
+    # (point, piece) pairs, whatever the number of points, and these 1,278
+    # pairs peak at ~0.56 MB
     argv = ["grid", *STANDARD, "--provenance", "mw_min", "--nx", "33", "--nd", "9"]
     assert traced_peak_mb([*argv, "--out", str(tmp_path / "out.csv")]) <= 44.0
+
+
+def test_no_command_calls_lapack(tmp_path, capsys, monkeypatch):
+    # numpy.linalg maps LAPACK on its first call, which adds to the
+    # process's resident memory, and no command needs it: with its solvers
+    # made to raise, verify on vee and both envelope grids exit 0 and write
+    # the bytes they write otherwise
+    runs = [["verify", *STANDARD]]
+    runs += [["grid", *STANDARD, "--provenance", p, "--out", str(tmp_path / p)] for p in ("mw_min", "mw_max")]
+
+    def outputs() -> list:
+        written = []
+        for argv in runs:
+            assert cli.main(argv) == 0, argv
+            written.append(re.sub(r"elapsed \d+\.\d s", "elapsed N.N s", capsys.readouterr().out))
+            if argv[0] == "grid":
+                written.append(Path(argv[-1]).read_bytes())
+        return written
+
+    unpatched = outputs()
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called")
+
+    for name in ("eigvals", "eig", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    assert outputs() == unpatched
 
 
 class TestReport:

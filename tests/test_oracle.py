@@ -692,13 +692,13 @@ class TestEnvelopes:
 
     def test_scan_size_checked_before_allocating(self, vee_problem, monkeypatch):
         # the root searches' size, their (point, piece) pairs, is checked
-        # against MAX_SCAN before any quartic is solved: on vee, x = 0 lies
+        # against MAX_SCAN before any bracket is formed: on vee, x = 0 lies
         # on a knot, within reach of two pieces per term, and x = 0.5 of one
-        def no_solve(companion):
-            raise AssertionError("a quartic was solved")
+        def no_bracket(g_a, g_b):
+            raise AssertionError("a bracket was formed")
 
         points = (np.array([0.0, 0.5]), 0.05)
-        monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+        monkeypatch.setattr(oracle, "_holds_root", no_bracket)
         monkeypatch.setattr(oracle, "MAX_SCAN", 11)
         with pytest.raises(ConfigurationError, match=r"^envelope roots need 12 \(point, piece\) pairs, more than 11$"):
             mw_envelopes(points, vee_problem)
@@ -732,20 +732,103 @@ class TestEnvelopes:
             mw_envelopes((np.array([0.0, 1.9]), np.array([0.05, 0.1])), vee_problem)
 
 
-def test_contact_roots_never_return_a_wrong_finite_root(vee_problem, monkeypatch):
-    # at a height this far past delta, (c*k/L)^2 overflows on the curved
-    # pieces in reach: the point is named before any eigenvalue is taken
+def contact_roots(x, k, problem) -> tuple:
+    """Every block of oracle._contact_roots(x, k, problem) in one (i, y,
+    root) triple of arrays."""
+    return tuple(np.concatenate(parts) for parts in zip(*oracle._contact_roots(np.asarray(x), np.asarray(k), problem)))
+
+
+def test_contact_roots_never_return_a_wrong_finite_root(vee_problem):
+    # far past delta, at k = 1e300, G keeps its sign on vee's curved rows,
+    # where it is monotone (c*k >= L or c*k <= 0): only the right tail's G
+    # changes sign, and its root x + k*phi(1/2) comes back alone
     x, k = np.array([5.0, 0.5, 0.25]), np.array([0.1, 1e300, 1e300])
-    with pytest.raises(DomainError, match=r"^at grid point \(x=0.5, k=1e\+300\): the contact-root quartic overflows$"):
-        list(oracle._contact_roots(x, k, vee_problem))
+    i, y, root = contact_roots(x, k, vee_problem)
+    assert np.array_equal(i, [0, 1, 2]) and np.all(root)
+    assert np.array_equal(y, x + k * (0.5 / math.sqrt(3.75)))
+    # where G overflows at a knot in reach, the point is named
+    x, k = np.array([5.0, 1.7e308]), np.array([0.1, 1e308])
+    message = r"^at grid point \(x=1.7e\+308, k=1e\+308\): the contact equation overflows at a knot$"
+    with pytest.raises(DomainError, match=message):
+        contact_roots(x, k, vee_problem)
 
-    # eigenvalues that do not converge come back as the package's error
-    def no_convergence(companion):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
-    with pytest.raises(NonConvergenceError):
-        mw_envelopes((0.3, 0.05), vee_problem)
+def test_a_root_at_a_knot_comes_once(vee_problem):
+    # vee's knot at 0 has slope 0, so at x = 0 the root of every term is
+    # y = 0 exactly: it ends the row on its left and starts the one on its
+    # right, and only the right one yields it
+    d = 0.05
+    i, y, root = contact_roots(np.zeros(4), np.array([d, -d, d, 2.0 * vee_problem.delta - d]), vee_problem)
+    assert np.array_equal(np.sort(i), np.arange(4)) and np.all(root) and np.all(y == 0.0)
+    # at the knot x = -1 and a height so small that x +- reach rounds to x,
+    # the root just right of the knot, where G(-1) < 0 < G(0), is still read
+    i, y, root = contact_roots([-1.0], [1e-301], vee_problem)
+    assert np.array_equal(i, [0]) and np.array_equal(y, [-1.0]) and np.all(root)
+
+
+def reference_G(spline, L, x, k, y):
+    """G(y) = y - x - k*phi(f'(y)) in long double, f' interpolating the
+    knots exactly as the piece table does not: the reference of the root
+    tests."""
+    ts, ss = (np.array(column, dtype=np.longdouble) for column in zip(*spline.knots))
+    y = np.asarray(y, dtype=np.longdouble)
+    j = np.clip(np.searchsorted(ts, y, side="right"), 1, max(ts.size - 1, 1))
+    if ts.size == 1:
+        S = np.full(y.shape, ss[0])
+    else:
+        a = ss[j - 1] + (ss[j] - ss[j - 1]) * ((y - ts[j - 1]) / (ts[j] - ts[j - 1]))
+        S = np.where(y <= ts[0], ss[0], np.where(y >= ts[-1], ss[-1], a))
+    L = np.longdouble(L)
+    return y - np.longdouble(x) - np.longdouble(k) * (S / np.sqrt(L * L - S * S))
+
+
+@given(
+    st.one_of(st.sampled_from(list(SAMPLE_SPLINES.values())), splines()),
+    st.floats(0.05, 0.99999),
+    st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
+    st.floats(0.01, 0.99),
+)
+# three roots of the top line's low term at x = -0.27; two roots between
+# the turning points of one of vee's curved rows at x = 0; 79 kinks near q = 1
+@example(SAMPLE_SPLINES["vee"], 0.9, [-0.27, 0.0, 0.3], 0.01)
+@example(SAMPLE_SPLINES["vee"], 0.9, [0.0, 0.5, 1.2], 0.42)
+@example(SAMPLE_SPLINES["zigzag40"], 0.99999, [-0.3125, 0.0], 0.99)
+@settings(max_examples=60, deadline=None)
+def test_contact_roots_are_bracketed_once_and_complete(spline, delta_frac, xs, d_frac):
+    # at every point and each of the four signed heights: each root comes
+    # once, at most three from each row, with a sign change of the
+    # reference G within the bracket's resolution (or, at a near-double
+    # root, G at rounding level there); and every sign change of G over a
+    # dense sampling of the reach is found, but for near-double pairs
+    problem = envelope_problem(spline, delta_frac)
+    d = d_frac * problem.delta
+    x = np.repeat(xs, 4)
+    k = np.tile([d, -d, d, 2.0 * problem.delta - d], len(xs))
+    i, y, root = contact_roots(x, k, problem)
+    knots = np.array([t for t, _ in spline.knots])
+    phi_f = problem.L_f / math.sqrt(problem.L**2 - problem.L_f**2)
+    for p in range(x.size):
+        mine = np.sort(y[(i == p) & root])
+        assert np.unique(mine).size == mine.size
+        assert np.all(np.bincount(np.searchsorted(knots, mine, side="right")) <= 3)
+        turning = y[(i == p) & ~root]
+        assert np.all(np.bincount(np.searchsorted(knots, turning, side="right")) <= 2)
+        reach = abs(k[p]) * phi_f
+        scale = 1.0 + abs(x[p]) + reach + np.max(np.abs(knots))
+        tol = eps = 2.0**-48 * scale
+
+        def G(v):
+            return reference_G(spline, problem.L, x[p], k[p], v)
+
+        before, after = G(mine - tol), G(mine + tol)
+        assert np.all((before <= 0.0) & (after >= 0.0) | (before >= 0.0) & (after <= 0.0) | (np.abs(G(mine)) <= eps))
+        dense = np.linspace(x[p] - reach - tol, x[p] + reach + tol, 4001)
+        dense = np.union1d(dense, knots[(dense[0] < knots) & (knots < dense[-1])])
+        g = G(dense)
+        change = np.flatnonzero((g[:-1] < 0.0) != (g[1:] < 0.0))
+        lone = np.diff(change, prepend=-3, append=dense.size + 3)
+        for c in change[(lone[:-1] > 2) & (lone[1:] > 2)]:
+            assert np.any((dense[c] - tol <= mine) & (mine <= dense[c + 1] + tol)), (p, dense[c], mine)
 
 
 class TestGridEval:
